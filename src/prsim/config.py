@@ -38,15 +38,12 @@ class NetworkSettings:
     """Relay count, target rate and power bookkeeping.
 
     The SNR grid is expressed as total end-to-end SNR P/sigma_n^2 in
-    dB; total_power and noise_var only set the absolute scale and the
-    source_power_fraction splits P between the two hops (0.5 means the
-    source and the chosen relay each spend half).
+    dB; source_power_fraction splits P between the two hops (0.5 means
+    the source and the chosen relay each spend half).
     """
 
     relays: int = 8
     rate: float = 1.0
-    total_power: float = 1.0
-    noise_var: float = 1.0
     source_power_fraction: float = 0.5
 
     def __post_init__(self):
@@ -54,8 +51,6 @@ class NetworkSettings:
             raise ConfigError("need at least one relay")
         if self.rate <= 0:
             raise ConfigError("target rate must be positive")
-        if self.total_power <= 0 or self.noise_var <= 0:
-            raise ConfigError("power and noise variance must be positive")
         if not 0 < self.source_power_fraction < 1:
             raise ConfigError("source power fraction must be in (0, 1)")
 
@@ -309,8 +304,7 @@ _SCHEMA = {
         "name": _text, "seed": _int, "trials": _int, "output": _text,
     },
     "network": {
-        "relays": _int, "rate": _float, "total_power": _float,
-        "noise_var": _float, "source_power_fraction": _float,
+        "relays": _int, "rate": _float, "source_power_fraction": _float,
     },
     "fading": {
         "doppler_hz": _float, "sample_rate_hz": _float,

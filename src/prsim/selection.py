@@ -1,21 +1,30 @@
-"""Relay-selection rules and the per-frame outage/rate decisions.
+"""Rate conventions, the decoding subset and the block selection kernel.
 
-Relays are identified by their 0-based index in the observation list.
-Every scheme separates two views of each link: the *metric* SNR (a
-stale or predicted observation, used only to choose relays) and the
-*actual* SNR (used only to decide outage and realized rate).  Keeping
-the two apart in RelayObservation is what lets the same code express
-perfect, outdated and predicted CSI by changing only the metric.
+Every scheme separates two views of each link: the *score* (a stale or
+predicted observation, used only to choose relays) and the *actual*
+end-to-end SNR (used only to decide outage and realized rate).  Keeping
+the two apart is what lets the same kernel express perfect, outdated
+and predicted CSI by changing only the score.
+
+`select` runs one rule over a block of n frames and K relays: restrict
+to the eligible relays, take the highest score (ties go to the lowest
+relay id), optionally lose the frame when the two best eligible scores
+sit inside a timer's uncertainty window, and judge the pick on its
+actual SNR.  The distributed timer race, the destination-side ranking,
+DF, AF and the space-time-coded pair all reduce to this rule by their
+choice of score, eligibility mask and actual SNR.
 
 Rates are half-duplex: a two-phase relay link sustains R bits/s/Hz end
 to end only if each phase carries 2R, hence the relay threshold
 gamma_o = 2^(2R) - 1, while direct transmission uses the full frame and
-compares against 2^R - 1.  A realized capacity exactly equal to the
-target counts as success (outage is "falls below").
+compares against 2^R - 1.  A link exactly at the threshold counts as
+success (outage is "falls below").
 """
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -38,147 +47,57 @@ class RateConfig:
         return 2.0 ** self.target_rate - 1.0
 
 
-@dataclass(frozen=True)
-class RelayObservation:
-    """Metric and actual SNR views of one relay's two hops."""
-
-    relay_id: int
-    sr_snr_actual: float
-    rd_snr_actual: float
-    sr_snr_metric: float
-    rd_snr_metric: float
-
-    def __post_init__(self):
-        if min(self.sr_snr_actual, self.rd_snr_actual,
-               self.sr_snr_metric, self.rd_snr_metric) < 0:
-            raise ValueError("SNRs must be nonnegative")
+def decoding_subset(g_sr, rate):
+    """(n, K) mask of relays whose source-hop SNR clears gamma_o."""
+    return g_sr >= rate.gamma_o
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """Result of one frame: who forwarded, and did the link survive."""
+class Selection(NamedTuple):
+    """Per-frame outcome of a block: who forwarded and did it survive."""
 
-    scheme: str
-    chosen: tuple
-    end_to_end_snr_actual: float
-    outage: bool
-    realized_rate: float
+    chosen: np.ndarray     # best relay id, -1 when nobody forwards
+    outage: np.ndarray
+    rate: np.ndarray       # realized half-duplex rate, 0 when lost
+    collision: np.ndarray
 
 
-def decoding_subset(sr_snrs, rate):
-    """Indices of relays whose source-hop SNR clears the relay threshold."""
-    go = rate.gamma_o
-    return [k for k, g in enumerate(sr_snrs) if g >= go]
+def select(g, score, rate, eligible=None, window=None, pair=False):
+    """Pick relays by score and judge them on their actual SNR.
 
-
-def _argmax_lowest_id(ids, metric):
-    best = None
-    best_val = -math.inf
-    for k in ids:
-        if metric[k] > best_val:  # strict: ties keep the lowest id
-            best = k
-            best_val = metric[k]
-    return best
-
-
-def select_best_df(ds, rd_metric):
-    """Best relay-hop metric within the decoding subset; None if empty."""
-    if not ds:
-        return None
-    return _argmax_lowest_id(ds, rd_metric)
-
-
-def select_ostc_pair(ds, rd_metric):
-    """Top two metrics within the decoding subset.
-
-    Degrades to a single relay when only one decoded, None when empty.
+    g, score and eligible are (n, K).  With pair=True the two best
+    eligible relays forward a space-time-coded pair, whose combiner
+    output is the half-sum of their SNRs (a single eligible relay
+    forwards alone).  With a window, a frame whose two best eligible
+    scores differ by less than it is a collision.  A frame with no
+    eligible relay, or a collision, is an outage at rate 0.
     """
-    if not ds:
-        return None
-    first = _argmax_lowest_id(ds, rd_metric)
-    rest = [k for k in ds if k != first]
-    if not rest:
-        return (first,)
-    return (first, _argmax_lowest_id(rest, rd_metric))
-
-
-def af_effective_snr(gamma_sk, gamma_kd, use_bound=True):
-    """End-to-end SNR of one amplifying relay.
-
-    Exact form gamma_sk*gamma_kd/(gamma_sk+gamma_kd+1), or its tight
-    upper bound min(gamma_sk, gamma_kd) used by the closed forms.
-    """
-    if use_bound:
-        return min(gamma_sk, gamma_kd)
-    denom = gamma_sk + gamma_kd + 1.0
-    return gamma_sk * gamma_kd / denom
-
-
-def select_best_af(observations, use_metric=True):
-    """Relay with the strongest min(src-hop, relay-hop) observation.
-
-    With use_metric=False the actual SNRs are ranked instead (a
-    perfect-CSI selection).  Ties keep the lowest relay id.
-    """
-    if not observations:
-        raise ValueError("need at least one relay")
-    best = None
-    best_val = -math.inf
-    for i, ob in enumerate(observations):
-        if use_metric:
-            val = min(ob.sr_snr_metric, ob.rd_snr_metric)
-        else:
-            val = min(ob.sr_snr_actual, ob.rd_snr_actual)
-        if val > best_val:
-            best = i
-            best_val = val
-    return best
-
-
-def ostc_effective_snr(gamma_1, gamma_2):
-    """Post-combining SNR of the orthogonal space-time coded pair.
-
-    The total relay power is split across the two relays, so the
-    combiner output is the half-sum of the per-relay SNRs.
-    """
-    return 0.5 * (gamma_1 + gamma_2)
-
-
-def direct_transmission_outcome(gamma_sd, rate):
-    """Outage flag of single-hop transmission at full power and time."""
-    return math.log2(1.0 + gamma_sd) < rate.target_rate
-
-
-def df_outcome(observations, rate):
-    """One DF frame: threshold, select on metric, judge on actual."""
-    ds = decoding_subset([ob.sr_snr_actual for ob in observations], rate)
-    chosen = select_best_df(ds, [ob.rd_snr_metric for ob in observations])
-    if chosen is None:
-        return SelectionOutcome("df", (), 0.0, True, 0.0)
-    g = observations[chosen].rd_snr_actual
-    realized = 0.5 * math.log2(1.0 + g)
-    return SelectionOutcome("df", (chosen,), g, realized < rate.target_rate, realized)
-
-
-def ostc_outcome(observations, rate):
-    """One space-time-coded frame over the two best decoded relays."""
-    ds = decoding_subset([ob.sr_snr_actual for ob in observations], rate)
-    pair = select_ostc_pair(ds, [ob.rd_snr_metric for ob in observations])
-    if pair is None:
-        return SelectionOutcome("ostc", (), 0.0, True, 0.0)
-    if len(pair) == 1:
-        g = observations[pair[0]].rd_snr_actual
-    else:
-        g = ostc_effective_snr(observations[pair[0]].rd_snr_actual,
-                               observations[pair[1]].rd_snr_actual)
-    realized = 0.5 * math.log2(1.0 + g)
-    return SelectionOutcome("ostc", tuple(pair), g, realized < rate.target_rate, realized)
-
-
-def af_outcome(observations, rate, use_bound=True):
-    """One AF frame: max-min metric selection, end-to-end actual SNR."""
-    chosen = select_best_af(observations)
-    ob = observations[chosen]
-    g = af_effective_snr(ob.sr_snr_actual, ob.rd_snr_actual, use_bound=use_bound)
-    realized = 0.5 * math.log2(1.0 + g)
-    return SelectionOutcome("af", (chosen,), g, realized < rate.target_rate, realized)
+    rows = np.arange(g.shape[0])
+    if eligible is not None:
+        score = np.where(eligible, score, -np.inf)
+    first = np.argmax(score, axis=1)
+    g_sel = g[rows, first]
+    collision = np.zeros(g.shape[0], dtype=bool)
+    if pair or window is not None:
+        top = score[rows, first]
+        if eligible is None:
+            score = score.copy()
+        score[rows, first] = -np.inf
+        second = np.argmax(score, axis=1)
+        if window is not None:
+            # an ineligible runner-up scores -inf and never collides;
+            # a row with nobody eligible gives nan, no collision either
+            with np.errstate(invalid="ignore"):
+                collision = top - score[rows, second] < window
+        if pair:
+            both = (eligible.sum(axis=1) >= 2 if eligible is not None
+                    else g.shape[1] >= 2)
+            g_sel = np.where(both, 0.5 * (g_sel + g[rows, second]), g_sel)
+    chosen = first
+    if eligible is not None or window is not None:
+        lost = collision
+        if eligible is not None:
+            lost = lost | ~eligible.any(axis=1)
+        g_sel = np.where(lost, 0.0, g_sel)
+        chosen = np.where(lost, -1, first)
+    return Selection(chosen, g_sel < rate.gamma_o,
+                     0.5 * np.log2(1.0 + g_sel), collision)

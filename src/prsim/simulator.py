@@ -2,16 +2,23 @@
 
 A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
+Every path here decides a block of frames at once with one kernel,
+`selection.select`; they differ only in the score, the eligibility
+mask and the actual SNR they hand it.
+
 The selection metric is never the frame's own CSI: each node predicts
-the next frame's coefficient, writes it to a buffer, and the *next*
-frame's selection reads that buffer.  run_*_frame asserts this
-causality on every call.  The first frame has no buffered prediction
-yet and falls back to its own outdated estimate; drivers exclude it
-from statistics.
+the next frame's coefficient, writes it to a buffer, and a later
+frame's selection reads that buffer.  A network's `frames(n)` returns
+the actual and buffered CSI of n frames as (n, K) arrays, with the
+metric already shifted `metric_lag` frames behind the actuals;
+simulate_frames refuses a network whose lag is below one.  Row 0 is
+the bootstrap frame, whose buffer no earlier frame of the run wrote;
+it is dropped from statistics.
 
 Distributed variants resolve contention with back-off timers
 T = min(c / |metric|, T_m): the relay with the strongest buffered
-metric fires first and the rest hear its flag and stand down.  Two
+metric fires first and the rest hear its flag and stand down, which
+is the kernel ranking by -T (capped timers tie to the lowest id).  Two
 timers closer than the uncertainty window collide and destroy the
 frame (counted as outage).  The window defaults to zero, in which case
 continuous metrics almost surely never collide and the timer race is
@@ -25,9 +32,8 @@ Two CSI-correlation modes drive the statistics.  Synthetic mode draws
 is what the closed forms assume; series mode rides a generated fading
 record and takes the metric from a trained predictor (or from the
 record itself, delayed, for the no-predictor baseline).  estimate()
-and estimate_series() vectorize the per-frame decisions over the whole
-trial block, so they share the selection arithmetic but skip the
-timer bookkeeping; collision statistics come from the frame drivers.
+and estimate_series() run the same kernel without timers, so they
+report no collisions.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
@@ -50,13 +56,7 @@ import numpy as np
 
 from .channel import correlated_pair, snr_from_gain
 from .rng import complex_normal, stream
-from .selection import (
-    RateConfig,
-    SelectionOutcome,
-    af_effective_snr,
-    decoding_subset,
-    ostc_effective_snr,
-)
+from .selection import RateConfig, decoding_subset, select
 
 _SCHEMES = ("df", "af", "ostc", "dt")
 
@@ -123,21 +123,6 @@ def apply_impairments(csi, cfg, rng, mean_power=1.0):
     return out
 
 
-@dataclass
-class FrameState:
-    """One frame's channel view, buffered predictions and outcome."""
-
-    frame_index: int
-    csi_sr: np.ndarray
-    csi_rd: np.ndarray
-    buffer_sr: np.ndarray
-    buffer_rd: np.ndarray
-    buffer_written_at: int
-    decoding_subset: tuple = ()
-    outcome: SelectionOutcome = None
-    collision: bool = False
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo point estimate with its binomial standard error."""
@@ -168,6 +153,8 @@ class SyntheticRhoNetwork:
     by construction.  Hop SNR means are half the grid SNR each.
     """
 
+    metric_lag = 1  # frames between buffering a metric and reading it
+
     def __init__(self, num_relays, snr_db, rho, rate=None, seed=0):
         if num_relays < 1:
             raise ValueError("need at least one relay")
@@ -178,31 +165,28 @@ class SyntheticRhoNetwork:
         self.rho = float(rho)
         self._rng = stream(seed, 41)
 
-    def _pair(self):
-        return correlated_pair(self._rng, self.rho, self.num_relays)
+    def frames(self, n):
+        """(csi_sr, csi_rd, metric_sr, metric_rd) of the next n frames.
 
-    def bootstrap(self):
-        # no prediction exists yet; the frame's own stale estimates
-        # stand in and the driver drops the frame from statistics
-        m_sr, a_sr = self._pair()
-        m_rd, a_rd = self._pair()
-        return FrameState(0, a_sr, a_rd, m_sr, m_rd, buffer_written_at=-1)
-
-    def advance(self, state):
-        t = state.frame_index + 1
-        m_sr, a_sr = self._pair()
-        m_rd, a_rd = self._pair()
-        return FrameState(t, a_sr, a_rd, m_sr, m_rd, buffer_written_at=t - 1)
+        Each is (n, K).  Frame by frame the stream is consumed exactly
+        as two correlated_pair draws (source hop, then relay hop) would
+        consume it.
+        """
+        z = self._rng.standard_normal((n, 2, 4, self.num_relays))
+        scale = np.sqrt(0.5)
+        metric = scale * (z[:, :, 0] + 1j * z[:, :, 1])
+        w = scale * (z[:, :, 2] + 1j * z[:, :, 3])
+        actual = self.rho * metric + math.sqrt(1.0 - self.rho * self.rho) * w
+        return actual[:, 0], actual[:, 1], metric[:, 0], metric[:, 1]
 
 
 class SeriesNetwork:
     """Frames riding generated fading records, one sample per frame.
 
     The buffered metric for the frame at sample s is the predictor's
-    output computed from taps up to s - delay (written one frame
-    before use), or the record itself delayed by `delay` samples when
-    no predictor is given.  Frames start at the first sample every
-    metric covers.
+    output computed from taps up to s - delay, or the record itself
+    delayed by `delay` samples when no predictor is given.  Frames
+    start at the first sample every metric covers.
     """
 
     def __init__(self, series_sr, series_rd, snr_db, delay, rate=None,
@@ -219,7 +203,7 @@ class SeriesNetwork:
         self.snr_rd = self.snr_sr
         self.series_sr = series_sr
         self.series_rd = series_rd
-        self.delay = int(delay)
+        self.metric_lag = int(delay)
         self.metric_sr, start_sr = _metric_record(
             series_sr, delay, predictor, tau, features, scale)
         self.metric_rd, start_rd = _metric_record(
@@ -229,19 +213,13 @@ class SeriesNetwork:
         if self.num_frames < 2:
             raise ValueError("record too short for the requested delay")
 
-    def _frame(self, t):
-        s = self.start + t
-        return FrameState(t, self.series_sr[s], self.series_rd[s],
-                          self.metric_sr[s], self.metric_rd[s],
-                          buffer_written_at=t - 1)
-
-    def bootstrap(self):
-        state = self._frame(0)
-        state.buffer_written_at = -1
-        return state
-
-    def advance(self, state):
-        return self._frame(state.frame_index + 1)
+    def frames(self, n):
+        """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames."""
+        if n > self.num_frames:
+            raise ValueError(f"record supports at most {self.num_frames} frames")
+        s = slice(self.start, self.start + n)
+        return (self.series_sr[s], self.series_rd[s],
+                self.metric_sr[s], self.metric_rd[s])
 
 
 def _metric_record(series, delay, predictor, tau, features, scale):
@@ -261,173 +239,50 @@ def _metric_record(series, delay, predictor, tau, features, scale):
     return metric, start
 
 
-# ------------------------------------------------------------ frame ops
-
-
-def _check_causality(state):
-    if state.frame_index > 0 and state.buffer_written_at > state.frame_index - 1:
-        raise RuntimeError(
-            "selection would read a prediction written at its own frame")
-
-
-def _timer_race(mags, timer):
-    """(winner position, collision flag) of a back-off race."""
-    durations = timer.duration(mags)
-    order = np.argsort(durations, kind="stable")
-    collision = (durations.size > 1 and
-                 durations[order[1]] - durations[order[0]]
-                 < timer.uncertainty_window)
-    return int(order[0]), bool(collision)
-
-
-def run_distributed_df_frame(state, network, timer=None):
-    """Decode-and-forward frame with a distributed timer race."""
-    timer = timer if timer is not None else TimerModel()
-    _check_causality(state)
-    rate = network.rate
-    g_sr = snr_from_gain(state.csi_sr, network.snr_sr, 1.0)
-    g_rd = snr_from_gain(state.csi_rd, network.snr_rd, 1.0)
-    ds = decoding_subset(g_sr, rate)
-    state.decoding_subset = tuple(ds)
-    if not ds:
-        state.outcome = SelectionOutcome("df", (), 0.0, True, 0.0)
-        state.collision = False
-        return state
-    pos, collision = _timer_race(np.abs(state.buffer_rd)[ds], timer)
-    state.collision = collision
-    if collision:
-        state.outcome = SelectionOutcome("df", (), 0.0, True, 0.0)
-        return state
-    winner = ds[pos]
-    g = float(g_rd[winner])
-    realized = 0.5 * math.log2(1.0 + g)
-    state.outcome = SelectionOutcome("df", (winner,), g,
-                                     realized < rate.target_rate, realized)
-    return state
-
-
-def run_distributed_af_frame(state, network, timer=None, use_bound=True):
-    """Amplify-and-forward frame: min-metric race over all relays."""
-    timer = timer if timer is not None else TimerModel()
-    _check_causality(state)
-    rate = network.rate
-    mags = np.minimum(np.abs(state.buffer_sr), np.abs(state.buffer_rd))
-    winner, collision = _timer_race(mags, timer)
-    state.decoding_subset = ()
-    state.collision = collision
-    if collision:
-        state.outcome = SelectionOutcome("af", (), 0.0, True, 0.0)
-        return state
-    g_sr = float(snr_from_gain(state.csi_sr[winner], network.snr_sr, 1.0))
-    g_rd = float(snr_from_gain(state.csi_rd[winner], network.snr_rd, 1.0))
-    g = af_effective_snr(g_sr, g_rd, use_bound=use_bound)
-    realized = 0.5 * math.log2(1.0 + g)
-    state.outcome = SelectionOutcome("af", (winner,), g,
-                                     realized < rate.target_rate, realized)
-    return state
-
-
-def run_centralized_df_frame(state, network, policy="reselect"):
-    """Destination-side selection over the buffered metric vector.
-
-    The destination ranks all buffered predictions; when its pick did
-    not decode it re-selects the best remaining decoder (default) or
-    terminates the frame.
-    """
-    if policy not in ("reselect", "terminate"):
-        raise ValueError("policy must be 'reselect' or 'terminate'")
-    _check_causality(state)
-    rate = network.rate
-    g_sr = snr_from_gain(state.csi_sr, network.snr_sr, 1.0)
-    g_rd = snr_from_gain(state.csi_rd, network.snr_rd, 1.0)
-    ds = set(decoding_subset(g_sr, rate))
-    state.decoding_subset = tuple(sorted(ds))
-    state.collision = False
-    order = np.argsort(-np.abs(state.buffer_rd), kind="stable")
-    chosen = None
-    for k in order:
-        if int(k) in ds:
-            chosen = int(k)
-            break
-        if policy == "terminate":
-            break
-    if chosen is None:
-        state.outcome = SelectionOutcome("df", (), 0.0, True, 0.0)
-        return state
-    g = float(g_rd[chosen])
-    realized = 0.5 * math.log2(1.0 + g)
-    state.outcome = SelectionOutcome("df", (chosen,), g,
-                                     realized < rate.target_rate, realized)
-    return state
+# -------------------------------------------------------- frame protocol
 
 
 def simulate_frames(scheme, network, num_frames, timer=None,
-                    policy="reselect", use_bound=True):
-    """Drive a frame algorithm; the bootstrap frame is excluded.
+                    policy="reselect"):
+    """Run the frame protocol over a block; the bootstrap frame is dropped.
 
     scheme: 'df' (distributed), 'df-central' or 'af'.  Returns one
     McEstimate over frames 1 .. num_frames - 1.
     """
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
-    limit = getattr(network, "num_frames", None)
-    if limit is not None and num_frames > limit:
-        raise ValueError(f"record supports at most {limit} frames")
-    state = network.bootstrap()
-    outage = np.empty(num_frames - 1, dtype=bool)
-    rates = np.empty(num_frames - 1)
-    collisions = 0
-    for t in range(num_frames):
-        if t > 0:
-            state = network.advance(state)
-        if scheme == "df":
-            state = run_distributed_df_frame(state, network, timer)
-        elif scheme == "df-central":
-            state = run_centralized_df_frame(state, network, policy)
-        elif scheme == "af":
-            state = run_distributed_af_frame(state, network, timer, use_bound)
-        else:
-            raise ValueError(f"unknown frame scheme {scheme!r}")
-        if t > 0:
-            outage[t - 1] = state.outcome.outage
-            rates[t - 1] = state.outcome.realized_rate
-            collisions += state.collision
-    return _mc_estimate(outage, rates, collisions)
+    if scheme not in ("df", "df-central", "af"):
+        raise ValueError(f"unknown frame scheme {scheme!r}")
+    if policy not in ("reselect", "terminate"):
+        raise ValueError("policy must be 'reselect' or 'terminate'")
+    if network.metric_lag < 1:
+        raise RuntimeError(
+            "selection would read a prediction written at its own frame")
+    timer = timer if timer is not None else TimerModel()
+    rate = network.rate
+    csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
+    g_sr = snr_from_gain(csi_sr, network.snr_sr, 1.0)
+    g_rd = snr_from_gain(csi_rd, network.snr_rd, 1.0)
+    if scheme == "af":
+        mags = np.minimum(np.abs(m_sr), np.abs(m_rd))
+        sel = select(np.minimum(g_sr, g_rd), -timer.duration(mags), rate,
+                     window=timer.uncertainty_window)
+    elif scheme == "df":
+        sel = select(g_rd, -timer.duration(np.abs(m_rd)), rate,
+                     decoding_subset(g_sr, rate), timer.uncertainty_window)
+    else:
+        score = np.abs(m_rd)
+        ds = decoding_subset(g_sr, rate)
+        if policy == "terminate":
+            # only the destination's first pick may forward
+            ds &= (np.arange(network.num_relays)
+                   == np.argmax(score, axis=1)[:, None])
+        sel = select(g_rd, score, rate, ds)
+    return _mc_estimate(sel.outage, sel.rate,
+                        int(np.count_nonzero(sel.collision)))
 
 
 # ------------------------------------------------- vectorized estimators
-
-
-def _af_snr_block(g_sr, g_rd, use_bound):
-    """Vector form of the per-relay amplified end-to-end SNR."""
-    if use_bound:
-        return np.minimum(g_sr, g_rd)
-    return g_sr * g_rd / (g_sr + g_rd + 1.0)
-
-
-def _df_block(g_sr, g_rd, metric, rate, top_two=False):
-    """Outage flags and realized rates of a (n, K) block of DF frames."""
-    go = rate.gamma_o
-    ds = g_sr >= go
-    masked = np.where(ds, metric, -np.inf)
-    has = ds.any(axis=1)
-    rows = np.arange(g_sr.shape[0])
-    if not top_two:
-        choice = np.argmax(masked, axis=1)
-        g = np.where(has, g_rd[rows, choice], 0.0)
-    else:
-        idx = np.argsort(-masked, axis=1, kind="stable")
-        g1 = g_rd[rows, idx[:, 0]]
-        count = ds.sum(axis=1)
-        if g_sr.shape[1] > 1:
-            g2 = g_rd[rows, idx[:, 1]]
-            g = np.where(count >= 2, ostc_effective_snr(g1, g2), g1)
-        else:
-            g = g1
-        g = np.where(has, g, 0.0)
-    rates = np.where(has, 0.5 * np.log2(1.0 + g), 0.0)
-    outage = ~has | (g < go)
-    return outage, rates
 
 
 def _impaired(metric_h, actual_h, imp, rng):
@@ -442,8 +297,7 @@ def _impaired(metric_h, actual_h, imp, rng):
 
 
 def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
-             seed=0, impairments=None, use_bound=True, af_mode="e2e",
-             chunk=250_000):
+             seed=0, impairments=None, af_mode="e2e", chunk=250_000):
     """Synthetic-rho Monte-Carlo across an SNR grid.
 
     scheme is 'df', 'af', 'ostc' or 'dt'.  Selection ranks
@@ -459,7 +313,9 @@ def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     outdated estimate, which is the model behind the closed forms;
     'per-hop' ranks min(|metric_sr|, |metric_rd|) of separately
     outdated hop estimates, the rule the distributed algorithm runs.
-    The two differ by a few percent at intermediate rho.
+    The two differ by a few percent at intermediate rho.  Either way
+    the amplified end-to-end SNR is the min(sr, rd) bound the closed
+    forms assume.
     """
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
@@ -479,50 +335,46 @@ def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         while done < trials:
             n = min(chunk, trials - done)
             sl = slice(done, done + n)
+            done += n
+            shape = (n, num_relays)
             if scheme == "dt":
                 g = rng.exponential(total, size=n)
-                outage[sl] = g < rate.direct_threshold
+                outage[sl] = g < rate.direct_threshold  # the boundary succeeds
                 rates[sl] = np.log2(1.0 + g)  # full-frame link, no halving
-            elif scheme == "af" and af_mode == "e2e":
+                continue
+            if scheme == "af" and af_mode == "e2e":
                 # one outdated estimate of the end-to-end figure itself
-                m, a = correlated_pair(rng, rho, (n, num_relays))
+                m, a = correlated_pair(rng, rho, shape)
                 m, a = _impaired(m, a, impairments, rng)
                 gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
-                gm = snr_from_gain(m, gamma_e, 1.0)
-                rows = np.arange(n)
-                g = snr_from_gain(a, gamma_e, 1.0)[rows, np.argmax(gm, axis=1)]
-                outage[sl] = g < rate.gamma_o
-                rates[sl] = 0.5 * np.log2(1.0 + g)
+                sel = select(snr_from_gain(a, gamma_e, 1.0),
+                             snr_from_gain(m, gamma_e, 1.0), rate)
             elif scheme == "af":
-                m_sr, a_sr = correlated_pair(rng, rho, (n, num_relays))
-                m_rd, a_rd = correlated_pair(rng, rho, (n, num_relays))
+                m_sr, a_sr = correlated_pair(rng, rho, shape)
+                m_rd, a_rd = correlated_pair(rng, rho, shape)
                 m_sr, a_sr = _impaired(m_sr, a_sr, impairments, rng)
                 m_rd, a_rd = _impaired(m_rd, a_rd, impairments, rng)
-                gm = np.minimum(snr_from_gain(m_sr, hop, 1.0),
-                                snr_from_gain(m_rd, hop, 1.0))
-                choice = np.argmax(gm, axis=1)
-                rows = np.arange(n)
-                g = _af_snr_block(snr_from_gain(a_sr[rows, choice], hop, 1.0),
-                                  snr_from_gain(a_rd[rows, choice], hop, 1.0),
-                                  use_bound)
-                outage[sl] = g < rate.gamma_o
-                rates[sl] = 0.5 * np.log2(1.0 + g)
+                sel = select(np.minimum(snr_from_gain(a_sr, hop, 1.0),
+                                        snr_from_gain(a_rd, hop, 1.0)),
+                             np.minimum(snr_from_gain(m_sr, hop, 1.0),
+                                        snr_from_gain(m_rd, hop, 1.0)), rate)
             else:
-                g_sr = rng.exponential(hop, size=(n, num_relays))
-                m_rd, a_rd = correlated_pair(rng, rho, (n, num_relays))
+                g_sr = rng.exponential(hop, size=shape)
+                m_rd, a_rd = correlated_pair(rng, rho, shape)
                 m_rd, a_rd = _impaired(m_rd, a_rd, impairments, rng)
-                outage[sl], rates[sl] = _df_block(
-                    g_sr, snr_from_gain(a_rd, hop, 1.0),
-                    snr_from_gain(m_rd, hop, 1.0),
-                    rate, top_two=(scheme == "ostc"))
-            done += n
+                sel = select(snr_from_gain(a_rd, hop, 1.0),
+                             snr_from_gain(m_rd, hop, 1.0), rate,
+                             decoding_subset(g_sr, rate),
+                             pair=(scheme == "ostc"))
+            outage[sl], rates[sl] = sel.outage, sel.rate
+            del sel  # free the results before the next chunk's draws
         out.append(_mc_estimate(outage, rates))
     return out
 
 
 def estimate_series(scheme, series_sr, series_rd, snr_grid_db, delay,
                     rate=None, predictor=None, tau=4, features="complex",
-                    scale=0.4, use_bound=True):
+                    scale=0.4):
     """Monte-Carlo across an SNR grid with frames riding fading records.
 
     One frame per record sample (from the first the metric covers);
@@ -536,27 +388,21 @@ def estimate_series(scheme, series_sr, series_rd, snr_grid_db, delay,
     net = SeriesNetwork(series_sr, series_rd, 0.0, delay, rate=rate,
                         predictor=predictor, tau=tau, features=features,
                         scale=scale)
-    s = slice(net.start, None)
-    h_sr, h_rd = net.series_sr[s], net.series_rd[s]
-    m_sr, m_rd = net.metric_sr[s], net.metric_rd[s]
+    h_sr, h_rd, m_sr, m_rd = net.frames(net.num_frames)
     out = []
     for snr_db in np.atleast_1d(snr_grid_db):
         hop = 0.5 * 10.0 ** (snr_db / 10.0)
         g_sr = snr_from_gain(h_sr, hop, 1.0)
         g_rd = snr_from_gain(h_rd, hop, 1.0)
         if scheme == "af":
-            gm = np.minimum(snr_from_gain(m_sr, hop, 1.0),
-                            snr_from_gain(m_rd, hop, 1.0))
-            choice = np.argmax(gm, axis=1)
-            rows = np.arange(g_sr.shape[0])
-            g = _af_snr_block(g_sr[rows, choice], g_rd[rows, choice], use_bound)
-            outage = g < rate.gamma_o
-            rates = 0.5 * np.log2(1.0 + g)
+            sel = select(np.minimum(g_sr, g_rd),
+                         np.minimum(snr_from_gain(m_sr, hop, 1.0),
+                                    snr_from_gain(m_rd, hop, 1.0)), rate)
         else:
-            outage, rates = _df_block(g_sr, g_rd,
-                                      snr_from_gain(m_rd, hop, 1.0),
-                                      rate, top_two=(scheme == "ostc"))
-        out.append(_mc_estimate(outage, rates))
+            sel = select(g_rd, snr_from_gain(m_rd, hop, 1.0), rate,
+                         decoding_subset(g_sr, rate),
+                         pair=(scheme == "ostc"))
+        out.append(_mc_estimate(sel.outage, sel.rate))
     return out
 
 

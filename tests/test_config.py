@@ -75,6 +75,9 @@ def test_grid_range_is_inclusive():
 @pytest.mark.parametrize("text,fragment", [
     ("[warp]\nx = 1\n", "unknown section"),
     ("[network]\nrelay = 8\n", "unknown key"),
+    # the grid is an SNR: no result depends on an absolute power scale
+    ("[network]\ntotal_power = 2\n", "unknown key"),
+    ("[network]\nnoise_var = 2\n", "unknown key"),
     ("[network]\nrelays = 8\nrelays = 9\n", "duplicate key"),
     ("[network]\nrelays = eight\n", "expected an integer"),
     ("[network]\nrelays = 0\n", "at least one relay"),

@@ -5,32 +5,40 @@ import pytest
 
 from prsim.channel import correlated_pair
 from prsim.rng import stream
-from prsim.selection import (
-    RateConfig,
-    RelayObservation,
-    af_effective_snr,
-    af_outcome,
-    decoding_subset,
-    df_outcome,
-    direct_transmission_outcome,
-    ostc_effective_snr,
-    ostc_outcome,
-    select_best_af,
-    select_best_df,
-    select_ostc_pair,
-)
+from prsim import simulator
+from prsim.selection import RateConfig, decoding_subset, select
+from prsim.simulator import TimerModel, estimate, simulate_frames
 
 RATE1 = RateConfig(target_rate=1.0)
 
 
-def obs(i, sr_a, rd_a, sr_m=None, rd_m=None):
-    return RelayObservation(
-        relay_id=i,
-        sr_snr_actual=sr_a,
-        rd_snr_actual=rd_a,
-        sr_snr_metric=sr_a if sr_m is None else sr_m,
-        rd_snr_metric=rd_a if rd_m is None else rd_m,
-    )
+def rows(*values):
+    return np.array(values, dtype=float)
+
+
+def half_rate(g):
+    return 0.5 * np.log2(1.0 + np.asarray(g, dtype=float))
+
+
+class OneFrameNetwork:
+    """Single-relay network repeating one frame of fixed hop SNRs."""
+
+    metric_lag = 1
+    num_relays = 1
+    rate = RATE1
+    snr_sr = snr_rd = 1.0
+
+    def __init__(self, sr, rd):
+        self.h = (np.sqrt(sr), np.sqrt(rd))
+
+    def frames(self, n):
+        sr, rd = (np.full((n, 1), h, dtype=complex) for h in self.h)
+        return sr, rd, sr, rd
+
+
+def first_k(k, K=8):
+    """Eligibility mask of the first k[i] relays of each row."""
+    return np.arange(K) < np.asarray(k)[:, None]
 
 
 def test_rate_thresholds():
@@ -41,16 +49,25 @@ def test_rate_thresholds():
 
 
 def test_decoding_subset_threshold():
-    assert decoding_subset([4.0, 2.0, 5.0], RATE1) == [0, 2]
-    assert decoding_subset([1.0, 0.5], RATE1) == []
-    assert decoding_subset([3.0], RATE1) == [0]  # boundary decodes
+    ds = decoding_subset(rows([4.0, 2.0, 5.0], [1.0, 0.5, 2.9], [3.0, 0.0, 0.0]),
+                         RATE1)
+    assert ds.tolist() == [[True, False, True],
+                           [False, False, False],
+                           [True, False, False]]  # boundary decodes
+
+
+def test_threshold_boundary_is_not_outage():
+    sel = select(rows([3.0], [np.nextafter(3.0, 0.0)]), rows([1.0], [1.0]),
+                 RATE1)
+    assert sel.outage.tolist() == [False, True]
+    assert sel.rate[0] == 1.0  # exactly the target rate
 
 
 def test_decoding_subset_size_distribution():
     rng = stream(8)
     n, K, gbar = 200_000, 8, 10.0
     draws = rng.exponential(gbar, size=(n, K))
-    sizes = np.array([len(decoding_subset(row, RATE1)) for row in draws[:20_000]])
+    sizes = decoding_subset(draws[:20_000], RATE1).sum(axis=1)
     p_decode = math.exp(-3.0 / gbar)
     for M in range(K + 1):
         want = math.comb(K, M) * p_decode ** M * (1 - p_decode) ** (K - M)
@@ -60,91 +77,138 @@ def test_decoding_subset_size_distribution():
 
 
 def test_select_best_df():
-    assert select_best_df([0, 1, 2], [0.5, 2.0, 1.1]) == 1
-    assert select_best_df([], [0.5]) is None
-    assert select_best_df([0, 1], [2.0, 2.0]) == 0  # tie keeps lowest id
+    g = rows([10.0, 10.0, 10.0])
+    assert select(g, rows([0.5, 2.0, 1.1]), RATE1).chosen.tolist() == [1]
+    assert select(g, rows([2.0, 2.0, 1.0]), RATE1).chosen.tolist() == [0]
+    assert select(g, rows([1.0, 2.0, 2.0]), RATE1,
+                  np.array([[True, False, True]])).chosen.tolist() == [2]
 
 
 def test_select_best_df_perfect_metric_is_max():
     rng = stream(9)
-    for _ in range(10_000):
-        k = int(rng.integers(1, 9))
-        g = rng.exponential(5.0, size=k)
-        ds = list(range(k))
-        sel = select_best_df(ds, g)
-        assert g[sel] == g.max()
+    n = 10_000
+    g = rng.exponential(5.0, size=(n, 8))
+    eligible = first_k(rng.integers(1, 9, size=n))
+    sel = select(g, g, RATE1, eligible)
+    best = np.where(eligible, g, -np.inf).max(axis=1)
+    assert np.array_equal(g[np.arange(n), sel.chosen], best)
+
+
+def test_df_outcome_uses_actual_for_outage():
+    # the score would pick relay 1, whose actual hop is dead: outage is
+    # decided by the actual SNR even though selection saw a good score
+    sel = select(rows([10.0, 0.5]), rows([0.1, 9.0]), RATE1,
+                 np.array([[True, True]]))
+    assert sel.chosen.tolist() == [1]
+    assert sel.outage.tolist() == [True]
+    assert sel.rate[0] == half_rate(0.5)
+
+
+def test_df_outcome_empty_subset_is_outage():
+    ds = decoding_subset(rows([1.0, 2.0]), RATE1)
+    sel = select(rows([50.0, 50.0]), rows([1.0, 2.0]), RATE1, ds,
+                 window=1.0, pair=True)
+    assert sel.chosen.tolist() == [-1]
+    assert sel.outage.tolist() == [True]
+    assert sel.rate.tolist() == [0.0]
+    assert sel.collision.tolist() == [False]
 
 
 def test_select_ostc_pair():
-    assert select_ostc_pair([0, 1, 2], [0.5, 2.0, 1.1]) == (1, 2)
-    assert select_ostc_pair([1], [0.0, 7.0]) == (1,)
-    assert select_ostc_pair([], []) is None
+    all3 = np.ones((1, 3), dtype=bool)
+    sel = select(rows([0.5, 2.0, 1.1]), rows([0.5, 2.0, 1.1]), RATE1, all3,
+                 pair=True)
+    assert sel.chosen.tolist() == [1]
+    assert sel.rate[0] == pytest.approx(half_rate(1.55))  # relays 1 and 2
+    # only relay 1 decoded: it forwards alone
+    sel = select(rows([1.0, 7.0]), rows([5.0, 1.0]), RATE1,
+                 np.array([[False, True]]), pair=True)
+    assert sel.chosen.tolist() == [1]
+    assert sel.rate[0] == half_rate(7.0)
+    sel = select(rows([1.0, 7.0]), rows([5.0, 1.0]), RATE1,
+                 np.zeros((1, 2), dtype=bool), pair=True)
+    assert sel.chosen.tolist() == [-1] and sel.outage.tolist() == [True]
 
 
 def test_select_ostc_pair_matches_sort_oracle():
     rng = stream(10)
-    for _ in range(10_000):
-        k = int(rng.integers(2, 9))
-        g = rng.exponential(5.0, size=k)
-        pair = select_ostc_pair(list(range(k)), g)
-        want = tuple(np.argsort(-g, kind="stable")[:2])
-        assert pair == want
+    n = 10_000
+    g = rng.exponential(5.0, size=(n, 8))
+    eligible = first_k(rng.integers(2, 9, size=n))
+    sel = select(g, g, RATE1, eligible, pair=True)
+    order = np.argsort(-np.where(eligible, g, -np.inf), axis=1, kind="stable")
+    r = np.arange(n)
+    want = 0.5 * (g[r, order[:, 0]] + g[r, order[:, 1]])
+    assert np.array_equal(sel.chosen, order[:, 0])
+    assert np.array_equal(sel.rate, half_rate(want))
 
 
 def test_af_effective_snr():
-    assert af_effective_snr(1.0, 1.0, use_bound=False) == pytest.approx(1.0 / 3.0)
-    assert af_effective_snr(1.0, 1.0, use_bound=True) == 1.0
-    assert af_effective_snr(1e9, 5.0, use_bound=True) == 5.0
-
-
-def test_af_bound_dominates_exact():
-    rng = stream(11)
-    a = rng.exponential(5.0, 1_000_000)
-    b = rng.exponential(5.0, 1_000_000)
-    exact = a * b / (a + b + 1.0)
-    bound = np.minimum(a, b)
-    assert np.all(bound >= exact)
-    # the bound tightens as the hops grow imbalanced: with min SNR m and
-    # ratio R the relative gap is (m + 1) / (m (1 + R) + 1)
-    m = rng.uniform(1.0, 5.0, 50_000)
-    big = m * rng.uniform(100.0, 1000.0, m.size)
-    gap = (m - m * big / (m + big + 1.0)) / m
-    assert gap.max() < 0.02
-    # and opens back up as the hops balance (50% at equal hops)
-    for rlo, rhi in [(5.0, 7.5), (1.05, 1.6)]:
-        worse = m * rng.uniform(rlo, rhi, m.size)
-        gap_worse = (m - m * worse / (m + worse + 1.0)) / m
-        assert np.median(gap_worse) > np.median(gap)
-        gap = gap_worse
+    # the amplified end-to-end SNR is the min(sr, rd) bound the closed
+    # forms assume
+    net = OneFrameNetwork(sr=1e8, rd=4.0)
+    assert simulate_frames("af", net, 2).mean_rate == half_rate(4.0)
+    net = OneFrameNetwork(sr=1.0, rd=1.0)
+    assert simulate_frames("af", net, 2).mean_rate == half_rate(1.0)
 
 
 def test_select_best_af():
-    assert select_best_af([obs(0, 3.0, 1.0)]) == 0
-    two = [obs(0, 3.0, 1.0), obs(1, 2.0, 2.0)]
-    assert select_best_af(two) == 1
+    sr, rd = rows([3.0]), rows([1.0])
+    assert select(np.minimum(sr, rd), np.minimum(sr, rd),
+                  RATE1).chosen.tolist() == [0]
+    sr, rd = rows([3.0, 2.0]), rows([1.0, 2.0])
+    assert select(np.minimum(sr, rd), np.minimum(sr, rd),
+                  RATE1).chosen.tolist() == [1]
     with pytest.raises(ValueError):
-        select_best_af([])
+        select(np.empty((1, 0)), np.empty((1, 0)), RATE1)
 
 
 def test_select_best_af_perfect_metric_max_min():
     rng = stream(12)
-    for _ in range(10_000):
-        k = int(rng.integers(1, 9))
-        sr = rng.exponential(4.0, size=k)
-        rd = rng.exponential(4.0, size=k)
-        observations = [obs(i, sr[i], rd[i]) for i in range(k)]
-        sel = select_best_af(observations, use_metric=False)
-        assert min(sr[sel], rd[sel]) == np.minimum(sr, rd).max()
+    n = 10_000
+    sr = rng.exponential(4.0, size=(n, 8))
+    rd = rng.exponential(4.0, size=(n, 8))
+    g = np.minimum(sr, rd)
+    sel = select(g, g, RATE1)
+    r = np.arange(n)
+    assert np.array_equal(np.minimum(sr, rd)[r, sel.chosen], g.max(axis=1))
+
+
+def test_selection_metric_scaling_invariance():
+    rng = stream(14)
+    n = 2_000
+    g = rng.exponential(5.0, size=(n, 8))
+    eligible = first_k(rng.integers(2, 9, size=n))
+    scale = rng.uniform(0.01, 100.0, size=(n, 1))
+    for pair in (False, True):
+        a = select(g, g, RATE1, eligible, pair=pair)
+        b = select(g, scale * g, RATE1, eligible, pair=pair)
+        assert np.array_equal(a.chosen, b.chosen)
+        assert np.array_equal(a.rate, b.rate)
 
 
 def test_ostc_effective_snr():
-    assert ostc_effective_snr(4.0, 0.0) == 2.0
-    assert ostc_effective_snr(7.0, 7.0) == 7.0
+    # the pair's combiner output is the half-sum of the two relay SNRs
+    sel = select(rows([4.0, 0.0]), rows([2.0, 1.0]), RATE1, pair=True)
+    assert sel.rate[0] == half_rate(2.0)
+    sel = select(rows([7.0, 7.0]), rows([2.0, 1.0]), RATE1, pair=True)
+    assert sel.rate[0] == half_rate(7.0)
 
 
-def test_direct_transmission_outcome():
-    assert direct_transmission_outcome(1.0, RATE1) is False  # boundary succeeds
-    assert direct_transmission_outcome(0.0, RATE1) is True
+def test_direct_transmission_outcome(monkeypatch):
+    # a direct link exactly at 2^R - 1 carries R: no outage
+    class Fixed:
+        def __init__(self, g):
+            self.g = g
+
+        def exponential(self, scale, size):
+            return np.full(size, self.g)
+
+    for g, outage in ((RATE1.direct_threshold, 0.0),
+                      (np.nextafter(RATE1.direct_threshold, 0.0), 1.0),
+                      (0.0, 1.0)):
+        monkeypatch.setattr(simulator, "stream", lambda *key: Fixed(g))
+        assert estimate("dt", [10.0], 10_000)[0].outage_prob == outage
 
 
 def test_direct_transmission_matches_closed_form():
@@ -157,56 +221,25 @@ def test_direct_transmission_matches_closed_form():
     assert abs(phat - want) <= 3 * se
 
 
-def test_df_outcome_uses_actual_for_outage():
-    # metric would pick relay 1, whose actual hop is dead: outage is
-    # decided by the actual SNR even though selection saw a good metric
-    observations = [
-        obs(0, 10.0, 10.0, rd_m=0.1),
-        obs(1, 10.0, 0.5, rd_m=9.0),
-    ]
-    out = df_outcome(observations, RATE1)
-    assert out.chosen == (1,)
-    assert out.outage
-    assert out.end_to_end_snr_actual == 0.5
-
-
-def test_df_outcome_empty_subset_is_outage():
-    observations = [obs(0, 1.0, 50.0), obs(1, 2.0, 50.0)]
-    out = df_outcome(observations, RATE1)
-    assert out.chosen == ()
-    assert out.outage
-    assert out.realized_rate == 0.0
-
-
 def test_ostc_outcome_pair_and_fallback():
-    observations = [obs(0, 10.0, 5.0), obs(1, 10.0, 3.0), obs(2, 10.0, 4.0)]
-    out = ostc_outcome(observations, RATE1)
-    assert out.chosen == (0, 2)
-    assert out.end_to_end_snr_actual == pytest.approx(4.5)
-    single = [obs(0, 10.0, 9.0), obs(1, 1.0, 9.0)]
-    out = ostc_outcome(single, RATE1)
-    assert out.chosen == (0,)
-    assert out.end_to_end_snr_actual == 9.0
+    g = rows([5.0, 3.0, 4.0])
+    sel = select(g, g, RATE1, np.ones((1, 3), dtype=bool), pair=True)
+    assert sel.chosen.tolist() == [0]
+    assert sel.rate[0] == half_rate(4.5)  # relays 0 and 2
+    sel = select(rows([9.0, 9.0]), rows([9.0, 9.0]), RATE1,
+                 decoding_subset(rows([10.0, 1.0]), RATE1), pair=True)
+    assert sel.chosen.tolist() == [0]
+    assert sel.rate[0] == half_rate(9.0)
+    # one relay in the network
+    sel = select(rows([9.0]), rows([1.0]), RATE1, pair=True)
+    assert sel.rate[0] == half_rate(9.0)
 
 
-def test_af_outcome_bound_and_exact():
-    observations = [obs(0, 8.0, 2.0), obs(1, 5.0, 4.0)]
-    out = af_outcome(observations, RATE1)
-    assert out.chosen == (1,)
-    assert out.end_to_end_snr_actual == 4.0
-    out = af_outcome(observations, RATE1, use_bound=False)
-    assert out.end_to_end_snr_actual == pytest.approx(2.0)
-
-
-def test_selection_metric_scaling_invariance():
-    rng = stream(14)
-    for _ in range(2_000):
-        k = int(rng.integers(2, 9))
-        g = rng.exponential(5.0, size=k)
-        scale = float(rng.uniform(0.01, 100.0))
-        ds = list(range(k))
-        assert select_best_df(ds, g) == select_best_df(ds, scale * g)
-        assert select_ostc_pair(ds, g) == select_ostc_pair(ds, scale * g)
+def test_af_outcome_bound():
+    sr, rd = rows([8.0, 5.0]), rows([2.0, 4.0])
+    sel = select(np.minimum(sr, rd), np.minimum(sr, rd), RATE1)
+    assert sel.chosen.tolist() == [1]
+    assert sel.rate[0] == half_rate(4.0)
 
 
 def test_perfect_metric_weakly_dominates_outdated():
@@ -217,12 +250,9 @@ def test_perfect_metric_weakly_dominates_outdated():
     met, act = correlated_pair(rng, 0.3, (n, K))
     g_met = 0.5 * gbar * np.abs(met) ** 2
     g_act = 0.5 * gbar * np.abs(act) ** 2
-    ds = gsr >= 3.0
-    any_ds = ds.any(axis=1)
-    rows = np.arange(n)
-    out_perfect = np.where(any_ds, g_act[rows, np.argmax(np.where(ds, g_act, -1), axis=1)] < 3.0, True)
-    out_stale = np.where(any_ds, g_act[rows, np.argmax(np.where(ds, g_met, -1), axis=1)] < 3.0, True)
-    p1, p2 = out_perfect.mean(), out_stale.mean()
+    ds = decoding_subset(gsr, RATE1)
+    p1 = select(g_act, g_act, RATE1, ds).outage.mean()
+    p2 = select(g_act, g_met, RATE1, ds).outage.mean()
     se = math.sqrt(p2 * (1 - p2) / n)
     assert p1 <= p2 + 3 * se
 
@@ -233,7 +263,6 @@ def test_ostc_diversity_order_two_under_outdated_metric():
     rng = stream(16)
     K, n_block, n_blocks = 8, 1_000_000, 4
     snrs_db = np.arange(24.0, 33.0, 2.0)
-    rows = np.arange(n_block)
     pts = []
     for snr_db in snrs_db:
         gbar = 10 ** (snr_db / 10)
@@ -243,21 +272,64 @@ def test_ostc_diversity_order_two_under_outdated_metric():
             met, act = correlated_pair(rng, rho, (n_block, K))
             g_met = 0.5 * gbar * np.abs(met) ** 2
             g_act = 0.5 * gbar * np.abs(act) ** 2
-            ds = gsr >= 3.0
-            masked = np.where(ds, g_met, -1.0)
-            order = np.argsort(-masked, axis=1)
-            first, second = order[:, 0], order[:, 1]
-            n_ds = ds.sum(axis=1)
-            eff = np.where(
-                n_ds >= 2,
-                0.5 * (g_act[rows, first] + g_act[rows, second]),
-                g_act[rows, first],
-            )
-            out = np.where(n_ds >= 1, eff < 3.0, True)
-            failures += int(out.sum())
+            sel = select(g_act, g_met, RATE1, decoding_subset(gsr, RATE1),
+                         pair=True)
+            failures += int(sel.outage.sum())
         pts.append(failures / (n_block * n_blocks))
     pts = np.asarray(pts)
     keep = (pts > 1e-5) & (pts < 1e-3)
     assert keep.sum() >= 3
     slope = np.polyfit(snrs_db[keep] / 10.0, np.log10(pts[keep]), 1)[0]
     assert 1.7 <= -slope <= 2.3
+
+
+# ------------------------------------------------------------ timer race
+
+
+def test_capped_timers_tie_to_the_lowest_eligible_id():
+    timer = TimerModel(max_duration=50.0)
+    score = -timer.duration(rows([1e-6, 1e-5, 0.0, 1e-4]))
+    assert np.all(score == -50.0)  # every timer is capped
+    sel = select(rows([9.0, 9.0, 9.0, 9.0]), score, RATE1,
+                 np.array([[False, True, True, True]]),
+                 window=timer.uncertainty_window)
+    assert sel.chosen.tolist() == [1]
+    assert sel.collision.tolist() == [False]
+
+
+def test_collision_needs_two_eligible_timers_inside_the_window():
+    durations = rows([1.0, 1.01, 5.0])
+    g = rows([9.0, 9.0, 9.0])
+    everyone = select(g, -durations, RATE1, np.ones((1, 3), dtype=bool),
+                      window=0.02)
+    assert everyone.collision.tolist() == [True]
+    assert everyone.outage.tolist() == [True]
+    assert everyone.rate.tolist() == [0.0]
+    assert everyone.chosen.tolist() == [-1]
+    # relay 1 did not decode, so its timer never runs
+    silent = select(g, -durations, RATE1, np.array([[True, False, True]]),
+                    window=0.02)
+    assert silent.collision.tolist() == [False]
+    assert silent.chosen.tolist() == [0]
+    assert silent.outage.tolist() == [False]
+
+
+def test_collision_iff_two_fastest_eligible_within_window():
+    rng = stream(17)
+    n, K, window = 2_000, 5, 0.05
+    durations = rng.uniform(0.0, 1.0, size=(n, K))
+    eligible = rng.uniform(size=(n, K)) < 0.6
+    sel = select(np.full((n, K), 9.0), -durations, RATE1, eligible,
+                 window=window)
+    for i in range(n):
+        d = np.sort(durations[i][eligible[i]])
+        assert sel.collision[i] == (d.size >= 2 and d[1] - d[0] < window)
+    assert 0 < sel.collision.sum() < n
+
+
+def test_single_relay_never_collides():
+    rng = stream(18)
+    g = rng.exponential(5.0, size=(1_000, 1))
+    for eligible in (None, decoding_subset(g, RATE1)):
+        sel = select(g, -g, RATE1, eligible, window=1e9)
+        assert not sel.collision.any()
