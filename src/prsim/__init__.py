@@ -4,11 +4,11 @@ Subpackages and modules:
 
 * ``numerics``     special functions (J0, I0, E1), capacity kernel, quadrature
 * ``rng``          seeded splittable random streams
-* ``channel``      Jakes fading series, outdated-CSI model, SNR bookkeeping
+* ``channel``      Jakes fading series, correlated gain pairs, SNR bookkeeping
 * ``selection``    rate thresholds and the block relay-selection kernel
 * ``analytics``    closed-form outage and ergodic capacity for DF/AF selection
 * ``predictor``    from-scratch recurrent networks (RNN/LSTM/GRU) and training
-* ``simulator``    Monte-Carlo estimators, timers and the frame protocol
+* ``simulator``    CSI sources, Monte-Carlo estimators, timers, frame protocol
 * ``config``       experiment configuration files
 * ``cli``          experiment runner (gen-data / train / outage / capacity / ...)
 """

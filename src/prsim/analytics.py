@@ -214,15 +214,14 @@ def _mgf_af_deriv(s, p):
     return fsum(terms)
 
 
-def capacity_df(p, rule=None):
+def capacity_df(p):
     """Ergodic capacity of DF selection, bits/s/Hz.
 
     Includes the 1/(2 ln 2) half-duplex factor; an empty decoding
     subset contributes zero rate.  See the module docstring for the
     quadrature convergence behaviour at large mean SNR.
     """
-    if rule is None:
-        rule = _default_rule()
+    rule = _default_rule()
     decode = math.exp(-p.gamma_o / p.gamma_sr)
     miss = 1.0 - decode
     kernel = [phi(s) for s in rule.nodes]
@@ -239,7 +238,7 @@ def capacity_df(p, rule=None):
     return total / (2.0 * LN2)
 
 
-def capacity_af(p, rule=None, half_duplex=False):
+def capacity_af(p, half_duplex=False):
     """Ergodic capacity of AF selection, bits/s/Hz.
 
     Evaluated without a rate pre-log by default; pass half_duplex=True
@@ -248,8 +247,7 @@ def capacity_af(p, rule=None, half_duplex=False):
     two reference forms is deliberate and surfaced as a flag rather
     than silently reconciled.
     """
-    if rule is None:
-        rule = _default_rule()
+    rule = _default_rule()
     total = fsum(
         w * phi(s) * _mgf_af_deriv(s, p)
         for s, w in zip(rule.nodes, rule.weights)
@@ -265,7 +263,7 @@ def capacity_exponential_exact(gamma_avg):
     return math.exp(1.0 / gamma_avg) * exp_integral_e1(1.0 / gamma_avg) / LN2
 
 
-def capacity_exponential_check(gamma_avg, rule=None):
+def capacity_exponential_check(gamma_avg):
     """Single-link capacity via the quadrature rule in the SNR domain.
 
     Applies the rule directly to int_0^inf log2(1+g) exp(-g/ga)/ga dg,
@@ -275,8 +273,7 @@ def capacity_exponential_check(gamma_avg, rule=None):
     """
     if gamma_avg <= 0:
         raise ValueError("mean SNR must be positive")
-    if rule is None:
-        rule = _default_rule()
+    rule = _default_rule()
     return fsum(
         w * math.log1p(s) / LN2 * math.exp(-s / gamma_avg) / gamma_avg
         for s, w in zip(rule.nodes, rule.weights)

@@ -1,4 +1,4 @@
-"""Correlated fading generation and the outdated-CSI statistical model.
+"""Correlated fading generation and the synthetic-rho pair sampler.
 
 Time series come from a sum-of-cisoids generator (modified Jakes):
 equally spaced arrival angles with a random global rotation plus i.i.d.
@@ -8,14 +8,13 @@ it as the number of sinusoids grows.  The generator is stateless and
 reproducible: the same (config, link) always yields the same series.
 
 Outdated CSI follows the Gaussian degradation
-  h_out = sigma_out * (rho/sigma_act * h + eps * sqrt(1 - rho^2)),
+  h_out = rho * h + eps * sqrt(1 - rho^2),
 eps ~ CN(0, 1), which leaves the marginal complex Gaussian and sets the
-correlation between h and h_out to rho.  The same construction doubles
-as the synthetic-rho pair sampler used to validate the closed forms at
-an exactly prescribed correlation.
+correlation between h and h_out to rho.  `correlated_pair` draws such
+a pair at unit power; it is the synthetic-rho sampler used to validate
+the closed forms at an exactly prescribed correlation.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -94,78 +93,24 @@ def generate_series(cfg, length, link=0):
     return los + diffuse / np.sqrt(k_rice + 1.0)
 
 
-@dataclass(frozen=True)
-class OutdatedCsiModel:
-    """Correlation model between the true gain and a stale observation."""
-
-    rho: float
-    sigma_outdated: float = 1.0
-    sigma_actual: float = 1.0
-
-    def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError("correlation must lie in [-1, 1]")
-        if self.sigma_outdated <= 0 or self.sigma_actual <= 0:
-            raise ValueError("gain std deviations must be positive")
-
-
-def degrade_csi(h, model, rng):
-    """Outdated observation of h per the Gaussian degradation model.
-
-    Works elementwise on arrays; fresh eps ~ CN(0,1) per element.
-    """
-    h = np.asarray(h)
-    eps = complex_normal(rng, size=h.shape if h.shape else None)
-    out = model.sigma_outdated * (
-        model.rho / model.sigma_actual * h
-        + eps * math.sqrt(1.0 - model.rho * model.rho)
-    )
-    return out
-
-
-def correlated_pair(rng, rho, size, mean_power=1.0):
+def correlated_pair(rng, rho, size):
     """(metric, actual) complex gains at exact correlation rho.
 
-    Both marginals are CN(0, mean_power).  This is the synthetic-rho
+    Both marginals are CN(0, 1).  This is the synthetic-rho
     mode used when validating the outage/capacity closed forms: rho is
     prescribed directly instead of being implied by a Doppler lag.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [0, 1]")
-    metric = complex_normal(rng, size=size, variance=mean_power)
-    w = complex_normal(rng, size=size, variance=mean_power)
+    metric = complex_normal(rng, size=size)
+    w = complex_normal(rng, size=size)
     actual = rho * metric + math.sqrt(1.0 - rho * rho) * w
     return metric, actual
 
 
-def snr_from_gain(h, power, noise_var):
-    """Instantaneous SNR |h|^2 * power / noise_var."""
-    if power <= 0 or noise_var <= 0:
-        raise ValueError("power and noise variance must be positive")
+def snr_from_gain(h, power):
+    """Instantaneous SNR |h|^2 * power at unit noise power."""
+    if power <= 0:
+        raise ValueError("power must be positive")
     h = np.asarray(h)
-    return (h.real ** 2 + h.imag ** 2) * (power / noise_var)
-
-
-def save_gain_series(path, series):
-    """Write one link's series as CSV with columns (index, re, im)."""
-    series = np.asarray(series)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, h in enumerate(series):
-            writer.writerow([i, repr(float(h.real)), repr(float(h.imag))])
-
-
-def load_gain_series(path):
-    """Read a series written by save_gain_series."""
-    re = []
-    im = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["index", "re", "im"]:
-            raise ValueError("unrecognized gain series header: %r" % header)
-        for row in reader:
-            re.append(float(row[1]))
-            im.append(float(row[2]))
-    return np.asarray(re) + 1j * np.asarray(im)
+    return (h.real ** 2 + h.imag ** 2) * power

@@ -93,6 +93,12 @@ def _series(fading, seed, length, links):
         [generate_series(cfg, length, link=i) for i in range(links)])
 
 
+def _hop_records(cfg, fading, length, links):
+    """The source-hop and relay-hop records of the frame-level runs."""
+    return (_series(fading, _sub_seed(cfg.seed, _SR_TAG), length, links),
+            _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links))
+
+
 def _specs(pred):
     return tuple(LayerSpec(pred.kind, pred.neurons) for _ in range(pred.layers))
 
@@ -100,12 +106,6 @@ def _specs(pred):
 def _train_config(pred, seed, val_fraction=0.0):
     return TrainConfig(epochs=pred.epochs, batch_size=pred.batch_size,
                        lr=pred.lr, seed=seed, val_fraction=val_fraction)
-
-
-def _hop_snrs(cfg, snr_db):
-    total = 10.0 ** (snr_db / 10.0)
-    frac = cfg.network.source_power_fraction
-    return frac * total, (1.0 - frac) * total
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +180,43 @@ class PredictorPool:
         return self._rhos[key]
 
 
+def _rho_outdated(fading, delay):
+    return jakes_correlation(fading.doppler_hz,
+                             delay / fading.sample_rate_hz)
+
+
+def _rho_mode(csi):
+    """CSV label of the configured csi mode."""
+    if csi.mode == "perfect":
+        return "perfect"
+    if csi.mode == "synthetic":
+        return "synthetic(%s)" % repr(csi.rho)
+    return "%s(%d)" % (csi.mode, csi.delay)
+
+
 def _generic_runs(cfg):
     """Expand the configured scheme list against the single csi mode."""
-    csi = cfg.csi
-    imp = None
-    if cfg.protocol.pilot_snr_db is not None or \
-            cfg.protocol.max_phase_error_deg is not None:
-        imp = ImpairmentConfig(cfg.protocol.pilot_snr_db,
-                               cfg.protocol.max_phase_error_deg)
+    csi, relays = cfg.csi, cfg.network.relays
+    imp = ImpairmentConfig(cfg.protocol.pilot_snr_db,
+                           cfg.protocol.max_phase_error_deg)
+    imp = imp if imp.enabled else None
+    if csi.mode == "outdated":
+        rho = _rho_outdated(cfg.fading, csi.delay)
+    else:  # None: resolve from the predictor
+        rho = {"perfect": 1.0, "synthetic": csi.rho}.get(csi.mode)
     runs = []
     for scheme in cfg.schemes:
         if scheme == "df-central":
             raise ConfigError("df-central is a protocol-sim scheme")
         if scheme == "dt":
-            runs.append(RunSpec("dt", cfg.network.relays, "direct", rho=1.0,
+            runs.append(RunSpec("dt", relays, "direct", rho=1.0,
                                 impairments=imp))
             continue
-        if csi.mode == "perfect":
-            runs.append(RunSpec(scheme, cfg.network.relays, "perfect",
-                                rho=1.0, impairments=imp,
-                                analytic=scheme != "ostc"))
-        elif csi.mode == "synthetic":
-            runs.append(RunSpec(scheme, cfg.network.relays,
-                                "synthetic(%s)" % repr(csi.rho), rho=csi.rho,
-                                impairments=imp, analytic=scheme != "ostc"))
-        elif csi.mode == "outdated":
-            rho = jakes_correlation(cfg.fading.doppler_hz,
-                                    csi.delay / cfg.fading.sample_rate_hz)
-            runs.append(RunSpec(scheme, cfg.network.relays,
-                                "outdated(%d)" % csi.delay, rho=rho,
-                                impairments=imp, analytic=False))
-        else:  # predicted
-            runs.append(RunSpec(scheme, cfg.network.relays,
-                                "predicted(%d)" % csi.delay, rho=None,
-                                horizon=csi.delay, impairments=imp,
-                                analytic=scheme != "ostc"))
+        runs.append(RunSpec(
+            scheme, relays, _rho_mode(csi), rho=rho,
+            horizon=csi.delay if csi.mode == "predicted" else 0,
+            impairments=imp,
+            analytic=scheme != "ostc" and csi.mode != "outdated"))
     return runs
 
 
@@ -222,36 +224,35 @@ def _generic_runs(cfg):
 # analytic columns
 
 
+def _params(spec, cfg, snr_db, rho):
+    """Closed-form parameters of a df or af run at one grid point."""
+    total = 10.0 ** (snr_db / 10.0)
+    frac = cfg.network.source_power_fraction
+    cls = DfParams if spec.scheme == "df" else AfParams
+    return cls(K=spec.relays, gamma_sr=frac * total,
+               gamma_rd=(1.0 - frac) * total, rho=rho,
+               gamma_o=RateConfig(cfg.network.rate).gamma_o)
+
+
 def _analytic_outage(spec, cfg, snr_db, rho):
-    rate = RateConfig(cfg.network.rate)
-    g_sr, g_rd = _hop_snrs(cfg, snr_db)
     if spec.scheme == "dt":
         total = 10.0 ** (snr_db / 10.0)
-        return 1.0 - np.exp(-rate.direct_threshold / total)
+        return 1.0 - np.exp(-RateConfig(cfg.network.rate).direct_threshold
+                            / total)
     if spec.scheme == "df":
-        return outage_df(DfParams(K=spec.relays, gamma_sr=g_sr,
-                                  gamma_rd=g_rd, rho=rho,
-                                  gamma_o=rate.gamma_o))
+        return outage_df(_params(spec, cfg, snr_db, rho))
     if spec.scheme == "af":
-        return outage_af(AfParams(K=spec.relays, gamma_sr=g_sr,
-                                  gamma_rd=g_rd, rho=rho,
-                                  gamma_o=rate.gamma_o))
+        return outage_af(_params(spec, cfg, snr_db, rho))
     return None
 
 
 def _analytic_capacity(spec, cfg, snr_db, rho):
-    rate = RateConfig(cfg.network.rate)
-    g_sr, g_rd = _hop_snrs(cfg, snr_db)
     if spec.scheme == "dt":
         return capacity_exponential_exact(10.0 ** (snr_db / 10.0))
     if spec.scheme == "df":
-        return capacity_df(DfParams(K=spec.relays, gamma_sr=g_sr,
-                                    gamma_rd=g_rd, rho=rho,
-                                    gamma_o=rate.gamma_o))
+        return capacity_df(_params(spec, cfg, snr_db, rho))
     if spec.scheme == "af":
-        return capacity_af(AfParams(K=spec.relays, gamma_sr=g_sr,
-                                    gamma_rd=g_rd, rho=rho,
-                                    gamma_o=rate.gamma_o), half_duplex=True)
+        return capacity_af(_params(spec, cfg, snr_db, rho), half_duplex=True)
     return None
 
 
@@ -384,8 +385,8 @@ def _clamped_trials(cfg):
     return cfg.trials
 
 
-def _curve_rows(cfg, runs, analytic_fn):
-    """Monte-Carlo every run and attach analytic columns."""
+def _curves(cfg, out, runs, analytic_fn):
+    """Monte-Carlo every run, attach analytic columns, write the CSV."""
     pool = PredictorPool(cfg)
     trials = _clamped_trials(cfg)
     rate = RateConfig(cfg.network.rate)
@@ -393,11 +394,9 @@ def _curve_rows(cfg, runs, analytic_fn):
     for spec in runs:
         if spec.record:
             fading = spec.fading or cfg.fading
-            length = trials + cfg.predictor.tau + spec.horizon + 2
-            series_sr = _series(fading, _sub_seed(cfg.seed, _SR_TAG), length,
-                                spec.relays)
-            series_rd = _series(fading, _sub_seed(cfg.seed, _RD_TAG), length,
-                                spec.relays)
+            series_sr, series_rd = _hop_records(
+                cfg, fading, trials + cfg.predictor.tau + spec.horizon + 2,
+                spec.relays)
             predictor = (pool.net(fading, spec.horizon, spec.relays)
                          if spec.use_predictor else None)
             ests = estimate_series(spec.scheme, series_sr, series_rd,
@@ -425,23 +424,22 @@ def _curve_rows(cfg, runs, analytic_fn):
             row["analytic"] = _blank_if_none(value)
             row["config_hash"] = cfg.config_hash()
             rows.append(row)
+    return _write_results(cfg, out, rows)
+
+
+def _write_results(cfg, out, rows):
+    path = out or cfg.output
+    _write_rows(path, rows, RESULT_FIELDS)
+    print("wrote %d rows to %s" % (len(rows), path))
     return rows
 
 
 def cmd_outage(cfg, out=None, runs=None):
-    rows = _curve_rows(cfg, runs or _generic_runs(cfg), _analytic_outage)
-    path = out or cfg.output
-    _write_rows(path, rows, RESULT_FIELDS)
-    print("wrote %d rows to %s" % (len(rows), path))
-    return rows
+    return _curves(cfg, out, runs or _generic_runs(cfg), _analytic_outage)
 
 
 def cmd_capacity(cfg, out=None, runs=None):
-    rows = _curve_rows(cfg, runs or _generic_runs(cfg), _analytic_capacity)
-    path = out or cfg.output
-    _write_rows(path, rows, RESULT_FIELDS)
-    print("wrote %d rows to %s" % (len(rows), path))
-    return rows
+    return _curves(cfg, out, runs or _generic_runs(cfg), _analytic_capacity)
 
 
 def cmd_flops(cfg, out=None):
@@ -471,73 +469,52 @@ def cmd_flops(cfg, out=None):
 
 
 def cmd_protocol_sim(cfg, out=None):
-    """Frame-accurate runs with timers, buffers and optional collisions."""
+    """Frame-accurate runs with timers, buffers and optional collisions.
+
+    One network serves every scheme and grid point, so all of them see
+    the same frames.
+    """
     pro = cfg.protocol
+    if pro.pilot_snr_db is not None or pro.max_phase_error_deg is not None:
+        raise ConfigError("protocol-sim models no acquisition impairments; "
+                          "clear [protocol] pilot_snr_db and "
+                          "max_phase_error_deg")
     timer = TimerModel(pro.timer_c, pro.timer_max, pro.uncertainty_window)
-    pool = PredictorPool(cfg)
     schemes = [s for s in cfg.schemes if s in ("df", "af", "df-central")]
     if not schemes:
         raise ConfigError("protocol-sim needs df, af or df-central schemes")
-    csi = cfg.csi
-    if csi.mode == "perfect":
-        label = "perfect"
-    elif csi.mode == "synthetic":
-        label = "synthetic(%s)" % repr(csi.rho)
+    csi, relays = cfg.csi, cfg.network.relays
+    frames = pro.frames
+    if csi.mode in ("perfect", "synthetic"):
+        rho = 1.0 if csi.mode == "perfect" else csi.rho
+        network = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
     else:
-        label = "%s(%d)" % (csi.mode, csi.delay)
+        series_sr, series_rd = _hop_records(
+            cfg, cfg.fading, frames + cfg.predictor.tau + csi.delay + 2,
+            relays)
+        predictor = (PredictorPool(cfg).net(cfg.fading, csi.delay, relays)
+                     if csi.mode == "predicted" else None)
+        network = SeriesNetwork(series_sr, series_rd, csi.delay,
+                                predictor=predictor, tau=cfg.predictor.tau,
+                                features=cfg.predictor.features,
+                                scale=cfg.predictor.scale)
+        frames = min(frames, network.num_frames)
+    rate = RateConfig(cfg.network.rate)
     rows = []
     for scheme in schemes:
-        ests = []
-        for snr_db in cfg.snr_grid_db:
-            if csi.mode in ("perfect", "synthetic"):
-                rho = 1.0 if csi.mode == "perfect" else csi.rho
-                network = SyntheticRhoNetwork(cfg.network.relays, snr_db, rho,
-                                              rate=RateConfig(cfg.network.rate),
-                                              seed=cfg.seed)
-                frames = pro.frames
-            else:
-                length = pro.frames + cfg.predictor.tau + csi.delay + 2
-                series_sr = _series(cfg.fading, _sub_seed(cfg.seed, _SR_TAG),
-                                    length, cfg.network.relays)
-                series_rd = _series(cfg.fading, _sub_seed(cfg.seed, _RD_TAG),
-                                    length, cfg.network.relays)
-                predictor = (pool.net(cfg.fading, csi.delay,
-                                      cfg.network.relays)
-                             if csi.mode == "predicted" else None)
-                network = SeriesNetwork(series_sr, series_rd, snr_db,
-                                        csi.delay,
-                                        rate=RateConfig(cfg.network.rate),
-                                        predictor=predictor,
-                                        tau=cfg.predictor.tau,
-                                        features=cfg.predictor.features,
-                                        scale=cfg.predictor.scale)
-                frames = min(pro.frames, network.num_frames)
-            kind = "df" if scheme == "df-central" else scheme
-            if scheme == "df-central":
-                ests.append(simulate_frames("df-central", network, frames,
-                                            policy=pro.policy))
-            else:
-                ests.append(simulate_frames(kind, network, frames,
-                                            timer=timer))
-        base = experiment_rows(scheme, cfg.network.relays, label,
-                               cfg.snr_grid_db, ests, cfg.seed)
-        for row in base:
+        ests = [simulate_frames(scheme, network, snr_db, frames, rate=rate,
+                                timer=timer, policy=pro.policy)
+                for snr_db in cfg.snr_grid_db]
+        for row in experiment_rows(scheme, relays, _rho_mode(csi),
+                                   cfg.snr_grid_db, ests, cfg.seed):
             row["analytic"] = ""
             row["config_hash"] = cfg.config_hash()
             rows.append(row)
-    path = out or cfg.output
-    _write_rows(path, rows, RESULT_FIELDS)
-    print("wrote %d rows to %s" % (len(rows), path))
-    return rows
+    return _write_results(cfg, out, rows)
 
 
 # ---------------------------------------------------------------------------
 # presets
-
-
-def _rho_outdated(fading, delay):
-    return jakes_correlation(fading.doppler_hz,
-                             delay / fading.sample_rate_hz)
 
 
 # presets fit the predictor with the long-budget recipe (about two

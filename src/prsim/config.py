@@ -349,12 +349,8 @@ _SECTION_CLS = {
 }
 
 
-def parse_config(text, overrides=None):
-    """Parse experiment text into an ExperimentConfig.
-
-    overrides, when given, is a {(section, key): raw_value} mapping
-    applied after the file (used for command-line flag overrides).
-    """
+def parse_config(text):
+    """Parse experiment text into an ExperimentConfig."""
     raw = {sec: {} for sec in _SCHEMA}
     section = None
     for num, line in enumerate(text.splitlines(), start=1):
@@ -380,18 +376,14 @@ def parse_config(text, overrides=None):
             raise ConfigError("line %d: duplicate key %r in [%s]" % (num, key, section))
         raw[section][key] = (num, value.strip())
 
-    if overrides:
-        for (section, key), value in overrides.items():
-            raw[section][key] = (0, str(value))
-
     def build(section):
         out = {}
         for key, (num, value) in raw[section].items():
             try:
                 out[key] = _SCHEMA[section][key](value)
             except ConfigError as err:
-                where = "line %d: " % num if num else ""
-                raise ConfigError("%s[%s] %s: %s" % (where, section, key, err))
+                raise ConfigError("line %d: [%s] %s: %s"
+                                  % (num, section, key, err))
         return out
 
     top = build("experiment")
@@ -408,9 +400,9 @@ def parse_config(text, overrides=None):
     return ExperimentConfig(**top)
 
 
-def load_config(path, overrides=None):
+def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+        return parse_config(fh.read())
 
 
 def _format_value(value):

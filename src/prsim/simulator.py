@@ -1,16 +1,24 @@
-"""Frame-level relay selection and Monte-Carlo outage/rate estimation.
+"""Monte-Carlo outage/rate estimation and the frame protocol.
 
 A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
-Every path here decides a block of frames at once with one kernel,
-`selection.select`; they differ only in the score, the eligibility
-mask and the actual SNR they hand it.
+Every estimator decides a block of frames through one per-block
+decision, `_decide`, which maps a scheme onto the kernel
+`selection.select`: af ranks and judges the weaker hop; df, df-central
+and the coded pair (ostc) rank the relay hop among the decoders.  The
+estimators differ only in where the selection metric comes from.
+
+Networks are pure CSI sources.  A network's `frames(n)` returns the
+actual and buffered complex coefficients of its first n frames as
+(n, K) arrays, the same frames on every call.  The SNR grid point and
+the target rate belong to the driver call, which scales coefficients
+into hop SNRs, so one network serves every scheme and grid point of a
+run with common random numbers.
 
 The selection metric is never the frame's own CSI: each node predicts
 the next frame's coefficient, writes it to a buffer, and a later
-frame's selection reads that buffer.  A network's `frames(n)` returns
-the actual and buffered CSI of n frames as (n, K) arrays, with the
-metric already shifted `metric_lag` frames behind the actuals;
+frame's selection reads that buffer.  A network hands out the metric
+already shifted `metric_lag` frames behind the actuals;
 simulate_frames refuses a network whose lag is below one.  Row 0 is
 the bootstrap frame, whose buffer no earlier frame of the run wrote;
 it is dropped from statistics.
@@ -28,21 +36,21 @@ decoded, it either re-selects among the remaining decoders (default)
 or terminates the frame.
 
 Two CSI-correlation modes drive the statistics.  Synthetic mode draws
-(metric, actual) pairs at an exact correlation rho each frame, which
-is what the closed forms assume; series mode rides a generated fading
-record and takes the metric from a trained predictor (or from the
-record itself, delayed, for the no-predictor baseline).  estimate()
-and estimate_series() run the same kernel without timers, so they
-report no collisions.
+(metric, actual) pairs at an exact correlation rho, which is what the
+closed forms assume; series mode rides a generated fading record and
+takes the metric from a trained predictor (or from the record itself,
+delayed, for the no-predictor baseline).  estimate() and
+estimate_series() rank metric SNRs without timers, so they report no
+collisions.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
-half the grid value; direct transmission spends the full P and is
-judged against the single-phase rate threshold.
+half the grid value (`_hop_snr`); direct transmission spends the full
+P and is judged against the single-phase rate threshold.
 
 Acquisition impairments are modeled on top of either mode: pilot noise
-adds CN(0, sigma_h^2 10^(-pilotSNR/10)) to every estimate entering the
-metric path, and a residual phase error theta ~ U(-theta_max,
+adds CN(0, 10^(-pilotSNR/10)) to every unit-power estimate entering
+the metric path, and a residual phase error theta ~ U(-theta_max,
 theta_max) scales the detected amplitude by cos(theta) on the actual
 path.  The cosine mapping is a convention of this package (the effect
 of imperfect carrier recovery on a coherent detector), isolated here
@@ -59,6 +67,11 @@ from .rng import complex_normal, stream
 from .selection import RateConfig, decoding_subset, select
 
 _SCHEMES = ("df", "af", "ostc", "dt")
+
+
+def _hop_snr(snr_db):
+    """Mean SNR of each relay hop at a grid point (half the power each)."""
+    return 0.5 * 10.0 ** (snr_db / 10.0)
 
 
 # ------------------------------------------------------------------ types
@@ -106,16 +119,16 @@ class ImpairmentConfig:
         return self.pilot_snr_db is not None or self.max_phase_error_deg is not None
 
 
-def apply_impairments(csi, cfg, rng, mean_power=1.0):
-    """Impaired copy of a CSI array (estimation noise, then phase).
+def apply_impairments(csi, cfg, rng):
+    """Impaired copy of a unit-power CSI array (estimation noise, then phase).
 
-    The estimate is h + e with e ~ CN(0, mean_power 10^(-pilotSNR/10));
+    The estimate is h + e with e ~ CN(0, 10^(-pilotSNR/10));
     the residual phase error multiplies the effective post-detection
     amplitude by cos(theta), theta ~ U(-theta_max, theta_max).
     """
     out = np.asarray(csi, dtype=complex)
     if cfg.pilot_snr_db is not None:
-        var = mean_power * 10.0 ** (-cfg.pilot_snr_db / 10.0)
+        var = 10.0 ** (-cfg.pilot_snr_db / 10.0)
         out = out + complex_normal(rng, size=out.shape, variance=var)
     if cfg.max_phase_error_deg is not None and cfg.max_phase_error_deg > 0:
         bound = math.radians(cfg.max_phase_error_deg)
@@ -145,34 +158,32 @@ def _mc_estimate(outage, rates, collisions=0):
 
 
 class SyntheticRhoNetwork:
-    """Frame source with i.i.d. frames and exact-rho buffered metrics.
+    """CSI source of i.i.d. frames with exact-rho buffered metrics.
 
     Every frame draws fresh unit-power coefficients; the prediction
     buffered at frame t-1 for frame t is the correlated-pair partner
     of frame t's actuals, so the metric-actual correlation equals rho
-    by construction.  Hop SNR means are half the grid SNR each.
+    by construction.
     """
 
     metric_lag = 1  # frames between buffering a metric and reading it
 
-    def __init__(self, num_relays, snr_db, rho, rate=None, seed=0):
+    def __init__(self, num_relays, rho, seed=0):
         if num_relays < 1:
             raise ValueError("need at least one relay")
         self.num_relays = int(num_relays)
-        self.rate = rate if rate is not None else RateConfig(1.0)
-        self.snr_sr = 0.5 * 10.0 ** (snr_db / 10.0)
-        self.snr_rd = self.snr_sr
         self.rho = float(rho)
-        self._rng = stream(seed, 41)
+        self.seed = seed
 
     def frames(self, n):
-        """(csi_sr, csi_rd, metric_sr, metric_rd) of the next n frames.
+        """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames.
 
-        Each is (n, K).  Frame by frame the stream is consumed exactly
-        as two correlated_pair draws (source hop, then relay hop) would
+        Each is (n, K), and every call replays the same frames.  Frame
+        by frame the (seed, 41) stream is consumed exactly as two
+        correlated_pair draws (source hop, then relay hop) would
         consume it.
         """
-        z = self._rng.standard_normal((n, 2, 4, self.num_relays))
+        z = stream(self.seed, 41).standard_normal((n, 2, 4, self.num_relays))
         scale = np.sqrt(0.5)
         metric = scale * (z[:, :, 0] + 1j * z[:, :, 1])
         w = scale * (z[:, :, 2] + 1j * z[:, :, 3])
@@ -181,7 +192,7 @@ class SyntheticRhoNetwork:
 
 
 class SeriesNetwork:
-    """Frames riding generated fading records, one sample per frame.
+    """CSI source riding generated fading records, one sample per frame.
 
     The buffered metric for the frame at sample s is the predictor's
     output computed from taps up to s - delay, or the record itself
@@ -189,18 +200,14 @@ class SeriesNetwork:
     start at the first sample every metric covers.
     """
 
-    def __init__(self, series_sr, series_rd, snr_db, delay, rate=None,
-                 predictor=None, tau=4, features="complex", scale=0.4):
+    def __init__(self, series_sr, series_rd, delay, predictor=None, tau=4,
+                 features="complex", scale=0.4):
         series_sr = np.asarray(series_sr)
         series_rd = np.asarray(series_rd)
         if series_sr.shape != series_rd.shape or series_sr.ndim != 2:
             raise ValueError("need matching (T, K) hop records")
         if delay < 1:
             raise ValueError("delay must be at least one sample")
-        self.num_relays = series_sr.shape[1]
-        self.rate = rate if rate is not None else RateConfig(1.0)
-        self.snr_sr = 0.5 * 10.0 ** (snr_db / 10.0)
-        self.snr_rd = self.snr_sr
         self.series_sr = series_sr
         self.series_rd = series_rd
         self.metric_lag = int(delay)
@@ -239,15 +246,47 @@ def _metric_record(series, delay, predictor, tau, features, scale):
     return metric, start
 
 
+# ------------------------------------------------------ the one decision
+
+
+def _decide(scheme, rate, g_sr, g_rd, s_sr, s_rd, timer=None,
+            terminate=False):
+    """Run one (n, K) block of a scheme through the selection kernel.
+
+    g_* are the actual hop SNRs and s_* the per-hop scores (higher is
+    better).  af ranks and judges the weaker hop; g_sr = s_sr = None
+    hands in an end-to-end figure as the relay hop.  df, df-central and
+    ostc rank the relay hop among the decoding subset, ostc forwarding
+    the best pair.  A timer turns the score into the back-off race with
+    its collision window; terminate leaves only the overall top-ranked
+    relay eligible.
+    """
+    g, score, eligible = g_rd, s_rd, None
+    if scheme == "af":
+        if g_sr is not None:
+            g, score = np.minimum(g_sr, g_rd), np.minimum(s_sr, s_rd)
+    else:
+        eligible = decoding_subset(g_sr, rate)
+        if terminate:
+            # only the destination's first pick may forward
+            eligible &= (np.arange(g.shape[1])
+                         == np.argmax(score, axis=1)[:, None])
+    window = None
+    if timer is not None:
+        score = -timer.duration(score)
+        window = timer.uncertainty_window
+    return select(g, score, rate, eligible, window, pair=(scheme == "ostc"))
+
+
 # -------------------------------------------------------- frame protocol
 
 
-def simulate_frames(scheme, network, num_frames, timer=None,
-                    policy="reselect"):
+def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
+                    timer=None, policy="reselect"):
     """Run the frame protocol over a block; the bootstrap frame is dropped.
 
-    scheme: 'df' (distributed), 'df-central' or 'af'.  Returns one
-    McEstimate over frames 1 .. num_frames - 1.
+    scheme: 'df' (distributed), 'df-central' or 'af', at the grid point
+    snr_db.  Returns one McEstimate over frames 1 .. num_frames - 1.
     """
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
@@ -258,26 +297,16 @@ def simulate_frames(scheme, network, num_frames, timer=None,
     if network.metric_lag < 1:
         raise RuntimeError(
             "selection would read a prediction written at its own frame")
-    timer = timer if timer is not None else TimerModel()
-    rate = network.rate
+    if scheme == "df-central":
+        timer = None  # the destination ranks; nobody races
+    elif timer is None:
+        timer = TimerModel()
+    hop = _hop_snr(snr_db)
     csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
-    g_sr = snr_from_gain(csi_sr, network.snr_sr, 1.0)
-    g_rd = snr_from_gain(csi_rd, network.snr_rd, 1.0)
-    if scheme == "af":
-        mags = np.minimum(np.abs(m_sr), np.abs(m_rd))
-        sel = select(np.minimum(g_sr, g_rd), -timer.duration(mags), rate,
-                     window=timer.uncertainty_window)
-    elif scheme == "df":
-        sel = select(g_rd, -timer.duration(np.abs(m_rd)), rate,
-                     decoding_subset(g_sr, rate), timer.uncertainty_window)
-    else:
-        score = np.abs(m_rd)
-        ds = decoding_subset(g_sr, rate)
-        if policy == "terminate":
-            # only the destination's first pick may forward
-            ds &= (np.arange(network.num_relays)
-                   == np.argmax(score, axis=1)[:, None])
-        sel = select(g_rd, score, rate, ds)
+    sel = _decide(scheme, rate if rate is not None else RateConfig(1.0),
+                  snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop),
+                  np.abs(m_sr), np.abs(m_rd), timer,
+                  terminate=(scheme == "df-central" and policy == "terminate"))
     return _mc_estimate(sel.outage, sel.rate,
                         int(np.count_nonzero(sel.collision)))
 
@@ -324,50 +353,48 @@ def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     if af_mode not in ("e2e", "per-hop"):
         raise ValueError("af_mode must be 'e2e' or 'per-hop'")
     rate = rate if rate is not None else RateConfig(1.0)
+
+    def block(rng, n, hop):
+        """Outage flags and realized rates of n fresh trials.
+
+        The draws die when this returns, before the next block's.
+        """
+        shape = (n, num_relays)
+        if scheme == "dt":
+            g = rng.exponential(2.0 * hop, size=n)  # the whole power P
+            # the boundary succeeds; a full-frame link, no halving
+            return g < rate.direct_threshold, np.log2(1.0 + g)
+        if scheme == "af" and af_mode == "e2e":
+            # one outdated estimate of the end-to-end figure itself
+            m, a = _impaired(*correlated_pair(rng, rho, shape),
+                             impairments, rng)
+            gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
+            sel = _decide("af", rate, None, snr_from_gain(a, gamma_e),
+                          None, snr_from_gain(m, gamma_e))
+        elif scheme == "af":
+            pair_sr = correlated_pair(rng, rho, shape)
+            pair_rd = correlated_pair(rng, rho, shape)
+            m_sr, a_sr = _impaired(*pair_sr, impairments, rng)
+            m_rd, a_rd = _impaired(*pair_rd, impairments, rng)
+            sel = _decide("af", rate, *(snr_from_gain(h, hop)
+                                        for h in (a_sr, a_rd, m_sr, m_rd)))
+        else:
+            g_sr = rng.exponential(hop, size=shape)
+            m_rd, a_rd = _impaired(*correlated_pair(rng, rho, shape),
+                                   impairments, rng)
+            sel = _decide(scheme, rate, g_sr, snr_from_gain(a_rd, hop),
+                          None, snr_from_gain(m_rd, hop))
+        return sel.outage, sel.rate
+
     out = []
     for i, snr_db in enumerate(np.atleast_1d(snr_grid_db)):
         rng = stream(seed, 43, i)
-        total = 10.0 ** (snr_db / 10.0)
-        hop = 0.5 * total
-        done = 0
+        hop = _hop_snr(snr_db)
         outage = np.empty(trials, dtype=bool)
         rates = np.empty(trials)
-        while done < trials:
-            n = min(chunk, trials - done)
-            sl = slice(done, done + n)
-            done += n
-            shape = (n, num_relays)
-            if scheme == "dt":
-                g = rng.exponential(total, size=n)
-                outage[sl] = g < rate.direct_threshold  # the boundary succeeds
-                rates[sl] = np.log2(1.0 + g)  # full-frame link, no halving
-                continue
-            if scheme == "af" and af_mode == "e2e":
-                # one outdated estimate of the end-to-end figure itself
-                m, a = correlated_pair(rng, rho, shape)
-                m, a = _impaired(m, a, impairments, rng)
-                gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
-                sel = select(snr_from_gain(a, gamma_e, 1.0),
-                             snr_from_gain(m, gamma_e, 1.0), rate)
-            elif scheme == "af":
-                m_sr, a_sr = correlated_pair(rng, rho, shape)
-                m_rd, a_rd = correlated_pair(rng, rho, shape)
-                m_sr, a_sr = _impaired(m_sr, a_sr, impairments, rng)
-                m_rd, a_rd = _impaired(m_rd, a_rd, impairments, rng)
-                sel = select(np.minimum(snr_from_gain(a_sr, hop, 1.0),
-                                        snr_from_gain(a_rd, hop, 1.0)),
-                             np.minimum(snr_from_gain(m_sr, hop, 1.0),
-                                        snr_from_gain(m_rd, hop, 1.0)), rate)
-            else:
-                g_sr = rng.exponential(hop, size=shape)
-                m_rd, a_rd = correlated_pair(rng, rho, shape)
-                m_rd, a_rd = _impaired(m_rd, a_rd, impairments, rng)
-                sel = select(snr_from_gain(a_rd, hop, 1.0),
-                             snr_from_gain(m_rd, hop, 1.0), rate,
-                             decoding_subset(g_sr, rate),
-                             pair=(scheme == "ostc"))
-            outage[sl], rates[sl] = sel.outage, sel.rate
-            del sel  # free the results before the next chunk's draws
+        for start in range(0, trials, chunk):
+            sl = slice(start, min(start + chunk, trials))
+            outage[sl], rates[sl] = block(rng, sl.stop - start, hop)
         out.append(_mc_estimate(outage, rates))
     return out
 
@@ -385,23 +412,13 @@ def estimate_series(scheme, series_sr, series_rd, snr_grid_db, delay,
     if scheme not in ("df", "af", "ostc"):
         raise ValueError(f"series mode covers df/af/ostc, not {scheme!r}")
     rate = rate if rate is not None else RateConfig(1.0)
-    net = SeriesNetwork(series_sr, series_rd, 0.0, delay, rate=rate,
-                        predictor=predictor, tau=tau, features=features,
-                        scale=scale)
-    h_sr, h_rd, m_sr, m_rd = net.frames(net.num_frames)
+    net = SeriesNetwork(series_sr, series_rd, delay, predictor=predictor,
+                        tau=tau, features=features, scale=scale)
+    block = net.frames(net.num_frames)
     out = []
     for snr_db in np.atleast_1d(snr_grid_db):
-        hop = 0.5 * 10.0 ** (snr_db / 10.0)
-        g_sr = snr_from_gain(h_sr, hop, 1.0)
-        g_rd = snr_from_gain(h_rd, hop, 1.0)
-        if scheme == "af":
-            sel = select(np.minimum(g_sr, g_rd),
-                         np.minimum(snr_from_gain(m_sr, hop, 1.0),
-                                    snr_from_gain(m_rd, hop, 1.0)), rate)
-        else:
-            sel = select(g_rd, snr_from_gain(m_rd, hop, 1.0), rate,
-                         decoding_subset(g_sr, rate),
-                         pair=(scheme == "ostc"))
+        hop = _hop_snr(snr_db)
+        sel = _decide(scheme, rate, *(snr_from_gain(h, hop) for h in block))
         out.append(_mc_estimate(sel.outage, sel.rate))
     return out
 

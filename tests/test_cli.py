@@ -8,7 +8,7 @@ import pytest
 
 from prsim import cli
 from prsim.analytics import DfParams, outage_df
-from prsim.config import parse_config
+from prsim.config import ConfigError, parse_config
 from prsim.numerics import bessel_j0
 
 
@@ -355,6 +355,66 @@ def test_protocol_sim_needs_a_frame_scheme(tmp_path, capsys):
     conf.write_text("[schemes]\nlist = dt\n")
     assert run_main(["protocol-sim", "--config", str(conf)]) == 2
     assert "protocol-sim" in capsys.readouterr().err
+
+
+def test_protocol_sim_synthesizes_each_record_once(tmp_path, monkeypatch):
+    # the hop records depend on neither the scheme nor the SNR, so a run
+    # builds its network once: one series per relay and hop
+    calls = []
+    real = cli.generate_series
+
+    def counting(cfg, length, link=0):
+        calls.append(link)
+        return real(cfg, length, link)
+
+    monkeypatch.setattr(cli, "generate_series", counting)
+    conf = tmp_path / "e.conf"
+    conf.write_text("""
+[network]
+relays = 3
+
+[grid]
+snr_db = 10, 20
+
+[schemes]
+list = df, af
+
+[csi]
+mode = outdated
+delay = 3
+
+[protocol]
+frames = 500
+""")
+    assert run_main(["protocol-sim", "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(read_rows(tmp_path / "r.csv")) == 4
+    assert len(calls) == 2 * 3
+
+
+def test_protocol_and_curve_rows_share_rho_mode_labels(tmp_path):
+    for csi, label in (("mode = perfect", "perfect"),
+                       ("mode = synthetic\nrho = 0.9", "synthetic(0.9)"),
+                       ("mode = outdated\ndelay = 2", "outdated(2)")):
+        conf = tmp_path / "e.conf"
+        conf.write_text("[csi]\n%s\n\n[grid]\nsnr_db = 10\n\n"
+                        "[experiment]\ntrials = 10000\n\n"
+                        "[protocol]\nframes = 200\n" % csi)
+        labels = set()
+        for command in ("outage", "protocol-sim"):
+            out = tmp_path / (command + ".csv")
+            assert run_main([command, "--config", str(conf),
+                             "--out", str(out)]) == 0
+            labels |= {r["rho_mode"] for r in read_rows(out)}
+        assert labels == {label}
+
+
+@pytest.mark.parametrize("key", ["pilot_snr_db = 20",
+                                 "max_phase_error_deg = 5"])
+def test_protocol_sim_rejects_impairments_it_ignores(tmp_path, key):
+    cfg = parse_config("[csi]\nmode = synthetic\n\n[protocol]\n%s\n" % key)
+    with pytest.raises(ConfigError, match=key.split()[0]):
+        cli.cmd_protocol_sim(cfg, out=str(tmp_path / "r.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,3 @@ def test_hash_excludes_output_path():
     b = parse_config("[experiment]\noutput = there.csv\n")
     assert a.config_hash() == b.config_hash()
     assert a.output != b.output
-
-
-def test_overrides_apply_after_the_file():
-    cfg = parse_config("[experiment]\nseed = 1\ntrials = 100\n",
-                       overrides={("experiment", "seed"): 9})
-    assert cfg.seed == 9
-    assert cfg.trials == 100

@@ -20,13 +20,14 @@ def half_rate(g):
     return 0.5 * np.log2(1.0 + np.asarray(g, dtype=float))
 
 
+# the grid SNR at which each relay hop has unit mean SNR
+UNIT_HOP_DB = 10.0 * math.log10(2.0)
+
+
 class OneFrameNetwork:
-    """Single-relay network repeating one frame of fixed hop SNRs."""
+    """Single-relay network repeating one frame of fixed hop gains."""
 
     metric_lag = 1
-    num_relays = 1
-    rate = RATE1
-    snr_sr = snr_rd = 1.0
 
     def __init__(self, sr, rd):
         self.h = (np.sqrt(sr), np.sqrt(rd))
@@ -147,9 +148,11 @@ def test_af_effective_snr():
     # the amplified end-to-end SNR is the min(sr, rd) bound the closed
     # forms assume
     net = OneFrameNetwork(sr=1e8, rd=4.0)
-    assert simulate_frames("af", net, 2).mean_rate == half_rate(4.0)
+    assert simulate_frames("af", net, UNIT_HOP_DB, 2,
+                           rate=RATE1).mean_rate == half_rate(4.0)
     net = OneFrameNetwork(sr=1.0, rd=1.0)
-    assert simulate_frames("af", net, 2).mean_rate == half_rate(1.0)
+    assert simulate_frames("af", net, UNIT_HOP_DB, 2,
+                           rate=RATE1).mean_rate == half_rate(1.0)
 
 
 def test_select_best_af():

@@ -92,11 +92,12 @@ def test_phase_error_snr_factor():
 # ------------------------------------------------------------ frame level
 
 
-def frame_block(net, n):
+def frame_block(net, n, snr_db):
     """Frames 1 .. n-1 of a network as actual hop SNRs and metrics."""
+    hop = 0.5 * 10.0 ** (snr_db / 10.0)
     csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in net.frames(n))
-    return (snr_from_gain(csi_sr, net.snr_sr, 1.0),
-            snr_from_gain(csi_rd, net.snr_rd, 1.0), m_sr, m_rd)
+    return (snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop),
+            m_sr, m_rd)
 
 
 def block_estimate(sel):
@@ -105,7 +106,7 @@ def block_estimate(sel):
 
 
 def test_synthetic_network_frames():
-    net = SyntheticRhoNetwork(4, 10.0, rho=0.8, seed=5)
+    net = SyntheticRhoNetwork(4, rho=0.8, seed=5)
     assert net.metric_lag == 1
     csi_sr, csi_rd, m_sr, m_rd = net.frames(3)
     assert all(a.shape == (3, 4) for a in (csi_sr, csi_rd, m_sr, m_rd))
@@ -118,32 +119,56 @@ def test_synthetic_network_frames():
             assert np.array_equal(metric, want_m)
             assert np.array_equal(actual, want_a)
     # metric-actual correlation approaches rho over many frames
-    _, a, _, m = SyntheticRhoNetwork(4, 10.0, rho=0.8, seed=6).frames(4000)
+    _, a, _, m = SyntheticRhoNetwork(4, rho=0.8, seed=6).frames(4000)
     m, a = np.ravel(m), np.ravel(a)
     corr = np.abs(np.vdot(m, a)) / (np.linalg.norm(m) * np.linalg.norm(a))
     assert abs(corr - 0.8) < 0.02
 
 
+def test_synthetic_network_replays_its_frames():
+    # a network is a CSI source: every call hands out the same first
+    # frames, so each scheme and grid point sees common random numbers
+    net = SyntheticRhoNetwork(4, rho=0.8, seed=5)
+    first = net.frames(50)
+    again = net.frames(50)
+    shorter = net.frames(20)
+    for a, b, c in zip(first, again, shorter):
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[:20], c)
+
+
+def test_one_network_serves_every_grid_point():
+    # a shared network gives each (scheme, SNR) point the frames a
+    # fresh network of the same seed would give it
+    shared = SyntheticRhoNetwork(8, rho=0.8, seed=3)
+    for scheme in ("df", "af", "df-central"):
+        for snr_db in (0.0, 10.0, 20.0):
+            fresh = SyntheticRhoNetwork(8, rho=0.8, seed=3)
+            assert (simulate_frames(scheme, shared, snr_db, 500)
+                    == simulate_frames(scheme, fresh, snr_db, 500))
+
+
 def test_causality_assert_trips():
     for scheme in ("df", "af", "df-central"):
-        net = SyntheticRhoNetwork(4, 10.0, rho=1.0, seed=1)
+        net = SyntheticRhoNetwork(4, rho=1.0, seed=1)
         net.metric_lag = 0  # forge a metric read at its own frame
         with pytest.raises(RuntimeError):
-            simulate_frames(scheme, net, 100)
+            simulate_frames(scheme, net, 10.0, 100)
 
 
 def test_zero_window_never_collides():
-    net = SyntheticRhoNetwork(8, 10.0, rho=0.5, seed=7)
-    est = simulate_frames("df", net, 3000)
+    net = SyntheticRhoNetwork(8, rho=0.5, seed=7)
+    est = simulate_frames("df", net, 10.0, 3000)
     assert est.collision_rate == 0.0
 
 
 def test_collision_rate_monotone_in_window():
     rates = []
     for delta in (0.0, 0.02, 0.2, 2.0):
-        net = SyntheticRhoNetwork(8, 10.0, rho=0.5, seed=8)
+        net = SyntheticRhoNetwork(8, rho=0.5, seed=8)
         timer = TimerModel(uncertainty_window=delta)
-        rates.append(simulate_frames("df", net, 3000, timer=timer).collision_rate)
+        rates.append(simulate_frames("df", net, 10.0, 3000,
+                                     timer=timer).collision_rate)
     assert rates[0] == 0.0
     assert all(b >= a for a, b in zip(rates, rates[1:]))
     assert rates[-1] > 0.0
@@ -152,7 +177,7 @@ def test_collision_rate_monotone_in_window():
 def test_df_winner_is_buffered_argmax_over_ds():
     timer = TimerModel()
     g_sr, g_rd, _, m_rd = frame_block(
-        SyntheticRhoNetwork(8, 10.0, rho=0.7, seed=9), 400)
+        SyntheticRhoNetwork(8, rho=0.7, seed=9), 400, 10.0)
     ds = decoding_subset(g_sr, RATE)
     sel = select(g_rd, -timer.duration(np.abs(m_rd)), RATE, ds,
                  timer.uncertainty_window)
@@ -160,41 +185,41 @@ def test_df_winner_is_buffered_argmax_over_ds():
     want = np.argmax(np.where(ds, np.abs(m_rd), -1.0), axis=1)
     assert np.array_equal(sel.chosen[has], want[has])
     assert np.all(sel.chosen[~has] == -1) and np.all(sel.outage[~has])
-    assert simulate_frames("df", SyntheticRhoNetwork(8, 10.0, rho=0.7, seed=9),
-                           400) == block_estimate(sel)
+    assert simulate_frames("df", SyntheticRhoNetwork(8, rho=0.7, seed=9),
+                           10.0, 400) == block_estimate(sel)
 
 
 def test_af_winner_is_min_metric_argmax():
     timer = TimerModel()
     g_sr, g_rd, m_sr, m_rd = frame_block(
-        SyntheticRhoNetwork(8, 10.0, rho=0.7, seed=10), 400)
+        SyntheticRhoNetwork(8, rho=0.7, seed=10), 400, 10.0)
     mags = np.minimum(np.abs(m_sr), np.abs(m_rd))
     sel = select(np.minimum(g_sr, g_rd), -timer.duration(mags), RATE,
                  window=timer.uncertainty_window)
     assert np.array_equal(sel.chosen, np.argmax(mags, axis=1))
-    assert simulate_frames("af", SyntheticRhoNetwork(8, 10.0, rho=0.7, seed=10),
-                           400) == block_estimate(sel)
+    assert simulate_frames("af", SyntheticRhoNetwork(8, rho=0.7, seed=10),
+                           10.0, 400) == block_estimate(sel)
 
 
 def test_df_frames_match_closed_form_at_perfect_foresight():
-    net = SyntheticRhoNetwork(8, 10.0, rho=1.0, seed=11)
-    est = simulate_frames("df", net, 100_000)
+    net = SyntheticRhoNetwork(8, rho=1.0, seed=11)
+    est = simulate_frames("df", net, 10.0, 100_000)
     exact = outage_df(DfParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
 
 
 def test_af_frames_k1_matches_single_link_bound():
     # with one relay selection is moot; outage is P(min(sr, rd) < go)
-    net = SyntheticRhoNetwork(1, 10.0, rho=0.6, seed=12)
-    est = simulate_frames("af", net, 100_000)
+    net = SyntheticRhoNetwork(1, rho=0.6, seed=12)
+    est = simulate_frames("af", net, 10.0, 100_000)
     gamma_e = 5.0 * 5.0 / (5.0 + 5.0)
     exact = 1.0 - math.exp(-GO / gamma_e)
     assert se_vs(exact, est) <= 3.0
 
 
 def test_af_frames_perfect_buffers_match_closed_form():
-    net = SyntheticRhoNetwork(8, 12.0, rho=1.0, seed=13)
-    est = simulate_frames("af", net, 100_000)
+    net = SyntheticRhoNetwork(8, rho=1.0, seed=13)
+    est = simulate_frames("af", net, 12.0, 100_000)
     hop = 0.5 * 10 ** 1.2
     exact = outage_af(AfParams(8, hop, hop, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
@@ -203,38 +228,35 @@ def test_af_frames_perfect_buffers_match_closed_form():
 def test_centralized_reselect_equals_distributed():
     # same seed, zero window: the timer race and the destination-side
     # argmax resolve to the same relay every frame
-    g_sr, g_rd, _, m_rd = frame_block(
-        SyntheticRhoNetwork(8, 10.0, rho=0.8, seed=14), 2000)
+    net = SyntheticRhoNetwork(8, rho=0.8, seed=14)
+    g_sr, g_rd, _, m_rd = frame_block(net, 2000, 10.0)
     ds = decoding_subset(g_sr, RATE)
     race = select(g_rd, -TimerModel().duration(np.abs(m_rd)), RATE, ds, 0.0)
     ranked = select(g_rd, np.abs(m_rd), RATE, ds)
     assert np.array_equal(race.chosen, ranked.chosen)
-    a = simulate_frames("df", SyntheticRhoNetwork(8, 10.0, rho=0.8, seed=14),
-                        2000)
-    b = simulate_frames("df-central",
-                        SyntheticRhoNetwork(8, 10.0, rho=0.8, seed=14), 2000)
+    a = simulate_frames("df", net, 10.0, 2000)
+    b = simulate_frames("df-central", net, 10.0, 2000)
     assert a == b
 
 
 def test_termination_never_beats_reselection():
+    net = SyntheticRhoNetwork(8, rho=0.8, seed=15)
     for snr_db in (6.0, 10.0, 14.0):
-        net_r = SyntheticRhoNetwork(8, snr_db, rho=0.8, seed=15)
-        net_t = SyntheticRhoNetwork(8, snr_db, rho=0.8, seed=15)
-        p_r = simulate_frames("df-central", net_r, 20_000).outage_prob
-        p_t = simulate_frames("df-central", net_t, 20_000,
+        p_r = simulate_frames("df-central", net, snr_db, 20_000).outage_prob
+        p_t = simulate_frames("df-central", net, snr_db, 20_000,
                               policy="terminate").outage_prob
         # the top-ranked relay often failed to decode at these SNRs
         assert p_t > p_r
 
 
 def test_frame_driver_validation():
-    net = SyntheticRhoNetwork(2, 10.0, rho=1.0, seed=0)
+    net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, 1)
+        simulate_frames("df", net, 10.0, 1)
     with pytest.raises(ValueError):
-        simulate_frames("mrc", net, 100)
+        simulate_frames("mrc", net, 10.0, 100)
     with pytest.raises(ValueError):
-        simulate_frames("df-central", net, 100, policy="retry")
+        simulate_frames("df-central", net, 10.0, 100, policy="retry")
 
 
 # ------------------------------------------------------- vectorized paths
@@ -310,6 +332,25 @@ def test_std_error_convergence():
     assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.2)
 
 
+def test_estimate_frees_each_point_before_the_next():
+    # the draws of one grid point (or chunk) must be gone before the
+    # next point draws, so a second point costs no extra peak memory
+    import tracemalloc
+
+    def peak(scheme, grid):
+        tracemalloc.start()
+        try:
+            estimate(scheme, grid, 100_000, rho=0.9, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for scheme in ("df", "af"):
+        one = peak(scheme, [10.0])
+        two = peak(scheme, [10.0, 20.0])
+        assert two <= 1.1 * one, (scheme, one, two)
+
+
 def test_chunking_only_reorders_draws():
     # different chunk sizes reorder the stream, so the estimates are
     # independent draws of the same quantity, not bit-identical
@@ -326,7 +367,7 @@ def test_chunking_only_reorders_draws():
 def test_series_network_alignment():
     sr = multilink_series(31, 300, 4)
     rd = multilink_series(32, 300, 4)
-    net = SeriesNetwork(sr, rd, 10.0, delay=3)
+    net = SeriesNetwork(sr, rd, delay=3)
     assert net.start == 3 and net.num_frames == 297
     assert net.metric_lag == 3
     csi_sr, csi_rd, m_sr, m_rd = net.frames(297)
@@ -336,11 +377,11 @@ def test_series_network_alignment():
     with pytest.raises(ValueError):
         net.frames(298)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, 298)
+        simulate_frames("df", net, 10.0, 298)
     with pytest.raises(ValueError):
-        SeriesNetwork(sr, rd, 10.0, delay=0)
+        SeriesNetwork(sr, rd, delay=0)
     with pytest.raises(ValueError):
-        SeriesNetwork(sr, rd[:100], 10.0, delay=3)
+        SeriesNetwork(sr, rd[:100], delay=3)
 
 
 def test_series_delayed_metric_matches_closed_form():
