@@ -15,60 +15,36 @@ metric is picked among all K and the end-to-end SNR is modeled by its
 tight upper bound min(gamma_sr, gamma_rd), a single exponential variate
 with mean gamma_e = gamma_sr*gamma_rd/(gamma_sr+gamma_rd) per relay.
 
-Capacity uses the MGF identity C = 1/ln2 * int_0^inf Phi(s) M'(s) ds
-evaluated on the tan-mapped Gauss-Chebyshev rule.  Note the kernel
-Phi(s) = -E1(s) has a log singularity at s = 0, so that rule converges
-only polynomially here: at the default Q = 200 the absolute error grows
-roughly like 1.3e-4 * mean-SNR (measured on the single-link case).
-``capacity_exponential_check`` therefore applies the same rule directly
-to the rate integral in the SNR domain, where the integrand is smooth
-and Q = 200 is accurate to ~1e-3 even at mean SNR 100; it serves as the
-quadrature self-check against the exact single-link capacity
-exp(1/g) E1(1/g) / ln 2.
+Either way the actual SNR of the selected relay is a finite signed
+mixture of exponentials, sum_j w_j Exp(mu_j) with sum_j w_j = 1
+(``_df_law`` given the decoding-subset size, ``_af_law``).  Outage is
+the mixture's CDF at gamma_o, sum_j w_j (1 - exp(-gamma_o/mu_j)), and
+ergodic capacity is the mixture of single-link capacities
+sum_j w_j exp(1/mu_j) E1(1/mu_j) / ln 2 (Alouini and Goldsmith, IEEE
+TVT 1999) with the 1/2 half-duplex pre-log.  Both are exact finite
+sums.  At rho = 1 the outage takes the binomial power of the order
+statistic instead, which is also the numerically stable branch there:
+the alternating sum loses all precision in deep tails as rho -> 1.
+
+``capacity_exponential_check`` applies the tan-mapped Gauss-Chebyshev
+rule to the rate integral of one exponential link, where the integrand
+is smooth and 200 nodes are accurate to ~1e-3 even at mean SNR 100; it
+is the rule's self-check against ``capacity_exponential_exact``.
 """
 
 import math
 from dataclasses import dataclass
 from math import comb, expm1, fsum
 
-from .numerics import bessel_i0e, exp_integral_e1, gauss_chebyshev, phi
+from .numerics import bessel_i0e, gauss_chebyshev, phi
 
 LN2 = math.log(2.0)
 
-_DEFAULT_RULE = None
-
-
-def _default_rule():
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = gauss_chebyshev(200)
-    return _DEFAULT_RULE
-
 
 @dataclass(frozen=True)
-class DfParams:
-    """Decode-and-forward selection: K relays, per-hop mean SNRs."""
-
-    K: int
-    gamma_sr: float
-    gamma_rd: float
-    rho: float
-    gamma_o: float
-
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("need at least one relay")
-        if self.gamma_sr <= 0 or self.gamma_rd <= 0:
-            raise ValueError("mean SNRs must be positive")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("correlation must lie in [0, 1]")
-        if self.gamma_o <= 0:
-            raise ValueError("threshold SNR must be positive")
-
-
-@dataclass(frozen=True)
-class AfParams:
-    """Amplify-and-forward selection under the min-SNR bound."""
+class SelectionParams:
+    """Best-relay selection: K relays, per-hop mean SNRs, metric
+    correlation rho and threshold SNR gamma_o, for DF and AF alike."""
 
     K: int
     gamma_sr: float
@@ -119,161 +95,111 @@ def prob_ds_size(K, M, gamma_o, gamma_sr):
     if not 0 <= M <= K:
         raise ValueError("need 0 <= M <= K")
     p = math.exp(-gamma_o / gamma_sr)
-    return comb(K, M) * p ** M * (1.0 - p) ** (K - M)
+    # expm1, not 1 - p: the miss probability keeps its relative
+    # precision in the high-SNR tail, where the outage is miss-dominated
+    miss = -expm1(-gamma_o / gamma_sr)
+    return comb(K, M) * p ** M * miss ** (K - M)
+
+
+def _df_law(M, gamma_rd, rho):
+    """Actual relay-hop SNR of the best-metric one of M decoders, [(w, mu)]."""
+    one_minus_r2 = 1.0 - rho * rho
+    return [(comb(M - 1, m) * (-1.0) ** m * (M / (m + 1.0)),
+             gamma_rd * (1.0 + m * one_minus_r2) / (m + 1.0))
+            for m in range(M)]
+
+
+def _af_law(p):
+    """Actual end-to-end SNR of the best-metric AF relay, [(w, mu)]."""
+    r2 = p.rho * p.rho
+    return [(comb(p.K, k) * (-1.0) ** (k + 1),
+             (k * (1.0 - r2) + r2) * p.gamma_e / k)
+            for k in range(1, p.K + 1)]
+
+
+def _law_outage(law, gamma_o):
+    # the sum is a probability; clip float cancellation noise at the edges
+    return min(max(fsum(-w * expm1(-gamma_o / mu) for w, mu in law), 0.0), 1.0)
+
+
+def _law_capacity(law):
+    # half duplex: two phases per frame put a 1/2 pre-log on the rate
+    return 0.5 * fsum(w * capacity_exponential_exact(mu) for w, mu in law)
 
 
 def conditional_outage_df(M, gamma_rd, rho, gamma_o):
     """Outage of the selected relay hop given M participants.
 
-    The selection metric correlates with the actual hop SNR through
-    rho; at rho = 1 this is the best-of-M order statistic and the
-    alternating form collapses to the binomial power, which is also the
-    numerically stable branch there (the alternating sum loses all
-    precision in deep tails as rho -> 1).
+    At rho = 1 the selected hop is the best-of-M order statistic and
+    the mixture collapses to the binomial power, which is also the
+    numerically stable branch there.
     """
     if M < 1:
         raise ValueError("need at least one participant")
     if rho == 1.0:
         return (-expm1(-gamma_o / gamma_rd)) ** M
-    one_minus_r2 = 1.0 - rho * rho
-    terms = []
-    for m in range(M):
-        b = 1.0 + m * one_minus_r2
-        terms.append(
-            comb(M - 1, m) * (-1.0) ** m * (M / (m + 1.0))
-            * -expm1(-gamma_o * (m + 1.0) / (gamma_rd * b))
-        )
-    # the sum is a probability; clip float cancellation noise at the edges
-    return min(max(fsum(terms), 0.0), 1.0)
+    return _law_outage(_df_law(M, gamma_rd, rho), gamma_o)
 
 
 def outage_df(p):
     """End-to-end outage probability of DF best-relay selection."""
-    decode = math.exp(-p.gamma_o / p.gamma_sr)
-    # expm1, not 1 - decode: the miss probability keeps its relative
-    # precision in the high-SNR tail, where the outage is miss-dominated
-    miss = -expm1(-p.gamma_o / p.gamma_sr)
-    total = miss ** p.K  # empty decoding subset always fails
+    total = prob_ds_size(p.K, 0, p.gamma_o, p.gamma_sr)  # empty subset fails
     for M in range(1, p.K + 1):
-        weight = comb(p.K, M) * decode ** M * miss ** (p.K - M)
-        total += weight * conditional_outage_df(M, p.gamma_rd, p.rho, p.gamma_o)
+        total += (prob_ds_size(p.K, M, p.gamma_o, p.gamma_sr)
+                  * conditional_outage_df(M, p.gamma_rd, p.rho, p.gamma_o))
     return min(max(total, 0.0), 1.0)
 
 
 def outage_af(p):
     """End-to-end outage probability of AF best-relay selection."""
-    ge = p.gamma_e
     if p.rho == 1.0:
-        return (-expm1(-p.gamma_o / ge)) ** p.K
-    r2 = p.rho * p.rho
-    terms = []
-    for k in range(1, p.K + 1):
-        a = k * (1.0 - r2) + r2
-        terms.append(comb(p.K, k) * (-1.0) ** k * expm1(-k * p.gamma_o / (a * ge)))
-    return min(max(fsum(terms), 0.0), 1.0)
-
-
-def mgf_single(s, gamma_avg):
-    """MGF E[exp(-s g)] of one exponential SNR with mean gamma_avg."""
-    return 1.0 / (1.0 + s * gamma_avg)
-
-
-def mgf_df_best(s, M, gamma_rd, rho):
-    """MGF of the actual SNR of the metric-selected relay, M participants."""
-    if M < 1:
-        raise ValueError("need at least one participant")
-    one_minus_r2 = 1.0 - rho * rho
-    terms = []
-    for m in range(M):
-        b = 1.0 + m * one_minus_r2
-        terms.append(comb(M - 1, m) * (-1.0) ** m * M / (m + 1.0 + s * gamma_rd * b))
-    return fsum(terms)
-
-
-def mgf_df_best_deriv(s, M, gamma_rd, rho):
-    """d/ds of mgf_df_best; -deriv(0) is the selected relay's mean SNR."""
-    if M < 1:
-        raise ValueError("need at least one participant")
-    one_minus_r2 = 1.0 - rho * rho
-    terms = []
-    for m in range(M):
-        b = 1.0 + m * one_minus_r2
-        gb = gamma_rd * b
-        terms.append(comb(M - 1, m) * (-1.0) ** (m + 1) * M * gb / (m + 1.0 + s * gb) ** 2)
-    return fsum(terms)
-
-
-def _mgf_af_deriv(s, p):
-    ge = p.gamma_e
-    r2 = p.rho * p.rho
-    terms = []
-    for k in range(1, p.K + 1):
-        a = k * (1.0 - r2) + r2
-        age = a * ge
-        terms.append(comb(p.K, k) * (-1.0) ** k * k * age / (k + s * age) ** 2)
-    return fsum(terms)
+        return (-expm1(-p.gamma_o / p.gamma_e)) ** p.K
+    return _law_outage(_af_law(p), p.gamma_o)
 
 
 def capacity_df(p):
     """Ergodic capacity of DF selection, bits/s/Hz.
 
-    Includes the 1/(2 ln 2) half-duplex factor; an empty decoding
-    subset contributes zero rate.  See the module docstring for the
-    quadrature convergence behaviour at large mean SNR.
+    Includes the 1/2 half-duplex pre-log; an empty decoding subset
+    contributes zero rate.
     """
-    rule = _default_rule()
-    decode = math.exp(-p.gamma_o / p.gamma_sr)
-    miss = 1.0 - decode
-    kernel = [phi(s) for s in rule.nodes]
-    total = 0.0
-    for M in range(1, p.K + 1):
-        weight = comb(p.K, M) * decode ** M * miss ** (p.K - M)
-        if weight == 0.0:
-            continue
-        inner = fsum(
-            w * k * mgf_df_best_deriv(s, M, p.gamma_rd, p.rho)
-            for s, w, k in zip(rule.nodes, rule.weights, kernel)
-        )
-        total += weight * inner
-    return total / (2.0 * LN2)
+    return fsum(prob_ds_size(p.K, M, p.gamma_o, p.gamma_sr)
+                * _law_capacity(_df_law(M, p.gamma_rd, p.rho))
+                for M in range(1, p.K + 1))
 
 
-def capacity_af(p, half_duplex=False):
-    """Ergodic capacity of AF selection, bits/s/Hz.
-
-    Evaluated without a rate pre-log by default; pass half_duplex=True
-    to apply the 1/2 two-phase penalty.  The DF expression carries the
-    factor built in and this one does not; the asymmetry between the
-    two reference forms is deliberate and surfaced as a flag rather
-    than silently reconciled.
-    """
-    rule = _default_rule()
-    total = fsum(
-        w * phi(s) * _mgf_af_deriv(s, p)
-        for s, w in zip(rule.nodes, rule.weights)
-    )
-    total /= LN2
-    return 0.5 * total if half_duplex else total
+def capacity_af(p):
+    """Ergodic capacity of AF selection, bits/s/Hz, with the 1/2 pre-log."""
+    return _law_capacity(_af_law(p))
 
 
 def capacity_exponential_exact(gamma_avg):
-    """Exact capacity of a single exponential-SNR link, bits/s/Hz."""
+    """Exact capacity of a single exponential-SNR link, bits/s/Hz.
+
+    exp(1/g) E1(1/g) / ln 2, written through the kernel phi = -E1.
+    """
     if gamma_avg <= 0:
         raise ValueError("mean SNR must be positive")
-    return math.exp(1.0 / gamma_avg) * exp_integral_e1(1.0 / gamma_avg) / LN2
+    x = 1.0 / gamma_avg
+    if x <= 700.0:
+        return -math.exp(x) * phi(x) / LN2
+    # exp(x) overflows past here; the asymptotic series
+    # sum_k (-1)^k k! / x^(k+1) is exact to double precision in 8 terms
+    return fsum((-1) ** k * math.factorial(k) / x ** (k + 1)
+                for k in range(8)) / LN2
 
 
 def capacity_exponential_check(gamma_avg):
     """Single-link capacity via the quadrature rule in the SNR domain.
 
-    Applies the rule directly to int_0^inf log2(1+g) exp(-g/ga)/ga dg,
-    whose integrand is smooth on the half line, so this doubles as an
-    accuracy check of the rule itself against
-    ``capacity_exponential_exact``.
+    Applies the 200-node rule directly to
+    int_0^inf log2(1+g) exp(-g/ga)/ga dg, whose integrand is smooth on
+    the half line, so this doubles as an accuracy check of the rule
+    itself against ``capacity_exponential_exact``.
     """
     if gamma_avg <= 0:
         raise ValueError("mean SNR must be positive")
-    rule = _default_rule()
+    rule = gauss_chebyshev(200)
     return fsum(
         w * math.log1p(s) / LN2 * math.exp(-s / gamma_avg) / gamma_avg
         for s, w in zip(rule.nodes, rule.weights)

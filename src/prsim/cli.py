@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytics import (AfParams, DfParams, capacity_af, capacity_df,
+from .analytics import (SelectionParams, capacity_af, capacity_df,
                         capacity_exponential_exact, outage_af, outage_df)
 from .channel import FadingProcessConfig, generate_series, jakes_correlation
 from .config import (ConfigError, ExperimentConfig, FadingSettings,
@@ -51,7 +51,7 @@ from .predictor import (LayerSpec, TrainConfig, flops_per_step,
                         save_model, train_link_predictor)
 from .selection import RateConfig
 from .simulator import (CSV_FIELDS, ImpairmentConfig, SeriesNetwork,
-                        SyntheticRhoNetwork, TimerModel, estimate,
+                        SyntheticRhoNetwork, TimerModel, _hop_snr, estimate,
                         estimate_series, experiment_rows, simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
@@ -226,12 +226,9 @@ def _generic_runs(cfg):
 
 def _params(spec, cfg, snr_db, rho):
     """Closed-form parameters of a df or af run at one grid point."""
-    total = 10.0 ** (snr_db / 10.0)
-    frac = cfg.network.source_power_fraction
-    cls = DfParams if spec.scheme == "df" else AfParams
-    return cls(K=spec.relays, gamma_sr=frac * total,
-               gamma_rd=(1.0 - frac) * total, rho=rho,
-               gamma_o=RateConfig(cfg.network.rate).gamma_o)
+    hop = _hop_snr(snr_db)
+    return SelectionParams(K=spec.relays, gamma_sr=hop, gamma_rd=hop, rho=rho,
+                           gamma_o=RateConfig(cfg.network.rate).gamma_o)
 
 
 def _analytic_outage(spec, cfg, snr_db, rho):
@@ -252,7 +249,7 @@ def _analytic_capacity(spec, cfg, snr_db, rho):
     if spec.scheme == "df":
         return capacity_df(_params(spec, cfg, snr_db, rho))
     if spec.scheme == "af":
-        return capacity_af(_params(spec, cfg, snr_db, rho), half_duplex=True)
+        return capacity_af(_params(spec, cfg, snr_db, rho))
     return None
 
 
@@ -480,9 +477,10 @@ def cmd_protocol_sim(cfg, out=None):
                           "clear [protocol] pilot_snr_db and "
                           "max_phase_error_deg")
     timer = TimerModel(pro.timer_c, pro.timer_max, pro.uncertainty_window)
-    schemes = [s for s in cfg.schemes if s in ("df", "af", "df-central")]
-    if not schemes:
-        raise ConfigError("protocol-sim needs df, af or df-central schemes")
+    dropped = [s for s in cfg.schemes if s not in ("df", "af", "df-central")]
+    if dropped:
+        raise ConfigError("protocol-sim runs df, af and df-central only; "
+                          "remove %s" % ", ".join(dropped))
     csi, relays = cfg.csi, cfg.network.relays
     frames = pro.frames
     if csi.mode in ("perfect", "synthetic"):
@@ -501,7 +499,7 @@ def cmd_protocol_sim(cfg, out=None):
         frames = min(frames, network.num_frames)
     rate = RateConfig(cfg.network.rate)
     rows = []
-    for scheme in schemes:
+    for scheme in cfg.schemes:
         ests = [simulate_frames(scheme, network, snr_db, frames, rate=rate,
                                 timer=timer, policy=pro.policy)
                 for snr_db in cfg.snr_grid_db]

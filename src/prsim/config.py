@@ -35,24 +35,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkSettings:
-    """Relay count, target rate and power bookkeeping.
+    """Relay count and target rate.
 
     The SNR grid is expressed as total end-to-end SNR P/sigma_n^2 in
-    dB; source_power_fraction splits P between the two hops (0.5 means
-    the source and the chosen relay each spend half).
+    dB; the source and the chosen relay each spend half of P.
     """
 
     relays: int = 8
     rate: float = 1.0
-    source_power_fraction: float = 0.5
 
     def __post_init__(self):
         if self.relays < 1:
             raise ConfigError("need at least one relay")
         if self.rate <= 0:
             raise ConfigError("target rate must be positive")
-        if not 0 < self.source_power_fraction < 1:
-            raise ConfigError("source power fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -304,7 +300,7 @@ _SCHEMA = {
         "name": _text, "seed": _int, "trials": _int, "output": _text,
     },
     "network": {
-        "relays": _int, "rate": _float, "source_power_fraction": _float,
+        "relays": _int, "rate": _float,
     },
     "fading": {
         "doppler_hz": _float, "sample_rate_hz": _float,

@@ -11,9 +11,9 @@ oracles; the targets are
 * ``exp_integral_e1``: absolute error <= 1e-8 on (0, inf).
 
 The tan-mapped Gauss-Chebyshev rule maps the Chebyshev nodes on (-1, 1)
-through u = pi/4 * (cos(theta) + 1) onto s = tan(u) in (0, inf) and is
-used by the capacity expressions to evaluate integrals over the
-Laplace/SNR half line.
+through u = pi/4 * (cos(theta) + 1) onto s = tan(u) in (0, inf).  The
+capacity closed forms are exact finite sums and use no quadrature; the
+rule serves the single-link self-check ``capacity_exponential_check``.
 """
 
 import math
@@ -151,9 +151,10 @@ def exp_integral_e1(x):
 def phi(s):
     """The capacity kernel Phi(s) = -E1(s) for s > 0.
 
-    The kernel is pinned by the Laplace identity
-    int_0^inf exp(-s g) Phi(s) ds = -ln(1 + g)/g, which the capacity
-    theorems invert; tests check the identity numerically.
+    An exponential-SNR link of mean g has capacity
+    -exp(1/g) Phi(1/g) / ln 2.  The kernel is pinned by the Laplace
+    identity int_0^inf exp(-s g) Phi(s) ds = -ln(1 + g)/g; tests check
+    the identity numerically.
     """
     if s <= 0.0:
         raise ValueError("phi is defined for s > 0, got %r" % s)
@@ -187,9 +188,8 @@ def gauss_chebyshev(Q):
 
     The endpoint density of the map compresses the integrand tail; the
     rule converges quickly for smooth integrands on (0, inf) but only
-    polynomially when the integrand has an endpoint singularity (the
-    capacity kernel Phi has a log singularity at s = 0, see the
-    capacity functions for the measured effect).
+    polynomially when the integrand has an endpoint singularity, such
+    as the log singularity of the kernel Phi at s = 0.
     """
     Q = int(Q)
     if Q < 1:

@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from prsim.analytics import (
-    AfParams,
-    DfParams,
+    SelectionParams,
     capacity_af,
     capacity_df,
     capacity_exponential_check,
@@ -58,14 +57,14 @@ def eight_link_series(seed, length):
 
 def df_params(snr_db, rho, relays=8):
     total = 10.0 ** (snr_db / 10.0)
-    return DfParams(K=relays, gamma_sr=0.5 * total, gamma_rd=0.5 * total,
-                    rho=rho, gamma_o=GAMMA_O)
+    return SelectionParams(K=relays, gamma_sr=0.5 * total,
+                           gamma_rd=0.5 * total, rho=rho, gamma_o=GAMMA_O)
 
 
 def af_params(snr_db, rho, relays=8):
     total = 10.0 ** (snr_db / 10.0)
-    return AfParams(K=relays, gamma_sr=0.5 * total, gamma_rd=0.5 * total,
-                    rho=rho, gamma_o=GAMMA_O)
+    return SelectionParams(K=relays, gamma_sr=0.5 * total,
+                           gamma_rd=0.5 * total, rho=rho, gamma_o=GAMMA_O)
 
 
 def within_three_se(point, exact):
@@ -152,7 +151,7 @@ def test_criterion_06_capacity_closed_forms_match_simulation():
                 f"mc {mc_df.mean_rate:.4f} vs exact {exact_df:.4f}")
             mc_af = estimate("af", [snr_db], 1_000_000, num_relays=8,
                              rho=rho, seed=62)[0]
-            exact_af = capacity_af(af_params(snr_db, rho), half_duplex=True)
+            exact_af = capacity_af(af_params(snr_db, rho))
             assert math.isclose(mc_af.mean_rate, exact_af, rel_tol=0.02), (
                 f"af capacity at {snr_db} dB rho={rho}: "
                 f"mc {mc_af.mean_rate:.4f} vs exact {exact_af:.4f}")
@@ -189,9 +188,9 @@ def _fitted_slope(outage_lo, outage_hi, fn, points=25):
 
 def test_criterion_07_full_correlation_diversity_slope():
     def closed_form(gamma_bar):
-        return outage_df(DfParams(K=8, gamma_sr=0.5 * gamma_bar,
-                                  gamma_rd=0.5 * gamma_bar, rho=1.0,
-                                  gamma_o=GAMMA_O))
+        return outage_df(SelectionParams(K=8, gamma_sr=0.5 * gamma_bar,
+                                         gamma_rd=0.5 * gamma_bar, rho=1.0,
+                                         gamma_o=GAMMA_O))
 
     # (a) the program's curve is the exact order-8 form at every SNR
     worst_db, worst = 0.0, 0.0
@@ -267,8 +266,8 @@ def test_criterion_09_predicted_selection_near_perfect():
 
     def snr_for(rho):
         return _snr_db_at(1e-3, lambda g: outage_df(
-            DfParams(K=8, gamma_sr=0.5 * g, gamma_rd=0.5 * g, rho=rho,
-                     gamma_o=GAMMA_O)))
+            SelectionParams(K=8, gamma_sr=0.5 * g, gamma_rd=0.5 * g,
+                            rho=rho, gamma_o=GAMMA_O)))
 
     gap = snr_for(rho_hat) - snr_for(1.0)
     assert gap <= 1.0, (

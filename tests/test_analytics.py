@@ -3,22 +3,20 @@
 import math
 from math import comb, expm1, fsum
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from prsim.analytics import (
-    AfParams,
-    DfParams,
+    SelectionParams,
+    _df_law,
     capacity_af,
     capacity_df,
     capacity_exponential_check,
     capacity_exponential_exact,
     conditional_outage_df,
     conditional_snr_pdf,
-    mgf_df_best,
-    mgf_df_best_deriv,
-    mgf_single,
     outage_af,
     outage_df,
     prob_ds_size,
@@ -102,7 +100,7 @@ def test_prob_ds_size_matches_mc():
 
 def test_outage_df_k1_collapse():
     for rho in (0.0, 0.3, 0.7, 1.0):
-        got = outage_df(DfParams(K=1, gamma_sr=4.0, gamma_rd=6.0, rho=rho, gamma_o=3.0))
+        got = outage_df(SelectionParams(K=1, gamma_sr=4.0, gamma_rd=6.0, rho=rho, gamma_o=3.0))
         want = 1.0 - math.exp(-3.0 / 4.0) * math.exp(-3.0 / 6.0)
         assert abs(got - want) <= 1e-14
 
@@ -116,7 +114,7 @@ def test_outage_df_rho_zero_no_selection_gain():
         assert abs(got - want) <= 1e-12
     p = math.exp(-go / gsr)
     want_total = (1 - p) ** K + (1 - (1 - p) ** K) * -expm1(-go / grd)
-    got_total = outage_df(DfParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=0.0, gamma_o=go))
+    got_total = outage_df(SelectionParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=0.0, gamma_o=go))
     assert abs(got_total - want_total) <= 1e-12
 
 
@@ -152,7 +150,7 @@ def test_outage_df_matches_mc():
     any_ds = ds.any(axis=1)
     out = np.where(any_ds, g_act[np.arange(n), sel] < 3.0, True)
     phat = out.mean()
-    want = outage_df(DfParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=3.0))
+    want = outage_df(SelectionParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=3.0))
     se = math.sqrt(want * (1 - want) / n)
     assert abs(phat - want) <= 3 * se
 
@@ -163,11 +161,11 @@ def test_outage_af_k1_and_rho_limits():
     base = dict(gamma_sr=8.0, gamma_rd=8.0, gamma_o=3.0)
     ge = 4.0
     for rho in (0.0, 0.5, 1.0):
-        got = outage_af(AfParams(K=1, rho=rho, **base))
+        got = outage_af(SelectionParams(K=1, rho=rho, **base))
         assert abs(got - -expm1(-3.0 / ge)) <= 1e-14
-    got = outage_af(AfParams(K=6, rho=0.0, **base))
+    got = outage_af(SelectionParams(K=6, rho=0.0, **base))
     assert abs(got - -expm1(-3.0 / ge)) <= 1e-12
-    got = outage_af(AfParams(K=6, rho=1.0, **base))
+    got = outage_af(SelectionParams(K=6, rho=1.0, **base))
     assert abs(got - (-expm1(-3.0 / ge)) ** 6) <= 1e-14
 
 
@@ -182,19 +180,18 @@ def test_outage_af_matches_mc():
     g_act = ge * np.abs(act) ** 2
     sel = np.argmax(g_met, axis=1)
     phat = np.mean(g_act[np.arange(n), sel] < 3.0)
-    want = outage_af(AfParams(K=K, gamma_sr=0.5 * gee, gamma_rd=0.5 * gee, rho=rho, gamma_o=3.0))
+    want = outage_af(SelectionParams(K=K, gamma_sr=0.5 * gee, gamma_rd=0.5 * gee, rho=rho, gamma_o=3.0))
     se = math.sqrt(want * (1 - want) / n)
     assert abs(phat - want) <= 3 * se
 
 
-# --- MGFs --------------------------------------------------------------------
+# --- selected-SNR mixture law -------------------------------------------------
 
 def test_mgf_normalization_and_single():
     for M in (1, 3, 8):
         for rho in (0.0, 0.6, 0.95):
-            assert abs(mgf_df_best(0.0, M, 7.0, rho) - 1.0) <= 1e-12
-    for s in (0.0, 0.4, 3.0):
-        assert mgf_df_best(s, 1, 7.0, 0.8) == pytest.approx(mgf_single(s, 7.0), abs=1e-15)
+            assert abs(fsum(w for w, _ in _df_law(M, 7.0, rho)) - 1.0) <= 1e-12
+    assert _df_law(1, 7.0, 0.8) == [(1.0, 7.0)]
 
 
 def test_mgf_first_moment_vs_mc():
@@ -206,17 +203,39 @@ def test_mgf_first_moment_vs_mc():
     g_act = grd * np.abs(act) ** 2
     sel = np.argmax(g_met, axis=1)
     mc_mean = g_act[np.arange(n), sel].mean()
-    want = -mgf_df_best_deriv(0.0, M, grd, rho)
+    want = fsum(w * mu for w, mu in _df_law(M, grd, rho))
     assert abs(mc_mean - want) <= 0.01 * want
 
 
 def test_mgf_selected_mean_limits():
     # rho=1, M=2: best of two exponentials has mean 1.5*gamma; rho=0: mean gamma
-    assert abs(-mgf_df_best_deriv(0.0, 2, 3.0, 1.0) - 4.5) <= 1e-12
-    assert abs(-mgf_df_best_deriv(0.0, 5, 3.0, 0.0) - 3.0) <= 1e-12
+    assert abs(fsum(w * mu for w, mu in _df_law(2, 3.0, 1.0)) - 4.5) <= 1e-12
+    assert abs(fsum(w * mu for w, mu in _df_law(5, 3.0, 0.0)) - 3.0) <= 1e-12
 
 
 # --- capacity ----------------------------------------------------------------
+
+def _mixture_capacity_oracle(terms):
+    # 30-digit integral of log2(1 + g) against the density
+    # sum_j w_j exp(-g/mu_j)/mu_j, split at every mean mu_j so each
+    # piece of the half line is smooth on its own scale
+    with mpmath.workdps(30):
+        terms = [(mpmath.mpf(w), mpmath.mpf(mu)) for w, mu in terms]
+
+        def integrand(g):
+            return mpmath.log(1 + g, 2) * mpmath.fsum(
+                w * mpmath.exp(-g / mu) / mu for w, mu in terms)
+
+        points = [0] + sorted({mu for _, mu in terms}) + [mpmath.inf]
+        return float(mpmath.quad(integrand, points))
+
+
+# a 200-node quadrature of the MGF form overshot by 0.08 and 1.03 b/s/Hz at
+# K = 8, rho 0.9, 30 and 40 dB: the high-SNR inputs tell the two apart
+CAPACITY_CASES = [(5.0, 0.9)] + [
+    (0.5 * 10.0 ** (snr_db / 10.0), rho)
+    for snr_db in (30.0, 40.0) for rho in (0.9, 1.0)]
+
 
 def test_capacity_exponential_check_against_exact():
     for ga in (1.0, 10.0, 100.0):
@@ -225,77 +244,79 @@ def test_capacity_exponential_check_against_exact():
         assert abs(got - want) <= 1e-3
 
 
+def test_capacity_exponential_exact_past_exp_overflow():
+    # mixture terms reach mean SNRs below 1/709, where exp(1/g) overflows
+    with mpmath.workdps(40):
+        for x in (1.0, 699.0, 700.0, 700.5, 1000.0, 1e6):
+            want = float(mpmath.exp(x) * mpmath.e1(x) / mpmath.log(2))
+            assert capacity_exponential_exact(1.0 / x) == pytest.approx(want, rel=1e-14)
+    hop = 0.5 * 10.0 ** (-20.0 / 10.0)
+    p = SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop, rho=1.0, gamma_o=3.0)
+    assert 0.0 <= capacity_df(p) <= 1e-200
+    best_of_8 = [(comb(8, k) * (-1) ** (k + 1), p.gamma_e / k) for k in range(1, 9)]
+    want = 0.5 * _mixture_capacity_oracle(best_of_8)
+    assert capacity_af(p) == pytest.approx(want, rel=1e-9)
+
+
 def test_capacity_df_vanishes_without_decoders():
-    p = DfParams(K=4, gamma_sr=1e-6, gamma_rd=10.0, rho=0.9, gamma_o=3.0)
+    p = SelectionParams(K=4, gamma_sr=1e-6, gamma_rd=10.0, rho=0.9, gamma_o=3.0)
     assert capacity_df(p) <= 1e-9
 
 
 def test_capacity_df_k1_exponential_link():
-    p = DfParams(K=1, gamma_sr=6.0, gamma_rd=5.0, rho=0.7, gamma_o=3.0)
+    p = SelectionParams(K=1, gamma_sr=6.0, gamma_rd=5.0, rho=0.7, gamma_o=3.0)
     want = 0.5 * math.exp(-3.0 / 6.0) * capacity_exponential_exact(5.0)
     assert abs(capacity_df(p) - want) <= 1e-3
 
 
 def test_capacity_af_k1_exponential_link():
-    p = AfParams(K=1, gamma_sr=10.0, gamma_rd=10.0, rho=0.5, gamma_o=3.0)
-    want = capacity_exponential_exact(p.gamma_e)
+    p = SelectionParams(K=1, gamma_sr=10.0, gamma_rd=10.0, rho=0.5, gamma_o=3.0)
+    want = 0.5 * capacity_exponential_exact(p.gamma_e)
     assert abs(capacity_af(p) - want) <= 1e-3
 
 
 def test_capacity_af_rho_one_order_statistic():
-    p = AfParams(K=4, gamma_sr=4.0, gamma_rd=4.0, rho=1.0, gamma_o=3.0)
+    p = SelectionParams(K=4, gamma_sr=4.0, gamma_rd=4.0, rho=1.0, gamma_o=3.0)
     ge = p.gamma_e
 
     def best_of_4_pdf(g):
         return 4.0 * (-expm1(-g / ge)) ** 3 * math.exp(-g / ge) / ge
 
     want, _ = integrate.quad(lambda g: math.log1p(g) / math.log(2) * best_of_4_pdf(g), 0, np.inf)
-    assert abs(capacity_af(p) - want) <= 1e-3
-
-
-def test_capacity_af_half_duplex_flag():
-    p = AfParams(K=3, gamma_sr=8.0, gamma_rd=8.0, rho=0.9, gamma_o=3.0)
-    assert capacity_af(p, half_duplex=True) == pytest.approx(0.5 * capacity_af(p), rel=1e-12)
+    assert abs(capacity_af(p) - 0.5 * want) <= 1e-3
 
 
 def test_capacity_df_consistent_with_direct_integration():
-    # MGF-quadrature evaluation vs direct integration of the selected
-    # relay's conditional density, composed over decoding-subset sizes
-    p = DfParams(K=8, gamma_sr=5.0, gamma_rd=5.0, rho=0.9, gamma_o=3.0)
-    decode = math.exp(-p.gamma_o / p.gamma_sr)
-    miss = 1.0 - decode
-    total = 0.0
-    for M in range(1, 9):
-        weight = comb(8, M) * decode ** M * miss ** (8 - M)
-
-        def pdf(g, M=M):
-            one_minus_r2 = 1.0 - p.rho * p.rho
-            return fsum(
-                comb(M - 1, m) * (-1.0) ** m * (M / (p.gamma_rd * (1 + m * one_minus_r2)))
-                * math.exp(-g * (m + 1.0) / (p.gamma_rd * (1 + m * one_minus_r2)))
+    # exact mixture sum vs direct integration of the selected relay's
+    # conditional density, composed over decoding-subset sizes
+    for hop, rho in CAPACITY_CASES:
+        p = SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop, rho=rho, gamma_o=3.0)
+        decode = math.exp(-p.gamma_o / p.gamma_sr)
+        miss = -expm1(-p.gamma_o / p.gamma_sr)
+        one_minus_r2 = 1.0 - p.rho * p.rho
+        total = 0.0
+        for M in range(1, 9):
+            weight = comb(8, M) * decode ** M * miss ** (8 - M)
+            density = [
+                (comb(M - 1, m) * (-1) ** m * M / (m + 1),
+                 p.gamma_rd * (1 + m * one_minus_r2) / (m + 1))
                 for m in range(M)
-            )
-
-        val, _ = integrate.quad(lambda g, M=M: math.log1p(g) / math.log(2) * pdf(g, M), 0, np.inf, limit=200)
-        total += weight * val
-    want = 0.5 * total
-    assert abs(capacity_df(p) - want) <= 1e-3
+            ]
+            total += weight * _mixture_capacity_oracle(density)
+        want = 0.5 * total
+        assert abs(capacity_df(p) - want) <= 1e-9, (hop, rho)
 
 
 def test_capacity_af_consistent_with_direct_integration():
-    p = AfParams(K=8, gamma_sr=5.0, gamma_rd=5.0, rho=0.9, gamma_o=3.0)
-    ge = p.gamma_e
-    r2 = p.rho * p.rho
-
-    def pdf(g):
-        return fsum(
-            comb(8, k) * (-1.0) ** (k + 1) * (k / ((k * (1 - r2) + r2) * ge))
-            * math.exp(-k * g / ((k * (1 - r2) + r2) * ge))
+    for hop, rho in CAPACITY_CASES:
+        p = SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop, rho=rho, gamma_o=3.0)
+        r2 = p.rho * p.rho
+        density = [
+            (comb(8, k) * (-1) ** (k + 1), (k * (1 - r2) + r2) * p.gamma_e / k)
             for k in range(1, 9)
-        )
-
-    want, _ = integrate.quad(lambda g: math.log1p(g) / math.log(2) * pdf(g), 0, np.inf, limit=200)
-    assert abs(capacity_af(p) - want) <= 1e-3
+        ]
+        want = 0.5 * _mixture_capacity_oracle(density)
+        assert abs(capacity_af(p) - want) <= 1e-9, (hop, rho)
 
 
 def test_capacity_df_matches_mc_mean_rate():
@@ -313,7 +334,7 @@ def test_capacity_df_matches_mc_mean_rate():
     sel = np.argmax(masked, axis=1)
     any_ds = ds.any(axis=1)
     rate = np.where(any_ds, 0.5 * np.log2(1.0 + g_act[np.arange(n), sel]), 0.0)
-    want = capacity_df(DfParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=3.0))
+    want = capacity_df(SelectionParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=3.0))
     assert abs(rate.mean() - want) <= 0.02 * want
 
 
@@ -322,21 +343,21 @@ def test_capacity_df_matches_mc_mean_rate():
 def test_outage_monotone_in_mean_snr_and_rho_and_k():
     snrs = np.linspace(1.0, 300.0, 40)
     for rho in (0.0, 0.5, 0.95, 1.0):
-        df = [outage_df(DfParams(K=4, gamma_sr=g, gamma_rd=g, rho=rho, gamma_o=3.0)) for g in snrs]
-        af = [outage_af(AfParams(K=4, gamma_sr=g, gamma_rd=g, rho=rho, gamma_o=3.0)) for g in snrs]
+        df = [outage_df(SelectionParams(K=4, gamma_sr=g, gamma_rd=g, rho=rho, gamma_o=3.0)) for g in snrs]
+        af = [outage_af(SelectionParams(K=4, gamma_sr=g, gamma_rd=g, rho=rho, gamma_o=3.0)) for g in snrs]
         assert all(a >= b - 1e-12 for a, b in zip(df, df[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(af, af[1:]))
     rhos = np.linspace(0.0, 1.0, 21)
-    df = [outage_df(DfParams(K=4, gamma_sr=20.0, gamma_rd=20.0, rho=r, gamma_o=3.0)) for r in rhos]
-    af = [outage_af(AfParams(K=4, gamma_sr=20.0, gamma_rd=20.0, rho=r, gamma_o=3.0)) for r in rhos]
+    df = [outage_df(SelectionParams(K=4, gamma_sr=20.0, gamma_rd=20.0, rho=r, gamma_o=3.0)) for r in rhos]
+    af = [outage_af(SelectionParams(K=4, gamma_sr=20.0, gamma_rd=20.0, rho=r, gamma_o=3.0)) for r in rhos]
     assert all(a >= b - 1e-12 for a, b in zip(df, df[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(af, af[1:]))
     for K in range(1, 8):
-        a = outage_af(AfParams(K=K, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
-        b = outage_af(AfParams(K=K + 1, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
+        a = outage_af(SelectionParams(K=K, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
+        b = outage_af(SelectionParams(K=K + 1, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
         assert a >= b - 1e-12
-        a = outage_df(DfParams(K=K, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
-        b = outage_df(DfParams(K=K + 1, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
+        a = outage_df(SelectionParams(K=K, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
+        b = outage_df(SelectionParams(K=K + 1, gamma_sr=20.0, gamma_rd=20.0, rho=0.9, gamma_o=3.0))
         assert a >= b - 1e-12
 
 
@@ -350,8 +371,8 @@ def test_outage_probability_range_random_grid():
         if rng.uniform() < 0.1:
             rho = 1.0 - 10.0 ** float(rng.uniform(-12, -2))  # stress near-perfect metrics
         go = float(rng.uniform(0.1, 20.0))
-        a = outage_df(DfParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=go))
-        b = outage_af(AfParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=go))
+        a = outage_df(SelectionParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=go))
+        b = outage_af(SelectionParams(K=K, gamma_sr=gsr, gamma_rd=grd, rho=rho, gamma_o=go))
         assert 0.0 <= a <= 1.0
         assert 0.0 <= b <= 1.0
 
@@ -365,7 +386,7 @@ def test_outage_df_diversity_order():
     snrs = np.linspace(5, 60, 560)
     gee = 10 ** (snrs / 10)
     po = np.array([
-        outage_df(DfParams(K=8, gamma_sr=g / 2, gamma_rd=g / 2, rho=1.0, gamma_o=3.0))
+        outage_df(SelectionParams(K=8, gamma_sr=g / 2, gamma_rd=g / 2, rho=1.0, gamma_o=3.0))
         for g in gee
     ])
     mid = (po > 1e-8) & (po < 1e-4)

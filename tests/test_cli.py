@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prsim import cli
-from prsim.analytics import DfParams, outage_df
+from prsim.analytics import SelectionParams, outage_df
 from prsim.config import ConfigError, parse_config
 from prsim.numerics import bessel_j0
 
@@ -175,8 +175,8 @@ rho = 0.8
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
     rows = {r["scheme"]: r for r in read_rows(out)}
     hop = 0.5 * 10.0
-    want = outage_df(DfParams(K=8, gamma_sr=hop, gamma_rd=hop, rho=0.8,
-                              gamma_o=3.0))
+    want = outage_df(SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop,
+                                     rho=0.8, gamma_o=3.0))
     assert float(rows["df"]["analytic"]) == pytest.approx(want, rel=1e-12)
     assert rows["ostc"]["analytic"] == ""
     assert float(rows["af"]["analytic"]) > 0
@@ -415,6 +415,15 @@ def test_protocol_sim_rejects_impairments_it_ignores(tmp_path, key):
     cfg = parse_config("[csi]\nmode = synthetic\n\n[protocol]\n%s\n" % key)
     with pytest.raises(ConfigError, match=key.split()[0]):
         cli.cmd_protocol_sim(cfg, out=str(tmp_path / "r.csv"))
+
+
+def test_protocol_sim_rejects_schemes_it_does_not_run(tmp_path):
+    out = tmp_path / "r.csv"
+    cfg = parse_config("[csi]\nmode = synthetic\n\n"
+                       "[schemes]\nlist = df, ostc, dt\n")
+    with pytest.raises(ConfigError, match="ostc, dt"):
+        cli.cmd_protocol_sim(cfg, out=str(out))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,8 @@ def test_grid_range_is_inclusive():
     # the grid is an SNR: no result depends on an absolute power scale
     ("[network]\ntotal_power = 2\n", "unknown key"),
     ("[network]\nnoise_var = 2\n", "unknown key"),
+    # the hops split the power evenly in the Monte-Carlo and the closed forms
+    ("[network]\nsource_power_fraction = 0.8\n", "unknown key"),
     ("[network]\nrelays = 8\nrelays = 9\n", "duplicate key"),
     ("[network]\nrelays = eight\n", "expected an integer"),
     ("[network]\nrelays = 0\n", "at least one relay"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prsim.analytics import AfParams, DfParams, outage_af, outage_df
+from prsim.analytics import SelectionParams, outage_af, outage_df
 from prsim.analytics import capacity_exponential_exact
 from prsim import simulator
 from prsim.channel import (FadingProcessConfig, correlated_pair,
@@ -204,7 +204,7 @@ def test_af_winner_is_min_metric_argmax():
 def test_df_frames_match_closed_form_at_perfect_foresight():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=11)
     est = simulate_frames("df", net, 10.0, 100_000)
-    exact = outage_df(DfParams(8, 5.0, 5.0, 1.0, GO))
+    exact = outage_df(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
 
 
@@ -221,7 +221,7 @@ def test_af_frames_perfect_buffers_match_closed_form():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=13)
     est = simulate_frames("af", net, 12.0, 100_000)
     hop = 0.5 * 10 ** 1.2
-    exact = outage_af(AfParams(8, hop, hop, 1.0, GO))
+    exact = outage_af(SelectionParams(8, hop, hop, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
 
 
@@ -268,14 +268,14 @@ def test_estimate_df_matches_closed_forms():
                         rho=rho, seed=3)
         for snr_db, est in zip([10.0, 20.0], ests):
             hop = 0.5 * 10 ** (snr_db / 10)
-            exact = outage_df(DfParams(8, hop, hop, rho, GO))
+            exact = outage_df(SelectionParams(8, hop, hop, rho, GO))
             assert se_vs(exact, est) <= 3.0
 
 
 def test_estimate_af_e2e_matches_closed_form():
     for rho in (0.6425, 1.0):
         est = estimate("af", [10.0], 200_000, num_relays=8, rho=rho, seed=4)[0]
-        exact = outage_af(AfParams(8, 5.0, 5.0, rho, GO))
+        exact = outage_af(SelectionParams(8, 5.0, 5.0, rho, GO))
         assert se_vs(exact, est) <= 3.0
 
 
@@ -289,7 +289,7 @@ def test_af_pairing_modes_differ_at_partial_rho():
     at_one_a = estimate("af", [10.0], 100_000, rho=1.0, seed=6)[0]
     at_one_b = estimate("af", [10.0], 100_000, rho=1.0, seed=6,
                         af_mode="per-hop")[0]
-    exact = outage_af(AfParams(8, 5.0, 5.0, 1.0, GO))
+    exact = outage_af(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, at_one_a) <= 3.0 and se_vs(exact, at_one_b) <= 3.0
 
 
@@ -391,7 +391,7 @@ def test_series_delayed_metric_matches_closed_form():
     rd = multilink_series(32, 60_000)
     est = estimate_series("df", sr, rd, [10.0], delay=3)[0]
     rho_o = jakes_correlation(100.0, 0.003)
-    exact = outage_df(DfParams(8, 5.0, 5.0, rho_o, GO))
+    exact = outage_df(SelectionParams(8, 5.0, 5.0, rho_o, GO))
     assert est.trials == 59_997
     assert abs(est.outage_prob - exact) < 0.015
 
