@@ -2,7 +2,7 @@
 
 Subpackages and modules:
 
-* ``numerics``     special functions (J0, I0, E1), the Gauss-Chebyshev rule
+* ``numerics``     special functions (J0, E1), the Gauss-Chebyshev rule
 * ``rng``          seeded splittable random streams
 * ``channel``      Jakes fading series, correlated gain pairs, SNR bookkeeping
 * ``selection``    rate thresholds and the block relay-selection kernel

@@ -4,9 +4,9 @@ The expressions cover best-relay selection whose selection metric is a
 stale or predicted observation of the true channel: the metric/actual
 gain pair is jointly complex Gaussian with correlation rho, so the
 actual SNR conditioned on the metric SNR follows a noncentral-chi-square
-law (``conditional_snr_pdf``).  rho is an input abstraction: callers map
-either the Doppler-lag correlation J0(2 pi f_d tau) of outdated CSI or
-the measured correlation of a channel predictor onto the same formulas.
+law.  rho is an input abstraction: callers map either the Doppler-lag
+correlation J0(2 pi f_d tau) of outdated CSI or the measured correlation
+of a channel predictor onto the same formulas.
 
 DF: a relay participates if its source-hop SNR clears the threshold
 gamma_o (the decoding subset); the destination picks the participant
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from math import comb, expm1, fsum
 
-from .numerics import bessel_i0e, gauss_chebyshev, phi
+from .numerics import gauss_chebyshev, phi
 
 LN2 = math.log(2.0)
 
@@ -67,27 +67,6 @@ class SelectionParams:
         # mean of min(sr, rd) for independent exponentials; recomputed,
         # never stored, so it can not go stale
         return self.gamma_sr * self.gamma_rd / (self.gamma_sr + self.gamma_rd)
-
-
-def conditional_snr_pdf(snr, snr_metric, snr_avg, rho):
-    """Density of the actual SNR given the metric SNR of the same link.
-
-    Both SNRs are exponential with mean snr_avg and their underlying
-    complex gains have correlation rho < 1.  Uses the scaled Bessel
-    function so the product stays finite for any argument (the combined
-    exponent -(sqrt(g) - rho sqrt(gm))^2 / (snr_avg (1-rho^2)) is never
-    positive).
-    """
-    if snr < 0 or snr_metric < 0:
-        raise ValueError("SNRs must be nonnegative")
-    if snr_avg <= 0:
-        raise ValueError("mean SNR must be positive")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("density degenerates at rho = 1; need 0 <= rho < 1")
-    denom = snr_avg * (1.0 - rho * rho)
-    shifted = -((math.sqrt(snr) - rho * math.sqrt(snr_metric)) ** 2) / denom
-    bessel_arg = 2.0 * rho * math.sqrt(snr * snr_metric) / denom
-    return math.exp(shifted) * bessel_i0e(bessel_arg) / denom
 
 
 def prob_ds_size(K, M, gamma_o, gamma_sr):

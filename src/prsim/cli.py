@@ -181,8 +181,10 @@ class PredictorPool:
 
 
 def _rho_outdated(fading, delay):
-    return jakes_correlation(fading.doppler_hz,
-                             delay / fading.sample_rate_hz)
+    # J0 turns negative past f_d tau = 0.383; the pair law and the
+    # ranking depend on rho^2 only, so selection sees |J0|
+    return abs(jakes_correlation(fading.doppler_hz,
+                                 delay / fading.sample_rate_hz))
 
 
 def _rho_mode(csi):
@@ -215,8 +217,7 @@ def _generic_runs(cfg):
         runs.append(RunSpec(
             scheme, relays, _rho_mode(csi), rho=rho,
             horizon=csi.delay if csi.mode == "predicted" else 0,
-            impairments=imp,
-            analytic=scheme != "ostc" and csi.mode != "outdated"))
+            impairments=imp, analytic=scheme != "ostc"))
     return runs
 
 

@@ -7,7 +7,6 @@ is verified in the test suite against independent high-precision
 oracles; the targets are
 
 * ``bessel_j0``: absolute error <= 1e-7 on |x| <= 50 (measured ~2e-11),
-* ``bessel_i0``: relative error <= 1e-7 up to x = 700,
 * ``exp_integral_e1``: absolute error <= 1e-8 on (0, inf).
 
 The tan-mapped Gauss-Chebyshev rule maps the Chebyshev nodes on (-1, 1)
@@ -24,7 +23,6 @@ EULER_GAMMA = 0.5772156649015328606
 # switch points between series and asymptotic branches; chosen so both
 # branches overlap with margin (validated against mpmath in tests)
 _J0_CUTOVER = 12.0
-_I0_CUTOVER = 20.0
 _E1_CUTOVER = 1.0
 
 
@@ -62,51 +60,6 @@ def bessel_j0(x):
             q += t * (-1) ** ((k - 1) // 2)
     chi = x - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
-
-
-def _i0_series(x):
-    term = 1.0
-    total = 1.0
-    q = 0.25 * x * x
-    m = 0
-    while True:
-        m += 1
-        term *= q / (m * m)
-        total += term
-        if term < 1e-17 * total:
-            return total
-
-
-def _i0e_asymptotic(x):
-    # exp(-x) I0(x) ~ (2 pi x)^(-1/2) * sum_k u_k, u_k = u_{k-1} (2k-1)^2/(8 k x)
-    total = 1.0
-    term = 1.0
-    for k in range(1, 30):
-        term *= ((2 * k - 1) ** 2) / (8.0 * k * x)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Raises OverflowError once exp(x) leaves double range (x > ~709);
-    use bessel_i0e for large arguments.
-    """
-    x = abs(float(x))
-    if x < _I0_CUTOVER:
-        return _i0_series(x)
-    return math.exp(x) * _i0e_asymptotic(x)
-
-
-def bessel_i0e(x):
-    """Exponentially scaled variant exp(-|x|) * I0(x), safe for any x."""
-    x = abs(float(x))
-    if x < _I0_CUTOVER:
-        return math.exp(-x) * _i0_series(x)
-    return _i0e_asymptotic(x)
 
 
 def exp_integral_e1(x):

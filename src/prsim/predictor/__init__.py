@@ -2,9 +2,9 @@
 
 The subpackage is self contained on numpy:
 
-``layers``    gate equations and per-step backward passes
-``network``   layer stack, windowed forward/backward, flop counts
-``optim``     Adam with bias correction
+``layers``    gate equations, layer-major window forward and backward
+``network``   layer stack on one flat parameter buffer, flop counts
+``optim``     Adam with bias correction on the flat buffer
 ``data``      tapped delay line features and window iteration
 ``train``     training loop, series prediction, correlation report
 ``model_io``  versioned npz serialization
@@ -13,7 +13,7 @@ The subpackage is self contained on numpy:
 from .layers import LayerSpec
 from .network import RecurrentNet, flops_per_step, flops_simplified
 from .optim import AdamState, adam_step
-from .data import build_dataset, complex_from_split, tapped_delay_vector
+from .data import build_dataset, complex_from_split
 from .train import (HIGH_ACCURACY_TRAIN, TrainConfig, TrainReport, train,
                     train_link_predictor, predict_series,
                     prediction_correlation)
@@ -28,7 +28,6 @@ __all__ = [
     "adam_step",
     "build_dataset",
     "complex_from_split",
-    "tapped_delay_vector",
     "HIGH_ACCURACY_TRAIN",
     "TrainConfig",
     "TrainReport",

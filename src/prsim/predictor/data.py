@@ -36,14 +36,6 @@ def _feature_rows(series, features):
     raise ValueError(f"unknown feature mode {features!r}")
 
 
-def tapped_delay_vector(series, t, tau, features="magnitude", scale=1.0):
-    """Input vector at time t from taps t-tau .. t (row-major flatten)."""
-    if t < tau:
-        raise ValueError("tap window reaches before the start of the series")
-    rows = _feature_rows(series, features) * scale
-    return rows[t - tau:t + 1].reshape(-1)
-
-
 def build_dataset(series, tau, horizon, features="magnitude", scale=1.0):
     """All (input, target) pairs of a (T, K) series.
 

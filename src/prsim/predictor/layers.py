@@ -1,9 +1,8 @@
-"""Recurrent and dense layer primitives with hand-written backward passes.
+"""Recurrent and dense layers run layer by layer over a whole window.
 
-Every layer stores its weights in a dict of float64 arrays.  Gated layers
+Every layer keeps its weights in a dict of float64 arrays.  Gated layers
 stack the gate blocks row-wise in a single input matrix W, a single
-recurrent matrix U and a single bias b, so one matvec per matrix feeds
-all gates:
+recurrent matrix U and a single bias b:
 
 vanilla RNN    h' = tanh(W x + U h + b)
 
@@ -21,15 +20,21 @@ GRU (rows z, r, c in that order; the candidate block sees r * s)
 
 dense_tanh     y = tanh(W x + b), stateless.
 
-With all weights at zero the LSTM emits zeros (g = 0 pins c at 0) and
-the GRU halves its state each step (z = 1/2, c = 0), which the tests
-use as closed-form probes of the gate wiring.
+A layer sees a (T, in) window at once.  Its input projection X W^T + b
+does not depend on the recurrence, so it is one GEMM for the window;
+only U h and the gate math run inside the time loop.  The sigmoid is
+evaluated as 1/2 + tanh(z/2)/2, which never overflows.  Halving the
+sigmoid rows of the LSTM's projection and of its U is exact, so all
+four LSTM gates of a step take a single tanh call.
 
-Backward passes return the gradient w.r.t. the layer input and the
-incoming state, and accumulate parameter gradients in place, so a
-window backward is a single reverse sweep.  Everything is float64;
-gradients are exact up to rounding, which the finite-difference checks
-in the test suite enforce to 1e-4 relative.
+Backward sweeps run in reverse time one layer at a time.  Each step
+writes its pre-activation gradient into a (T, rows) block DZ; after the
+sweep dW = DZ^T X, dU = DZ^T H_prev, db = DZ.sum(0) and the input
+gradient DZ W are one GEMM each.  Parameter gradients are written, not
+accumulated, into the views handed in.  With all weights at zero the
+LSTM emits zeros (g = 0 pins c at 0) and the GRU halves its state each
+step (z = 1/2, c = 0), which the tests use as closed-form probes of the
+gate wiring.
 """
 
 from dataclasses import dataclass
@@ -59,13 +64,7 @@ class LayerSpec:
 
 
 def sigmoid(x):
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def init_layer(spec, in_dim, rng):
@@ -80,10 +79,6 @@ def init_layer(spec, in_dim, rng):
     return params
 
 
-def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 def initial_state(spec):
     n = spec.size
     if spec.kind == "dense_tanh":
@@ -93,99 +88,157 @@ def initial_state(spec):
     return np.zeros(n)
 
 
-# ---------------------------------------------------------------- forward
-
-def dense_step(p, x):
-    y = np.tanh(p["W"] @ x + p["b"])
-    return y, (x, y)
-
-
-def rnn_step(p, x, h):
-    h_new = np.tanh(p["W"] @ x + p["U"] @ h + p["b"])
-    return h_new, (x, h, h_new)
+def _states(first, T):
+    """(T + 1, n) buffer whose row 0 is the incoming state."""
+    out = np.empty((T + 1, first.size))
+    out[0] = first
+    return out
 
 
-def lstm_step(p, x, state):
+def _finish(p, g, DZ, X, H_prev):
+    """Parameter gradients of a window and the gradient of its input."""
+    np.matmul(DZ.T, X, out=g["W"])
+    if H_prev is not None:
+        np.matmul(DZ.T, H_prev, out=g["U"])
+    DZ.sum(axis=0, out=g["b"])
+    return DZ @ p["W"]
+
+
+# ------------------------------------------------------------ dense_tanh
+
+def dense_forward(p, X, state=None):
+    H = np.tanh(X @ p["W"].T + p["b"])
+    return H, None, (X, H)
+
+
+def dense_backward(p, g, cache, dH):
+    X, H = cache
+    return _finish(p, g, dH * (1.0 - H * H), X, None)
+
+
+# ------------------------------------------------------------------- rnn
+
+def rnn_forward(p, X, h):
+    Z = X @ p["W"].T + p["b"]
+    Hs = _states(h, len(X))
+    UT = p["U"].T
+    for t in range(len(X)):
+        np.tanh(Z[t] + Hs[t] @ UT, out=Hs[t + 1])
+    return Hs[1:], Hs[-1].copy(), (X, Hs)
+
+
+def rnn_backward(p, g, cache, dH):
+    X, Hs = cache
+    D = 1.0 - Hs[1:] * Hs[1:]
+    DZ = np.empty_like(D)
+    U = p["U"]
+    dh = np.zeros(U.shape[1])
+    for t in range(len(DZ) - 1, -1, -1):
+        np.multiply(dH[t] + dh, D[t], out=DZ[t])
+        dh = DZ[t] @ U
+    return _finish(p, g, DZ, X, Hs[:-1])
+
+
+# ------------------------------------------------------------------ lstm
+
+def lstm_forward(p, X, state):
     h, c = state
-    n = h.size
-    z = p["W"] @ x + p["U"] @ h + p["b"]
-    i = sigmoid(z[:n])
-    f = sigmoid(z[n:2 * n])
-    g = np.tanh(z[2 * n:3 * n])
-    o = sigmoid(z[3 * n:])
-    c_new = f * c + i * g
-    hc = np.tanh(c_new)
-    h_new = o * hc
-    return h_new, (h_new, c_new), (x, h, c, i, f, g, o, hc)
+    T, n = len(X), h.size
+    s = np.full(4 * n, 0.5)  # 1/2 on sigmoid rows, 1 on the g block
+    s[2 * n:3 * n] = 1.0
+    off = 1.0 - s
+    A = (X @ p["W"].T + p["b"]) * s  # becomes the gate activations
+    UT = (p["U"] * s[:, None]).T
+    Hs, Cs = _states(h, T), _states(c, T)
+    HC = np.empty((T, n))
+    I, F, G, O = (A.reshape(T, 4, n)[:, k] for k in range(4))
+    for t in range(T):
+        a = A[t]
+        a += Hs[t] @ UT
+        np.tanh(a, out=a)
+        a *= s
+        a += off
+        np.multiply(F[t], Cs[t], out=Cs[t + 1])
+        Cs[t + 1] += I[t] * G[t]
+        np.tanh(Cs[t + 1], out=HC[t])
+        np.multiply(O[t], HC[t], out=Hs[t + 1])
+    return Hs[1:], (Hs[-1].copy(), Cs[-1].copy()), (X, Hs, Cs, A, HC)
 
 
-def gru_step(p, x, s):
-    n = s.size
-    px = p["W"] @ x + p["b"]
-    z = sigmoid(px[:n] + p["U"][:n] @ s)
-    r = sigmoid(px[n:2 * n] + p["U"][n:2 * n] @ s)
-    rs = r * s
-    c = np.tanh(px[2 * n:] + p["U"][2 * n:] @ rs)
-    s_new = (1.0 - z) * s + z * c
-    return s_new, s_new, (x, s, z, r, rs, c)
+def lstm_backward(p, g, cache, dH):
+    X, Hs, Cs, A, HC = cache
+    T, n = HC.shape
+    A4 = A.reshape(T, 4, n)
+    I, F, G, O = (A4[:, k] for k in range(4))
+    # each gate's derivative times its partner in c' = f c + i g or
+    # h' = o tanh(c'), so dz is dc P on the i, f, g blocks and dh P on o
+    P = A * (1.0 - A)
+    P4 = P.reshape(T, 4, n)
+    P4[:, 2] = 1.0 - G * G
+    P4[:, 0] *= G
+    P4[:, 1] *= Cs[:-1]
+    P4[:, 2] *= I
+    P4[:, 3] *= HC
+    Q = O * (1.0 - HC * HC)
+    DZ = np.empty_like(A)
+    DZ4 = DZ.reshape(T, 4, n)
+    U = p["U"]
+    dh = np.zeros(n)
+    dc = np.zeros(n)
+    for t in range(T - 1, -1, -1):
+        dh = dH[t] + dh
+        dc = dc + dh * Q[t]
+        np.multiply(P4[t, :3], dc, out=DZ4[t, :3])
+        np.multiply(P4[t, 3], dh, out=DZ4[t, 3])
+        dc = dc * F[t]
+        dh = DZ[t] @ U
+    return _finish(p, g, DZ, X, Hs[:-1])
 
 
-# --------------------------------------------------------------- backward
+# ------------------------------------------------------------------- gru
 
-def dense_back(p, g, cache, dy):
-    x, y = cache
-    dz = dy * (1.0 - y * y)
-    g["W"] += np.outer(dz, x)
-    g["b"] += dz
-    return p["W"].T @ dz
-
-
-def rnn_back(p, g, cache, dh):
-    x, h_prev, h_new = cache
-    dz = dh * (1.0 - h_new * h_new)
-    g["W"] += np.outer(dz, x)
-    g["U"] += np.outer(dz, h_prev)
-    g["b"] += dz
-    return p["W"].T @ dz, p["U"].T @ dz
-
-
-def lstm_back(p, g, cache, dh, dc_in):
-    x, h_prev, c_prev, i, f, gg, o, hc = cache
-    do = dh * hc
-    dc = dc_in + dh * o * (1.0 - hc * hc)
-    di = dc * gg
-    df = dc * c_prev
-    dg = dc * i
-    dc_prev = dc * f
-    dz = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - gg * gg),
-        do * o * (1.0 - o),
-    ])
-    g["W"] += np.outer(dz, x)
-    g["U"] += np.outer(dz, h_prev)
-    g["b"] += dz
-    return p["W"].T @ dz, p["U"].T @ dz, dc_prev
+def gru_forward(p, X, s0):
+    T, n = len(X), s0.size
+    A = X @ p["W"].T + p["b"]  # becomes the gate activations
+    UzrT, UcT = p["U"][:2 * n].T, p["U"][2 * n:].T
+    Ss = _states(s0, T)
+    RS = np.empty((T, n))
+    for t in range(T):
+        zr, c = A[t, :2 * n], A[t, 2 * n:]
+        zr[:] = sigmoid(zr + Ss[t] @ UzrT)
+        np.multiply(zr[n:], Ss[t], out=RS[t])
+        c += RS[t] @ UcT
+        np.tanh(c, out=c)
+        np.multiply(1.0 - zr[:n], Ss[t], out=Ss[t + 1])
+        Ss[t + 1] += zr[:n] * c
+    return Ss[1:], Ss[-1].copy(), (X, Ss, A, RS)
 
 
-def gru_back(p, g, cache, ds):
-    x, s_prev, z, r, rs, c = cache
-    n = s_prev.size
-    dz = ds * (c - s_prev)
-    dc = ds * z
-    ds_prev = ds * (1.0 - z)
-    da = dc * (1.0 - c * c)
-    drs = p["U"][2 * n:].T @ da
-    dr = drs * s_prev
-    ds_prev = ds_prev + drs * r
-    dpz = dz * z * (1.0 - z)
-    dpr = dr * r * (1.0 - r)
-    ds_prev = ds_prev + p["U"][:n].T @ dpz + p["U"][n:2 * n].T @ dpr
-    dpre = np.concatenate([dpz, dpr, da])
-    g["W"] += np.outer(dpre, x)
-    g["U"][:n] += np.outer(dpz, s_prev)
-    g["U"][n:2 * n] += np.outer(dpr, s_prev)
-    g["U"][2 * n:] += np.outer(da, rs)
-    g["b"] += dpre
-    return p["W"].T @ dpre, ds_prev
+def gru_backward(p, g, cache, dH):
+    X, Ss, A, RS = cache
+    T, n = RS.shape
+    S = Ss[:-1]
+    Z, R, C = A[:, :n], A[:, n:2 * n], A[:, 2 * n:]
+    to_c = Z * (1.0 - C * C)            # ds -> candidate pre-activation
+    to_z = (C - S) * Z * (1.0 - Z)      # ds -> update pre-activation
+    to_r = S * R * (1.0 - R)            # d(r s) -> reset pre-activation
+    keep = 1.0 - Z
+    Uzr, Uc = p["U"][:2 * n], p["U"][2 * n:]
+    DZ = np.empty_like(A)
+    ds = np.zeros(n)
+    for t in range(T - 1, -1, -1):
+        ds = dH[t] + ds
+        da = np.multiply(ds, to_c[t], out=DZ[t, 2 * n:])
+        np.multiply(ds, to_z[t], out=DZ[t, :n])
+        drs = da @ Uc
+        np.multiply(drs, to_r[t], out=DZ[t, n:2 * n])
+        ds = ds * keep[t] + drs * R[t] + DZ[t, :2 * n] @ Uzr
+    np.matmul(DZ[:, :2 * n].T, S, out=g["U"][:2 * n])
+    np.matmul(DZ[:, 2 * n:].T, RS, out=g["U"][2 * n:])
+    return _finish(p, g, DZ, X, None)
+
+
+FORWARD = {"dense_tanh": dense_forward, "rnn": rnn_forward,
+           "lstm": lstm_forward, "gru": gru_forward}
+BACKWARD = {"dense_tanh": dense_backward, "rnn": rnn_backward,
+            "lstm": lstm_backward, "gru": gru_backward}

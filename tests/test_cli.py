@@ -186,7 +186,13 @@ rho = 0.8
         assert r["config_hash"] and r["seed"] == "0"
 
 
-def test_outdated_mode_rows_leave_analytic_blank(tmp_path):
+@pytest.mark.parametrize("delay", [3, 5])
+def test_outdated_mode_rows_carry_the_closed_form(tmp_path, delay):
+    # at 100 Hz and 1 kHz, J0 is 0.29 at delay 3 and -0.30 at delay 5;
+    # the pair law and the ranking depend on rho^2 only, so both run
+    # and fill the analytic column at |J0|
+    j0 = bessel_j0(2 * np.pi * 100.0 * delay * 1e-3)
+    assert (j0 < 0) == (delay == 5)
     conf = tmp_path / "e.conf"
     out = tmp_path / "r.csv"
     conf.write_text("""
@@ -196,14 +202,21 @@ trials = 10000
 [grid]
 snr_db = 10
 
+[schemes]
+list = df, af
+
 [csi]
 mode = outdated
-delay = 3
-""")
+delay = %d
+""" % delay)
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
-    (row,) = read_rows(out)
-    assert row["rho_mode"] == "outdated(3)"
-    assert row["analytic"] == ""
+    rows = {r["scheme"]: r for r in read_rows(out)}
+    assert rows["df"]["rho_mode"] == "outdated(%d)" % delay
+    hop = 0.5 * 10.0
+    want = outage_df(SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop,
+                                     rho=abs(j0), gamma_o=3.0))
+    assert float(rows["df"]["analytic"]) == pytest.approx(want, rel=1e-12)
+    assert 0.0 < float(rows["af"]["analytic"]) < 1.0
 
 
 def test_predicted_mode_trains_on_the_fly(tmp_path, capsys):

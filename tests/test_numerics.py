@@ -15,8 +15,6 @@ from scipy import integrate
 from prsim.numerics import (
     EULER_GAMMA,
     QuadratureRule,
-    bessel_i0,
-    bessel_i0e,
     bessel_j0,
     exp_integral_e1,
     gauss_chebyshev,
@@ -24,15 +22,6 @@ from prsim.numerics import (
 )
 
 mpmath = pytest.importorskip("mpmath")
-
-
-def i0_series_oracle(x, terms=80):
-    # independent oracle: I0(x) = sum (x/2)^(2m) / (m!)^2
-    total = mpmath.mpf(0)
-    half = mpmath.mpf(x) / 2
-    for m in range(terms):
-        total += half ** (2 * m) / mpmath.factorial(m) ** 2
-    return total
 
 
 def test_j0_trivial_zero():
@@ -63,37 +52,6 @@ def test_j0_sign_alternation_across_zeros():
     probes = [1.0, 4.0, 7.0, 10.0, 13.0, 16.0]
     signs = [math.copysign(1.0, bessel_j0(x)) for x in probes]
     assert signs == [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-
-
-def test_i0_trivial_zero():
-    assert bessel_i0(0.0) == 1.0
-
-
-def test_i0_matches_series_oracle():
-    mpmath.mp.dps = 40
-    assert abs(bessel_i0(1.0) - float(i0_series_oracle(1.0))) <= 1e-12
-    # scaled form around the asymptotic branch
-    want = float(mpmath.exp(-30) * i0_series_oracle(30.0, terms=200))
-    assert abs(bessel_i0e(30.0) - want) <= 1e-12 * want
-
-
-def test_i0_accuracy_and_monotone():
-    mpmath.mp.dps = 40
-    prev = 0.0
-    for x in np.linspace(0.0, 700.0, 301):
-        got = bessel_i0e(x)
-        want = float(mpmath.exp(-x) * mpmath.besseli(0, mpmath.mpf(float(x))))
-        assert abs(got - want) <= 1e-7 * want
-        unscaled_log = math.log(got) + x
-        assert unscaled_log >= prev - 1e-12  # I0 nondecreasing
-        prev = unscaled_log
-    assert bessel_i0(5.0) >= 1.0
-
-
-def test_i0_overflow_signaled():
-    with pytest.raises(OverflowError):
-        bessel_i0(800.0)
-    assert bessel_i0e(800.0) > 0.0
 
 
 def test_e1_tabulated_anchor():
