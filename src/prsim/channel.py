@@ -12,7 +12,9 @@ Outdated CSI follows the Gaussian degradation
 eps ~ CN(0, 1), which leaves the marginal complex Gaussian and sets the
 correlation between h and h_out to rho.  `correlated_pair` draws such
 a pair at unit power; it is the synthetic-rho sampler used to validate
-the closed forms at an exactly prescribed correlation.
+the closed forms at an exactly prescribed correlation.  It writes real
+and imaginary parts as separate float planes, so a caller can hand it
+reused buffers and form SNRs in place without a complex temporary.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import bessel_j0
-from .rng import stream, complex_normal
+from .rng import stream
 
 
 def jakes_correlation(f_d, tau_s):
@@ -93,19 +95,31 @@ def generate_series(cfg, length, link=0):
     return los + diffuse / np.sqrt(k_rice + 1.0)
 
 
-def correlated_pair(rng, rho, size):
-    """(metric, actual) complex gains at exact correlation rho.
+def correlated_pair(rng, rho, size, out=None):
+    """(metric, actual) gains at exact correlation rho, as float planes.
 
-    Both marginals are CN(0, 1).  This is the synthetic-rho
-    mode used when validating the outage/capacity closed forms: rho is
-    prescribed directly instead of being implied by a Doppler lag.
+    Returns one (4, *size) array holding the planes (metric.real,
+    metric.imag, actual.real, actual.imag); with `out` the planes are
+    written into it instead (four C-contiguous planes of shape size
+    stacked on the first axis).  Both marginals are CN(0, 1).  This is
+    the synthetic-rho mode used when validating the outage/capacity
+    closed forms: rho is prescribed directly instead of being implied
+    by a Doppler lag.  The stream is read as four whole standard-normal
+    planes: the metric's real and imaginary parts, then those of the
+    innovation that completes the actual.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [0, 1]")
-    metric = complex_normal(rng, size=size)
-    w = complex_normal(rng, size=size)
-    actual = rho * metric + math.sqrt(1.0 - rho * rho) * w
-    return metric, actual
+    if out is None:
+        out = np.empty((4, *np.atleast_1d(size)))
+    for plane in out:
+        rng.standard_normal(out=plane)
+    out *= math.sqrt(0.5)
+    metric, actual = out[:2], out[2:]
+    actual *= math.sqrt(1.0 - rho * rho)
+    for a, m in zip(actual, metric):
+        a += rho * m
+    return out
 
 
 def snr_from_gain(h, power):

@@ -384,12 +384,18 @@ def _clamped_trials(cfg):
 
 
 def _curves(cfg, out, runs, analytic_fn):
-    """Monte-Carlo every run, attach analytic columns, write the CSV."""
+    """Monte-Carlo every run, attach analytic columns, write the CSV.
+
+    Synthetic runs that share (relays, rho, impairments) go through one
+    estimate call, so schemes of one draw family share their draws;
+    rows keep run order.
+    """
     pool = PredictorPool(cfg)
     trials = _clamped_trials(cfg)
     rate = RateConfig(cfg.network.rate)
-    rows = []
-    for spec in runs:
+    rhos, ests, groups = [], {}, {}
+    for i, spec in enumerate(runs):
+        rho = spec.rho
         if spec.record:
             fading = spec.fading or cfg.fading
             series_sr, series_rd = _hop_records(
@@ -397,28 +403,33 @@ def _curves(cfg, out, runs, analytic_fn):
                 spec.relays)
             predictor = (pool.net(fading, spec.horizon, spec.relays)
                          if spec.use_predictor else None)
-            ests = estimate_series(spec.scheme, series_sr, series_rd,
-                                   cfg.snr_grid_db, spec.horizon, rate=rate,
-                                   predictor=predictor,
-                                   tau=cfg.predictor.tau,
-                                   features=cfg.predictor.features,
-                                   scale=cfg.predictor.scale)
-            rho = None
+            ests[i] = estimate_series(spec.scheme, series_sr, series_rd,
+                                      cfg.snr_grid_db, spec.horizon,
+                                      rate=rate, predictor=predictor,
+                                      tau=cfg.predictor.tau,
+                                      features=cfg.predictor.features,
+                                      scale=cfg.predictor.scale)
         else:
-            rho = spec.rho
             if rho is None:
                 rho = pool.rho(spec.fading or cfg.fading, spec.horizon,
                                spec.relays)
                 print("resolved %s: rho=%.4f" % (spec.rho_mode, rho))
-            ests = estimate(spec.scheme, cfg.snr_grid_db, trials,
-                            num_relays=spec.relays, rho=rho, rate=rate,
-                            seed=cfg.seed, impairments=spec.impairments)
+            groups.setdefault((spec.relays, rho, spec.impairments),
+                              []).append(i)
+        rhos.append(rho)
+    for (relays, rho, imp), members in groups.items():
+        found = estimate([runs[i].scheme for i in members], cfg.snr_grid_db,
+                         trials, num_relays=relays, rho=rho, rate=rate,
+                         seed=cfg.seed, impairments=imp)
+        ests.update(zip(members, found))
+    rows = []
+    for i, spec in enumerate(runs):
         base = experiment_rows(spec.scheme, spec.relays, spec.rho_mode,
-                               cfg.snr_grid_db, ests, cfg.seed)
+                               cfg.snr_grid_db, ests[i], cfg.seed)
         for row, snr_db in zip(base, cfg.snr_grid_db):
             value = None
             if spec.analytic and not spec.record and spec.impairments is None:
-                value = analytic_fn(spec, cfg, snr_db, rho)
+                value = analytic_fn(spec, cfg, snr_db, rhos[i])
             row["analytic"] = _blank_if_none(value)
             row["config_hash"] = cfg.config_hash()
             rows.append(row)

@@ -37,6 +37,9 @@ worked default, LSTM with N_i = 40, hidden (25, 25), N_o = 8, gives
 25400 flops per prediction, i.e. 25.4 Mflop/s at 1 kHz.  Setting all
 dims to a common width n and dropping nothing else recovers the
 simplified per-step estimates 4(1+L)n^2, 4(1+3L)n^2 and 4(1+4L)n^2.
+``flops_per_step`` counts from the widths and cell kinds alone, so it
+needs no built model; the ``flops`` subcommand feeds it the configured
+architecture.
 """
 
 import numpy as np
@@ -156,24 +159,6 @@ class RecurrentNet:
         """(name, view) pairs of a flat buffer, in parameter_items order."""
         for _, _, name, span, shape in self._layout:
             yield name, grads[span].reshape(shape)
-
-    # ------------------------------------------------------------ flops
-
-    def flops_per_step(self):
-        """Per-step flops of a canonical input-dense + recurrent stack."""
-        specs = self.specs
-        if specs[0].kind == "dense_tanh":
-            specs = specs[1:]
-            if not specs or specs[0].size != self.specs[0].size:
-                raise ValueError("input layer width must match the first hidden layer")
-        if not specs or any(s.kind == "dense_tanh" for s in specs):
-            raise ValueError("complexity model covers input-dense + recurrent stacks")
-        return flops_per_step(self.input_dim, [s.size for s in specs],
-                              self.output_dim, [s.kind for s in specs])
-
-    def flops_rate(self, sample_rate_hz):
-        """Sustained flop/s when stepped at the given sample rate."""
-        return self.flops_per_step() * float(sample_rate_hz)
 
 
 def flops_per_step(input_dim, hidden_widths, output_dim, kind="lstm"):

@@ -16,10 +16,3 @@ def stream(seed, *key):
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def complex_normal(rng, size=None, variance=1.0):
-    """Circularly-symmetric complex Gaussian CN(0, variance) samples."""
-    scale = np.sqrt(variance / 2.0)
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return scale * (re + 1j * im)

@@ -43,6 +43,16 @@ delayed, for the no-predictor baseline).  estimate() and
 estimate_series() rank metric SNRs without timers, so they report no
 collisions.
 
+estimate() serves every scheme of one (relays, rho, impairments) group
+in one call.  Schemes that read the stream the same way form a draw
+family and share one draw: df and ostc both decide from a source-hop
+exponential and one relay-hop pair.  af end-to-end, af per-hop and dt
+each draw on their own.  Every family reads its own fresh stream per
+grid point, so a scheme's estimate is the same bits whichever schemes
+share its call.  Draws land in float planes (real and imaginary parts
+apart) allocated once per call and refilled chunk by chunk; hop SNRs
+and impairments are formed in those planes in place.
+
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
 half the grid value (`_hop_snr`); direct transmission spends the full
@@ -63,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import correlated_pair, snr_from_gain
-from .rng import complex_normal, stream
+from .rng import stream
 from .selection import RateConfig, decoding_subset, select
 
 _SCHEMES = ("df", "af", "ostc", "dt")
@@ -119,21 +129,31 @@ class ImpairmentConfig:
         return self.pilot_snr_db is not None or self.max_phase_error_deg is not None
 
 
-def apply_impairments(csi, cfg, rng):
-    """Impaired copy of a unit-power CSI array (estimation noise, then phase).
+def impair_pair(planes, cfg, rng, scratch):
+    """Impair one correlated pair in place (estimation noise, then phase).
 
-    The estimate is h + e with e ~ CN(0, 10^(-pilotSNR/10));
-    the residual phase error multiplies the effective post-detection
-    amplitude by cos(theta), theta ~ U(-theta_max, theta_max).
+    planes are correlated_pair's (metric re, metric im, actual re,
+    actual im) and scratch one spare plane of the same shape.  The
+    metric becomes h + e with e ~ CN(0, 10^(-pilotSNR/10)), drawn as a
+    whole real plane and then a whole imaginary one; the residual phase
+    error multiplies the actual (post-detection) amplitude by
+    cos(theta), theta ~ U(-theta_max, theta_max).  cfg None is a no-op.
     """
-    out = np.asarray(csi, dtype=complex)
+    if cfg is None:
+        return
     if cfg.pilot_snr_db is not None:
-        var = 10.0 ** (-cfg.pilot_snr_db / 10.0)
-        out = out + complex_normal(rng, size=out.shape, variance=var)
+        sd = math.sqrt(10.0 ** (-cfg.pilot_snr_db / 10.0) / 2.0)
+        for plane in planes[:2]:
+            rng.standard_normal(out=scratch)
+            scratch *= sd
+            plane += scratch
     if cfg.max_phase_error_deg is not None and cfg.max_phase_error_deg > 0:
         bound = math.radians(cfg.max_phase_error_deg)
-        out = out * np.cos(rng.uniform(-bound, bound, size=out.shape))
-    return out
+        rng.random(out=scratch)  # U(-bound, bound), as rng.uniform forms it
+        scratch *= 2.0 * bound
+        scratch += -bound
+        np.cos(scratch, out=scratch)
+        planes[2:] *= scratch
 
 
 @dataclass(frozen=True)
@@ -314,26 +334,69 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
 # ------------------------------------------------- vectorized estimators
 
 
-def _impaired(metric_h, actual_h, imp, rng):
-    """Split an impairment config over the two CSI paths."""
-    if imp is None or not imp.enabled:
-        return metric_h, actual_h
-    metric_h = apply_impairments(
-        metric_h, ImpairmentConfig(pilot_snr_db=imp.pilot_snr_db), rng)
-    actual_h = apply_impairments(
-        actual_h, ImpairmentConfig(max_phase_error_deg=imp.max_phase_error_deg), rng)
-    return metric_h, actual_h
+def _snr(re, im, power):
+    """Hop SNR |h|^2 * power of the planes (re, im), formed in re."""
+    re *= re
+    im *= im
+    re += im
+    re *= power
+    return re
 
 
-def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
+# planes each draw family fills per chunk, besides the scratch plane of
+# impaired draws; dt draws straight into its rates row
+_FAMILY_PLANES = {"df": 5, "af-e2e": 4, "af-per-hop": 8, "dt": 0}
+
+
+def _family(scheme, af_mode):
+    """Draw family of a scheme: df and ostc read one draw the same way."""
+    return {"ostc": "df", "af": "af-" + af_mode}.get(scheme, scheme)
+
+
+def _draw(family, rng, rho, hop, imp, planes):
+    """(g_sr, g_rd, s_sr, s_rd) of one relay family's chunk, in planes.
+
+    planes is (width, n, K), its last plane the scratch of impaired
+    draws; the result feeds `_decide`.
+    """
+    shape = planes.shape[1:]
+    scratch = planes[-1] if imp is not None else None
+    if family == "df":
+        g_sr = planes[0]
+        rng.standard_exponential(out=g_sr)
+        g_sr *= hop
+        rd = correlated_pair(rng, rho, shape, out=planes[1:5])
+        impair_pair(rd, imp, rng, scratch)
+        return g_sr, _snr(*rd[2:], hop), None, _snr(*rd[:2], hop)
+    if family == "af-e2e":
+        # one outdated estimate of the end-to-end figure itself
+        e2e = correlated_pair(rng, rho, shape, out=planes[:4])
+        impair_pair(e2e, imp, rng, scratch)
+        gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
+        return None, _snr(*e2e[2:], gamma_e), None, _snr(*e2e[:2], gamma_e)
+    sr = correlated_pair(rng, rho, shape, out=planes[:4])
+    rd = correlated_pair(rng, rho, shape, out=planes[4:8])
+    impair_pair(sr, imp, rng, scratch)
+    impair_pair(rd, imp, rng, scratch)
+    return (_snr(*sr[2:], hop), _snr(*rd[2:], hop),
+            _snr(*sr[:2], hop), _snr(*rd[:2], hop))
+
+
+def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
              seed=0, impairments=None, af_mode="e2e", chunk=250_000):
-    """Synthetic-rho Monte-Carlo across an SNR grid.
+    """Synthetic-rho Monte-Carlo of several schemes across an SNR grid.
 
-    scheme is 'df', 'af', 'ostc' or 'dt'.  Selection ranks
-    rho-correlated metric copies of the actual coefficients; rho = 1
-    is perfect selection and rho = J0(2 pi f_d tau) the no-predictor
-    baseline.  Pilot noise perturbs the metric path, phase error the
-    actual (detection) path.  Returns one McEstimate per grid point;
+    schemes lists 'df', 'af', 'ostc' or 'dt' names; the result holds
+    one list per scheme, in that order, of one McEstimate per grid
+    point.  Selection ranks rho-correlated metric copies of the actual
+    coefficients; rho = 1 is perfect selection and rho = J0(2 pi f_d
+    tau) the no-predictor baseline.  Pilot noise perturbs the metric
+    path, phase error the actual (detection) path.
+
+    Each draw family (df with ostc, af, dt) reads its own stream per
+    grid point, chunk by chunk, into planes allocated once per call;
+    its schemes decide from that one draw.  A scheme's estimates are
+    therefore the same bits whichever schemes share the call, and
     deterministic for a given seed and chunk size (the chunking sets
     the draw order of the underlying stream).
 
@@ -346,56 +409,51 @@ def estimate(scheme, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     the amplified end-to-end SNR is the min(sr, rd) bound the closed
     forms assume.
     """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
+    if isinstance(schemes, str) or not schemes:
+        raise ValueError("schemes must be a non-empty list of names")
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            raise ValueError(
+                f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials per point")
     if af_mode not in ("e2e", "per-hop"):
         raise ValueError("af_mode must be 'e2e' or 'per-hop'")
     rate = rate if rate is not None else RateConfig(1.0)
-
-    def block(rng, n, hop):
-        """Outage flags and realized rates of n fresh trials.
-
-        The draws die when this returns, before the next block's.
-        """
-        shape = (n, num_relays)
-        if scheme == "dt":
-            g = rng.exponential(2.0 * hop, size=n)  # the whole power P
-            # the boundary succeeds; a full-frame link, no halving
-            return g < rate.direct_threshold, np.log2(1.0 + g)
-        if scheme == "af" and af_mode == "e2e":
-            # one outdated estimate of the end-to-end figure itself
-            m, a = _impaired(*correlated_pair(rng, rho, shape),
-                             impairments, rng)
-            gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
-            sel = _decide("af", rate, None, snr_from_gain(a, gamma_e),
-                          None, snr_from_gain(m, gamma_e))
-        elif scheme == "af":
-            pair_sr = correlated_pair(rng, rho, shape)
-            pair_rd = correlated_pair(rng, rho, shape)
-            m_sr, a_sr = _impaired(*pair_sr, impairments, rng)
-            m_rd, a_rd = _impaired(*pair_rd, impairments, rng)
-            sel = _decide("af", rate, *(snr_from_gain(h, hop)
-                                        for h in (a_sr, a_rd, m_sr, m_rd)))
-        else:
-            g_sr = rng.exponential(hop, size=shape)
-            m_rd, a_rd = _impaired(*correlated_pair(rng, rho, shape),
-                                   impairments, rng)
-            sel = _decide(scheme, rate, g_sr, snr_from_gain(a_rd, hop),
-                          None, snr_from_gain(m_rd, hop))
-        return sel.outage, sel.rate
-
-    out = []
+    imp = impairments if impairments is not None and impairments.enabled else None
+    families = {}
+    for j, scheme in enumerate(schemes):
+        families.setdefault(_family(scheme, af_mode), []).append(j)
+    width = max(_FAMILY_PLANES[f] for f in families)
+    if width and imp is not None:
+        width += 1  # the scratch plane of impaired draws
+    buf = np.empty((width, min(chunk, trials), num_relays))
+    outage = np.empty((len(schemes), trials), dtype=bool)
+    rates = np.empty((len(schemes), trials))
+    out = [[] for _ in schemes]
     for i, snr_db in enumerate(np.atleast_1d(snr_grid_db)):
-        rng = stream(seed, 43, i)
         hop = _hop_snr(snr_db)
-        outage = np.empty(trials, dtype=bool)
-        rates = np.empty(trials)
-        for start in range(0, trials, chunk):
-            sl = slice(start, min(start + chunk, trials))
-            outage[sl], rates[sl] = block(rng, sl.stop - start, hop)
-        out.append(_mc_estimate(outage, rates))
+        for family, members in families.items():
+            rng = stream(seed, 43, i)
+            for start in range(0, trials, chunk):
+                sl = slice(start, min(start + chunk, trials))
+                n = sl.stop - start
+                if family == "dt":
+                    g = rates[members[0], sl]
+                    rng.standard_exponential(out=g)
+                    g *= 2.0 * hop  # the whole power P
+                    # the boundary succeeds; a full-frame link, no halving
+                    outage[members, sl] = g < rate.direct_threshold
+                    g += 1.0
+                    np.log2(g, out=g)
+                    rates[members, sl] = g
+                    continue
+                args = _draw(family, rng, rho, hop, imp, buf[:, :n])
+                for j in members:
+                    _, outage[j, sl], rates[j, sl], _ = _decide(
+                        schemes[j], rate, *args)
+        for j in range(len(schemes)):
+            out[j].append(_mc_estimate(outage[j], rates[j]))
     return out
 
 

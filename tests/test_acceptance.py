@@ -101,8 +101,8 @@ def test_criterion_04_df_outage_matches_closed_form():
     misses = []
     total = 0
     for j, rho in enumerate((0.2906, 0.6425, 0.95, 1.0)):
-        points = estimate("df", grid, 1_000_000, num_relays=8, rho=rho,
-                          seed=4000 + j)
+        points = estimate(["df"], grid, 1_000_000, num_relays=8, rho=rho,
+                          seed=4000 + j)[0]
         for snr_db, point in zip(grid, points):
             exact = outage_df(df_params(snr_db, rho))
             total += 1
@@ -117,8 +117,8 @@ def test_criterion_05_af_outage_matches_closed_form():
     misses = []
     total = 0
     for j, rho in enumerate((0.2906, 0.6425, 0.95, 1.0)):
-        points = estimate("af", grid, 1_000_000, num_relays=8, rho=rho,
-                          seed=5000 + j)
+        points = estimate(["af"], grid, 1_000_000, num_relays=8, rho=rho,
+                          seed=5000 + j)[0]
         for snr_db, point in zip(grid, points):
             exact = outage_af(af_params(snr_db, rho))
             total += 1
@@ -143,14 +143,14 @@ def test_criterion_05_af_outage_matches_closed_form():
 def test_criterion_06_capacity_closed_forms_match_simulation():
     for snr_db in (10.0, 20.0):
         for rho in (0.95, 1.0):
-            mc_df = estimate("df", [snr_db], 1_000_000, num_relays=8,
-                             rho=rho, seed=61)[0]
+            mc_df = estimate(["df"], [snr_db], 1_000_000, num_relays=8,
+                             rho=rho, seed=61)[0][0]
             exact_df = capacity_df(df_params(snr_db, rho))
             assert math.isclose(mc_df.mean_rate, exact_df, rel_tol=0.02), (
                 f"df capacity at {snr_db} dB rho={rho}: "
                 f"mc {mc_df.mean_rate:.4f} vs exact {exact_df:.4f}")
-            mc_af = estimate("af", [snr_db], 1_000_000, num_relays=8,
-                             rho=rho, seed=62)[0]
+            mc_af = estimate(["af"], [snr_db], 1_000_000, num_relays=8,
+                             rho=rho, seed=62)[0][0]
             exact_af = capacity_af(af_params(snr_db, rho))
             assert math.isclose(mc_af.mean_rate, exact_af, rel_tol=0.02), (
                 f"af capacity at {snr_db} dB rho={rho}: "
@@ -256,9 +256,9 @@ def test_criterion_09_predicted_selection_near_perfect():
         f"long-budget training reached rho {rho_hat:.4f}, need 0.95")
 
     grid = np.arange(10.0, 31.0, 2.0)
-    predicted = estimate("df", grid, 1_000_000, rho=rho_hat, seed=91)
-    paired = estimate("ostc", grid, 1_000_000, rho=RHO_OUTDATED, seed=92)
-    outdated = estimate("df", grid, 1_000_000, rho=RHO_OUTDATED, seed=93)
+    predicted = estimate(["df"], grid, 1_000_000, rho=rho_hat, seed=91)[0]
+    paired = estimate(["ostc"], grid, 1_000_000, rho=RHO_OUTDATED, seed=92)[0]
+    outdated = estimate(["df"], grid, 1_000_000, rho=RHO_OUTDATED, seed=93)[0]
     for snr_db, a, b, c in zip(grid, predicted, paired, outdated):
         assert a.outage_prob < b.outage_prob < c.outage_prob, (
             f"at {snr_db} dB: predicted {a.outage_prob:.3e}, "
@@ -317,9 +317,9 @@ def test_criterion_10_gradients_match_finite_differences():
 
 def test_criterion_11_relay_count_crossover_vs_direct():
     grid = np.arange(0.0, 31.0, 2.0)
-    direct = estimate("dt", grid, 100_000, seed=111)
-    one = estimate("df", grid, 100_000, num_relays=1, rho=1.0, seed=112)
-    six = estimate("df", grid, 100_000, num_relays=6, rho=1.0, seed=113)
+    direct = estimate(["dt"], grid, 100_000, seed=111)[0]
+    one = estimate(["df"], grid, 100_000, num_relays=1, rho=1.0, seed=112)[0]
+    six = estimate(["df"], grid, 100_000, num_relays=6, rho=1.0, seed=113)[0]
     # a single half-duplex relay never beats using the frame directly
     for snr_db, d, r in zip(grid, direct, one):
         assert r.outage_prob > d.outage_prob, (

@@ -25,6 +25,12 @@ from prsim.numerics import gauss_chebyshev
 from prsim.rng import stream
 
 
+def complex_pair(rng, rho, size):
+    """correlated_pair's planes as (metric, actual) complex arrays."""
+    planes = correlated_pair(rng, rho, size)
+    return planes[0::2] + 1j * planes[1::2]
+
+
 # --- conditional SNR density -------------------------------------------------
 
 def conditional_snr_pdf(snr, snr_metric, snr_avg, rho):
@@ -160,7 +166,7 @@ def test_outage_df_matches_mc():
     rng = stream(1234)
     n = 400_000
     g_sr = rng.exponential(gsr, size=(n, K))
-    met, act = correlated_pair(rng, rho, (n, K))
+    met, act = complex_pair(rng, rho, (n, K))
     g_met = grd * np.abs(met) ** 2
     g_act = grd * np.abs(act) ** 2
     ds = g_sr >= 3.0
@@ -194,7 +200,7 @@ def test_outage_af_matches_mc():
     ge = 0.25 * gee  # gamma_e of two equal hops at 0.5*gee each
     rng = stream(99)
     n = 400_000
-    met, act = correlated_pair(rng, rho, (n, K))
+    met, act = complex_pair(rng, rho, (n, K))
     g_met = ge * np.abs(met) ** 2
     g_act = ge * np.abs(act) ** 2
     sel = np.argmax(g_met, axis=1)
@@ -217,7 +223,7 @@ def test_mgf_first_moment_vs_mc():
     M, rho, grd = 4, 0.8, 5.0
     rng = stream(21)
     n = 1_000_000
-    met, act = correlated_pair(rng, rho, (n, M))
+    met, act = complex_pair(rng, rho, (n, M))
     g_met = grd * np.abs(met) ** 2
     g_act = grd * np.abs(act) ** 2
     sel = np.argmax(g_met, axis=1)
@@ -345,7 +351,7 @@ def test_capacity_df_matches_mc_mean_rate():
     rng = stream(31)
     n = 400_000
     g_sr = rng.exponential(gsr, size=(n, K))
-    met, act = correlated_pair(rng, rho, (n, K))
+    met, act = complex_pair(rng, rho, (n, K))
     g_met = grd * np.abs(met) ** 2
     g_act = grd * np.abs(act) ** 2
     ds = g_sr >= 3.0

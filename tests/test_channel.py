@@ -14,6 +14,12 @@ from prsim.channel import (
 from prsim.rng import stream
 
 
+def complex_pair(rng, rho, size):
+    """correlated_pair's planes as (metric, actual) complex arrays."""
+    planes = correlated_pair(rng, rho, size)
+    return planes[0::2] + 1j * planes[1::2]
+
+
 @pytest.fixture(scope="module")
 def long_series():
     cfg = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, seed=11)
@@ -89,7 +95,7 @@ def test_rician_mean_power_preserved():
 
 def test_correlated_pair_statistics():
     rng = stream(5)
-    met, act = correlated_pair(rng, 0.95, 500_000)
+    met, act = complex_pair(rng, 0.95, 500_000)
     assert abs(np.mean(np.abs(met) ** 2) - 1.0) < 0.01
     assert abs(np.mean(np.abs(act) ** 2) - 1.0) < 0.01
     corr = np.vdot(met, act).real / math.sqrt(np.vdot(met, met).real * np.vdot(act, act).real)
@@ -105,6 +111,6 @@ def test_snr_from_gain_arithmetic():
 
 def test_snr_from_gain_average():
     rng = stream(6)
-    h = correlated_pair(rng, 1.0, 1_000_000)[0]
+    h = complex_pair(rng, 1.0, 1_000_000)[0]
     snr = snr_from_gain(h, 10.0)
     assert abs(np.mean(snr) - 10.0) <= 0.1

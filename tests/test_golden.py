@@ -1,0 +1,73 @@
+"""Golden bytes: the Monte-Carlo columns of `outage` and `capacity`.
+
+The files under tests/data hold every CSV column except `analytic` and
+`config_hash`, recorded before the estimator's draw path was last
+reworked.  Any change to how `estimate` consumes its streams, or to
+the arithmetic that turns draws into SNRs, shows up here as a byte
+difference.  Regenerate a file only for a change that is meant to move
+the Monte-Carlo output, and say so where the change is recorded.
+"""
+
+import csv
+import io
+from pathlib import Path
+
+import pytest
+
+from prsim import cli
+
+DATA = Path(__file__).parent / "data"
+
+BASE = """
+[experiment]
+trials = 10000
+
+[network]
+relays = 8
+
+[csi]
+mode = synthetic
+rho = 0.9
+
+[schemes]
+list = df, af, ostc, dt
+
+[grid]
+snr_db = 0:20:10
+"""
+
+IMPAIRED = BASE + """
+[protocol]
+pilot_snr_db = 20
+max_phase_error_deg = 10
+"""
+
+CONFIGS = {"clean": BASE, "impaired": IMPAIRED}
+
+
+def mc_columns(csv_path):
+    """CSV text of a result file without its analytic and hash columns."""
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fields = [f for f in rows[0] if f not in ("analytic", "config_hash")]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def run_columns(tmp_path, command, name):
+    conf = tmp_path / ("%s.conf" % name)
+    out = tmp_path / ("%s-%s.csv" % (name, command))
+    conf.write_text(CONFIGS[name])
+    assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 0
+    return mc_columns(out)
+
+
+@pytest.mark.parametrize("command", ["outage", "capacity"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_monte_carlo_columns_match_golden_bytes(tmp_path, command, name):
+    want = (DATA / ("%s-%s.csv" % (name, command))).read_text()
+    assert run_columns(tmp_path, command, name) == want

@@ -1,6 +1,6 @@
 import numpy as np
 
-from prsim.rng import complex_normal, stream
+from prsim.rng import stream
 
 
 def test_same_key_same_stream():
@@ -16,11 +16,3 @@ def test_distinct_keys_differ():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
-
-def test_complex_normal_moments():
-    rng = stream(3)
-    z = complex_normal(rng, size=200_000, variance=4.0)
-    assert abs(z.mean()) < 0.02
-    assert abs(np.mean(np.abs(z) ** 2) - 4.0) < 0.05
-    # circular symmetry: pseudo-variance E[z^2] vanishes
-    assert abs(np.mean(z ** 2)) < 0.05

@@ -9,6 +9,13 @@ from prsim import simulator
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import TimerModel, estimate, simulate_frames
 
+
+def complex_pair(rng, rho, size):
+    """correlated_pair's planes as (metric, actual) complex arrays."""
+    planes = correlated_pair(rng, rho, size)
+    return planes[0::2] + 1j * planes[1::2]
+
+
 RATE1 = RateConfig(target_rate=1.0)
 
 
@@ -204,14 +211,15 @@ def test_direct_transmission_outcome(monkeypatch):
         def __init__(self, g):
             self.g = g
 
-        def exponential(self, scale, size):
-            return np.full(size, self.g)
+        def standard_exponential(self, out):
+            out[...] = self.g
 
+    # at 0 dB the direct link's mean SNR is 1, so g is the SNR itself
     for g, outage in ((RATE1.direct_threshold, 0.0),
                       (np.nextafter(RATE1.direct_threshold, 0.0), 1.0),
                       (0.0, 1.0)):
         monkeypatch.setattr(simulator, "stream", lambda *key: Fixed(g))
-        assert estimate("dt", [10.0], 10_000)[0].outage_prob == outage
+        assert estimate(["dt"], [0.0], 10_000)[0][0].outage_prob == outage
 
 
 def test_direct_transmission_matches_closed_form():
@@ -250,7 +258,7 @@ def test_perfect_metric_weakly_dominates_outdated():
     n, K = 300_000, 4
     gbar = 10 ** 1.4
     gsr = rng.exponential(0.5 * gbar, size=(n, K))
-    met, act = correlated_pair(rng, 0.3, (n, K))
+    met, act = complex_pair(rng, 0.3, (n, K))
     g_met = 0.5 * gbar * np.abs(met) ** 2
     g_act = 0.5 * gbar * np.abs(act) ** 2
     ds = decoding_subset(gsr, RATE1)
@@ -272,7 +280,7 @@ def test_ostc_diversity_order_two_under_outdated_metric():
         failures = 0
         for _ in range(n_blocks):
             gsr = rng.exponential(0.5 * gbar, size=(n_block, K))
-            met, act = correlated_pair(rng, rho, (n_block, K))
+            met, act = complex_pair(rng, rho, (n_block, K))
             g_met = 0.5 * gbar * np.abs(met) ** 2
             g_act = 0.5 * gbar * np.abs(act) ** 2
             sel = select(g_act, g_met, RATE1, decoding_subset(gsr, RATE1),

@@ -16,10 +16,10 @@ from prsim.simulator import (
     SeriesNetwork,
     SyntheticRhoNetwork,
     TimerModel,
-    apply_impairments,
     estimate,
     estimate_series,
     experiment_rows,
+    impair_pair,
     simulate_frames,
 )
 
@@ -57,10 +57,21 @@ def test_timer_model():
 # ------------------------------------------------------------ impairments
 
 
+def unit_pair(h):
+    """correlated_pair-style planes whose metric and actual are both h."""
+    return np.stack([h.real, h.imag, h.real, h.imag])
+
+
+def complex_planes(planes):
+    """(metric, actual) complex arrays of correlated_pair planes."""
+    return planes[0::2] + 1j * planes[1::2]
+
+
 def test_impairments_disabled_is_identity():
     h = stream(1).normal(size=8) + 1j * stream(2).normal(size=8)
-    out = apply_impairments(h, ImpairmentConfig(), stream(3))
-    assert np.array_equal(out, h)
+    planes = unit_pair(h)
+    impair_pair(planes, ImpairmentConfig(), stream(3), np.empty(8))
+    assert np.array_equal(complex_planes(planes), [h, h])
     assert not ImpairmentConfig().enabled
     assert ImpairmentConfig(pilot_snr_db=30.0).enabled
 
@@ -70,18 +81,39 @@ def test_pilot_noise_correlation():
     rng = stream(21)
     n = 1_000_000
     h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
-    est = apply_impairments(h, ImpairmentConfig(pilot_snr_db=30.0), rng)
+    planes = unit_pair(h)
+    impair_pair(planes, ImpairmentConfig(pilot_snr_db=30.0), rng, np.empty(n))
+    est, actual = complex_planes(planes)
+    assert np.array_equal(actual, h)  # pilot noise touches the metric only
     num = np.abs(np.mean(est * np.conj(h)))
     corr = num / (np.sqrt(np.mean(np.abs(est) ** 2)) * np.sqrt(np.mean(np.abs(h) ** 2)))
     assert abs(corr - 1.0 / math.sqrt(1.001)) < 3e-4
     assert corr >= 0.999
 
 
+def test_pilot_noise_moments():
+    # the estimation error alone, at variance 4: CN(0, 4)
+    rng = stream(3)
+    n = 200_000
+    planes = np.zeros((4, n))
+    impair_pair(planes, ImpairmentConfig(pilot_snr_db=-10.0 * math.log10(4.0)),
+                rng, np.empty(n))
+    z = complex_planes(planes)[0]
+    assert abs(z.mean()) < 0.02
+    assert abs(np.mean(np.abs(z) ** 2) - 4.0) < 0.05
+    # circular symmetry: pseudo-variance E[z^2] vanishes
+    assert abs(np.mean(z ** 2)) < 0.05
+
+
 def test_phase_error_snr_factor():
     # E[cos^2 theta] = 1/2 + sin(2 theta_max) / (4 theta_max)
     rng = stream(22)
-    h = np.ones(1_000_000, dtype=complex)
-    out = apply_impairments(h, ImpairmentConfig(max_phase_error_deg=5.0), rng)
+    n = 1_000_000
+    planes = unit_pair(np.ones(n, dtype=complex))
+    impair_pair(planes, ImpairmentConfig(max_phase_error_deg=5.0), rng,
+                np.empty(n))
+    metric, out = complex_planes(planes)
+    assert np.array_equal(metric, np.ones(n))  # phase acts on the actual
     factor = float(np.mean(np.abs(out) ** 2))
     tm = math.radians(5.0)
     exact = 0.5 + math.sin(2.0 * tm) / (4.0 * tm)
@@ -115,7 +147,7 @@ def test_synthetic_network_frames():
     rng = stream(5, 41)
     for t in range(3):
         for metric, actual in ((m_sr[t], csi_sr[t]), (m_rd[t], csi_rd[t])):
-            want_m, want_a = correlated_pair(rng, 0.8, 4)
+            want_m, want_a = complex_planes(correlated_pair(rng, 0.8, 4))
             assert np.array_equal(metric, want_m)
             assert np.array_equal(actual, want_a)
     # metric-actual correlation approaches rho over many frames
@@ -264,8 +296,8 @@ def test_frame_driver_validation():
 
 def test_estimate_df_matches_closed_forms():
     for rho in (1.0, 0.2906):
-        ests = estimate("df", [10.0, 20.0], 200_000, num_relays=8,
-                        rho=rho, seed=3)
+        ests = estimate(["df"], [10.0, 20.0], 200_000, num_relays=8,
+                        rho=rho, seed=3)[0]
         for snr_db, est in zip([10.0, 20.0], ests):
             hop = 0.5 * 10 ** (snr_db / 10)
             exact = outage_df(SelectionParams(8, hop, hop, rho, GO))
@@ -274,7 +306,7 @@ def test_estimate_df_matches_closed_forms():
 
 def test_estimate_af_e2e_matches_closed_form():
     for rho in (0.6425, 1.0):
-        est = estimate("af", [10.0], 200_000, num_relays=8, rho=rho, seed=4)[0]
+        est = estimate(["af"], [10.0], 200_000, num_relays=8, rho=rho, seed=4)[0][0]
         exact = outage_af(SelectionParams(8, 5.0, 5.0, rho, GO))
         assert se_vs(exact, est) <= 3.0
 
@@ -282,19 +314,19 @@ def test_estimate_af_e2e_matches_closed_form():
 def test_af_pairing_modes_differ_at_partial_rho():
     # separately outdated hop estimates rank worse than one outdated
     # end-to-end figure; the closed forms assume the latter
-    e2e = estimate("af", [10.0], 200_000, rho=0.2906, seed=5)[0]
-    hop = estimate("af", [10.0], 200_000, rho=0.2906, seed=5,
-                   af_mode="per-hop")[0]
+    e2e = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5)[0][0]
+    hop = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5,
+                   af_mode="per-hop")[0][0]
     assert hop.outage_prob - e2e.outage_prob > 5.0 * e2e.std_error
-    at_one_a = estimate("af", [10.0], 100_000, rho=1.0, seed=6)[0]
-    at_one_b = estimate("af", [10.0], 100_000, rho=1.0, seed=6,
-                        af_mode="per-hop")[0]
+    at_one_a = estimate(["af"], [10.0], 100_000, rho=1.0, seed=6)[0][0]
+    at_one_b = estimate(["af"], [10.0], 100_000, rho=1.0, seed=6,
+                        af_mode="per-hop")[0][0]
     exact = outage_af(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, at_one_a) <= 3.0 and se_vs(exact, at_one_b) <= 3.0
 
 
 def test_estimate_dt_full_power_and_rate():
-    est = estimate("dt", [10.0], 200_000, seed=5)[0]
+    est = estimate(["dt"], [10.0], 200_000, seed=5)[0][0]
     exact = 1.0 - math.exp(-RATE.direct_threshold / 10.0)
     assert se_vs(exact, est) <= 3.0
     # single-phase link: the realized rate is not halved
@@ -304,58 +336,105 @@ def test_estimate_dt_full_power_and_rate():
 def test_estimate_scheme_ordering():
     rho_o = jakes_correlation(100.0, 0.003)
     grid = [10.0, 16.0, 22.0]
-    prs = estimate("df", grid, 100_000, rho=0.95, seed=11)
-    ostc = estimate("ostc", grid, 100_000, rho=rho_o, seed=11)
-    ors = estimate("df", grid, 100_000, rho=rho_o, seed=12)
+    prs = estimate(["df"], grid, 100_000, rho=0.95, seed=11)[0]
+    ostc = estimate(["ostc"], grid, 100_000, rho=rho_o, seed=11)[0]
+    ors = estimate(["df"], grid, 100_000, rho=rho_o, seed=12)[0]
     for a, b, c in zip(prs, ostc, ors):
         assert a.outage_prob < b.outage_prob < c.outage_prob
 
 
 def test_estimate_validation_and_determinism():
     with pytest.raises(ValueError):
-        estimate("df", [10.0], 9_999)
+        estimate(["df"], [10.0], 9_999)
     with pytest.raises(ValueError):
-        estimate("mrc", [10.0], 10_000)
+        estimate(["mrc"], [10.0], 10_000)
+    for schemes in ("df", [], ["df", "mrc"]):  # a list of known names
+        with pytest.raises(ValueError):
+            estimate(schemes, [10.0], 10_000)
     with pytest.raises(ValueError):
-        estimate("af", [10.0], 10_000, af_mode="parallel")
-    a = estimate("df", [10.0], 20_000, rho=0.9, seed=42)[0]
-    b = estimate("df", [10.0], 20_000, rho=0.9, seed=42)[0]
-    c = estimate("df", [10.0], 20_000, rho=0.9, seed=43)[0]
+        estimate(["af"], [10.0], 10_000, af_mode="parallel")
+    a = estimate(["df"], [10.0], 20_000, rho=0.9, seed=42)[0][0]
+    b = estimate(["df"], [10.0], 20_000, rho=0.9, seed=42)[0][0]
+    c = estimate(["df"], [10.0], 20_000, rho=0.9, seed=43)[0][0]
     assert a == b
     assert a != c
 
 
 def test_std_error_convergence():
     # quadrupling the trials halves the binomial standard error
-    small = estimate("df", [10.0], 50_000, rho=0.2906, seed=20)[0]
-    large = estimate("df", [10.0], 200_000, rho=0.2906, seed=21)[0]
+    small = estimate(["df"], [10.0], 50_000, rho=0.2906, seed=20)[0][0]
+    large = estimate(["df"], [10.0], 200_000, rho=0.2906, seed=21)[0][0]
     assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.2)
+
+
+def estimate_peak(schemes, grid):
+    """tracemalloc peak of one estimate call at 1e5 trials."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        estimate(schemes, grid, 100_000, rho=0.9, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_estimate_frees_each_point_before_the_next():
     # the draws of one grid point (or chunk) must be gone before the
     # next point draws, so a second point costs no extra peak memory
-    import tracemalloc
-
-    def peak(scheme, grid):
-        tracemalloc.start()
-        try:
-            estimate(scheme, grid, 100_000, rho=0.9, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for scheme in ("df", "af"):
-        one = peak(scheme, [10.0])
-        two = peak(scheme, [10.0, 20.0])
+        one = estimate_peak([scheme], [10.0])
+        two = estimate_peak([scheme], [10.0, 20.0])
         assert two <= 1.1 * one, (scheme, one, two)
+
+
+def test_shared_call_reuses_one_set_of_planes():
+    # every draw family refills the same planes, so serving four
+    # schemes costs about what serving one does
+    one = estimate_peak(["df"], [10.0])
+    four = estimate_peak(["df", "af", "ostc", "dt"], [10.0])
+    assert four <= 1.1 * one, (one, four)
+
+
+IMPAIRED = ImpairmentConfig(pilot_snr_db=20.0, max_phase_error_deg=10.0)
+
+
+@pytest.mark.parametrize("chunk", [7_000, 250_000])
+@pytest.mark.parametrize("imp", [None, IMPAIRED])
+@pytest.mark.parametrize("relays", [1, 8])
+def test_shared_estimate_equals_single_scheme_calls(relays, imp, chunk):
+    # 20 000 trials in chunks of 7 000 end on a partial 6 000 chunk
+    kw = dict(num_relays=relays, rho=0.9, seed=8, impairments=imp,
+              chunk=chunk)
+    grid = [0.0, 10.0, 20.0]
+    for af_mode in ("e2e", "per-hop"):
+        schemes = ["df", "af", "ostc", "dt"]
+        shared = estimate(schemes, grid, 20_000, af_mode=af_mode, **kw)
+        for scheme, got in zip(schemes, shared):
+            alone = estimate([scheme], grid, 20_000, af_mode=af_mode, **kw)
+            assert got == alone[0], (scheme, af_mode)
+
+
+def test_df_and_ostc_share_one_relay_hop_draw(monkeypatch):
+    calls = []
+    real = simulator.correlated_pair
+
+    def counted(rng, rho, size, out=None):
+        calls.append(size)
+        return real(rng, rho, size, out=out)
+
+    monkeypatch.setattr(simulator, "correlated_pair", counted)
+    estimate(["df", "ostc"], [0.0, 10.0, 20.0], 20_000, rho=0.9,
+             chunk=7_000)
+    # 3 grid points x 3 chunks, one pair draw each
+    assert calls == [(7_000, 8), (7_000, 8), (6_000, 8)] * 3
 
 
 def test_chunking_only_reorders_draws():
     # different chunk sizes reorder the stream, so the estimates are
     # independent draws of the same quantity, not bit-identical
-    whole = estimate("df", [10.0], 40_000, rho=0.9, seed=30)[0]
-    split = estimate("df", [10.0], 40_000, rho=0.9, seed=30, chunk=7_000)[0]
+    whole = estimate(["df"], [10.0], 40_000, rho=0.9, seed=30)[0][0]
+    split = estimate(["df"], [10.0], 40_000, rho=0.9, seed=30, chunk=7_000)[0][0]
     gap = abs(whole.outage_prob - split.outage_prob)
     assert gap <= 3.0 * math.hypot(whole.std_error, split.std_error)
     assert whole.trials == split.trials
@@ -407,7 +486,7 @@ def test_series_mode_validation():
 
 
 def test_experiment_rows():
-    ests = estimate("df", [10.0, 12.0], 20_000, rho=0.9, seed=2)
+    ests = estimate(["df"], [10.0, 12.0], 20_000, rho=0.9, seed=2)[0]
     rows = experiment_rows("df", 8, "synthetic:0.9", [10.0, 12.0], ests, seed=2)
     assert len(rows) == 2
     for row, est, snr in zip(rows, ests, [10.0, 12.0]):
