@@ -28,9 +28,9 @@ scheme names map onto metric sources rather than separate estimators.
 Every CSV row carries the config hash and the seed; rerunning with an
 equal hash and seed reproduces the file byte for byte.  Closed-form
 values are filled for df/af rows whose metric the analysis models
-(perfect, synthetic and predicted correlation) and for direct
-transmission; they are left blank for pair selection and for the
-outdated rows, whose reference expressions live elsewhere.
+(perfect, synthetic, outdated and predicted correlation) and for
+direct transmission; they are left blank for pair selection, for
+impaired rows and for record-driven rows.
 """
 
 import argparse
@@ -68,6 +68,8 @@ _MIN_TRIALS = 10_000
 RESULT_FIELDS = CSV_FIELDS + ("analytic", "config_hash")
 PREDICT_FIELDS = ("doppler_hz", "horizon", "rho_outdated", "rho_predicted",
                   "error_power", "trials", "config_hash", "seed")
+FLOPS_FIELDS = ("kind", "layers", "neurons", "n_input", "n_output", "exact",
+                "simplified", "flops", "config_hash", "seed")
 
 
 def _sub_seed(seed, tag):
@@ -75,20 +77,8 @@ def _sub_seed(seed, tag):
     return 7 * seed + tag
 
 
-def _fading_process(fading, seed):
-    return FadingProcessConfig(
-        doppler_hz=fading.doppler_hz,
-        sample_rate_hz=fading.sample_rate_hz,
-        mean_power=fading.mean_power,
-        distribution=fading.distribution,
-        k_factor=fading.k_factor,
-        num_sinusoids=fading.num_sinusoids,
-        seed=seed,
-    )
-
-
 def _series(fading, seed, length, links):
-    cfg = _fading_process(fading, seed)
+    cfg = FadingProcessConfig(seed=seed, **vars(fading))
     return np.column_stack(
         [generate_series(cfg, length, link=i) for i in range(links)])
 
@@ -99,13 +89,37 @@ def _hop_records(cfg, fading, length, links):
             _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links))
 
 
-def _specs(pred):
-    return tuple(LayerSpec(pred.kind, pred.neurons) for _ in range(pred.layers))
+def _fit(cfg, series, horizon, val_fraction=0.0):
+    """Train the configured predictor on series; returns (net, report).
+
+    The train subcommand holds out a tenth to report a validation error.
+    """
+    pred = cfg.predictor
+    return train_link_predictor(
+        series, tau=pred.tau, horizon=horizon,
+        specs=(LayerSpec(pred.kind, pred.neurons),) * pred.layers,
+        features=pred.features, scale=pred.scale, net_seed=cfg.seed,
+        cfg=TrainConfig(epochs=pred.epochs, batch_size=pred.batch_size,
+                        lr=pred.lr, seed=cfg.seed, val_fraction=val_fraction))
 
 
-def _train_config(pred, seed, val_fraction=0.0):
-    return TrainConfig(epochs=pred.epochs, batch_size=pred.batch_size,
-                       lr=pred.lr, seed=seed, val_fraction=val_fraction)
+def _evaluate(cfg, net, fading, horizon, links):
+    """(prediction, actual, rho) of net on the fresh evaluation record."""
+    pred = cfg.predictor
+    record = _series(fading, _sub_seed(cfg.seed, _EVAL_TAG), _EVAL_LEN, links)
+    out, rho = predict_series(net, record, pred.tau, horizon,
+                              features=pred.features, scale=pred.scale)
+    actual = record[pred.tau + horizon:]
+    if pred.features == "magnitude":
+        actual = np.abs(actual)
+    return out, actual, rho
+
+
+def _layout(cfg, horizon):
+    """The feature layout a model file records and a config must match."""
+    pred = cfg.predictor
+    return {"tau": pred.tau, "horizon": horizon, "features": pred.features,
+            "scale": pred.scale}
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +135,6 @@ class RunSpec:
     rho_mode: str                  # CSV label
     rho: float = None              # None -> resolve from the predictor
     horizon: int = 0               # prediction horizon for resolution
-    analytic: bool = True          # closed form applies to this metric
     impairments: ImpairmentConfig = None
     fading: FadingSettings = None  # record-driven runs only
     record: bool = False           # run on generated records
@@ -129,55 +142,51 @@ class RunSpec:
 
 
 class PredictorPool:
-    """Trains (or loads) predictors once per (fading, horizon) pair.
+    """Trains (or loads) and evaluates each predictor once.
 
     Training data and the fresh evaluation record derive from the
     experiment seed, so resolved correlations are reproducible.  When
-    the csi section names an existing model file it is loaded instead
-    and only evaluated.
+    the csi section names an existing model file it is loaded instead,
+    provided its recorded feature layout matches the config, and only
+    evaluated.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self._nets = {}
-        self._rhos = {}
-
-    def _key(self, fading, horizon, links):
-        return (fading, horizon, links)
+        self._evals = {}
 
     def net(self, fading, horizon, links):
-        key = self._key(fading, horizon, links)
+        key = (fading, horizon, links)
         if key not in self._nets:
-            pred = self.cfg.predictor
             path = self.cfg.csi.model
             if path and os.path.exists(path):
-                net = load_model(path)
-            else:
-                if path:
+                net, layout = load_model(path)
+                differ = ["%s %r in the model, %r in the config"
+                          % (k, layout[k], v)
+                          for k, v in _layout(self.cfg, horizon).items()
+                          if layout[k] != v]
+                if differ:
                     raise ConfigError(
-                        "model file %r not found (run the train subcommand "
-                        "first, or clear csi.model to train on the fly)" % path)
+                        "model file %r does not fit the config: %s (rerun the "
+                        "train subcommand)" % (path, "; ".join(differ)))
+            elif path:
+                raise ConfigError(
+                    "model file %r not found (run the train subcommand "
+                    "first, or clear csi.model to train on the fly)" % path)
+            else:
                 series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
-                                 pred.train_len, links)
-                net, _ = train_link_predictor(
-                    series, tau=pred.tau, horizon=horizon,
-                    specs=_specs(pred), features=pred.features,
-                    scale=pred.scale, net_seed=self.cfg.seed,
-                    cfg=_train_config(pred, self.cfg.seed))
+                                 self.cfg.predictor.train_len, links)
+                net, _ = _fit(self.cfg, series, horizon)
             self._nets[key] = net
         return self._nets[key]
 
-    def rho(self, fading, horizon, links):
-        key = self._key(fading, horizon, links)
-        if key not in self._rhos:
-            net = self.net(fading, horizon, links)
-            pred = self.cfg.predictor
-            record = _series(fading, _sub_seed(self.cfg.seed, _EVAL_TAG),
-                             _EVAL_LEN, links)
-            _, rho = predict_series(net, record, pred.tau, horizon,
-                                    features=pred.features, scale=pred.scale)
-            self._rhos[key] = rho
-        return self._rhos[key]
+    def evaluate(self, fading, horizon, links):
+        """(prediction, actual, rho) on the evaluation record."""
+        key = (fading, horizon, links)
+        if key not in self._evals:
+            self._evals[key] = _evaluate(self.cfg, self.net(*key), *key)
+        return self._evals[key]
 
 
 def _rho_outdated(fading, delay):
@@ -217,7 +226,7 @@ def _generic_runs(cfg):
         runs.append(RunSpec(
             scheme, relays, _rho_mode(csi), rho=rho,
             horizon=csi.delay if csi.mode == "predicted" else 0,
-            impairments=imp, analytic=scheme != "ostc"))
+            impairments=imp))
     return runs
 
 
@@ -225,48 +234,50 @@ def _generic_runs(cfg):
 # analytic columns
 
 
-def _params(spec, cfg, snr_db, rho):
-    """Closed-form parameters of a df or af run at one grid point."""
-    hop = _hop_snr(snr_db)
-    return SelectionParams(K=spec.relays, gamma_sr=hop, gamma_rd=hop, rho=rho,
-                           gamma_o=RateConfig(cfg.network.rate).gamma_o)
+def _analytic(command, spec, cfg, snr_db, rho):
+    """Closed-form outage or capacity of one row; None where none applies.
 
-
-def _analytic_outage(spec, cfg, snr_db, rho):
+    df and af rows at any resolved correlation and direct transmission
+    have one; pair selection, impaired and record-driven rows do not.
+    """
+    if spec.record or spec.impairments is not None:
+        return None
+    rate = RateConfig(cfg.network.rate)
     if spec.scheme == "dt":
         total = 10.0 ** (snr_db / 10.0)
-        return 1.0 - np.exp(-RateConfig(cfg.network.rate).direct_threshold
-                            / total)
-    if spec.scheme == "df":
-        return outage_df(_params(spec, cfg, snr_db, rho))
-    if spec.scheme == "af":
-        return outage_af(_params(spec, cfg, snr_db, rho))
-    return None
-
-
-def _analytic_capacity(spec, cfg, snr_db, rho):
-    if spec.scheme == "dt":
-        return capacity_exponential_exact(10.0 ** (snr_db / 10.0))
-    if spec.scheme == "df":
-        return capacity_df(_params(spec, cfg, snr_db, rho))
-    if spec.scheme == "af":
-        return capacity_af(_params(spec, cfg, snr_db, rho))
-    return None
+        if command == "outage":
+            return 1.0 - np.exp(-rate.direct_threshold / total)
+        return capacity_exponential_exact(total)
+    if spec.scheme not in ("df", "af"):
+        return None
+    # looked up per call, so a wrapper set on this module sees each one
+    law = {("outage", "df"): outage_df, ("outage", "af"): outage_af,
+           ("capacity", "df"): capacity_df,
+           ("capacity", "af"): capacity_af}[command, spec.scheme]
+    hop = _hop_snr(snr_db)
+    return law(SelectionParams(K=spec.relays, gamma_sr=hop, gamma_rd=hop,
+                               rho=rho, gamma_o=rate.gamma_o))
 
 
 # ---------------------------------------------------------------------------
 # csv plumbing
 
 
-def _write_rows(path, rows, fields):
+def _write_rows(path, rows, fields, cfg):
+    """Write rows as CSV stamped with the config hash and seed; None
+    values and keys a row lacks become blank cells."""
+    stamp = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({**row, **stamp} for row in rows)
 
 
-def _blank_if_none(value):
-    return "" if value is None else value
+def _write_results(cfg, out, rows, fields=RESULT_FIELDS):
+    path = out or cfg.output
+    _write_rows(path, rows, fields, cfg)
+    print("wrote %d rows to %s" % (len(rows), path))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +323,13 @@ def cmd_train(cfg, out=None):
     if pred.train_len > series.shape[0]:
         raise ConfigError("training length %d exceeds dataset length %d"
                           % (pred.train_len, series.shape[0]))
-    net, report = train_link_predictor(
-        series[:pred.train_len], tau=pred.tau, horizon=horizon,
-        specs=_specs(pred), features=pred.features, scale=pred.scale,
-        net_seed=cfg.seed, cfg=_train_config(pred, cfg.seed, val_fraction=0.1))
-    record = _series(cfg.fading, _sub_seed(cfg.seed, _EVAL_TAG),
-                     _EVAL_LEN, cfg.network.relays)
-    _, rho = predict_series(net, record, pred.tau, horizon,
-                            features=pred.features, scale=pred.scale)
+    net, report = _fit(cfg, series[:pred.train_len], horizon,
+                       val_fraction=0.1)
+    _, _, rho = _evaluate(cfg, net, cfg.fading, horizon, cfg.network.relays)
     rho_out = jakes_correlation(cfg.fading.doppler_hz,
                                 horizon / cfg.fading.sample_rate_hz)
     path = out or cfg.csi.model or "model.npz"
-    save_model(net, path)
+    save_model(net, path, _layout(cfg, horizon))
     for i, mse in enumerate(report.epoch_mse, start=1):
         print("epoch %2d:  train mse %.6f" % (i, mse))
     print("final val mse: %.6f" % report.val_mse)
@@ -334,46 +340,24 @@ def cmd_train(cfg, out=None):
             "val_mse": report.val_mse}
 
 
-def _eval_model(cfg, pool, fading, horizon):
-    """(rho_outdated, rho_predicted, error power) on a fresh record."""
-    pred = cfg.predictor
-    links = cfg.network.relays
-    net = pool.net(fading, horizon, links)
-    record = _series(fading, _sub_seed(cfg.seed, _EVAL_TAG), _EVAL_LEN, links)
-    out, rho = predict_series(net, record, pred.tau, horizon,
-                              features=pred.features, scale=pred.scale)
-    actual = record[pred.tau + horizon:]
-    if pred.features == "magnitude":
-        actual = np.abs(actual)
-    err = float(np.mean(np.abs(out - actual) ** 2))
-    rho_out = jakes_correlation(fading.doppler_hz,
-                                horizon / fading.sample_rate_hz)
-    return rho_out, rho, err
-
-
 def cmd_predict_eval(cfg, out=None, plan=None):
     """Prediction quality rows over (fading, horizon) pairs."""
     pool = PredictorPool(cfg)
     pairs = plan or [(cfg.fading, cfg.csi.delay)]
     rows = []
     for fading, horizon in pairs:
-        rho_out, rho_pred, err = _eval_model(cfg, pool, fading, horizon)
+        pred, actual, rho = pool.evaluate(fading, horizon, cfg.network.relays)
+        rho_out = jakes_correlation(fading.doppler_hz,
+                                    horizon / fading.sample_rate_hz)
         rows.append({
-            "doppler_hz": fading.doppler_hz,
-            "horizon": horizon,
-            "rho_outdated": rho_out,
-            "rho_predicted": rho_pred,
-            "error_power": err,
+            "doppler_hz": fading.doppler_hz, "horizon": horizon,
+            "rho_outdated": rho_out, "rho_predicted": rho,
+            "error_power": float(np.mean(np.abs(pred - actual) ** 2)),
             "trials": _EVAL_LEN,
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
         })
         print("fd=%6.1f Hz  D=%d  rho_outdated=%.4f  rho_predicted=%.4f"
-              % (fading.doppler_hz, horizon, rho_out, rho_pred))
-    path = out or cfg.output
-    _write_rows(path, rows, PREDICT_FIELDS)
-    print("wrote %d rows to %s" % (len(rows), path))
-    return rows
+              % (fading.doppler_hz, horizon, rho_out, rho))
+    return _write_results(cfg, out, rows, PREDICT_FIELDS)
 
 
 def _clamped_trials(cfg):
@@ -383,7 +367,7 @@ def _clamped_trials(cfg):
     return cfg.trials
 
 
-def _curves(cfg, out, runs, analytic_fn):
+def _curves(cfg, out, runs, command):
     """Monte-Carlo every run, attach analytic columns, write the CSV.
 
     Synthetic runs that share (relays, rho, impairments) go through one
@@ -411,8 +395,8 @@ def _curves(cfg, out, runs, analytic_fn):
                                       scale=cfg.predictor.scale)
         else:
             if rho is None:
-                rho = pool.rho(spec.fading or cfg.fading, spec.horizon,
-                               spec.relays)
+                _, _, rho = pool.evaluate(spec.fading or cfg.fading,
+                                          spec.horizon, spec.relays)
                 print("resolved %s: rho=%.4f" % (spec.rho_mode, rho))
             groups.setdefault((spec.relays, rho, spec.impairments),
                               []).append(i)
@@ -427,28 +411,17 @@ def _curves(cfg, out, runs, analytic_fn):
         base = experiment_rows(spec.scheme, spec.relays, spec.rho_mode,
                                cfg.snr_grid_db, ests[i], cfg.seed)
         for row, snr_db in zip(base, cfg.snr_grid_db):
-            value = None
-            if spec.analytic and not spec.record and spec.impairments is None:
-                value = analytic_fn(spec, cfg, snr_db, rhos[i])
-            row["analytic"] = _blank_if_none(value)
-            row["config_hash"] = cfg.config_hash()
+            row["analytic"] = _analytic(command, spec, cfg, snr_db, rhos[i])
             rows.append(row)
     return _write_results(cfg, out, rows)
 
 
-def _write_results(cfg, out, rows):
-    path = out or cfg.output
-    _write_rows(path, rows, RESULT_FIELDS)
-    print("wrote %d rows to %s" % (len(rows), path))
-    return rows
-
-
 def cmd_outage(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs or _generic_runs(cfg), _analytic_outage)
+    return _curves(cfg, out, runs or _generic_runs(cfg), "outage")
 
 
 def cmd_capacity(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs or _generic_runs(cfg), _analytic_capacity)
+    return _curves(cfg, out, runs or _generic_runs(cfg), "capacity")
 
 
 def cmd_flops(cfg, out=None):
@@ -468,11 +441,8 @@ def cmd_flops(cfg, out=None):
             "kind": pred.kind, "layers": pred.layers, "neurons": pred.neurons,
             "n_input": fl.n_input, "n_output": fl.n_output, "exact": exact,
             "simplified": simplified, "flops": rate,
-            "config_hash": cfg.config_hash(), "seed": cfg.seed,
         }]
-        _write_rows(out, rows, ("kind", "layers", "neurons", "n_input",
-                                "n_output", "exact", "simplified", "flops",
-                                "config_hash", "seed"))
+        _write_rows(out, rows, FLOPS_FIELDS, cfg)
         print("wrote 1 row to %s" % out)
     return {"exact": exact, "simplified": simplified, "flops": rate}
 
@@ -515,11 +485,8 @@ def cmd_protocol_sim(cfg, out=None):
         ests = [simulate_frames(scheme, network, snr_db, frames, rate=rate,
                                 timer=timer, policy=pro.policy)
                 for snr_db in cfg.snr_grid_db]
-        for row in experiment_rows(scheme, relays, _rho_mode(csi),
-                                   cfg.snr_grid_db, ests, cfg.seed):
-            row["analytic"] = ""
-            row["config_hash"] = cfg.config_hash()
-            rows.append(row)
+        rows += experiment_rows(scheme, relays, _rho_mode(csi),
+                                cfg.snr_grid_db, ests, cfg.seed)
     return _write_results(cfg, out, rows)
 
 
@@ -538,12 +505,18 @@ batch_size = 64
 """
 
 
+def _preset_config(name, trials=None, extra=""):
+    """The long-budget predictor plus the preset's [experiment] section
+    (its name, output file and trial count) and any extra sections."""
+    text = "%s\n[experiment]\nname = %s\noutput = %s.csv\n" % (
+        _PRESET_PREDICTOR, name, name)
+    if trials is not None:
+        text += "trials = %d\n" % trials
+    return parse_config(text + extra)
+
+
 def _preset_fig3b():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig3b
-output = fig3b.csv
-""")
+    cfg = _preset_config("fig3b")
     plan = []
     for doppler in (100.0, 50.0):
         fading = replace(cfg.fading, doppler_hz=doppler)
@@ -553,76 +526,52 @@ output = fig3b.csv
 
 
 def _preset_fig4a():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig4a
-output = fig4a.csv
-trials = 200000
-""")
+    cfg = _preset_config("fig4a", trials=200000)
     K = cfg.network.relays
     runs = [RunSpec("df", K, "perfect", rho=1.0)]
     for delay in (2, 3):
         rho_o = _rho_outdated(cfg.fading, delay)
-        runs.append(RunSpec("df", K, "outdated(%d)" % delay, rho=rho_o,
-                            analytic=False))
-        runs.append(RunSpec("ostc", K, "outdated(%d)" % delay, rho=rho_o,
-                            analytic=False))
+        runs.append(RunSpec("df", K, "outdated(%d)" % delay, rho=rho_o))
+        runs.append(RunSpec("ostc", K, "outdated(%d)" % delay, rho=rho_o))
         runs.append(RunSpec("df", K, "predicted(%d)" % delay, rho=None,
                             horizon=delay))
     return cfg, "outage", runs
 
 
 def _preset_fig4b():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig4b
-output = fig4b.csv
-trials = 200000
-""")
+    cfg = _preset_config("fig4b", trials=200000)
     K = cfg.network.relays
     runs = [RunSpec("af", K, "perfect", rho=1.0)]
     for delay in (1, 2, 3):
         runs.append(RunSpec("af", K, "outdated(%d)" % delay,
-                            rho=_rho_outdated(cfg.fading, delay),
-                            analytic=False))
+                            rho=_rho_outdated(cfg.fading, delay)))
         runs.append(RunSpec("af", K, "predicted(%d)" % delay, rho=None,
                             horizon=delay))
     return cfg, "outage", runs
 
 
 def _preset_fig6a():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig6a
-output = fig6a.csv
-trials = 200000
-""")
+    cfg = _preset_config("fig6a", trials=200000)
     K = cfg.network.relays
     rho_o = _rho_outdated(cfg.fading, 3)
     runs = [
         RunSpec("df", K, "perfect", rho=1.0),
-        RunSpec("df", K, "outdated(3)", rho=rho_o, analytic=False),
-        RunSpec("ostc", K, "outdated(3)", rho=rho_o, analytic=False),
+        RunSpec("df", K, "outdated(3)", rho=rho_o),
+        RunSpec("ostc", K, "outdated(3)", rho=rho_o),
         RunSpec("df", K, "predicted(3)", rho=None, horizon=3),
         RunSpec("af", K, "perfect", rho=1.0),
-        RunSpec("af", K, "outdated(3)", rho=rho_o, analytic=False),
+        RunSpec("af", K, "outdated(3)", rho=rho_o),
         RunSpec("af", K, "predicted(3)", rho=None, horizon=3),
     ]
     return cfg, "capacity", runs
 
 
 def _preset_fig6b():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig6b
-output = fig6b.csv
-trials = 200000
-""")
+    cfg = _preset_config("fig6b", trials=200000)
     K = cfg.network.relays
-    rho_o = _rho_outdated(cfg.fading, 3)
     runs = [
         RunSpec("df", K, "predicted(3)", rho=None, horizon=3),
-        RunSpec("df", K, "outdated(3)", rho=rho_o, analytic=False),
+        RunSpec("df", K, "outdated(3)", rho=_rho_outdated(cfg.fading, 3)),
     ]
     for snr in (30.0, 25.0, 20.0):
         runs.append(RunSpec("df", K, "predicted(3)+pilot%gdB" % snr, rho=None,
@@ -636,12 +585,7 @@ trials = 200000
 
 
 def _preset_fig7a():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig7a
-output = fig7a.csv
-trials = 100000
-
+    cfg = _preset_config("fig7a", trials=100000, extra="""
 [fading]
 distribution = rician
 k_factor = 3.0
@@ -652,25 +596,18 @@ k_factor = 3.0
         fading = replace(cfg.fading, doppler_hz=doppler)
         tag = "/fd=%g" % doppler
         runs.append(RunSpec("df", K, "outdated(3)" + tag, horizon=3,
-                            analytic=False, fading=fading, record=True))
+                            fading=fading, record=True))
         runs.append(RunSpec("df", K, "predicted(3)" + tag, horizon=3,
-                            analytic=False, fading=fading, record=True,
-                            use_predictor=True))
+                            fading=fading, record=True, use_predictor=True))
     return cfg, "outage", runs
 
 
 def _preset_fig7b():
-    cfg = parse_config(_PRESET_PREDICTOR + """
-[experiment]
-name = fig7b
-output = fig7b.csv
-trials = 100000
-""")
+    cfg = _preset_config("fig7b", trials=100000)
     runs = [RunSpec("dt", cfg.network.relays, "direct", rho=1.0)]
     rho_o = _rho_outdated(cfg.fading, 3)
     for relays in (1, 2, 6):
-        runs.append(RunSpec("df", relays, "outdated(3)", rho=rho_o,
-                            analytic=False))
+        runs.append(RunSpec("df", relays, "outdated(3)", rho=rho_o))
         runs.append(RunSpec("df", relays, "predicted(3)", rho=None,
                             horizon=3))
     return cfg, "outage", runs

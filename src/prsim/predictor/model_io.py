@@ -5,6 +5,11 @@ version, layer specs and dimensions, and each parameter array is stored
 under its stable name from RecurrentNet.parameter_items().  Loading
 rebuilds the network from the header and overwrites the fresh
 parameters with the stored arrays, so a round trip is bit exact.
+
+The header also records the feature layout the network was fit on:
+tapped-delay length tau, prediction horizon, feature kind and scale.
+The weights mean nothing under any other layout, so the field is
+required; version 1 archives lack it and are refused.
 """
 
 import json
@@ -15,10 +20,12 @@ from .layers import LayerSpec
 from .network import RecurrentNet
 
 _FORMAT = "prsim-net"
-_VERSION = 1
+_VERSION = 2
+LAYOUT_KEYS = ("tau", "horizon", "features", "scale")
 
 
-def save_model(net, path):
+def save_model(net, path, layout):
+    """Write net with its feature layout, a dict over LAYOUT_KEYS."""
     header = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -26,12 +33,14 @@ def save_model(net, path):
         "output_dim": net.output_dim,
         "seed": net.seed,
         "layers": [{"kind": s.kind, "size": s.size} for s in net.specs],
+        "layout": {key: layout[key] for key in LAYOUT_KEYS},
     }
     arrays = {name.replace("/", "__"): arr for name, arr in net.parameter_items()}
     np.savez(path, __meta__=np.array(json.dumps(header)), **arrays)
 
 
 def load_model(path):
+    """(net, layout) of an archive written by save_model."""
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data:
             raise ValueError("not a model archive: missing header")
@@ -39,7 +48,12 @@ def load_model(path):
         if header.get("format") != _FORMAT:
             raise ValueError(f"unexpected archive format {header.get('format')!r}")
         if header.get("version") != _VERSION:
-            raise ValueError(f"unsupported model version {header.get('version')!r}")
+            raise ValueError(
+                f"unsupported model version {header.get('version')!r} "
+                "(rerun prsim train to refit the model)")
+        layout = header.get("layout")
+        if not isinstance(layout, dict) or set(layout) != set(LAYOUT_KEYS):
+            raise ValueError("model header lacks its feature layout")
         specs = tuple(LayerSpec(d["kind"], int(d["size"])) for d in header["layers"])
         net = RecurrentNet(int(header["input_dim"]), specs,
                            int(header["output_dim"]), seed=int(header.get("seed", 0)))
@@ -48,4 +62,4 @@ def load_model(path):
             if stored.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}")
             arr[...] = stored
-    return net
+    return net, layout

@@ -33,7 +33,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     val_fraction: float = 0.1
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -96,7 +95,7 @@ def train(net, X, Y, cfg=TrainConfig()):
     n_tr = X.shape[0] - n_val
     if n_tr < 1:
         raise ValueError("empty training span")
-    order_rng = stream(cfg.seed, 31) if cfg.shuffle else None
+    order_rng = stream(cfg.seed, 31)
     opt = AdamState()
     epoch_mse = []
     for _ in range(cfg.epochs):

@@ -194,6 +194,7 @@ class SyntheticRhoNetwork:
         self.num_relays = int(num_relays)
         self.rho = float(rho)
         self.seed = seed
+        self._block = None
 
     def frames(self, n):
         """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames.
@@ -201,14 +202,20 @@ class SyntheticRhoNetwork:
         Each is (n, K), and every call replays the same frames.  Frame
         by frame the (seed, 41) stream is consumed exactly as two
         correlated_pair draws (source hop, then relay hop) would
-        consume it.
+        consume it.  The stream fills frames in order, so the network
+        holds the longest block asked for and slices shorter ones.
         """
-        z = stream(self.seed, 41).standard_normal((n, 2, 4, self.num_relays))
-        scale = np.sqrt(0.5)
-        metric = scale * (z[:, :, 0] + 1j * z[:, :, 1])
-        w = scale * (z[:, :, 2] + 1j * z[:, :, 3])
-        actual = self.rho * metric + math.sqrt(1.0 - self.rho * self.rho) * w
-        return actual[:, 0], actual[:, 1], metric[:, 0], metric[:, 1]
+        if self._block is None or self._block[0].shape[0] < n:
+            z = stream(self.seed, 41).standard_normal(
+                (n, 2, 4, self.num_relays))
+            scale = np.sqrt(0.5)
+            metric = scale * (z[:, :, 0] + 1j * z[:, :, 1])
+            w = scale * (z[:, :, 2] + 1j * z[:, :, 3])
+            actual = (self.rho * metric
+                      + math.sqrt(1.0 - self.rho * self.rho) * w)
+            self._block = (actual[:, 0], actual[:, 1],
+                           metric[:, 0], metric[:, 1])
+        return tuple(a[:n] for a in self._block)
 
 
 class SeriesNetwork:

@@ -2,14 +2,16 @@
 
 import csv
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from prsim import cli
+from prsim import cli, simulator
 from prsim.analytics import SelectionParams, outage_df
 from prsim.config import ConfigError, parse_config
 from prsim.numerics import bessel_j0
+from prsim.selection import RateConfig
 
 
 def run_main(args):
@@ -405,6 +407,40 @@ frames = 500
     assert len(calls) == 2 * 3
 
 
+def test_protocol_sim_draws_the_synthetic_block_once(tmp_path, monkeypatch):
+    # every scheme and grid point replays one block of synthetic frames
+    keys = []
+    real = simulator.stream
+
+    def counting(seed, *key):
+        keys.append((seed,) + key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(simulator, "stream", counting)
+    conf = tmp_path / "e.conf"
+    conf.write_text("""
+[experiment]
+seed = 4
+
+[csi]
+mode = synthetic
+rho = 0.9
+
+[schemes]
+list = df, af, df-central
+
+[grid]
+snr_db = 0:30:10
+
+[protocol]
+frames = 500
+""")
+    assert run_main(["protocol-sim", "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(read_rows(tmp_path / "r.csv")) == 12
+    assert keys == [(4, 41)]
+
+
 def test_protocol_and_curve_rows_share_rho_mode_labels(tmp_path):
     for csi, label in (("mode = perfect", "perfect"),
                        ("mode = synthetic\nrho = 0.9", "synthetic(0.9)"),
@@ -464,6 +500,35 @@ model = %s
     assert float(row["error_power"]) > 0
 
 
+@pytest.fixture(scope="module")
+def horizon3_model(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("model")
+    conf, _ = _write_tiny_dataset(tmp_path)
+    model = tmp_path / "m.npz"
+    assert run_main(["train", "--config", str(conf), "--out", str(model)]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command, delay, extra, setting", [
+    ("outage", 1, "", "horizon"),
+    ("predict-eval", 3, "scale = 1.0", "scale"),
+    ("outage", 3, "tau = 2", "tau"),
+])
+def test_model_file_must_fit_the_config(tmp_path, capsys, horizon3_model,
+                                        command, delay, extra, setting):
+    # the model was fit at horizon 3 with the default tau and scale
+    conf = tmp_path / "e.conf"
+    conf.write_text("[csi]\nmode = predicted\ndelay = %d\nmodel = %s\n%s%s\n"
+                    % (delay, horizon3_model, TINY_PREDICTOR, extra))
+    capsys.readouterr()
+    assert run_main([command, "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: model file") and setting in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # presets and argument handling
 
@@ -487,7 +552,30 @@ def test_fig4a_plan_covers_stale_pair_and_predicted_selection():
         assert ("df", "predicted(%d)" % delay) in modes
     stale = [r for r in runs if r.rho_mode == "outdated(3)"][0]
     assert stale.rho == pytest.approx(0.2906, abs=5e-4)
-    assert not stale.analytic
+
+
+def test_fig4a_outdated_rows_carry_the_closed_form(tmp_path):
+    # the outdated df rows draw Gaussian pairs at |J0|, which is what
+    # outage_df assumes; the pair-coded rows have no closed form
+    cfg, _, runs = cli.PRESETS["fig4a"]()
+    cfg = replace(cfg, trials=10_000)
+    out = tmp_path / "r.csv"
+    cli.cmd_outage(cfg, out=str(out),
+                   runs=[r for r in runs if r.rho is not None])
+    gamma_o = RateConfig(cfg.network.rate).gamma_o
+    checked = 0
+    for row in read_rows(out):
+        if row["scheme"] == "ostc":
+            assert row["analytic"] == ""
+        elif row["rho_mode"].startswith("outdated"):
+            delay = int(row["rho_mode"][len("outdated("):-1])
+            rho = abs(bessel_j0(2 * np.pi * 100.0 * delay / 1000.0))
+            hop = 0.5 * 10.0 ** (float(row["snr_db"]) / 10.0)
+            want = outage_df(SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop,
+                                             rho=rho, gamma_o=gamma_o))
+            assert float(row["analytic"]) == pytest.approx(want, rel=1e-12)
+            checked += 1
+    assert checked == 2 * len(cfg.snr_grid_db)
 
 
 def test_fig7b_plan_scales_the_network():

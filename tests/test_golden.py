@@ -1,9 +1,12 @@
-"""Golden bytes: the Monte-Carlo columns of `outage` and `capacity`.
+"""Golden bytes: the Monte-Carlo columns of `outage`, `capacity` and
+`protocol-sim`.
 
 The files under tests/data hold every CSV column except `analytic` and
-`config_hash`, recorded before the estimator's draw path was last
-reworked.  Any change to how `estimate` consumes its streams, or to
-the arithmetic that turns draws into SNRs, shows up here as a byte
+`config_hash`.  The outage and capacity files were recorded before the
+estimator's draw path was last reworked, the protocol-sim file before
+the synthetic network began holding its frame block.  Any change to
+how `estimate` or `simulate_frames` consumes its streams, or to the
+arithmetic that turns draws into SNRs, shows up here as a byte
 difference.  Regenerate a file only for a change that is meant to move
 the Monte-Carlo output, and say so where the change is recorded.
 """
@@ -42,7 +45,26 @@ pilot_snr_db = 20
 max_phase_error_deg = 10
 """
 
-CONFIGS = {"clean": BASE, "impaired": IMPAIRED}
+PROTOCOL = """
+[network]
+relays = 8
+
+[csi]
+mode = synthetic
+rho = 0.9
+
+[schemes]
+list = df, af, df-central
+
+[grid]
+snr_db = 0:20:10
+
+[protocol]
+frames = 20000
+uncertainty_window = 0.001
+"""
+
+CONFIGS = {"clean": BASE, "impaired": IMPAIRED, "synthetic": PROTOCOL}
 
 
 def mc_columns(csv_path):
@@ -67,7 +89,12 @@ def run_columns(tmp_path, command, name):
 
 
 @pytest.mark.parametrize("command", ["outage", "capacity"])
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", ["clean", "impaired"])
 def test_monte_carlo_columns_match_golden_bytes(tmp_path, command, name):
     want = (DATA / ("%s-%s.csv" % (name, command))).read_text()
     assert run_columns(tmp_path, command, name) == want
+
+
+def test_protocol_sim_columns_match_golden_bytes(tmp_path):
+    want = (DATA / "synthetic-protocol-sim.csv").read_text()
+    assert run_columns(tmp_path, "protocol-sim", "synthetic") == want

@@ -565,6 +565,9 @@ def test_flops_simplified_square_case():
         flops_simplified("dense_tanh", 2, 25)
 
 
+LAYOUT = {"tau": 4, "horizon": 3, "features": "complex", "scale": 0.4}
+
+
 def test_model_roundtrip_is_bit_exact(tmp_path):
     spec = (LayerSpec("dense_tanh", 6), LayerSpec("lstm", 5), LayerSpec("gru", 4))
     net = RecurrentNet(7, spec, 3, seed=21)
@@ -572,8 +575,9 @@ def test_model_roundtrip_is_bit_exact(tmp_path):
     train(net, xs, np.tanh(stream(23).normal(size=(9, 3))),
           TrainConfig(epochs=2, batch_size=4, lr=1e-2, seed=0, val_fraction=0.0))
     path = tmp_path / "net.npz"
-    save_model(net, path)
-    back = load_model(path)
+    save_model(net, path, LAYOUT)
+    back, layout = load_model(path)
+    assert layout == LAYOUT
     assert back.specs == net.specs
     for (na, a), (nb, b) in zip(net.parameter_items(), back.parameter_items()):
         assert na == nb and np.array_equal(a, b)
@@ -587,7 +591,7 @@ def test_model_load_rejects_bad_archives(tmp_path):
 
     net = RecurrentNet(4, (LayerSpec("rnn", 3),), 2, seed=0)
     path = tmp_path / "net.npz"
-    save_model(net, path)
+    save_model(net, path, LAYOUT)
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
 
@@ -604,6 +608,22 @@ def test_model_load_rejects_bad_archives(tmp_path):
     np.savez(tmp_path / "bad_version.npz", **bad)
     with pytest.raises(ValueError, match="version"):
         load_model(tmp_path / "bad_version.npz")
+
+    # a version 1 archive records no feature layout; it must be refit
+    header = json.loads(str(arrays["__meta__"]))
+    header["version"] = 1
+    del header["layout"]
+    bad = dict(arrays, __meta__=np.array(json.dumps(header)))
+    np.savez(tmp_path / "version1.npz", **bad)
+    with pytest.raises(ValueError, match="version 1 .*prsim train"):
+        load_model(tmp_path / "version1.npz")
+
+    header = json.loads(str(arrays["__meta__"]))
+    del header["layout"]["scale"]
+    bad = dict(arrays, __meta__=np.array(json.dumps(header)))
+    np.savez(tmp_path / "no_layout.npz", **bad)
+    with pytest.raises(ValueError, match="layout"):
+        load_model(tmp_path / "no_layout.npz")
 
     header = json.loads(str(arrays["__meta__"]))
     header["layers"][0]["size"] = 5

@@ -164,9 +164,11 @@ def test_synthetic_network_replays_its_frames():
     first = net.frames(50)
     again = net.frames(50)
     shorter = net.frames(20)
-    for a, b, c in zip(first, again, shorter):
+    longer = net.frames(80)  # a longer block extends the same stream
+    for a, b, c, d in zip(first, again, shorter, longer):
         assert np.array_equal(a, b)
         assert np.array_equal(a[:20], c)
+        assert np.array_equal(a, d[:50])
 
 
 def test_one_network_serves_every_grid_point():
