@@ -35,12 +35,10 @@ def jakes_correlation(f_d, tau_s):
 
 @dataclass(frozen=True)
 class FadingProcessConfig:
-    """Parameters of one fading process (all links share these)."""
+    """Parameters of the unit-power link processes; k_factor = 0 is Rayleigh."""
 
     doppler_hz: float
     sample_rate_hz: float
-    mean_power: float = 1.0
-    distribution: str = "rayleigh"  # "rayleigh" or "rician"
     k_factor: float = 0.0
     num_sinusoids: int = 64
     seed: int = 0
@@ -50,19 +48,10 @@ class FadingProcessConfig:
             raise ValueError("sample rate must be positive")
         if not 0 <= self.doppler_hz < self.sample_rate_hz / 2.0:
             raise ValueError("need 0 <= f_d < f_s/2")
-        if self.mean_power <= 0:
-            raise ValueError("mean power must be positive")
-        if self.distribution not in ("rayleigh", "rician"):
-            raise ValueError("unknown distribution %r" % self.distribution)
         if self.k_factor < 0:
             raise ValueError("Rician k factor must be >= 0")
         if self.num_sinusoids < 1:
             raise ValueError("need at least one sinusoid")
-
-    @property
-    def rice_k(self):
-        # Rayleigh is Rician with k = 0
-        return self.k_factor if self.distribution == "rician" else 0.0
 
 
 def generate_series(cfg, length, link=0):
@@ -86,12 +75,12 @@ def generate_series(cfg, length, link=0):
     diffuse = np.zeros(length, dtype=np.complex128)
     for k in range(n):  # accumulate per path to keep memory at O(length)
         diffuse += np.exp(1j * (omega[k] * t + phases[k]))
-    diffuse *= np.sqrt(cfg.mean_power / n)
+    diffuse *= np.sqrt(1.0 / n)
 
-    k_rice = cfg.rice_k
+    k_rice = cfg.k_factor
     if k_rice == 0.0:
         return diffuse
-    los = np.sqrt(cfg.mean_power * k_rice / (k_rice + 1.0))  # fixed LOS phase 0
+    los = np.sqrt(k_rice / (k_rice + 1.0))  # fixed LOS phase 0
     return los + diffuse / np.sqrt(k_rice + 1.0)
 
 

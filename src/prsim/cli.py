@@ -46,9 +46,9 @@ from .analytics import (SelectionParams, capacity_af, capacity_df,
 from .channel import FadingProcessConfig, generate_series, jakes_correlation
 from .config import (ConfigError, ExperimentConfig, FadingSettings,
                      load_config, parse_config)
-from .predictor import (LayerSpec, TrainConfig, flops_per_step,
-                        flops_simplified, load_model, predict_series,
-                        save_model, train_link_predictor)
+from .predictor import (HIGH_ACCURACY_TRAIN, LayerSpec, TrainConfig,
+                        flops_per_step, flops_simplified, load_model,
+                        predict_series, save_model, train_link_predictor)
 from .selection import RateConfig
 from .simulator import (CSV_FIELDS, ImpairmentConfig, SeriesNetwork,
                         SyntheticRhoNetwork, TimerModel, _hop_snr, estimate,
@@ -115,11 +115,11 @@ def _evaluate(cfg, net, fading, horizon, links):
     return out, actual, rho
 
 
-def _layout(cfg, horizon):
+def _layout(cfg, horizon, links):
     """The feature layout a model file records and a config must match."""
     pred = cfg.predictor
     return {"tau": pred.tau, "horizon": horizon, "features": pred.features,
-            "scale": pred.scale}
+            "scale": pred.scale, "links": links}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,8 @@ class PredictorPool:
                 net, layout = load_model(path)
                 differ = ["%s %r in the model, %r in the config"
                           % (k, layout[k], v)
-                          for k, v in _layout(self.cfg, horizon).items()
+                          for k, v in _layout(self.cfg, horizon,
+                                              links).items()
                           if layout[k] != v]
                 if differ:
                     raise ConfigError(
@@ -293,10 +294,10 @@ def cmd_gen_data(cfg, out=None):
     flat = np.empty((series.shape[0], 2 * links))
     flat[:, 0::2] = series.real
     flat[:, 1::2] = series.imag
-    header = ("channel dataset hash=%s seed=%d links=%d fs=%s fd=%s dist=%s\n"
+    header = ("channel dataset hash=%s seed=%d links=%d fs=%s fd=%s k=%s\n"
               % (cfg.config_hash(), cfg.seed, links,
                  repr(cfg.fading.sample_rate_hz), repr(cfg.fading.doppler_hz),
-                 cfg.fading.distribution))
+                 repr(cfg.fading.k_factor)))
     header += ",".join("re_%d,im_%d" % (i, i) for i in range(links))
     np.savetxt(path, flat, fmt="%.12e", delimiter=",", header=header)
     print("wrote %d samples x %d links to %s" % (series.shape[0], links, path))
@@ -329,7 +330,7 @@ def cmd_train(cfg, out=None):
     rho_out = jakes_correlation(cfg.fading.doppler_hz,
                                 horizon / cfg.fading.sample_rate_hz)
     path = out or cfg.csi.model or "model.npz"
-    save_model(net, path, _layout(cfg, horizon))
+    save_model(net, path, _layout(cfg, horizon, cfg.network.relays))
     for i, mse in enumerate(report.epoch_mse, start=1):
         print("epoch %2d:  train mse %.6f" % (i, mse))
     print("final val mse: %.6f" % report.val_mse)
@@ -425,21 +426,24 @@ def cmd_capacity(cfg, out=None, runs=None):
 
 
 def cmd_flops(cfg, out=None):
-    """Complexity table of the configured architecture."""
-    pred, fl = cfg.predictor, cfg.flops
+    """Complexity table of the configured architecture: K(tau+1) inputs,
+    K outputs, one prediction per sample (f_p = f_s)."""
+    pred, relays = cfg.predictor, cfg.network.relays
+    n_input = relays * (pred.tau + 1)
+    f_p = cfg.fading.sample_rate_hz
     widths = (pred.neurons,) * pred.layers
-    exact = flops_per_step(fl.n_input, widths, fl.n_output, kind=pred.kind)
+    exact = flops_per_step(n_input, widths, relays, kind=pred.kind)
     simplified = flops_simplified(pred.kind, pred.layers, pred.neurons)
-    rate = exact * fl.f_p
+    rate = exact * f_p
     print("kind=%s layers=%d neurons=%d n_in=%d n_out=%d"
-          % (pred.kind, pred.layers, pred.neurons, fl.n_input, fl.n_output))
+          % (pred.kind, pred.layers, pred.neurons, n_input, relays))
     print("exact ops per prediction : %d" % exact)
     print("simplified 4(1+cL)n^2    : %d" % simplified)
-    print("rate at f_p=%s Hz        : %s MFLOPS" % (repr(fl.f_p), rate / 1e6))
+    print("rate at f_p=%s Hz        : %s MFLOPS" % (repr(f_p), rate / 1e6))
     if out:
         rows = [{
             "kind": pred.kind, "layers": pred.layers, "neurons": pred.neurons,
-            "n_input": fl.n_input, "n_output": fl.n_output, "exact": exact,
+            "n_input": n_input, "n_output": relays, "exact": exact,
             "simplified": simplified, "flops": rate,
         }]
         _write_rows(out, rows, FLOPS_FIELDS, cfg)
@@ -458,7 +462,7 @@ def cmd_protocol_sim(cfg, out=None):
         raise ConfigError("protocol-sim models no acquisition impairments; "
                           "clear [protocol] pilot_snr_db and "
                           "max_phase_error_deg")
-    timer = TimerModel(pro.timer_c, pro.timer_max, pro.uncertainty_window)
+    timer = TimerModel(pro.timer_max, pro.uncertainty_window)
     dropped = [s for s in cfg.schemes if s not in ("df", "af", "df-central")]
     if dropped:
         raise ConfigError("protocol-sim runs df, af and df-central only; "
@@ -500,9 +504,11 @@ def cmd_protocol_sim(cfg, out=None):
 _PRESET_PREDICTOR = """
 [predictor]
 train_len = 40000
-epochs = 30
-batch_size = 64
-"""
+epochs = %d
+batch_size = %d
+lr = %r
+""" % (HIGH_ACCURACY_TRAIN.epochs, HIGH_ACCURACY_TRAIN.batch_size,
+       HIGH_ACCURACY_TRAIN.lr)
 
 
 def _preset_config(name, trials=None, extra=""):
@@ -587,7 +593,6 @@ def _preset_fig6b():
 def _preset_fig7a():
     cfg = _preset_config("fig7a", trials=100000, extra="""
 [fading]
-distribution = rician
 k_factor = 3.0
 """)
     K = cfg.network.relays

@@ -8,12 +8,12 @@ Experiments are described by small text files in a line-based format:
 Full-line comments start with '#' or ';'.  Sections group related
 knobs: network geometry, the fading process, where the selection
 metric comes from (the csi section), schemes to run, the SNR grid,
-predictor training, complexity accounting, and frame-level protocol
-settings.  Every key has a default taken from the baseline setup used
-throughout (f_s = 1000 Hz, f_d = 100 Hz, K = 8 relays, tapped-delay
-length 4, two recurrent layers of 25 units each), so an empty file is
-already a valid experiment.  Unknown sections and unknown or repeated
-keys are hard errors, which guards against silent typos in sweeps.
+predictor training, and frame-level protocol settings.  Every key has
+a default taken from the baseline setup used throughout (f_s = 1000 Hz,
+f_d = 100 Hz, K = 8 relays, tapped-delay length 4, two recurrent layers
+of 25 units each), so an empty file is already a valid experiment.
+Unknown sections and unknown or repeated keys are hard errors, which
+guards against silent typos in sweeps.
 
 Parsing yields an immutable ExperimentConfig.  Its config_hash() is a
 digest of the canonical serialization minus the output path, so every
@@ -53,13 +53,11 @@ class NetworkSettings:
 
 @dataclass(frozen=True)
 class FadingSettings:
-    """Doppler, sampling and distribution of the link processes."""
+    """Doppler, sampling and Rician k factor (0 is Rayleigh) of the links."""
 
     doppler_hz: float = 100.0
     sample_rate_hz: float = 1000.0
-    distribution: str = "rayleigh"
     k_factor: float = 0.0
-    mean_power: float = 1.0
     num_sinusoids: int = 64
 
     def __post_init__(self):
@@ -67,12 +65,8 @@ class FadingSettings:
             raise ConfigError("sample rate must be positive")
         if not 0 <= self.doppler_hz < self.sample_rate_hz / 2.0:
             raise ConfigError("need 0 <= doppler < sample_rate/2")
-        if self.distribution not in ("rayleigh", "rician"):
-            raise ConfigError("distribution must be rayleigh or rician")
         if self.k_factor < 0:
             raise ConfigError("rician k factor must be >= 0")
-        if self.mean_power <= 0:
-            raise ConfigError("mean power must be positive")
         if self.num_sinusoids < 1:
             raise ConfigError("need at least one sinusoid")
 
@@ -151,32 +145,12 @@ class PredictorSettings:
 
 
 @dataclass(frozen=True)
-class FlopsSettings:
-    """Input/output widths and step rate for the complexity table.
-
-    Defaults describe the centralized predictor shape: K(tau+1) = 40
-    real tap-line entries in, K = 8 coefficients out, one prediction
-    per sample at f_p = 1000 steps per second.
-    """
-
-    n_input: int = 40
-    n_output: int = 8
-    f_p: float = 1000.0
-
-    def __post_init__(self):
-        if self.n_input < 1 or self.n_output < 1:
-            raise ConfigError("flops widths must be >= 1")
-        if self.f_p <= 0:
-            raise ConfigError("prediction rate must be positive")
-
-
-@dataclass(frozen=True)
 class ProtocolSettings:
-    """Frame-level simulation knobs (timers, impairments)."""
+    """Frame-level simulation knobs: the timer cap T_m of the back-off
+    timer min(1/|metric|, T_m), the collision window, impairments."""
 
     frames: int = 100_000
     policy: str = "reselect"
-    timer_c: float = 1.0
     timer_max: float = 1000.0
     uncertainty_window: float = 0.0
     pilot_snr_db: float = None
@@ -187,8 +161,8 @@ class ProtocolSettings:
             raise ConfigError("need at least 2 frames")
         if self.policy not in ("reselect", "terminate"):
             raise ConfigError("policy must be reselect or terminate")
-        if self.timer_c <= 0 or self.timer_max <= 0:
-            raise ConfigError("timer constants must be positive")
+        if self.timer_max <= 0:
+            raise ConfigError("timer cap must be positive")
         if self.uncertainty_window < 0:
             raise ConfigError("uncertainty window must be >= 0")
 
@@ -211,7 +185,6 @@ class ExperimentConfig:
     dataset: DatasetSettings = field(default_factory=DatasetSettings)
     csi: CsiSettings = field(default_factory=CsiSettings)
     predictor: PredictorSettings = field(default_factory=PredictorSettings)
-    flops: FlopsSettings = field(default_factory=FlopsSettings)
     protocol: ProtocolSettings = field(default_factory=ProtocolSettings)
 
     def __post_init__(self):
@@ -303,8 +276,7 @@ _SCHEMA = {
         "relays": _int, "rate": _float,
     },
     "fading": {
-        "doppler_hz": _float, "sample_rate_hz": _float,
-        "distribution": _word, "k_factor": _float, "mean_power": _float,
+        "doppler_hz": _float, "sample_rate_hz": _float, "k_factor": _float,
         "num_sinusoids": _int,
     },
     "dataset": {
@@ -324,12 +296,9 @@ _SCHEMA = {
         "features": _word, "scale": _float, "train_len": _int,
         "epochs": _int, "batch_size": _int, "lr": _float,
     },
-    "flops": {
-        "n_input": _int, "n_output": _int, "f_p": _float,
-    },
     "protocol": {
-        "frames": _int, "policy": _word, "timer_c": _float,
-        "timer_max": _float, "uncertainty_window": _float,
+        "frames": _int, "policy": _word, "timer_max": _float,
+        "uncertainty_window": _float,
         "pilot_snr_db": _opt_float, "max_phase_error_deg": _opt_float,
     },
 }
@@ -340,7 +309,6 @@ _SECTION_CLS = {
     "dataset": DatasetSettings,
     "csi": CsiSettings,
     "predictor": PredictorSettings,
-    "flops": FlopsSettings,
     "protocol": ProtocolSettings,
 }
 

@@ -7,9 +7,10 @@ rebuilds the network from the header and overwrites the fresh
 parameters with the stored arrays, so a round trip is bit exact.
 
 The header also records the feature layout the network was fit on:
-tapped-delay length tau, prediction horizon, feature kind and scale.
-The weights mean nothing under any other layout, so the field is
-required; version 1 archives lack it and are refused.
+tapped-delay length tau, prediction horizon, feature kind, scale and
+the number of links.  The weights mean nothing under any other
+layout, so the field is required; archives of an earlier version
+lack part of it and are refused.
 """
 
 import json
@@ -20,8 +21,8 @@ from .layers import LayerSpec
 from .network import RecurrentNet
 
 _FORMAT = "prsim-net"
-_VERSION = 2
-LAYOUT_KEYS = ("tau", "horizon", "features", "scale")
+_VERSION = 3
+LAYOUT_KEYS = ("tau", "horizon", "features", "scale", "links")
 
 
 def save_model(net, path, layout):

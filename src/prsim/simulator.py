@@ -24,7 +24,7 @@ the bootstrap frame, whose buffer no earlier frame of the run wrote;
 it is dropped from statistics.
 
 Distributed variants resolve contention with back-off timers
-T = min(c / |metric|, T_m): the relay with the strongest buffered
+T = min(1 / |metric|, T_m): the relay with the strongest buffered
 metric fires first and the rest hear its flag and stand down, which
 is the kernel ranking by -T (capped timers tie to the lowest id).  Two
 timers closer than the uncertainty window collide and destroy the
@@ -89,28 +89,25 @@ def _hop_snr(snr_db):
 
 @dataclass(frozen=True)
 class TimerModel:
-    """Back-off timer T = min(c / |metric|, max_duration).
+    """Back-off timer T = min(1 / |metric|, max_duration).
 
-    Only the ordering of timers matters for outage statistics; c and
-    the cap are free conventions (defaults 1 and 1e3).  The
-    uncertainty window is the minimum separation two timers need to be
-    resolved; within it both relays fire and the frame is lost.
+    The uncertainty window is the minimum separation two timers need
+    to be resolved; within it both relays fire and the frame is lost.
     """
 
-    c: float = 1.0
     max_duration: float = 1e3
     uncertainty_window: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.max_duration <= 0:
-            raise ValueError("timer constants must be positive")
+        if self.max_duration <= 0:
+            raise ValueError("timer cap must be positive")
         if self.uncertainty_window < 0:
             raise ValueError("uncertainty window must be nonnegative")
 
     def duration(self, metric_magnitude):
         m = np.asarray(metric_magnitude, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.minimum(self.c / m, self.max_duration)
+            return np.minimum(1.0 / m, self.max_duration)
 
 
 @dataclass(frozen=True)

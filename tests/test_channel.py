@@ -42,9 +42,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FadingProcessConfig(doppler_hz=600.0, sample_rate_hz=1000.0)
     with pytest.raises(ValueError):
-        FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, distribution="nakagami")
-    cfg = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, k_factor=3.0)
-    assert cfg.rice_k == 0.0  # rayleigh ignores k, rician(0) == rayleigh
+        FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, k_factor=-1.0)
 
 
 def test_series_mean_power(long_series):
@@ -77,17 +75,26 @@ def test_series_magnitude_squared_is_exponential(long_series):
 def test_rician_large_k_is_line_of_sight():
     cfg = FadingProcessConfig(
         doppler_hz=100.0, sample_rate_hz=1000.0,
-        distribution="rician", k_factor=1e6, seed=2,
+        k_factor=1e6, seed=2,
     )
     h = generate_series(cfg, 10_000)
     assert np.var(np.abs(h)) < 1e-5
     assert abs(np.mean(np.abs(h)) - 1.0) < 1e-2
 
 
+def test_k_factor_alone_selects_rician():
+    # k_factor = 0 is Rayleigh; any other value adds the LOS component
+    ray = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, seed=4)
+    ric = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0,
+                              k_factor=3.0, seed=4)
+    h0 = generate_series(ray, 1000)
+    assert np.allclose(generate_series(ric, 1000), np.sqrt(0.75) + h0 / 2.0)
+
+
 def test_rician_mean_power_preserved():
     cfg = FadingProcessConfig(
         doppler_hz=100.0, sample_rate_hz=1000.0,
-        distribution="rician", k_factor=3.0, seed=4,
+        k_factor=3.0, seed=4,
     )
     h = generate_series(cfg, 400_000)
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) <= 0.02

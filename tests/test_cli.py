@@ -306,6 +306,18 @@ def test_flops_csv_row_is_self_describing(tmp_path):
     assert row["config_hash"]
 
 
+def test_flops_widths_and_rate_follow_the_network(tmp_path):
+    # K(tau+1) tap-line entries in, K out, one prediction per sample
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "f.csv"
+    conf.write_text("[network]\nrelays = 4\n[predictor]\ntau = 2\n"
+                    "[fading]\nsample_rate_hz = 500\n")
+    assert run_main(["flops", "--config", str(conf), "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert (row["n_input"], row["n_output"], row["exact"]) == ("12", "4", "18200")
+    assert float(row["flops"]) == 18200 * 500
+
+
 # ---------------------------------------------------------------------------
 # protocol-sim
 
@@ -513,10 +525,11 @@ def horizon3_model(tmp_path_factory):
     ("outage", 1, "", "horizon"),
     ("predict-eval", 3, "scale = 1.0", "scale"),
     ("outage", 3, "tau = 2", "tau"),
+    ("outage", 3, "[network]\nrelays = 4", "links"),
 ])
 def test_model_file_must_fit_the_config(tmp_path, capsys, horizon3_model,
                                         command, delay, extra, setting):
-    # the model was fit at horizon 3 with the default tau and scale
+    # the model was fit at horizon 3 on 8 links, default tau and scale
     conf = tmp_path / "e.conf"
     conf.write_text("[csi]\nmode = predicted\ndelay = %d\nmodel = %s\n%s%s\n"
                     % (delay, horizon3_model, TINY_PREDICTOR, extra))
@@ -587,7 +600,7 @@ def test_fig7b_plan_scales_the_network():
 
 def test_fig7a_plan_is_record_driven_rician():
     cfg, command, runs = cli.PRESETS["fig7a"]()
-    assert cfg.fading.distribution == "rician"
+    assert cfg.fading.k_factor == 3.0
     assert all(r.record for r in runs)
     assert {r.fading.doppler_hz for r in runs} == {25.0, 50.0, 100.0}
 

@@ -12,7 +12,7 @@ def test_empty_text_is_the_baseline_setup():
     assert cfg.network.rate == 1.0
     assert cfg.fading.sample_rate_hz == 1000.0
     assert cfg.fading.doppler_hz == 100.0
-    assert cfg.fading.distribution == "rayleigh"
+    assert cfg.fading.k_factor == 0.0
     assert cfg.predictor.tau == 4
     assert cfg.predictor.layers == 2
     assert cfg.predictor.neurons == 25
@@ -80,6 +80,13 @@ def test_grid_range_is_inclusive():
     ("[network]\nnoise_var = 2\n", "unknown key"),
     # the hops split the power evenly in the Monte-Carlo and the closed forms
     ("[network]\nsource_power_fraction = 0.8\n", "unknown key"),
+    # k_factor = 0 is Rayleigh; mean power only relabels the SNR axis
+    ("[fading]\ndistribution = rician\n", "unknown key"),
+    ("[fading]\nmean_power = 2\n", "unknown key"),
+    # rows depend on the timer only through T_m / c and window / c
+    ("[protocol]\ntimer_c = 2\n", "unknown key"),
+    # the flops widths and rate follow from relays, tau and f_s
+    ("[flops]\nn_input = 40\n", "unknown section"),
     ("[network]\nrelays = 8\nrelays = 9\n", "duplicate key"),
     ("[network]\nrelays = eight\n", "expected an integer"),
     ("[network]\nrelays = 0\n", "at least one relay"),

@@ -1,10 +1,13 @@
 """Golden bytes: the Monte-Carlo columns of `outage`, `capacity` and
-`protocol-sim`.
+`protocol-sim`, and the data rows of `gen-data`.
 
 The files under tests/data hold every CSV column except `analytic` and
 `config_hash`.  The outage and capacity files were recorded before the
 estimator's draw path was last reworked, the protocol-sim file before
-the synthetic network began holding its frame block.  Any change to
+the synthetic network began holding its frame block.  The gen-data
+files hold two links of 50 samples, Rayleigh and Rician k = 3, recorded
+before the fading keys were reduced to `k_factor`; their header lines
+carry the config hash and are not compared.  Any change to
 how `estimate` or `simulate_frames` consumes its streams, or to the
 arithmetic that turns draws into SNRs, shows up here as a byte
 difference.  Regenerate a file only for a change that is meant to move
@@ -93,6 +96,26 @@ def run_columns(tmp_path, command, name):
 def test_monte_carlo_columns_match_golden_bytes(tmp_path, command, name):
     want = (DATA / ("%s-%s.csv" % (name, command))).read_text()
     assert run_columns(tmp_path, command, name) == want
+
+
+GEN_DATA = "[network]\nrelays = 2\n[dataset]\nlength = 50\n"
+FADING = {"rayleigh": "", "rician": "[fading]\nk_factor = 3.0\n"}
+
+
+def data_rows(path):
+    return [ln for ln in Path(path).read_text().splitlines()
+            if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("name", sorted(FADING))
+def test_gen_data_rows_match_golden_bytes(tmp_path, name):
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "ds.csv"
+    conf.write_text(GEN_DATA + FADING[name])
+    assert cli.main(["gen-data", "--config", str(conf), "--out", str(out)]) == 0
+    want = data_rows(DATA / ("%s-gen-data.csv" % name))
+    assert len(want) == 50
+    assert data_rows(out) == want
 
 
 def test_protocol_sim_columns_match_golden_bytes(tmp_path):

@@ -565,7 +565,8 @@ def test_flops_simplified_square_case():
         flops_simplified("dense_tanh", 2, 25)
 
 
-LAYOUT = {"tau": 4, "horizon": 3, "features": "complex", "scale": 0.4}
+LAYOUT = {"tau": 4, "horizon": 3, "features": "complex", "scale": 0.4,
+          "links": 8}
 
 
 def test_model_roundtrip_is_bit_exact(tmp_path):

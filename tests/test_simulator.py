@@ -43,14 +43,14 @@ def multilink_series(seed, length, links=8):
 
 def test_timer_model():
     with pytest.raises(ValueError):
-        TimerModel(c=0.0)
+        TimerModel(max_duration=0.0)
     with pytest.raises(ValueError):
         TimerModel(uncertainty_window=-1.0)
-    t = TimerModel(c=2.0, max_duration=50.0)
+    t = TimerModel(max_duration=25.0)
     mags = np.array([0.0, 0.01, 0.1, 1.0, 10.0])
     d = t.duration(mags)
-    assert d[0] == 50.0 and d[1] == 50.0  # capped
-    assert np.allclose(d[2:], [20.0, 2.0, 0.2])
+    assert d[0] == 25.0 and d[1] == 25.0  # capped
+    assert np.allclose(d[2:], [10.0, 1.0, 0.1])
     assert np.all(np.diff(d) <= 0)  # stronger metric fires earlier
 
 
