@@ -31,13 +31,21 @@ values are filled for df/af rows whose metric the analysis models
 (perfect, synthetic, outdated and predicted correlation) and for
 direct transmission; they are left blank for pair selection, for
 impaired rows and for record-driven rows.
+
+Predictors trained on the fly are kept in a content-addressed model
+cache, .prsim-models/ beside the output CSV, so runs that write into
+one directory train each model once (see PredictorPool).
 """
 
 import argparse
 import csv
+import functools
+import hashlib
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +53,7 @@ from .analytics import (SelectionParams, capacity_af, capacity_df,
                         capacity_exponential_exact, outage_af, outage_df)
 from .channel import FadingProcessConfig, generate_series, jakes_correlation
 from .config import (ConfigError, ExperimentConfig, FadingSettings,
-                     load_config, parse_config)
+                     load_config, parse_config, settings_lines)
 from .predictor import (HIGH_ACCURACY_TRAIN, LayerSpec, TrainConfig,
                         flops_per_step, flops_simplified, load_model,
                         predict_series, save_model, train_link_predictor)
@@ -122,6 +130,69 @@ def _layout(cfg, horizon, links):
             "scale": pred.scale, "links": links}
 
 
+def _load_fitting(path, layout):
+    """The model saved at path; ConfigError naming each layout setting
+    that differs from the config's."""
+    net, found = load_model(path)
+    differ = ["%s %r in the model, %r in the config" % (k, found[k], v)
+              for k, v in layout.items() if found[k] != v]
+    if differ:
+        raise ConfigError(
+            "model file %r does not fit the config: %s (rerun the "
+            "train subcommand)" % (path, "; ".join(differ)))
+    return net
+
+
+# ---------------------------------------------------------------------------
+# model cache
+
+_MODEL_CACHE = ".prsim-models"
+
+
+def _model_cache(cfg, out):
+    """The model cache directory beside the run's output CSV."""
+    return os.path.join(os.path.dirname(os.path.abspath(out or cfg.output)),
+                        _MODEL_CACHE)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_digest():
+    """sha256 over the package's source files, read on first use."""
+    root = Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _model_key(cfg, fading, horizon, links):
+    """Cache key of the model _fit trains for these inputs: the fading
+    it trains on, every predictor setting, horizon, links, the seed,
+    the numpy version and the package source."""
+    lines = (["[fading]"] + settings_lines(fading)
+             + ["[predictor]"] + settings_lines(cfg.predictor)
+             + ["horizon = %d" % horizon, "links = %d" % links,
+                "seed = %d" % cfg.seed, "numpy = %s" % np.__version__,
+                "code = %s" % _code_digest()])
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _store(net, path, layout):
+    """save_model through a temp file renamed into place, so a reader
+    never sees a partial archive."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            save_model(net, fh, layout)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # run plans
 
@@ -149,10 +220,17 @@ class PredictorPool:
     the csi section names an existing model file it is loaded instead,
     provided its recorded feature layout matches the config, and only
     evaluated.
+
+    Otherwise the model comes from the on-disk cache in `cache_dir`,
+    under the sha256 of _model_key's inputs.  A miss trains and stores
+    the model; a hit loads it, which is bit exact, so the rows are the
+    same bytes either way.  An entry that does not load, or whose
+    layout differs, is a miss and is overwritten.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, cache_dir):
         self.cfg = cfg
+        self.cache_dir = cache_dir
         self._nets = {}
         self._evals = {}
 
@@ -160,27 +238,31 @@ class PredictorPool:
         key = (fading, horizon, links)
         if key not in self._nets:
             path = self.cfg.csi.model
+            layout = _layout(self.cfg, horizon, links)
             if path and os.path.exists(path):
-                net, layout = load_model(path)
-                differ = ["%s %r in the model, %r in the config"
-                          % (k, layout[k], v)
-                          for k, v in _layout(self.cfg, horizon,
-                                              links).items()
-                          if layout[k] != v]
-                if differ:
-                    raise ConfigError(
-                        "model file %r does not fit the config: %s (rerun the "
-                        "train subcommand)" % (path, "; ".join(differ)))
+                net = _load_fitting(path, layout)
             elif path:
                 raise ConfigError(
                     "model file %r not found (run the train subcommand "
                     "first, or clear csi.model to train on the fly)" % path)
             else:
-                series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
-                                 self.cfg.predictor.train_len, links)
-                net, _ = _fit(self.cfg, series, horizon)
+                net = self._cached_fit(fading, horizon, links, layout)
             self._nets[key] = net
         return self._nets[key]
+
+    def _cached_fit(self, fading, horizon, links, layout):
+        path = os.path.join(
+            self.cache_dir,
+            _model_key(self.cfg, fading, horizon, links) + ".npz")
+        try:
+            return _load_fitting(path, layout)
+        except (ValueError, OSError):  # absent or damaged: train afresh
+            pass
+        series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
+                         self.cfg.predictor.train_len, links)
+        net, _ = _fit(self.cfg, series, horizon)
+        _store(net, path, layout)
+        return net
 
     def evaluate(self, fading, horizon, links):
         """(prediction, actual, rho) on the evaluation record."""
@@ -343,7 +425,7 @@ def cmd_train(cfg, out=None):
 
 def cmd_predict_eval(cfg, out=None, plan=None):
     """Prediction quality rows over (fading, horizon) pairs."""
-    pool = PredictorPool(cfg)
+    pool = PredictorPool(cfg, _model_cache(cfg, out))
     pairs = plan or [(cfg.fading, cfg.csi.delay)]
     rows = []
     for fading, horizon in pairs:
@@ -375,7 +457,7 @@ def _curves(cfg, out, runs, command):
     estimate call, so schemes of one draw family share their draws;
     rows keep run order.
     """
-    pool = PredictorPool(cfg)
+    pool = PredictorPool(cfg, _model_cache(cfg, out))
     trials = _clamped_trials(cfg)
     rate = RateConfig(cfg.network.rate)
     rhos, ests, groups = [], {}, {}
@@ -426,24 +508,26 @@ def cmd_capacity(cfg, out=None, runs=None):
 
 
 def cmd_flops(cfg, out=None):
-    """Complexity table of the configured architecture: K(tau+1) inputs,
-    K outputs, one prediction per sample (f_p = f_s)."""
-    pred, relays = cfg.predictor, cfg.network.relays
-    n_input = relays * (pred.tau + 1)
+    """Complexity table of the configured architecture: one feature row
+    of K magnitudes or 2K re/im parts per instant, tau+1 instants in,
+    one row out, one prediction per sample (f_p = f_s)."""
+    pred = cfg.predictor
+    n_output = cfg.network.relays * (2 if pred.features == "complex" else 1)
+    n_input = n_output * (pred.tau + 1)
     f_p = cfg.fading.sample_rate_hz
     widths = (pred.neurons,) * pred.layers
-    exact = flops_per_step(n_input, widths, relays, kind=pred.kind)
+    exact = flops_per_step(n_input, widths, n_output, kind=pred.kind)
     simplified = flops_simplified(pred.kind, pred.layers, pred.neurons)
     rate = exact * f_p
     print("kind=%s layers=%d neurons=%d n_in=%d n_out=%d"
-          % (pred.kind, pred.layers, pred.neurons, n_input, relays))
+          % (pred.kind, pred.layers, pred.neurons, n_input, n_output))
     print("exact ops per prediction : %d" % exact)
     print("simplified 4(1+cL)n^2    : %d" % simplified)
     print("rate at f_p=%s Hz        : %s MFLOPS" % (repr(f_p), rate / 1e6))
     if out:
         rows = [{
             "kind": pred.kind, "layers": pred.layers, "neurons": pred.neurons,
-            "n_input": n_input, "n_output": relays, "exact": exact,
+            "n_input": n_input, "n_output": n_output, "exact": exact,
             "simplified": simplified, "flops": rate,
         }]
         _write_rows(out, rows, FLOPS_FIELDS, cfg)
@@ -476,7 +560,8 @@ def cmd_protocol_sim(cfg, out=None):
         series_sr, series_rd = _hop_records(
             cfg, cfg.fading, frames + cfg.predictor.tau + csi.delay + 2,
             relays)
-        predictor = (PredictorPool(cfg).net(cfg.fading, csi.delay, relays)
+        predictor = (PredictorPool(cfg, _model_cache(cfg, out)).net(
+                         cfg.fading, csi.delay, relays)
                      if csi.mode == "predicted" else None)
         network = SeriesNetwork(series_sr, series_rd, csi.delay,
                                 predictor=predictor, tau=cfg.predictor.tau,

@@ -379,6 +379,12 @@ def _format_value(value):
     return str(value)
 
 
+def settings_lines(settings):
+    """Canonical `key = value` lines of one settings section."""
+    return ["%s = %s" % (f.name, _format_value(getattr(settings, f.name)))
+            for f in fields(settings)]
+
+
 def to_text(cfg):
     """Canonical full serialization; parse_config(to_text(c)) == c."""
     lines = ["[experiment]"]
@@ -390,10 +396,8 @@ def to_text(cfg):
     lines.append("")
     lines.append("[grid]")
     lines.append("snr_db = %s" % _format_value(cfg.snr_grid_db))
-    for section, cls in _SECTION_CLS.items():
+    for section in _SECTION_CLS:
         lines.append("")
         lines.append("[%s]" % section)
-        sub = getattr(cfg, section)
-        for f in fields(cls):
-            lines.append("%s = %s" % (f.name, _format_value(getattr(sub, f.name))))
+        lines.extend(settings_lines(getattr(cfg, section)))
     return "\n".join(lines) + "\n"

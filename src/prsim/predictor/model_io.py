@@ -14,6 +14,7 @@ lack part of it and are refused.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -41,26 +42,37 @@ def save_model(net, path, layout):
 
 
 def load_model(path):
-    """(net, layout) of an archive written by save_model."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data:
-            raise ValueError("not a model archive: missing header")
-        header = json.loads(str(data["__meta__"]))
-        if header.get("format") != _FORMAT:
-            raise ValueError(f"unexpected archive format {header.get('format')!r}")
-        if header.get("version") != _VERSION:
-            raise ValueError(
-                f"unsupported model version {header.get('version')!r} "
-                "(rerun prsim train to refit the model)")
-        layout = header.get("layout")
-        if not isinstance(layout, dict) or set(layout) != set(LAYOUT_KEYS):
-            raise ValueError("model header lacks its feature layout")
-        specs = tuple(LayerSpec(d["kind"], int(d["size"])) for d in header["layers"])
-        net = RecurrentNet(int(header["input_dim"]), specs,
-                           int(header["output_dim"]), seed=int(header.get("seed", 0)))
-        for name, arr in net.parameter_items():
-            stored = data[name.replace("/", "__")]
-            if stored.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}")
-            arr[...] = stored
+    """(net, layout) of an archive written by save_model.
+
+    Anything else raises ValueError, a truncated or corrupted archive
+    included; a missing file raises OSError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return _read(data)
+    except (EOFError, KeyError, zipfile.BadZipFile) as err:
+        raise ValueError(f"damaged model archive {str(path)!r}: {err}") from err
+
+
+def _read(data):
+    if "__meta__" not in data:
+        raise ValueError("not a model archive: missing header")
+    header = json.loads(str(data["__meta__"]))
+    if header.get("format") != _FORMAT:
+        raise ValueError(f"unexpected archive format {header.get('format')!r}")
+    if header.get("version") != _VERSION:
+        raise ValueError(
+            f"unsupported model version {header.get('version')!r} "
+            "(rerun prsim train to refit the model)")
+    layout = header.get("layout")
+    if not isinstance(layout, dict) or set(layout) != set(LAYOUT_KEYS):
+        raise ValueError("model header lacks its feature layout")
+    specs = tuple(LayerSpec(d["kind"], int(d["size"])) for d in header["layers"])
+    net = RecurrentNet(int(header["input_dim"]), specs,
+                       int(header["output_dim"]), seed=int(header.get("seed", 0)))
+    for name, arr in net.parameter_items():
+        stored = data[name.replace("/", "__")]
+        if stored.shape != arr.shape:
+            raise ValueError(f"shape mismatch for {name}")
+        arr[...] = stored
     return net, layout

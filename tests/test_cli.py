@@ -1,16 +1,23 @@
 """Command-line runner: subcommands, presets, CSV contracts."""
 
 import csv
+import multiprocessing
+import os
+import shutil
+import subprocess
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from prsim import cli, simulator
 from prsim.analytics import SelectionParams, outage_df
-from prsim.config import ConfigError, parse_config
+from prsim.config import (ConfigError, FadingSettings, PredictorSettings,
+                          parse_config)
 from prsim.numerics import bessel_j0
+from prsim.predictor import LayerSpec, RecurrentNet, load_model
 from prsim.selection import RateConfig
 
 
@@ -283,8 +290,12 @@ mode = perfect
 # flops
 
 
+MAGNITUDE = "[predictor]\nfeatures = magnitude\n"
+
+
 def test_flops_reference_architecture(tmp_path):
-    result = cli.cmd_flops(parse_config(""))
+    # the reference predictor regresses the K = 8 magnitudes: 40 inputs
+    result = cli.cmd_flops(parse_config(MAGNITUDE))
     assert result["exact"] == 25_400
     assert result["simplified"] == 22_500
     assert result["flops"] == pytest.approx(25.4e6)
@@ -299,21 +310,37 @@ def test_flops_rnn_is_cheaper_and_gru_table_value(tmp_path):
 
 
 def test_flops_csv_row_is_self_describing(tmp_path):
+    # the default complex features: 2K(tau+1) = 80 in, 2K = 16 out
     out = tmp_path / "f.csv"
     assert run_main(["flops", "--out", str(out)]) == 0
     (row,) = read_rows(out)
-    assert row["exact"] == "25400"
+    assert (row["n_input"], row["n_output"], row["exact"]) == ("80", "16",
+                                                               "35800")
     assert row["config_hash"]
 
 
-def test_flops_widths_and_rate_follow_the_network(tmp_path):
-    # K(tau+1) tap-line entries in, K out, one prediction per sample
+def flops_row(tmp_path, features):
+    # K = 4, tau = 2, f_s = 500 Hz
     conf = tmp_path / "e.conf"
     out = tmp_path / "f.csv"
     conf.write_text("[network]\nrelays = 4\n[predictor]\ntau = 2\n"
-                    "[fading]\nsample_rate_hz = 500\n")
+                    "features = %s\n[fading]\nsample_rate_hz = 500\n"
+                    % features)
     assert run_main(["flops", "--config", str(conf), "--out", str(out)]) == 0
     (row,) = read_rows(out)
+    return row
+
+
+def test_flops_widths_and_rate_follow_the_network(tmp_path):
+    # complex features: 2K re/im parts per instant, tau+1 instants in,
+    # 2K out, one prediction per sample
+    row = flops_row(tmp_path, "complex")
+    assert (row["n_input"], row["n_output"], row["exact"]) == ("24", "8", "21400")
+    assert float(row["flops"]) == 21400 * 500
+
+
+def test_flops_magnitude_features_halve_the_widths(tmp_path):
+    row = flops_row(tmp_path, "magnitude")
     assert (row["n_input"], row["n_output"], row["exact"]) == ("12", "4", "18200")
     assert float(row["flops"]) == 18200 * 500
 
@@ -543,6 +570,170 @@ def test_model_file_must_fit_the_config(tmp_path, capsys, horizon3_model,
 
 
 # ---------------------------------------------------------------------------
+# model cache
+
+
+PREDICTED = """
+[experiment]
+trials = 10000
+
+[grid]
+snr_db = 10
+
+[csi]
+mode = predicted
+delay = 3
+%s""" % TINY_PREDICTOR
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Horizons of the trainings the CLI runs, in order."""
+    seen = []
+    real = cli.train_link_predictor
+
+    def counting(*args, **kwargs):
+        seen.append(kwargs["horizon"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_link_predictor", counting)
+    return seen
+
+
+def test_warm_run_trains_nothing(tmp_path, fits):
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED)
+    for name in ("cold.csv", "warm.csv"):
+        assert run_main(["outage", "--config", str(conf),
+                         "--out", str(tmp_path / name)]) == 0
+    assert fits == [3]
+    assert (tmp_path / "cold.csv").read_bytes() == \
+        (tmp_path / "warm.csv").read_bytes()
+    (entry,) = (tmp_path / ".prsim-models").iterdir()
+    assert entry.name.endswith(".npz")
+
+
+def test_damaged_cache_entry_is_retrained_and_replaced(tmp_path, fits):
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED)
+    out = tmp_path / "r.csv"
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    first = out.read_bytes()
+    (entry,) = (tmp_path / ".prsim-models").iterdir()
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[:len(whole) // 2])
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    assert fits == [3, 3]
+    assert out.read_bytes() == first
+    assert [p.name for p in (tmp_path / ".prsim-models").iterdir()] == \
+        [entry.name]
+    assert entry.read_bytes() == whole
+    load_model(entry)
+
+
+def test_predict_eval_and_protocol_sim_share_the_cache(tmp_path, fits):
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED + "[protocol]\nframes = 200\n")
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for command in ("predict-eval", "protocol-sim", "outage"):
+        assert run_main([command, "--config", str(conf),
+                         "--out", str(runs / (command + ".csv"))]) == 0
+    assert fits == [3]
+    assert len(list((runs / ".prsim-models").iterdir())) == 1
+
+
+def _store_and_load(path, rounds):
+    # spawned worker: rewrite one cache entry and read it back
+    net = RecurrentNet(4, (LayerSpec("lstm", 3),), 2, seed=0)
+    layout = {"tau": 1, "horizon": 1, "features": "magnitude",
+              "scale": 1.0, "links": 2}
+    for _ in range(rounds):
+        cli._store(net, path, layout)
+        cli._load_fitting(path, layout)  # raises on a partial archive
+
+
+def test_concurrent_writers_never_expose_a_partial_entry(tmp_path):
+    path = str(tmp_path / ".prsim-models" / "entry.npz")
+    ctx = multiprocessing.get_context("spawn")
+    workers = [ctx.Process(target=_store_and_load, args=(path, 40))
+               for _ in range(3)]
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert [w.exitcode for w in workers] == [0, 0, 0]
+    finally:
+        for w in workers:
+            if w.is_alive():
+                w.kill()
+    assert os.listdir(tmp_path / ".prsim-models") == ["entry.npz"]
+
+
+KEY_BASE = parse_config("[csi]\nmode = predicted\n")
+OTHER_FADING = {"doppler_hz": 50.0, "sample_rate_hz": 2000.0,
+                "k_factor": 3.0, "num_sinusoids": 32}
+OTHER_PREDICTOR = {"kind": "gru", "layers": 1, "neurons": 10, "tau": 2,
+                   "features": "magnitude", "scale": 0.5, "train_len": 4000,
+                   "epochs": 5, "batch_size": 16, "lr": 1e-3}
+
+
+def model_key(cfg, fading=None, horizon=3, links=8):
+    return cli._model_key(cfg, fading or cfg.fading, horizon, links)
+
+
+def test_model_key_holds_every_training_input():
+    assert set(OTHER_FADING) == {f.name for f in fields(FadingSettings)}
+    assert set(OTHER_PREDICTOR) == {f.name for f in fields(PredictorSettings)}
+    cfg = KEY_BASE
+    keys = [model_key(cfg)]
+    for name, value in OTHER_FADING.items():
+        # the fading the model trains on, not cfg.fading, enters the key
+        keys.append(model_key(cfg, replace(cfg.fading, **{name: value})))
+    for name, value in OTHER_PREDICTOR.items():
+        keys.append(model_key(replace(
+            cfg, predictor=replace(cfg.predictor, **{name: value}))))
+    keys += [model_key(cfg, horizon=2), model_key(cfg, links=4),
+             model_key(replace(cfg, seed=1))]
+    assert len(set(keys)) == len(keys) == 1 + 4 + 10 + 3
+
+
+def test_model_key_ignores_what_training_does_not_read():
+    cfg = KEY_BASE
+    for other in (replace(cfg, output="elsewhere/r.csv"),
+                  replace(cfg, trials=1234),
+                  replace(cfg, snr_grid_db=(5.0,)),
+                  replace(cfg, schemes=("af", "dt")),
+                  replace(cfg, csi=replace(cfg.csi, mode="outdated")),
+                  replace(cfg, fading=replace(cfg.fading, doppler_hz=50.0))):
+        assert model_key(other, fading=cfg.fading) == model_key(cfg)
+
+
+def test_presets_share_the_horizon3_model_key():
+    # fig4a, fig4b, fig6a and fig6b all resolve a horizon-3, K = 8
+    # predictor; fig7b trains at K = 1, 2 and 6 under keys of its own
+    keys = set()
+    for name in ("fig4a", "fig4b", "fig6a", "fig6b"):
+        cfg, _, runs = cli.PRESETS[name]()
+        assert any(r.rho is None and r.horizon == 3 and r.relays == 8
+                   for r in runs)
+        keys.add(model_key(cfg))
+    assert len(keys) == 1
+    cfg, _, runs = cli.PRESETS["fig7b"]()
+    fig7b = {model_key(cfg, links=r.relays) for r in runs if r.rho is None}
+    assert len(fig7b) == 3 and not fig7b & keys
+
+
+def test_model_cache_sits_beside_the_output(tmp_path):
+    cfg = replace(KEY_BASE, output="runs/r.csv")
+    assert cli._model_cache(cfg, None) == str(
+        Path("runs").resolve() / ".prsim-models")
+    assert cli._model_cache(cfg, str(tmp_path / "o.csv")) == str(
+        tmp_path / ".prsim-models")
+
+
+# ---------------------------------------------------------------------------
 # presets and argument handling
 
 
@@ -642,3 +833,15 @@ def test_unreadable_config_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_tests_leave_no_model_cache_in_the_checkout():
+    # every run above writes beside a tmp_path output; this test sorts
+    # after the acceptance, analytics, channel and cli modules
+    root = Path(__file__).resolve().parents[1]
+    if shutil.which("git") is None or not (root / ".git").exists():
+        pytest.skip("not a git checkout")
+    shown = subprocess.run(["git", "status", "--porcelain", "--ignored"],
+                           cwd=root, capture_output=True, text=True,
+                           check=True).stdout
+    assert ".prsim-models" not in shown

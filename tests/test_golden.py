@@ -1,8 +1,13 @@
 """Golden bytes: the Monte-Carlo columns of `outage`, `capacity` and
-`protocol-sim`, and the data rows of `gen-data`.
+`protocol-sim`, every column of predicted-CSI `outage` and `capacity`,
+and the data rows of `gen-data`.
 
-The files under tests/data hold every CSV column except `analytic` and
-`config_hash`.  The outage and capacity files were recorded before the
+The synthetic-pair files under tests/data hold every CSV column except
+`analytic` and `config_hash`; the predicted files drop only
+`config_hash`, since their closed form sits at the correlation the
+trained predictor resolves.  The predicted files were recorded before
+the model cache existed, and both runs write into one directory, so
+the first trains the model and the second loads it from the cache.  The outage and capacity files were recorded before the
 estimator's draw path was last reworked, the protocol-sim file before
 the synthetic network began holding its frame block.  The gen-data
 files hold two links of 50 samples, Rayleigh and Rician k = 3, recorded
@@ -70,11 +75,11 @@ uncertainty_window = 0.001
 CONFIGS = {"clean": BASE, "impaired": IMPAIRED, "synthetic": PROTOCOL}
 
 
-def mc_columns(csv_path):
-    """CSV text of a result file without its analytic and hash columns."""
+def mc_columns(csv_path, drop=("analytic", "config_hash")):
+    """CSV text of a result file without the columns in drop."""
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    fields = [f for f in rows[0] if f not in ("analytic", "config_hash")]
+    fields = [f for f in rows[0] if f not in drop]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
                             lineterminator="\n")
@@ -121,3 +126,46 @@ def test_gen_data_rows_match_golden_bytes(tmp_path, name):
 def test_protocol_sim_columns_match_golden_bytes(tmp_path):
     want = (DATA / "synthetic-protocol-sim.csv").read_text()
     assert run_columns(tmp_path, "protocol-sim", "synthetic") == want
+
+
+PREDICTED = """
+[experiment]
+trials = 10000
+
+[network]
+relays = 2
+
+[csi]
+mode = predicted
+delay = 2
+
+[predictor]
+train_len = 1500
+epochs = 2
+
+[schemes]
+list = df, af
+
+[grid]
+snr_db = 0:20:10
+"""
+
+
+def test_predicted_columns_match_golden_bytes_cold_and_warm(tmp_path,
+                                                            monkeypatch):
+    fits = []
+    real = cli.train_link_predictor
+
+    def counting(*args, **kwargs):
+        fits.append(kwargs["horizon"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_link_predictor", counting)
+    conf = tmp_path / "predicted.conf"
+    conf.write_text(PREDICTED)
+    for command in ("outage", "capacity"):
+        out = tmp_path / ("predicted-%s.csv" % command)
+        assert cli.main([command, "--config", str(conf), "--out", str(out)]) == 0
+        want = (DATA / ("predicted-%s.csv" % command)).read_text()
+        assert mc_columns(out, drop=("config_hash",)) == want
+    assert fits == [2]  # capacity loaded the model outage trained

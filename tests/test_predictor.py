@@ -636,3 +636,15 @@ def test_model_load_rejects_bad_archives(tmp_path):
     np.savez(tmp_path / "headerless.npz", W=np.zeros(3))
     with pytest.raises(ValueError, match="header"):
         load_model(tmp_path / "headerless.npz")
+
+    # damaged archives are refused as values too, never as zip or EOF
+    # errors: the CLI's model cache retrains on ValueError
+    whole = path.read_bytes()
+    for name, cut in (("empty", b""), ("truncated", whole[:len(whole) // 2])):
+        (tmp_path / name).write_bytes(cut)
+        with pytest.raises(ValueError, match="damaged"):
+            load_model(tmp_path / name)
+    del arrays["layer0__W"]
+    np.savez(tmp_path / "missing_array.npz", **arrays)
+    with pytest.raises(ValueError, match="damaged"):
+        load_model(tmp_path / "missing_array.npz")
