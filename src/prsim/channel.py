@@ -7,6 +7,15 @@ lag m is exactly J0(2 pi f_d m / f_s); a single realization approaches
 it as the number of sinusoids grows.  The generator is stateless and
 reproducible: the same (config, link) always yields the same series.
 
+The sum is accumulated as two real planes: per path, in path order,
+the phase x = omega t + phi goes into a reused plane, cos x is added to
+the real plane and sin x to the imaginary one, and the series is
+re + 1j im.  This equals the cisoid sum of exp(1j x) bit for bit: the
+argument 1j x has real part +-0 and exp(+-0) = 1, so the complex
+exponential returns exactly (cos x, sin x), and the additions happen in
+the same order.  It skips the complex temporaries and the complex
+exponential per sample and path.
+
 Outdated CSI follows the Gaussian degradation
   h_out = rho * h + eps * sqrt(1 - rho^2),
 eps ~ CN(0, 1), which leaves the marginal complex Gaussian and sets the
@@ -72,9 +81,16 @@ def generate_series(cfg, length, link=0):
     omega = 2.0 * np.pi * cfg.doppler_hz / cfg.sample_rate_hz * np.cos(angles)
 
     t = np.arange(length, dtype=np.float64)
-    diffuse = np.zeros(length, dtype=np.complex128)
+    re, im = np.zeros(length), np.zeros(length)
+    x, c = np.empty(length), np.empty(length)
     for k in range(n):  # accumulate per path to keep memory at O(length)
-        diffuse += np.exp(1j * (omega[k] * t + phases[k]))
+        np.multiply(omega[k], t, out=x)
+        x += phases[k]
+        re += np.cos(x, out=c)
+        im += np.sin(x, out=c)
+    del t, x, c
+    diffuse = 1j * im  # + re: the bits of re + 1j * im, one plane less
+    diffuse += re
     diffuse *= np.sqrt(1.0 / n)
 
     k_rice = cfg.k_factor

@@ -180,7 +180,9 @@ def _model_key(cfg, fading, horizon, links):
 
 def _store(net, path, layout):
     """save_model through a temp file renamed into place, so a reader
-    never sees a partial archive."""
+    never sees a partial archive.  Entries are named
+    <code digest>-<key>.npz; the entries another package source left in
+    the directory can never hit again, so they are deleted."""
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
@@ -191,6 +193,14 @@ def _store(net, path, layout):
     except BaseException:
         os.unlink(tmp)
         raise
+    current = _code_digest() + "-"
+    for name in os.listdir(directory):
+        if (name.endswith(".npz") and not name.startswith(current)
+                and name != os.path.basename(path)):
+            try:
+                os.unlink(os.path.join(directory, name))
+            except FileNotFoundError:  # another writer got there first
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +232,11 @@ class PredictorPool:
     evaluated.
 
     Otherwise the model comes from the on-disk cache in `cache_dir`,
-    under the sha256 of _model_key's inputs.  A miss trains and stores
-    the model; a hit loads it, which is bit exact, so the rows are the
-    same bytes either way.  An entry that does not load, or whose
-    layout differs, is a miss and is overwritten.
+    under the package's code digest and the sha256 of _model_key's
+    inputs.  A miss trains and stores the model; a hit loads it, which
+    is bit exact, so the rows are the same bytes either way.  An entry
+    that does not load, or whose layout differs, is a miss and is
+    overwritten.
     """
 
     def __init__(self, cfg, cache_dir):
@@ -251,9 +262,8 @@ class PredictorPool:
         return self._nets[key]
 
     def _cached_fit(self, fading, horizon, links, layout):
-        path = os.path.join(
-            self.cache_dir,
-            _model_key(self.cfg, fading, horizon, links) + ".npz")
+        path = os.path.join(self.cache_dir, "%s-%s.npz" % (
+            _code_digest(), _model_key(self.cfg, fading, horizon, links)))
         try:
             return _load_fitting(path, layout)
         except (ValueError, OSError):  # absent or damaged: train afresh
@@ -460,7 +470,7 @@ def _curves(cfg, out, runs, command):
     pool = PredictorPool(cfg, _model_cache(cfg, out))
     trials = _clamped_trials(cfg)
     rate = RateConfig(cfg.network.rate)
-    rhos, ests, groups = [], {}, {}
+    rhos, ests, groups, resolved = [], {}, {}, {}
     for i, spec in enumerate(runs):
         rho = spec.rho
         if spec.record:
@@ -478,9 +488,12 @@ def _curves(cfg, out, runs, command):
                                       scale=cfg.predictor.scale)
         else:
             if rho is None:
-                _, _, rho = pool.evaluate(spec.fading or cfg.fading,
-                                          spec.horizon, spec.relays)
-                print("resolved %s: rho=%.4f" % (spec.rho_mode, rho))
+                key = (spec.fading or cfg.fading, spec.horizon, spec.relays)
+                if key not in resolved:  # report each predictor once
+                    resolved[key] = pool.evaluate(*key)[2]
+                    print("resolved %s: rho=%.4f"
+                          % (spec.rho_mode, resolved[key]))
+                rho = resolved[key]
             groups.setdefault((spec.relays, rho, spec.impairments),
                               []).append(i)
         rhos.append(rho)

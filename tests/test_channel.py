@@ -56,6 +56,44 @@ def test_series_autocorrelation_vs_jakes(long_series):
         assert abs(empirical_autocorr(long_series, lag) - want) <= 0.02
 
 
+def cisoid_series(cfg, length, link=0):
+    """Reference synthesis: the complex-exponential sum, one path at a time."""
+    rng = stream(cfg.seed, 17, int(link))
+    n = cfg.num_sinusoids
+    rotation = rng.uniform(0.0, 2.0 * np.pi)
+    angles = (2.0 * np.pi * (np.arange(n) + 0.5) + rotation) / n
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    omega = 2.0 * np.pi * cfg.doppler_hz / cfg.sample_rate_hz * np.cos(angles)
+    t = np.arange(length, dtype=np.float64)
+    diffuse = np.zeros(length, dtype=np.complex128)
+    for k in range(n):
+        diffuse += np.exp(1j * (omega[k] * t + phases[k]))
+    diffuse *= np.sqrt(1.0 / n)
+    k_rice = cfg.k_factor
+    if k_rice == 0.0:
+        return diffuse
+    return np.sqrt(k_rice / (k_rice + 1.0)) + diffuse / np.sqrt(k_rice + 1.0)
+
+
+# 20 009 samples at f_d/f_s = 0.1 reach |omega t| of about 1.2e4 rad, and
+# paths past pi/2 of arrival angle have negative omega.
+@pytest.mark.parametrize("length", [1, 20_009])
+@pytest.mark.parametrize("doppler_hz", [0.0, 100.0])
+@pytest.mark.parametrize("num_sinusoids", [1, 64])
+@pytest.mark.parametrize("k_factor", [0.0, 3.0])
+def test_series_equals_cisoid_sum_bit_for_bit(k_factor, num_sinusoids,
+                                              doppler_hz, length):
+    cfg = FadingProcessConfig(doppler_hz=doppler_hz, sample_rate_hz=1000.0,
+                              k_factor=k_factor, num_sinusoids=num_sinusoids,
+                              seed=9)
+    for link in (0, 3):
+        h = generate_series(cfg, length, link)
+        want = cisoid_series(cfg, length, link)
+        assert h.dtype == want.dtype
+        assert np.array_equal(h, want)
+        assert h.tobytes() == want.tobytes()  # signed zeros too
+
+
 def test_series_reproducible():
     cfg = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, seed=5)
     a = generate_series(cfg, 4096, link=2)

@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import time
@@ -247,6 +248,32 @@ delay = 3
     (row,) = read_rows(out)
     assert row["rho_mode"] == "predicted(3)"
     assert row["analytic"] != ""
+
+
+def test_predicted_run_reports_each_predictor_once(tmp_path, capsys):
+    # df and af share one predictor, so one "resolved" line per step
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("""
+[experiment]
+trials = 10000
+
+[grid]
+snr_db = 10
+
+[csi]
+mode = predicted
+delay = 3
+
+[schemes]
+list = df, af
+%s""" % TINY_PREDICTOR)
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if re.match(r"^resolved \S+: rho=", ln)]
+    assert len(lines) == 1
+    assert lines[0].startswith("resolved predicted(3): rho=")
+    assert {r["scheme"] for r in read_rows(out)} == {"df", "af"}
 
 
 def test_predicted_mode_requires_named_model_to_exist(tmp_path, capsys):
@@ -641,6 +668,29 @@ def test_predict_eval_and_protocol_sim_share_the_cache(tmp_path, fits):
                          "--out", str(runs / (command + ".csv"))]) == 0
     assert fits == [3]
     assert len(list((runs / ".prsim-models").iterdir())) == 1
+
+
+def test_storing_an_entry_deletes_other_code_versions(tmp_path, monkeypatch,
+                                                      fits):
+    conf = tmp_path / "e.conf"
+    cache = tmp_path / ".prsim-models"
+
+    def entries_after_run(digest, delay=3):
+        monkeypatch.setattr(cli, "_code_digest", lambda: digest)
+        conf.write_text(PREDICTED.replace("delay = 3", "delay = %d" % delay))
+        assert run_main(["predict-eval", "--config", str(conf),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        return sorted(p.name for p in cache.iterdir())
+
+    old, new = "a" * 64, "b" * 64
+    (first,) = entries_after_run(old)
+    assert first.startswith(old + "-") and first.endswith(".npz")
+    (second,) = entries_after_run(new)  # a code edit retrains ...
+    assert second.startswith(new + "-")  # ... and drops the stale entry
+    both = entries_after_run(new, delay=2)  # same code: entries coexist
+    assert len(both) == 2 and all(n.startswith(new + "-") for n in both)
+    assert entries_after_run(new) == both  # a hit writes nothing
+    assert fits == [3, 3, 2]
 
 
 def _store_and_load(path, rounds):

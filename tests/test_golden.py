@@ -7,13 +7,19 @@ The synthetic-pair files under tests/data hold every CSV column except
 `config_hash`, since their closed form sits at the correlation the
 trained predictor resolves.  The predicted files were recorded before
 the model cache existed, and both runs write into one directory, so
-the first trains the model and the second loads it from the cache.  The outage and capacity files were recorded before the
-estimator's draw path was last reworked, the protocol-sim file before
-the synthetic network began holding its frame block.  The gen-data
-files hold two links of 50 samples, Rayleigh and Rician k = 3, recorded
-before the fading keys were reduced to `k_factor`; their header lines
-carry the config hash and are not compared.  Any change to
-how `estimate` or `simulate_frames` consumes its streams, or to the
+the first trains the model and the second loads it from the cache.
+The outage and capacity files were recorded before the estimator's
+draw path was last reworked, the synthetic protocol-sim file before
+the synthetic network began holding its frame block.  The outdated
+protocol-sim file runs the frame protocol on Jakes records (K = 8,
+delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples reach
+phases omega t of about 1.2e4 rad; it was recorded before
+`generate_series` moved from complex exponentials to real cos/sin
+planes.  The gen-data files hold two links of 50 samples, Rayleigh
+and Rician k = 3, recorded before the fading keys were reduced to
+`k_factor`; their header lines carry the config hash and are not
+compared.  Any change to how `estimate`,
+`simulate_frames` or `generate_series` consumes its streams, or to the
 arithmetic that turns draws into SNRs, shows up here as a byte
 difference.  Regenerate a file only for a change that is meant to move
 the Monte-Carlo output, and say so where the change is recorded.
@@ -72,7 +78,28 @@ frames = 20000
 uncertainty_window = 0.001
 """
 
-CONFIGS = {"clean": BASE, "impaired": IMPAIRED, "synthetic": PROTOCOL}
+# perfbench's protocol workload: the frame protocol on Jakes records
+OUTDATED = """
+[network]
+relays = 8
+
+[csi]
+mode = outdated
+delay = 3
+
+[schemes]
+list = df, af, df-central
+
+[grid]
+snr_db = 0:30:10
+
+[protocol]
+frames = 20000
+uncertainty_window = 0.001
+"""
+
+CONFIGS = {"clean": BASE, "impaired": IMPAIRED, "synthetic": PROTOCOL,
+           "outdated": OUTDATED}
 
 
 def mc_columns(csv_path, drop=("analytic", "config_hash")):
@@ -126,6 +153,11 @@ def test_gen_data_rows_match_golden_bytes(tmp_path, name):
 def test_protocol_sim_columns_match_golden_bytes(tmp_path):
     want = (DATA / "synthetic-protocol-sim.csv").read_text()
     assert run_columns(tmp_path, "protocol-sim", "synthetic") == want
+
+
+def test_outdated_protocol_sim_columns_match_golden_bytes(tmp_path):
+    want = (DATA / "outdated-protocol-sim.csv").read_text()
+    assert run_columns(tmp_path, "protocol-sim", "outdated") == want
 
 
 PREDICTED = """
