@@ -178,8 +178,8 @@ def capacity_exponential_check(gamma_avg):
     """
     if gamma_avg <= 0:
         raise ValueError("mean SNR must be positive")
-    rule = gauss_chebyshev(200)
+    nodes, weights = gauss_chebyshev(200)
     return fsum(
         w * math.log1p(s) / LN2 * math.exp(-s / gamma_avg) / gamma_avg
-        for s, w in zip(rule.nodes, rule.weights)
+        for s, w in zip(nodes, weights)
     )

@@ -419,8 +419,7 @@ def cmd_train(cfg, out=None):
     net, report = _fit(cfg, series[:pred.train_len], horizon,
                        val_fraction=0.1)
     _, _, rho = _evaluate(cfg, net, cfg.fading, horizon, cfg.network.relays)
-    rho_out = jakes_correlation(cfg.fading.doppler_hz,
-                                horizon / cfg.fading.sample_rate_hz)
+    rho_out = _rho_outdated(cfg.fading, horizon)
     path = out or cfg.csi.model or "model.npz"
     save_model(net, path, _layout(cfg, horizon, cfg.network.relays))
     for i, mse in enumerate(report.epoch_mse, start=1):
@@ -440,8 +439,7 @@ def cmd_predict_eval(cfg, out=None, plan=None):
     rows = []
     for fading, horizon in pairs:
         pred, actual, rho = pool.evaluate(fading, horizon, cfg.network.relays)
-        rho_out = jakes_correlation(fading.doppler_hz,
-                                    horizon / fading.sample_rate_hz)
+        rho_out = _rho_outdated(fading, horizon)
         rows.append({
             "doppler_hz": fading.doppler_hz, "horizon": horizon,
             "rho_outdated": rho_out, "rho_predicted": rho,

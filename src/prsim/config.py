@@ -22,6 +22,7 @@ hash and equal seed imply byte-identical rows.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 
@@ -221,9 +222,12 @@ def _int(raw):
 
 def _float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError("expected a number, got %r" % raw)
+    if not math.isfinite(value):
+        raise ConfigError("expected a finite number, got %r" % raw)
+    return value
 
 
 def _opt_float(raw):

@@ -16,7 +16,6 @@ rule serves the single-link self-check ``capacity_exponential_check``.
 """
 
 import math
-from dataclasses import dataclass
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -114,27 +113,11 @@ def phi(s):
     return -exp_integral_e1(s)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of the tan-mapped Gauss-Chebyshev rule.
-
-    Approximates int_0^inf g(s) ds as sum_q w_q g(s_q).  Regeneration
-    with the same order is bit-identical.
-    """
-
-    order: int
-    nodes: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("quadrature order must be >= 1")
-        if len(self.nodes) != self.order or len(self.weights) != self.order:
-            raise ValueError("nodes/weights length must equal order")
-
-
 def gauss_chebyshev(Q):
-    """Build the order-Q tan-mapped Gauss-Chebyshev rule.
+    """(nodes, weights) of the order-Q tan-mapped Gauss-Chebyshev rule.
+
+    Approximates int_0^inf g(s) ds as sum_q w_q g(s_q); both are tuples,
+    bit-identical for the same order.
 
     s_q = tan(pi/4 * cos(theta_q) + pi/4) with theta_q = (q - 1/2) pi / Q,
     w_q = pi^2 sin(theta_q) / (4 Q cos^2(u_q)), u_q = pi/4 (cos(theta_q) + 1).
@@ -155,4 +138,4 @@ def gauss_chebyshev(Q):
         u = quarter_pi * (math.cos(theta) + 1.0)
         nodes.append(math.tan(u))
         weights.append(math.pi ** 2 * math.sin(theta) / (4.0 * Q * math.cos(u) ** 2))
-    return QuadratureRule(order=Q, nodes=tuple(nodes), weights=tuple(weights))
+    return tuple(nodes), tuple(weights)

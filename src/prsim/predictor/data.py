@@ -67,16 +67,14 @@ def complex_from_split(y):
     return y[:, :K] + 1j * y[:, K:]
 
 
-def iter_windows(n, window, rng=None):
-    """Slices covering [0, n) in steps of `window` (short tail kept).
+def iter_windows(n, window, rng):
+    """Slices covering [0, n) in steps of `window` (short tail kept), in
+    the order of rng's shuffle.
 
-    Passing a Generator shuffles the window order; the split points are
-    unchanged, so state reset boundaries stay aligned across epochs.
+    The split points do not move, so state reset boundaries stay
+    aligned across epochs.
     """
     if window < 1:
         raise ValueError("window must be positive")
     slices = [slice(s, min(s + window, n)) for s in range(0, n, window)]
-    if rng is not None:
-        order = rng.permutation(len(slices))
-        slices = [slices[i] for i in order]
-    return slices
+    return [slices[i] for i in rng.permutation(len(slices))]

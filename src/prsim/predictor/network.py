@@ -1,10 +1,9 @@
 """Layer stack with layer-major windowed forward and truncated BPTT.
 
-The canonical predictor is a dense tanh input layer feeding L recurrent
-layers and a dense tanh readout:
+The predictor the CLI builds is L recurrent layers fed the raw input
+and a dense tanh readout:
 
-    d1 = tanh(Wi d0 + bi)
-    dl = cell_l(d(l-1))            l = 2 .. L+1
+    dl = cell_l(d(l-1))            l = 1 .. L
     y  = tanh(Wo dL + bo)
 
 A window runs one layer at a time: each layer maps the whole (T, in)
@@ -23,23 +22,27 @@ the readout.  A gradient is a second flat buffer with the same layout,
 so an optimizer updates the whole network with a few vector ops, and
 writing into a named view (as ``model_io`` does) writes the buffer.
 
-Per-step complexity follows the usual bookkeeping for this family of
-models: each weight-matrix product of an m x k matrix costs 2 m k
-(multiplies plus accumulates, bias fold-in included), activations are
-neglected, and the first recurrent layer is charged at the raw input
-width N_i even though it receives the input layer's projection.  With
-hidden widths n1..nL, input N_i and output N_o that is
+Per-step complexity follows the paper's complexity model, not the
+built network: each weight-matrix product of an m x k matrix costs
+2 m k (multiplies plus accumulates, bias fold-in included), activations
+are neglected, and a dense input layer N_i -> n1 is charged on top of
+the recurrent layers, the first of which is still charged at the raw
+input width N_i.  With hidden widths n1..nL, input N_i and output N_o
+that is
 
     flops = 2 [ N_i n1 + nL N_o + c * sum_l (n_{l-1} n_l + n_l^2) ]
 
 with n_0 = N_i and c = 1 (vanilla RNN), 3 (GRU) or 4 (LSTM).  The
-worked default, LSTM with N_i = 40, hidden (25, 25), N_o = 8, gives
-25400 flops per prediction, i.e. 25.4 Mflop/s at 1 kHz.  Setting all
-dims to a common width n and dropping nothing else recovers the
-simplified per-step estimates 4(1+L)n^2, 4(1+3L)n^2 and 4(1+4L)n^2.
-``flops_per_step`` counts from the widths and cell kinds alone, so it
-needs no built model; the ``flops`` subcommand feeds it the configured
-architecture.
+census thus exceeds the 2 x (weight entries) a step of the built
+network performs by exactly the input layer's 2 N_i n1: 35800 against
+31800 for the CLI default (N_i = 80, LSTM 25 x 2, N_o = 16).  The
+worked default of the model, LSTM with N_i = 40, hidden (25, 25),
+N_o = 8, gives 25400 flops per prediction, i.e. 25.4 Mflop/s at 1 kHz.
+Setting all dims to a common width n and dropping nothing else
+recovers the simplified per-step estimates 4(1+L)n^2, 4(1+3L)n^2 and
+4(1+4L)n^2.  ``flops_per_step`` counts from the widths and cell kind
+alone, so it needs no built model; the ``flops`` subcommand feeds it
+the configured architecture.
 """
 
 import numpy as np
@@ -164,21 +167,18 @@ class RecurrentNet:
 def flops_per_step(input_dim, hidden_widths, output_dim, kind="lstm"):
     """Per-step flop count of the standard complexity model.
 
-    `kind` is a single cell name or one per hidden layer (hybrid
-    stacks).  The first recurrent layer is charged at the raw input
-    width, per the model's n_0 = N_i convention.
+    Every hidden layer is a `kind` cell.  The first recurrent layer is
+    charged at the raw input width, per the model's n_0 = N_i
+    convention.
     """
     widths = [int(input_dim)] + [int(w) for w in hidden_widths]
     if len(widths) < 2:
         raise ValueError("need at least one hidden layer")
-    kinds = [kind] * (len(widths) - 1) if isinstance(kind, str) else list(kind)
-    if len(kinds) != len(widths) - 1:
-        raise ValueError("one kind per hidden layer")
+    cost = _CELL_COST.get(kind)
+    if cost is None:
+        raise ValueError(f"no per-step count for kind {kind!r}")
     total = widths[0] * widths[1] + widths[-1] * int(output_dim)
-    for prev, cur, k in zip(widths[:-1], widths[1:], kinds):
-        cost = _CELL_COST.get(k)
-        if cost is None:
-            raise ValueError(f"no per-step count for kind {k!r}")
+    for prev, cur in zip(widths[:-1], widths[1:]):
         total += cost * (prev * cur + cur * cur)
     return 2 * total
 

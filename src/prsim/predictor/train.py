@@ -29,10 +29,10 @@ from .optim import AdamState, adam_step
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 256
-    lr: float = 1e-3
+    batch_size: int = 8
+    lr: float = 3e-3
     seed: int = 0
-    val_fraction: float = 0.1
+    val_fraction: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -120,8 +120,7 @@ DEFAULT_SPECS = (LayerSpec("lstm", 25), LayerSpec("lstm", 25))
 # which turns out to be what keeps late epochs from oscillating.  At
 # lengths near 5000 the shorter spans of the default recipe win by
 # sheer update count.
-HIGH_ACCURACY_TRAIN = TrainConfig(epochs=30, batch_size=64, lr=3e-3,
-                                  seed=0, val_fraction=0.0)
+HIGH_ACCURACY_TRAIN = TrainConfig(epochs=30, batch_size=64)
 
 
 def train_link_predictor(series, tau=4, horizon=3, specs=DEFAULT_SPECS,
@@ -143,8 +142,7 @@ def train_link_predictor(series, tau=4, horizon=3, specs=DEFAULT_SPECS,
     X, Y = build_dataset(series, tau, horizon, features, scale=scale)
     net = RecurrentNet(X.shape[1], specs, Y.shape[1], seed=net_seed)
     if cfg is None:
-        cfg = TrainConfig(epochs=10, batch_size=8, lr=3e-3, seed=net_seed,
-                          val_fraction=0.0)
+        cfg = TrainConfig(seed=net_seed)
     report = train(net, X, Y, cfg)
     return net, report
 

@@ -46,12 +46,12 @@ collisions.
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
 family and share one draw: df and ostc both decide from a source-hop
-exponential and one relay-hop pair.  af end-to-end, af per-hop and dt
-each draw on their own.  Every family reads its own fresh stream per
-grid point, so a scheme's estimate is the same bits whichever schemes
-share its call.  Draws land in float planes (real and imaginary parts
-apart) allocated once per call and refilled chunk by chunk; hop SNRs
-and impairments are formed in those planes in place.
+exponential and one relay-hop pair.  af (the closed forms' end-to-end
+model) and dt each draw on their own.  Every family reads its own
+fresh stream per grid point, so a scheme's estimate is the same bits
+whichever schemes share its call.  Draws land in float planes (real
+and imaginary parts apart) allocated once per call and refilled chunk
+by chunk; hop SNRs and impairments are formed in those planes in place.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
@@ -349,12 +349,10 @@ def _snr(re, im, power):
 
 # planes each draw family fills per chunk, besides the scratch plane of
 # impaired draws; dt draws straight into its rates row
-_FAMILY_PLANES = {"df": 5, "af-e2e": 4, "af-per-hop": 8, "dt": 0}
+_FAMILY_PLANES = {"df": 5, "af": 4, "dt": 0}
 
-
-def _family(scheme, af_mode):
-    """Draw family of a scheme: df and ostc read one draw the same way."""
-    return {"ostc": "df", "af": "af-" + af_mode}.get(scheme, scheme)
+# trials drawn per chunk; the chunking sets the draw order of a stream
+_CHUNK = 250_000
 
 
 def _draw(family, rng, rho, hop, imp, planes):
@@ -372,22 +370,15 @@ def _draw(family, rng, rho, hop, imp, planes):
         rd = correlated_pair(rng, rho, shape, out=planes[1:5])
         impair_pair(rd, imp, rng, scratch)
         return g_sr, _snr(*rd[2:], hop), None, _snr(*rd[:2], hop)
-    if family == "af-e2e":
-        # one outdated estimate of the end-to-end figure itself
-        e2e = correlated_pair(rng, rho, shape, out=planes[:4])
-        impair_pair(e2e, imp, rng, scratch)
-        gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
-        return None, _snr(*e2e[2:], gamma_e), None, _snr(*e2e[:2], gamma_e)
-    sr = correlated_pair(rng, rho, shape, out=planes[:4])
-    rd = correlated_pair(rng, rho, shape, out=planes[4:8])
-    impair_pair(sr, imp, rng, scratch)
-    impair_pair(rd, imp, rng, scratch)
-    return (_snr(*sr[2:], hop), _snr(*rd[2:], hop),
-            _snr(*sr[:2], hop), _snr(*rd[:2], hop))
+    # af: one outdated estimate of the end-to-end figure itself
+    e2e = correlated_pair(rng, rho, shape, out=planes[:4])
+    impair_pair(e2e, imp, rng, scratch)
+    gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
+    return None, _snr(*e2e[2:], gamma_e), None, _snr(*e2e[:2], gamma_e)
 
 
 def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
-             seed=0, impairments=None, af_mode="e2e", chunk=250_000):
+             seed=0, impairments=None):
     """Synthetic-rho Monte-Carlo of several schemes across an SNR grid.
 
     schemes lists 'df', 'af', 'ostc' or 'dt' names; the result holds
@@ -401,17 +392,11 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     grid point, chunk by chunk, into planes allocated once per call;
     its schemes decide from that one draw.  A scheme's estimates are
     therefore the same bits whichever schemes share the call, and
-    deterministic for a given seed and chunk size (the chunking sets
-    the draw order of the underlying stream).
+    deterministic for a given seed.
 
-    af_mode picks the amplified link's correlation structure: 'e2e'
-    treats the end-to-end SNR as one fading figure with its own
-    outdated estimate, which is the model behind the closed forms;
-    'per-hop' ranks min(|metric_sr|, |metric_rd|) of separately
-    outdated hop estimates, the rule the distributed algorithm runs.
-    The two differ by a few percent at intermediate rho.  Either way
-    the amplified end-to-end SNR is the min(sr, rd) bound the closed
-    forms assume.
+    af is the closed forms' end-to-end model: one outdated estimate of
+    the min(sr, rd) figure; the per-hop ranking the distributed
+    algorithm runs is `simulate_frames("af")`.
     """
     if isinstance(schemes, str) or not schemes:
         raise ValueError("schemes must be a non-empty list of names")
@@ -421,17 +406,16 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
                 f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials per point")
-    if af_mode not in ("e2e", "per-hop"):
-        raise ValueError("af_mode must be 'e2e' or 'per-hop'")
     rate = rate if rate is not None else RateConfig(1.0)
     imp = impairments if impairments is not None and impairments.enabled else None
     families = {}
     for j, scheme in enumerate(schemes):
-        families.setdefault(_family(scheme, af_mode), []).append(j)
+        # df and ostc read one draw the same way
+        families.setdefault({"ostc": "df"}.get(scheme, scheme), []).append(j)
     width = max(_FAMILY_PLANES[f] for f in families)
     if width and imp is not None:
         width += 1  # the scratch plane of impaired draws
-    buf = np.empty((width, min(chunk, trials), num_relays))
+    buf = np.empty((width, min(_CHUNK, trials), num_relays))
     outage = np.empty((len(schemes), trials), dtype=bool)
     rates = np.empty((len(schemes), trials))
     out = [[] for _ in schemes]
@@ -439,8 +423,8 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         hop = _hop_snr(snr_db)
         for family, members in families.items():
             rng = stream(seed, 43, i)
-            for start in range(0, trials, chunk):
-                sl = slice(start, min(start + chunk, trials))
+            for start in range(0, trials, _CHUNK):
+                sl = slice(start, min(start + _CHUNK, trials))
                 n = sl.stop - start
                 if family == "dt":
                     g = rates[members[0], sl]

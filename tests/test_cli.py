@@ -566,6 +566,21 @@ model = %s
     assert float(row["error_power"]) > 0
 
 
+def test_predict_eval_reports_the_correlation_selection_sees(tmp_path):
+    # J0(2 pi 100 Hz 4 ms) = -0.05496: the row carries |J0|, as the
+    # outdated runs select at, beside the magnitude rho_predicted
+    conf = tmp_path / "e.conf"
+    conf.write_text("[csi]\nmode = predicted\ndelay = 4\n%s" % TINY_PREDICTOR)
+    out = tmp_path / "pe.csv"
+    assert run_main(["predict-eval", "--config", str(conf),
+                     "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert float(row["doppler_hz"]) == 100.0 and row["horizon"] == "4"
+    assert float(row["rho_outdated"]) == pytest.approx(0.05496, abs=5e-6)
+    assert float(row["rho_outdated"]) == pytest.approx(
+        abs(bessel_j0(2 * np.pi * 100.0 * 4e-3)), abs=1e-12)
+
+
 @pytest.fixture(scope="module")
 def horizon3_model(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("model")

@@ -105,6 +105,16 @@ def test_grid_range_is_inclusive():
     ("[fading]\ndoppler_hz = 600\n", "doppler < sample_rate/2"),
     ("[protocol]\npolicy = retry\n", "reselect or terminate"),
     ("[experiment]\ntrials = 0\n", "trials must be"),
+    # a nan rate compares false everywhere and reads outage 0 at every SNR
+    ("[network]\nrate = nan\n", r"line 2: \[network\] rate: expected a finite"),
+    ("[predictor]\nlr = inf\n", "line 2: .*expected a finite"),
+    ("[predictor]\nscale = -inf\n", "expected a finite"),
+    ("[fading]\nk_factor = nan\n", "expected a finite"),
+    ("[protocol]\n\ntimer_max = inf\n", "line 3: .*expected a finite"),
+    ("[protocol]\nuncertainty_window = nan\n", "expected a finite"),
+    ("[protocol]\npilot_snr_db = inf\n", "expected a finite"),
+    ("[grid]\nsnr_db = 0, nan\n", "expected a finite"),
+    ("[grid]\nsnr_db = 0:inf:5\n", "expected a finite"),
 ])
 def test_malformed_text_raises(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -430,15 +430,15 @@ def test_complex_split_roundtrip():
 
 
 def test_iter_windows_partition_and_shuffle():
-    plain = iter_windows(23, 5)
+    shuffled = iter_windows(23, 5, stream(3, 31))
+    plain = sorted(shuffled, key=lambda s: s.start)
     assert [s.start for s in plain] == [0, 5, 10, 15, 20]
-    assert plain[-1] == slice(20, 23)
-    shuffled = iter_windows(23, 5, rng=stream(3, 31))
-    assert sorted(shuffled, key=lambda s: s.start) == plain
-    again = iter_windows(23, 5, rng=stream(3, 31))
+    assert [s.stop for s in plain] == [5, 10, 15, 20, 23]
+    assert shuffled != plain
+    again = iter_windows(23, 5, stream(3, 31))
     assert shuffled == again
     with pytest.raises(ValueError):
-        iter_windows(10, 0)
+        iter_windows(10, 0, stream(3, 31))
 
 
 # -------------------------------------------------------------- training
@@ -544,14 +544,26 @@ def test_flops_hand_counts():
     assert flops_per_step(10, (5,), 2, "rnn") == 270
     assert flops_per_step(10, (5,), 2, "gru") == 570
     assert flops_per_step(10, (5,), 2, "lstm") == 720
-    assert flops_per_step(10, (5, 4), 2, ("gru", "lstm")) == pytest.approx(
-        2 * (10 * 5 + 4 * 2 + 3 * (10 * 5 + 25) + 4 * (5 * 4 + 16)))
+    assert flops_per_step(10, (5, 4), 2, "gru") == \
+        2 * (10 * 5 + 4 * 2 + 3 * (10 * 5 + 25) + 3 * (5 * 4 + 16))
     with pytest.raises(ValueError):
         flops_per_step(10, (), 2)
     with pytest.raises(ValueError):
         flops_per_step(10, (5,), 2, "transformer")
-    with pytest.raises(ValueError):
-        flops_per_step(10, (5, 4), 2, ("gru",))
+
+
+@pytest.mark.parametrize("kind", ["rnn", "gru", "lstm"])
+def test_flops_census_is_the_built_net_plus_the_input_layer(kind):
+    # the census charges the paper's dense input layer (2 N_i n1) on
+    # top of the 2 flops per weight entry the built network spends
+    n_in, widths, n_out = 80, (25, 25), 16
+    net = RecurrentNet(n_in, [LayerSpec(kind, w) for w in widths], n_out)
+    weights = sum(view.size for name, view in net.parameter_items()
+                  if not name.endswith("/b"))
+    census = flops_per_step(n_in, widths, n_out, kind)
+    assert census - 2 * n_in * widths[0] == 2 * weights
+    if kind == "lstm":
+        assert (census, 2 * weights) == (35_800, 31_800)
 
 
 def test_flops_simplified_square_case():

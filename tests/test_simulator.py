@@ -315,14 +315,18 @@ def test_estimate_af_e2e_matches_closed_form():
 
 def test_af_pairing_modes_differ_at_partial_rho():
     # separately outdated hop estimates rank worse than one outdated
-    # end-to-end figure; the closed forms assume the latter
+    # end-to-end figure; the closed forms assume the latter.  The frame
+    # protocol runs the per-hop ranking: with no collision window the
+    # timer race is an argmax of min(|metric_sr|, |metric_rd|).
+    def per_hop(rho, n, seed):
+        return simulate_frames("af", SyntheticRhoNetwork(8, rho, seed=seed),
+                               10.0, n + 1)
+
     e2e = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5)[0][0]
-    hop = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5,
-                   af_mode="per-hop")[0][0]
+    hop = per_hop(0.2906, 200_000, seed=5)
     assert hop.outage_prob - e2e.outage_prob > 5.0 * e2e.std_error
     at_one_a = estimate(["af"], [10.0], 100_000, rho=1.0, seed=6)[0][0]
-    at_one_b = estimate(["af"], [10.0], 100_000, rho=1.0, seed=6,
-                        af_mode="per-hop")[0][0]
+    at_one_b = per_hop(1.0, 100_000, seed=6)
     exact = outage_af(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, at_one_a) <= 3.0 and se_vs(exact, at_one_b) <= 3.0
 
@@ -353,8 +357,6 @@ def test_estimate_validation_and_determinism():
     for schemes in ("df", [], ["df", "mrc"]):  # a list of known names
         with pytest.raises(ValueError):
             estimate(schemes, [10.0], 10_000)
-    with pytest.raises(ValueError):
-        estimate(["af"], [10.0], 10_000, af_mode="parallel")
     a = estimate(["df"], [10.0], 20_000, rho=0.9, seed=42)[0][0]
     b = estimate(["df"], [10.0], 20_000, rho=0.9, seed=42)[0][0]
     c = estimate(["df"], [10.0], 20_000, rho=0.9, seed=43)[0][0]
@@ -404,17 +406,17 @@ IMPAIRED = ImpairmentConfig(pilot_snr_db=20.0, max_phase_error_deg=10.0)
 @pytest.mark.parametrize("chunk", [7_000, 250_000])
 @pytest.mark.parametrize("imp", [None, IMPAIRED])
 @pytest.mark.parametrize("relays", [1, 8])
-def test_shared_estimate_equals_single_scheme_calls(relays, imp, chunk):
+def test_shared_estimate_equals_single_scheme_calls(monkeypatch, relays, imp,
+                                                    chunk):
     # 20 000 trials in chunks of 7 000 end on a partial 6 000 chunk
-    kw = dict(num_relays=relays, rho=0.9, seed=8, impairments=imp,
-              chunk=chunk)
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    kw = dict(num_relays=relays, rho=0.9, seed=8, impairments=imp)
     grid = [0.0, 10.0, 20.0]
-    for af_mode in ("e2e", "per-hop"):
-        schemes = ["df", "af", "ostc", "dt"]
-        shared = estimate(schemes, grid, 20_000, af_mode=af_mode, **kw)
-        for scheme, got in zip(schemes, shared):
-            alone = estimate([scheme], grid, 20_000, af_mode=af_mode, **kw)
-            assert got == alone[0], (scheme, af_mode)
+    schemes = ["df", "af", "ostc", "dt"]
+    shared = estimate(schemes, grid, 20_000, **kw)
+    for scheme, got in zip(schemes, shared):
+        alone = estimate([scheme], grid, 20_000, **kw)
+        assert got == alone[0], scheme
 
 
 def test_df_and_ostc_share_one_relay_hop_draw(monkeypatch):
@@ -426,17 +428,18 @@ def test_df_and_ostc_share_one_relay_hop_draw(monkeypatch):
         return real(rng, rho, size, out=out)
 
     monkeypatch.setattr(simulator, "correlated_pair", counted)
-    estimate(["df", "ostc"], [0.0, 10.0, 20.0], 20_000, rho=0.9,
-             chunk=7_000)
+    monkeypatch.setattr(simulator, "_CHUNK", 7_000)
+    estimate(["df", "ostc"], [0.0, 10.0, 20.0], 20_000, rho=0.9)
     # 3 grid points x 3 chunks, one pair draw each
     assert calls == [(7_000, 8), (7_000, 8), (6_000, 8)] * 3
 
 
-def test_chunking_only_reorders_draws():
+def test_chunking_only_reorders_draws(monkeypatch):
     # different chunk sizes reorder the stream, so the estimates are
     # independent draws of the same quantity, not bit-identical
     whole = estimate(["df"], [10.0], 40_000, rho=0.9, seed=30)[0][0]
-    split = estimate(["df"], [10.0], 40_000, rho=0.9, seed=30, chunk=7_000)[0][0]
+    monkeypatch.setattr(simulator, "_CHUNK", 7_000)
+    split = estimate(["df"], [10.0], 40_000, rho=0.9, seed=30)[0][0]
     gap = abs(whole.outage_prob - split.outage_prob)
     assert gap <= 3.0 * math.hypot(whole.std_error, split.std_error)
     assert whole.trials == split.trials
