@@ -113,18 +113,24 @@ def correlated_pair(rng, rho, size, out=None):
     planes: the metric's real and imaginary parts, then those of the
     innovation that completes the actual.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
     if out is None:
         out = np.empty((4, *np.atleast_1d(size)))
     for plane in out:
         rng.standard_normal(out=plane)
-    out *= math.sqrt(0.5)
-    metric, actual = out[:2], out[2:]
+    return correlate_planes(out, rho)
+
+
+def correlate_planes(planes, rho):
+    """Standard-normal (metric re, metric im, innovation re, innovation
+    im) planes, any (4, ...) view, made a pair at rho in place."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation must lie in [0, 1]")
+    planes *= math.sqrt(0.5)
+    metric, actual = planes[:2], planes[2:]
     actual *= math.sqrt(1.0 - rho * rho)
     for a, m in zip(actual, metric):
         a += rho * m
-    return out
+    return planes
 
 
 def snr_from_gain(h, power):

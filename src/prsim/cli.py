@@ -60,7 +60,7 @@ from .predictor import (HIGH_ACCURACY_TRAIN, LayerSpec, TrainConfig,
 from .selection import RateConfig
 from .simulator import (CSV_FIELDS, ImpairmentConfig, SeriesNetwork,
                         SyntheticRhoNetwork, TimerModel, _hop_snr, estimate,
-                        estimate_series, experiment_rows, simulate_frames)
+                        experiment_rows, simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
 # records draw from fixed offsets of the experiment seed so that every
@@ -91,10 +91,16 @@ def _series(fading, seed, length, links):
         [generate_series(cfg, length, link=i) for i in range(links)])
 
 
-def _hop_records(cfg, fading, length, links):
-    """The source-hop and relay-hop records of the frame-level runs."""
-    return (_series(fading, _sub_seed(cfg.seed, _SR_TAG), length, links),
-            _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links))
+def _record_network(cfg, fading, delay, links, frames, predictor):
+    """The network of a record-driven run: both hop records of fading,
+    with room for `frames` frames behind the metric's delay and taps."""
+    pred = cfg.predictor
+    length = frames + pred.tau + delay + 2
+    return SeriesNetwork(
+        _series(fading, _sub_seed(cfg.seed, _SR_TAG), length, links),
+        _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links),
+        delay, predictor=predictor, tau=pred.tau, features=pred.features,
+        scale=pred.scale)
 
 
 def _fit(cfg, series, horizon, val_fraction=0.0):
@@ -214,12 +220,10 @@ class RunSpec:
     scheme: str                    # df | af | ostc | dt
     relays: int
     rho_mode: str                  # CSV label
-    rho: float = None              # None -> resolve from the predictor
-    horizon: int = 0               # prediction horizon for resolution
+    rho: float = None              # None -> metric from the predictor
+    horizon: int = 0               # prediction horizon or record delay
     impairments: ImpairmentConfig = None
-    fading: FadingSettings = None  # record-driven runs only
-    record: bool = False           # run on generated records
-    use_predictor: bool = False    # record metric from the predictor
+    fading: FadingSettings = None  # set -> frames ride its records
 
 
 class PredictorPool:
@@ -333,7 +337,7 @@ def _analytic(command, spec, cfg, snr_db, rho):
     df and af rows at any resolved correlation and direct transmission
     have one; pair selection, impaired and record-driven rows do not.
     """
-    if spec.record or spec.impairments is not None:
+    if spec.fading is not None or spec.impairments is not None:
         return None
     rate = RateConfig(cfg.network.rate)
     if spec.scheme == "dt":
@@ -424,7 +428,8 @@ def cmd_train(cfg, out=None):
     save_model(net, path, _layout(cfg, horizon, cfg.network.relays))
     for i, mse in enumerate(report.epoch_mse, start=1):
         print("epoch %2d:  train mse %.6f" % (i, mse))
-    print("final val mse: %.6f" % report.val_mse)
+    if report.val_mse is not None:
+        print("final val mse: %.6f" % report.val_mse)
     print("achieved rho at horizon %d: %.4f (outdated baseline %.4f)"
           % (horizon, rho, rho_out))
     print("model saved to %s" % path)
@@ -462,8 +467,9 @@ def _curves(cfg, out, runs, command):
     """Monte-Carlo every run, attach analytic columns, write the CSV.
 
     Synthetic runs that share (relays, rho, impairments) go through one
-    estimate call, so schemes of one draw family share their draws;
-    rows keep run order.
+    estimate call, so schemes of one draw family share their draws.  A
+    run with fading set scores `trials` frames past the bootstrap frame
+    through simulate_frames; rows keep run order.
     """
     pool = PredictorPool(cfg, _model_cache(cfg, out))
     trials = _clamped_trials(cfg)
@@ -471,22 +477,17 @@ def _curves(cfg, out, runs, command):
     rhos, ests, groups, resolved = [], {}, {}, {}
     for i, spec in enumerate(runs):
         rho = spec.rho
-        if spec.record:
-            fading = spec.fading or cfg.fading
-            series_sr, series_rd = _hop_records(
-                cfg, fading, trials + cfg.predictor.tau + spec.horizon + 2,
-                spec.relays)
-            predictor = (pool.net(fading, spec.horizon, spec.relays)
-                         if spec.use_predictor else None)
-            ests[i] = estimate_series(spec.scheme, series_sr, series_rd,
-                                      cfg.snr_grid_db, spec.horizon,
-                                      rate=rate, predictor=predictor,
-                                      tau=cfg.predictor.tau,
-                                      features=cfg.predictor.features,
-                                      scale=cfg.predictor.scale)
+        if spec.fading is not None:
+            predictor = (pool.net(spec.fading, spec.horizon, spec.relays)
+                         if rho is None else None)
+            net = _record_network(cfg, spec.fading, spec.horizon,
+                                  spec.relays, trials, predictor)
+            ests[i] = [simulate_frames(spec.scheme, net, snr_db, trials + 1,
+                                       rate=rate)
+                       for snr_db in cfg.snr_grid_db]
         else:
             if rho is None:
-                key = (spec.fading or cfg.fading, spec.horizon, spec.relays)
+                key = (cfg.fading, spec.horizon, spec.relays)
                 if key not in resolved:  # report each predictor once
                     resolved[key] = pool.evaluate(*key)[2]
                     print("resolved %s: rho=%.4f"
@@ -563,27 +564,20 @@ def cmd_protocol_sim(cfg, out=None):
         raise ConfigError("protocol-sim runs df, af and df-central only; "
                           "remove %s" % ", ".join(dropped))
     csi, relays = cfg.csi, cfg.network.relays
-    frames = pro.frames
     if csi.mode in ("perfect", "synthetic"):
         rho = 1.0 if csi.mode == "perfect" else csi.rho
         network = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
     else:
-        series_sr, series_rd = _hop_records(
-            cfg, cfg.fading, frames + cfg.predictor.tau + csi.delay + 2,
-            relays)
         predictor = (PredictorPool(cfg, _model_cache(cfg, out)).net(
                          cfg.fading, csi.delay, relays)
                      if csi.mode == "predicted" else None)
-        network = SeriesNetwork(series_sr, series_rd, csi.delay,
-                                predictor=predictor, tau=cfg.predictor.tau,
-                                features=cfg.predictor.features,
-                                scale=cfg.predictor.scale)
-        frames = min(frames, network.num_frames)
+        network = _record_network(cfg, cfg.fading, csi.delay, relays,
+                                  pro.frames, predictor)
     rate = RateConfig(cfg.network.rate)
     rows = []
     for scheme in cfg.schemes:
-        ests = [simulate_frames(scheme, network, snr_db, frames, rate=rate,
-                                timer=timer, policy=pro.policy)
+        ests = [simulate_frames(scheme, network, snr_db, pro.frames,
+                                rate=rate, timer=timer, policy=pro.policy)
                 for snr_db in cfg.snr_grid_db]
         rows += experiment_rows(scheme, relays, _rho_mode(csi),
                                 cfg.snr_grid_db, ests, cfg.seed)
@@ -696,10 +690,11 @@ k_factor = 3.0
     for doppler in (25.0, 50.0, 100.0):
         fading = replace(cfg.fading, doppler_hz=doppler)
         tag = "/fd=%g" % doppler
-        runs.append(RunSpec("df", K, "outdated(3)" + tag, horizon=3,
-                            fading=fading, record=True))
+        runs.append(RunSpec("df", K, "outdated(3)" + tag,
+                            rho=_rho_outdated(fading, 3), horizon=3,
+                            fading=fading))
         runs.append(RunSpec("df", K, "predicted(3)" + tag, horizon=3,
-                            fading=fading, record=True, use_predictor=True))
+                            fading=fading))
     return cfg, "outage", runs
 
 

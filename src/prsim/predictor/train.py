@@ -3,10 +3,10 @@
 Training splits the sample stream into fixed-size batches, resets the
 recurrent state at each batch start, and applies one Adam update per
 batch from the exact batch gradient (recurrence runs over the batch
-sequence dimension).  The tail of the stream is held out for
+sequence dimension).  The tail of the stream can be held out for
 validation, time ordered and never shuffled into training.  The report
-carries the per-epoch training MSE, the final validation MSE and the
-achieved prediction correlation on the validation span.
+carries the per-epoch training MSE and, when a span was held out, the
+final validation MSE over it.
 
 prediction_correlation() scores predicted against realized CSI: the
 Pearson coefficient for real-valued (magnitude) series, and for
@@ -46,8 +46,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainReport:
     epoch_mse: tuple
-    val_mse: float
-    rho: float
+    val_mse: float  # None without a held-out span
 
 
 def prediction_correlation(pred, actual):
@@ -105,10 +104,10 @@ def train(net, X, Y, cfg=TrainConfig()):
             adam_step(net, grads, opt, lr=cfg.lr)
             sq_sum += loss * (sl.stop - sl.start)
         epoch_mse.append(sq_sum / n_tr)
-    Xv, Yv = (X[n_tr:], Y[n_tr:]) if n_val > 0 else (X[:n_tr], Y[:n_tr])
-    pred = _stateful_predict(net, Xv)
-    val_mse = float(np.mean((pred - Yv) ** 2))
-    return TrainReport(tuple(epoch_mse), val_mse, prediction_correlation(pred, Yv))
+    if n_val == 0:
+        return TrainReport(tuple(epoch_mse), None)
+    err = _stateful_predict(net, X[n_tr:]) - Y[n_tr:]
+    return TrainReport(tuple(epoch_mse), float(np.mean(err ** 2)))
 
 
 DEFAULT_SPECS = (LayerSpec("lstm", 25), LayerSpec("lstm", 25))

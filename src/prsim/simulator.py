@@ -37,11 +37,11 @@ or terminates the frame.
 
 Two CSI-correlation modes drive the statistics.  Synthetic mode draws
 (metric, actual) pairs at an exact correlation rho, which is what the
-closed forms assume; series mode rides a generated fading record and
-takes the metric from a trained predictor (or from the record itself,
-delayed, for the no-predictor baseline).  estimate() and
-estimate_series() rank metric SNRs without timers, so they report no
-collisions.
+closed forms assume; series mode, a SeriesNetwork under
+simulate_frames, rides a generated fading record and takes the metric
+from a trained predictor (or from the record itself, delayed, for the
+no-predictor baseline).  estimate() ranks metric SNRs without timers,
+so it reports no collisions.
 
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import correlated_pair, snr_from_gain
+from .channel import correlate_planes, correlated_pair, snr_from_gain
 from .rng import stream
 from .selection import RateConfig, decoding_subset, select
 
@@ -205,13 +205,12 @@ class SyntheticRhoNetwork:
         if self._block is None or self._block[0].shape[0] < n:
             z = stream(self.seed, 41).standard_normal(
                 (n, 2, 4, self.num_relays))
-            scale = np.sqrt(0.5)
-            metric = scale * (z[:, :, 0] + 1j * z[:, :, 1])
-            w = scale * (z[:, :, 2] + 1j * z[:, :, 3])
-            actual = (self.rho * metric
-                      + math.sqrt(1.0 - self.rho * self.rho) * w)
-            self._block = (actual[:, 0], actual[:, 1],
-                           metric[:, 0], metric[:, 1])
+            # (metric re, metric im, actual re, actual im), each (n, 2, K)
+            planes = correlate_planes(np.moveaxis(z, 2, 0), self.rho)
+            block = np.empty((2, 2, n, self.num_relays), dtype=complex)
+            block.real = np.moveaxis(planes[2::-2], 2, 1)  # actual, metric
+            block.imag = np.moveaxis(planes[3::-2], 2, 1)
+            self._block = tuple(block.reshape(4, n, -1))
         return tuple(a[:n] for a in self._block)
 
 
@@ -442,30 +441,6 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
                         schemes[j], rate, *args)
         for j in range(len(schemes)):
             out[j].append(_mc_estimate(outage[j], rates[j]))
-    return out
-
-
-def estimate_series(scheme, series_sr, series_rd, snr_grid_db, delay,
-                    rate=None, predictor=None, tau=4, features="complex",
-                    scale=0.4):
-    """Monte-Carlo across an SNR grid with frames riding fading records.
-
-    One frame per record sample (from the first the metric covers);
-    the metric is the predictor's output for that sample, or the
-    record delayed by `delay` samples when no predictor is given.
-    Deterministic given the records and the predictor.
-    """
-    if scheme not in ("df", "af", "ostc"):
-        raise ValueError(f"series mode covers df/af/ostc, not {scheme!r}")
-    rate = rate if rate is not None else RateConfig(1.0)
-    net = SeriesNetwork(series_sr, series_rd, delay, predictor=predictor,
-                        tau=tau, features=features, scale=scale)
-    block = net.frames(net.num_frames)
-    out = []
-    for snr_db in np.atleast_1d(snr_grid_db):
-        hop = _hop_snr(snr_db)
-        sel = _decide(scheme, rate, *(snr_from_gain(h, hop) for h in block))
-        out.append(_mc_estimate(sel.outage, sel.rate))
     return out
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -857,8 +858,24 @@ def test_fig7b_plan_scales_the_network():
 def test_fig7a_plan_is_record_driven_rician():
     cfg, command, runs = cli.PRESETS["fig7a"]()
     assert cfg.fading.k_factor == 3.0
-    assert all(r.record for r in runs)
+    assert all(r.fading is not None for r in runs)
     assert {r.fading.doppler_hz for r in runs} == {25.0, 50.0, 100.0}
+
+
+def test_record_rows_score_exactly_the_configured_trials(tmp_path):
+    # outdated and predicted record rows drop different record heads
+    # (delay against taps plus delay), yet both score `trials` frames
+    cfg = parse_config("[experiment]\ntrials = 10000\n\n[grid]\nsnr_db = 10\n"
+                       + TINY_PREDICTOR)
+    fading = replace(cfg.fading, doppler_hz=50.0)
+    runs = [cli.RunSpec("df", 3, "outdated(3)", horizon=3, fading=fading,
+                        rho=cli._rho_outdated(fading, 3)),
+            cli.RunSpec("df", 3, "predicted(3)", horizon=3, fading=fading)]
+    out = tmp_path / "r.csv"
+    cli.cmd_outage(cfg, out=str(out), runs=runs)
+    rows = read_rows(out)
+    assert [r["trials"] for r in rows] == ["10000", "10000"]
+    assert [r["analytic"] for r in rows] == ["", ""]
 
 
 def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):
@@ -898,6 +915,16 @@ def test_unreadable_config_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_imports_numpy_alone():
+    # scipy and mpmath are test oracles, never runtime dependencies
+    code = ("import sys, prsim.cli; print(sorted({m.split('.')[0] for m in "
+            "sys.modules} & {'scipy', 'mpmath'}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    shown = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert shown.stdout.strip() == "[]"
 
 
 def test_tests_leave_no_model_cache_in_the_checkout():

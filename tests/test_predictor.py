@@ -498,6 +498,14 @@ def test_validation_split_is_time_ordered_tail():
     assert report.val_mse == pytest.approx(float(np.mean((ys - Y[-n_val:]) ** 2)))
 
 
+def test_training_without_a_split_reports_no_validation_error():
+    series = multilink_series(9, 300, 2)
+    X, Y = build_dataset(series, 4, 3, features="complex", scale=0.4)
+    net = RecurrentNet(X.shape[1], (LayerSpec("gru", 6),), Y.shape[1], seed=2)
+    report = train(net, X, Y, TrainConfig(epochs=1, batch_size=16, seed=2))
+    assert report.val_mse is None and len(report.epoch_mse) == 1
+
+
 def test_predict_series_returns_physical_units():
     series = multilink_series(11, 400, 2)
     net = RecurrentNet(20, (LayerSpec("lstm", 6),), 4, seed=3)

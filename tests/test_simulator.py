@@ -17,7 +17,6 @@ from prsim.simulator import (
     SyntheticRhoNetwork,
     TimerModel,
     estimate,
-    estimate_series,
     experiment_rows,
     impair_pair,
     simulate_frames,
@@ -473,10 +472,10 @@ def test_series_delayed_metric_matches_closed_form():
     # J0(0.6 pi); frames overlap in time, so allow a loose absolute gap
     sr = multilink_series(31, 60_000)
     rd = multilink_series(32, 60_000)
-    est = estimate_series("df", sr, rd, [10.0], delay=3)[0]
+    est = simulate_frames("df", SeriesNetwork(sr, rd, delay=3), 10.0, 59_997)
     rho_o = jakes_correlation(100.0, 0.003)
     exact = outage_df(SelectionParams(8, 5.0, 5.0, rho_o, GO))
-    assert est.trials == 59_997
+    assert est.trials == 59_996
     assert abs(est.outage_prob - exact) < 0.015
 
 
@@ -484,7 +483,7 @@ def test_series_mode_validation():
     sr = multilink_series(33, 200, 2)
     rd = multilink_series(34, 200, 2)
     with pytest.raises(ValueError):
-        estimate_series("dt", sr, rd, [10.0], delay=3)
+        simulate_frames("dt", SeriesNetwork(sr, rd, delay=3), 10.0, 100)
 
 
 # ---------------------------------------------------------------- output
