@@ -19,7 +19,8 @@ CSI), fig4b (the AF counterpart), fig6a (ergodic capacity), fig6b
 (pilot-noise and phase-error robustness), fig7a (Doppler sweep on
 Rician links, record-driven), fig7b (network scaling against direct
 transmission).  A preset is a complete experiment bound to one
-subcommand; --trials, --seed and --out still override its settings.
+subcommand; --seed and --out still override its settings, and so does
+--trials on outage and capacity, the only subcommands that read it.
 
 Curves are labelled by the (scheme, rho_mode) pair: classic selection
 on stale estimates is the df scheme with rho_mode outdated(d), and
@@ -54,9 +55,9 @@ from .analytics import (SelectionParams, capacity_af, capacity_df,
 from .channel import FadingProcessConfig, generate_series, jakes_correlation
 from .config import (ConfigError, ExperimentConfig, FadingSettings,
                      load_config, parse_config, settings_lines)
-from .predictor import (HIGH_ACCURACY_TRAIN, LayerSpec, TrainConfig,
-                        flops_per_step, flops_simplified, load_model,
-                        predict_series, save_model, train_link_predictor)
+from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
+                        flops_simplified, load_model, predict_series,
+                        save_model, train_link_predictor)
 from .selection import RateConfig
 from .simulator import (CSV_FIELDS, ImpairmentConfig, SeriesNetwork,
                         SyntheticRhoNetwork, TimerModel, _hop_snr, estimate,
@@ -94,37 +95,20 @@ def _series(fading, seed, length, links):
 def _record_network(cfg, fading, delay, links, frames, predictor):
     """The network of a record-driven run: both hop records of fading,
     with room for `frames` frames behind the metric's delay and taps."""
-    pred = cfg.predictor
-    length = frames + pred.tau + delay + 2
+    length = frames + cfg.predictor.tau + delay + 2
     return SeriesNetwork(
         _series(fading, _sub_seed(cfg.seed, _SR_TAG), length, links),
         _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links),
-        delay, predictor=predictor, tau=pred.tau, features=pred.features,
-        scale=pred.scale)
+        delay, predictor=predictor)
 
 
-def _fit(cfg, series, horizon, val_fraction=0.0):
-    """Train the configured predictor on series; returns (net, report).
-
-    The train subcommand holds out a tenth to report a validation error.
-    """
-    pred = cfg.predictor
-    return train_link_predictor(
-        series, tau=pred.tau, horizon=horizon,
-        specs=(LayerSpec(pred.kind, pred.neurons),) * pred.layers,
-        features=pred.features, scale=pred.scale, net_seed=cfg.seed,
-        cfg=TrainConfig(epochs=pred.epochs, batch_size=pred.batch_size,
-                        lr=pred.lr, seed=cfg.seed, val_fraction=val_fraction))
-
-
-def _evaluate(cfg, net, fading, horizon, links):
+def _evaluate(cfg, net, fading):
     """(prediction, actual, rho) of net on the fresh evaluation record."""
-    pred = cfg.predictor
-    record = _series(fading, _sub_seed(cfg.seed, _EVAL_TAG), _EVAL_LEN, links)
-    out, rho = predict_series(net, record, pred.tau, horizon,
-                              features=pred.features, scale=pred.scale)
-    actual = record[pred.tau + horizon:]
-    if pred.features == "magnitude":
+    record = _series(fading, _sub_seed(cfg.seed, _EVAL_TAG), _EVAL_LEN,
+                     net.layout["links"])
+    out, rho = predict_series(net, record)
+    actual = record[len(record) - len(out):]
+    if net.layout["features"] == "magnitude":
         actual = np.abs(actual)
     return out, actual, rho
 
@@ -139,9 +123,9 @@ def _layout(cfg, horizon, links):
 def _load_fitting(path, layout):
     """The model saved at path; ConfigError naming each layout setting
     that differs from the config's."""
-    net, found = load_model(path)
-    differ = ["%s %r in the model, %r in the config" % (k, found[k], v)
-              for k, v in layout.items() if found[k] != v]
+    net = load_model(path)
+    differ = ["%s %r in the model, %r in the config" % (k, net.layout[k], v)
+              for k, v in layout.items() if net.layout[k] != v]
     if differ:
         raise ConfigError(
             "model file %r does not fit the config: %s (rerun the "
@@ -173,7 +157,7 @@ def _code_digest():
 
 
 def _model_key(cfg, fading, horizon, links):
-    """Cache key of the model _fit trains for these inputs: the fading
+    """Cache key of the model trained for these inputs: the fading
     it trains on, every predictor setting, horizon, links, the seed,
     the numpy version and the package source."""
     lines = (["[fading]"] + settings_lines(fading)
@@ -184,7 +168,7 @@ def _model_key(cfg, fading, horizon, links):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _store(net, path, layout):
+def _store(net, path):
     """save_model through a temp file renamed into place, so a reader
     never sees a partial archive.  Entries are named
     <code digest>-<key>.npz; the entries another package source left in
@@ -194,7 +178,7 @@ def _store(net, path, layout):
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
-            save_model(net, fh, layout)
+            save_model(net, fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -274,15 +258,17 @@ class PredictorPool:
             pass
         series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
                          self.cfg.predictor.train_len, links)
-        net, _ = _fit(self.cfg, series, horizon)
-        _store(net, path, layout)
+        net, _ = train_link_predictor(series, horizon=horizon,
+                                      recipe=self.cfg.predictor,
+                                      seed=self.cfg.seed)
+        _store(net, path)
         return net
 
     def evaluate(self, fading, horizon, links):
         """(prediction, actual, rho) on the evaluation record."""
         key = (fading, horizon, links)
         if key not in self._evals:
-            self._evals[key] = _evaluate(self.cfg, self.net(*key), *key)
+            self._evals[key] = _evaluate(self.cfg, self.net(*key), fading)
         return self._evals[key]
 
 
@@ -420,12 +406,14 @@ def cmd_train(cfg, out=None):
     if pred.train_len > series.shape[0]:
         raise ConfigError("training length %d exceeds dataset length %d"
                           % (pred.train_len, series.shape[0]))
-    net, report = _fit(cfg, series[:pred.train_len], horizon,
-                       val_fraction=0.1)
-    _, _, rho = _evaluate(cfg, net, cfg.fading, horizon, cfg.network.relays)
+    # a tenth is held out to report a validation error
+    net, report = train_link_predictor(series[:pred.train_len],
+                                       horizon=horizon, recipe=pred,
+                                       seed=cfg.seed, val_fraction=0.1)
+    _, _, rho = _evaluate(cfg, net, cfg.fading)
     rho_out = _rho_outdated(cfg.fading, horizon)
     path = out or cfg.csi.model or "model.npz"
-    save_model(net, path, _layout(cfg, horizon, cfg.network.relays))
+    save_model(net, path)
     for i, mse in enumerate(report.epoch_mse, start=1):
         print("epoch %2d:  train mse %.6f" % (i, mse))
     if report.val_mse is not None:
@@ -588,17 +576,11 @@ def cmd_protocol_sim(cfg, out=None):
 # presets
 
 
-# presets fit the predictor with the long-budget recipe (about two
-# minutes per horizon) so the predicted curves sit where the analysis
-# puts nearly-optimal selection
-_PRESET_PREDICTOR = """
-[predictor]
-train_len = 40000
-epochs = %d
-batch_size = %d
-lr = %r
-""" % (HIGH_ACCURACY_TRAIN.epochs, HIGH_ACCURACY_TRAIN.batch_size,
-       HIGH_ACCURACY_TRAIN.lr)
+# presets fit the predictor with the long-budget recipe (about a minute
+# per horizon) so the predicted curves sit where the analysis puts
+# nearly-optimal selection
+_PRESET_PREDICTOR = "\n".join(["[predictor]"]
+                               + settings_lines(HIGH_ACCURACY_TRAIN))
 
 
 def _preset_config(name, trials=None, extra=""):
@@ -738,7 +720,8 @@ def _build_parser():
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="named experiment")
         p.add_argument("--seed", type=int, help="override experiment seed")
-        p.add_argument("--trials", type=int, help="override trial count")
+        if name in ("outage", "capacity"):  # no other command reads trials
+            p.add_argument("--trials", type=int, help="override trial count")
         p.add_argument("--out", help="override output path")
     return parser
 
@@ -754,13 +737,8 @@ def _resolve(args):
         cfg = load_config(args.config)
     else:
         cfg = ExperimentConfig()
-    if args.seed is not None or args.trials is not None:
-        kwargs = {}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-        cfg = replace(cfg, **kwargs)
+    overrides = {"seed": args.seed, "trials": getattr(args, "trials", None)}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     return cfg, plan_command, plan
 
 

@@ -8,10 +8,13 @@ Experiments are described by small text files in a line-based format:
 Full-line comments start with '#' or ';'.  Sections group related
 knobs: network geometry, the fading process, where the selection
 metric comes from (the csi section), schemes to run, the SNR grid,
-predictor training, and frame-level protocol settings.  Every key has
-a default taken from the baseline setup used throughout (f_s = 1000 Hz,
-f_d = 100 Hz, K = 8 relays, tapped-delay length 4, two recurrent layers
-of 25 units each), so an empty file is already a valid experiment.
+the predictor recipe (PredictorSettings, defined beside the training
+code in predictor.train), and frame-level protocol settings.  Every
+key has a default taken from the baseline setup used throughout
+(f_s = 1000 Hz, f_d = 100 Hz, K = 8 relays, tapped-delay length 4, two
+recurrent layers of 25 units each), so an empty file is already a
+valid experiment.  A section whose values do not fit together is a
+ConfigError naming the section.
 Unknown sections and unknown or repeated keys are hard errors, which
 guards against silent typos in sweeps.
 
@@ -24,6 +27,8 @@ hash and equal seed imply byte-identical rows.
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+
+from .predictor.train import PredictorSettings
 
 
 class ConfigError(ValueError):
@@ -109,40 +114,6 @@ class CsiSettings:
             raise ConfigError("csi delay must be >= 1 sample")
         if not 0 <= self.rho <= 1:
             raise ConfigError("rho must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class PredictorSettings:
-    """Architecture and training knobs for the channel predictor."""
-
-    kind: str = "lstm"
-    layers: int = 2
-    neurons: int = 25
-    tau: int = 4
-    features: str = "complex"
-    scale: float = 0.4
-    train_len: int = 5000
-    epochs: int = 10
-    batch_size: int = 8
-    lr: float = 3e-3
-
-    def __post_init__(self):
-        if self.kind not in ("rnn", "lstm", "gru"):
-            raise ConfigError("predictor kind must be rnn, lstm or gru")
-        if self.layers < 1 or self.neurons < 1:
-            raise ConfigError("need >= 1 layer with >= 1 neuron")
-        if self.tau < 0:
-            raise ConfigError("tapped-delay length must be >= 0")
-        if self.features not in ("magnitude", "complex"):
-            raise ConfigError("features must be magnitude or complex")
-        if self.scale <= 0:
-            raise ConfigError("feature scale must be positive")
-        if self.train_len < 16:
-            raise ConfigError("training length must be >= 16 samples")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch size must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -364,7 +335,10 @@ def parse_config(text):
     for section, cls in _SECTION_CLS.items():
         vals = build(section)
         if vals:
-            top[section] = cls(**vals)
+            try:
+                top[section] = cls(**vals)
+            except ValueError as err:
+                raise ConfigError("[%s] %s" % (section, err))
     return ExperimentConfig(**top)
 
 

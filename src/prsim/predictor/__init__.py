@@ -1,12 +1,13 @@
 """Recurrent channel predictors trained with truncated BPTT.
 
-The subpackage is self contained on numpy:
+PredictorSettings is the one recipe of a predictor, and a trained
+RecurrentNet carries its feature layout.  Self contained on numpy:
 
 ``layers``    gate equations, layer-major window forward and backward
 ``network``   layer stack on one flat parameter buffer, flop counts
 ``optim``     Adam with bias correction on the flat buffer
 ``data``      tapped delay line features and window iteration
-``train``     training loop, series prediction, correlation report
+``train``     the recipe, training loop, series prediction, correlation
 ``model_io``  versioned npz serialization
 """
 
@@ -14,8 +15,8 @@ from .layers import LayerSpec
 from .network import RecurrentNet, flops_per_step, flops_simplified
 from .optim import AdamState, adam_step
 from .data import build_dataset, complex_from_split
-from .train import (HIGH_ACCURACY_TRAIN, TrainConfig, TrainReport, train,
-                    train_link_predictor, predict_series,
+from .train import (HIGH_ACCURACY_TRAIN, PredictorSettings, TrainReport,
+                    train, train_link_predictor, predict_series,
                     prediction_correlation)
 from .model_io import save_model, load_model
 
@@ -29,7 +30,7 @@ __all__ = [
     "build_dataset",
     "complex_from_split",
     "HIGH_ACCURACY_TRAIN",
-    "TrainConfig",
+    "PredictorSettings",
     "TrainReport",
     "train",
     "train_link_predictor",

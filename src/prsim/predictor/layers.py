@@ -1,4 +1,4 @@
-"""Recurrent and dense layers run layer by layer over a whole window.
+"""Recurrent layers run layer by layer over a whole window.
 
 Every layer keeps its weights in a dict of float64 arrays.  Gated layers
 stack the gate blocks row-wise in a single input matrix W, a single
@@ -18,7 +18,7 @@ GRU (rows z, r, c in that order; the candidate block sees r * s)
     c = tanh(Wc x + Uc (r s) + bc)
     s' = (1 - z) s + z c
 
-dense_tanh     y = tanh(W x + b), stateless.
+The network's readout is the stateless dense layer y = tanh(W x + b).
 
 A layer sees a (T, in) window at once.  Its input projection X W^T + b
 does not depend on the recurrence, so it is one GEMM for the window;
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_KINDS = ("dense_tanh", "rnn", "lstm", "gru")
+_KINDS = ("rnn", "lstm", "gru")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class LayerSpec:
 
     @property
     def gate_rows(self):
-        """Stacked pre-activation rows per unit (1, 1, 4 or 3)."""
-        return {"dense_tanh": 1, "rnn": 1, "lstm": 4, "gru": 3}[self.kind]
+        """Stacked pre-activation rows per unit (1, 4 or 3)."""
+        return {"rnn": 1, "lstm": 4, "gru": 3}[self.kind]
 
 
 def sigmoid(x):
@@ -71,18 +71,14 @@ def init_layer(spec, in_dim, rng):
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rows = spec.gate_rows * spec.size
     bw = 1.0 / np.sqrt(in_dim)
-    params = {"W": rng.uniform(-bw, bw, size=(rows, in_dim))}
-    if spec.kind != "dense_tanh":
-        bu = 1.0 / np.sqrt(spec.size)
-        params["U"] = rng.uniform(-bu, bu, size=(rows, spec.size))
-    params["b"] = np.zeros(rows)
-    return params
+    bu = 1.0 / np.sqrt(spec.size)
+    return {"W": rng.uniform(-bw, bw, size=(rows, in_dim)),
+            "U": rng.uniform(-bu, bu, size=(rows, spec.size)),
+            "b": np.zeros(rows)}
 
 
 def initial_state(spec):
     n = spec.size
-    if spec.kind == "dense_tanh":
-        return None
     if spec.kind == "lstm":
         return (np.zeros(n), np.zeros(n))
     return np.zeros(n)
@@ -104,11 +100,11 @@ def _finish(p, g, DZ, X, H_prev):
     return DZ @ p["W"]
 
 
-# ------------------------------------------------------------ dense_tanh
+# --------------------------------------------------------- dense readout
 
-def dense_forward(p, X, state=None):
+def dense_forward(p, X):
     H = np.tanh(X @ p["W"].T + p["b"])
-    return H, None, (X, H)
+    return H, (X, H)
 
 
 def dense_backward(p, g, cache, dH):
@@ -238,7 +234,5 @@ def gru_backward(p, g, cache, dH):
     return _finish(p, g, DZ, X, None)
 
 
-FORWARD = {"dense_tanh": dense_forward, "rnn": rnn_forward,
-           "lstm": lstm_forward, "gru": gru_forward}
-BACKWARD = {"dense_tanh": dense_backward, "rnn": rnn_backward,
-            "lstm": lstm_backward, "gru": gru_backward}
+FORWARD = {"rnn": rnn_forward, "lstm": lstm_forward, "gru": gru_forward}
+BACKWARD = {"rnn": rnn_backward, "lstm": lstm_backward, "gru": gru_backward}

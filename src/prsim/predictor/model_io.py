@@ -6,10 +6,10 @@ under its stable name from RecurrentNet.parameter_items().  Loading
 rebuilds the network from the header and overwrites the fresh
 parameters with the stored arrays, so a round trip is bit exact.
 
-The header also records the feature layout the network was fit on:
-tapped-delay length tau, prediction horizon, feature kind, scale and
-the number of links.  The weights mean nothing under any other
-layout, so the field is required; archives of an earlier version
+The header also records the feature layout the network was fit on,
+net.layout: tapped-delay length tau, prediction horizon, feature kind,
+scale and the number of links.  The weights mean nothing under any
+other layout, so the field is required; archives of an earlier version
 lack part of it and are refused.
 """
 
@@ -26,7 +26,7 @@ _VERSION = 3
 LAYOUT_KEYS = ("tau", "horizon", "features", "scale", "links")
 
 
-def save_model(net, path, layout):
+def save_model(net, path):
     """Write net with its feature layout, a dict over LAYOUT_KEYS."""
     header = {
         "format": _FORMAT,
@@ -35,14 +35,14 @@ def save_model(net, path, layout):
         "output_dim": net.output_dim,
         "seed": net.seed,
         "layers": [{"kind": s.kind, "size": s.size} for s in net.specs],
-        "layout": {key: layout[key] for key in LAYOUT_KEYS},
+        "layout": {key: net.layout[key] for key in LAYOUT_KEYS},
     }
     arrays = {name.replace("/", "__"): arr for name, arr in net.parameter_items()}
     np.savez(path, __meta__=np.array(json.dumps(header)), **arrays)
 
 
 def load_model(path):
-    """(net, layout) of an archive written by save_model.
+    """The net, layout included, of an archive written by save_model.
 
     Anything else raises ValueError, a truncated or corrupted archive
     included; a missing file raises OSError.
@@ -69,10 +69,11 @@ def _read(data):
         raise ValueError("model header lacks its feature layout")
     specs = tuple(LayerSpec(d["kind"], int(d["size"])) for d in header["layers"])
     net = RecurrentNet(int(header["input_dim"]), specs,
-                       int(header["output_dim"]), seed=int(header.get("seed", 0)))
+                       int(header["output_dim"]),
+                       seed=int(header.get("seed", 0)), layout=layout)
     for name, arr in net.parameter_items():
         stored = data[name.replace("/", "__")]
         if stored.shape != arr.shape:
             raise ValueError(f"shape mismatch for {name}")
         arr[...] = stored
-    return net, layout
+    return net

@@ -54,9 +54,10 @@ _CELL_COST = {"rnn": 1, "gru": 3, "lstm": 4}
 
 
 class RecurrentNet:
-    """Stack of recurrent/dense layers with a tanh readout."""
+    """Stack of recurrent layers with a tanh readout; `layout` is the
+    feature layout it reads, a dict over model_io.LAYOUT_KEYS."""
 
-    def __init__(self, input_dim, specs, output_dim, seed=0):
+    def __init__(self, input_dim, specs, output_dim, seed=0, layout=None):
         if input_dim < 1 or output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         specs = tuple(specs)
@@ -66,6 +67,7 @@ class RecurrentNet:
         self.output_dim = int(output_dim)
         self.specs = specs
         self.seed = int(seed)
+        self.layout = layout
         init = []
         in_dim = self.input_dim
         for idx, spec in enumerate(specs):
@@ -76,13 +78,13 @@ class RecurrentNet:
         init.append({"W": rng.uniform(-bw, bw, size=(self.output_dim, in_dim)),
                      "b": np.zeros(self.output_dim)})
         # (group, key, name, span, shape); group len(specs) is the readout
-        self._layout = []
+        self._slots = []
         start = 0
         for gi, group in enumerate(init):
             prefix = "out" if gi == len(specs) else f"layer{gi}"
             for key in sorted(group):
                 span = slice(start, start + group[key].size)
-                self._layout.append((gi, key, f"{prefix}/{key}", span,
+                self._slots.append((gi, key, f"{prefix}/{key}", span,
                                      group[key].shape))
                 start = span.stop
         self.flat = np.empty(start)
@@ -95,7 +97,7 @@ class RecurrentNet:
     def _groups(self, flat):
         """Per-layer dicts of named views into a flat buffer, readout last."""
         groups = [{} for _ in range(len(self.specs) + 1)]
-        for gi, key, _, span, shape in self._layout:
+        for gi, key, _, span, shape in self._slots:
             groups[gi][key] = flat[span].reshape(shape)
         return groups
 
@@ -120,7 +122,7 @@ class RecurrentNet:
             h, st, cache = L.FORWARD[spec.kind](p, h, st)
             new_state.append(st)
             caches.append(cache)
-        ys, _, cache = L.dense_forward(self.out, h)
+        ys, cache = L.dense_forward(self.out, h)
         caches.append(cache)
         return ys, new_state, caches if keep_cache else None
 
@@ -160,7 +162,7 @@ class RecurrentNet:
 
     def grad_items(self, grads):
         """(name, view) pairs of a flat buffer, in parameter_items order."""
-        for _, _, name, span, shape in self._layout:
+        for _, _, name, span, shape in self._slots:
             yield name, grads[span].reshape(shape)
 
 

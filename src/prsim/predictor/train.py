@@ -1,4 +1,8 @@
-"""Batched training loop and stateful series prediction.
+"""The predictor recipe, batched training and stateful series prediction.
+
+PredictorSettings, the [predictor] section of an experiment file, is
+the one recipe of a link predictor, from architecture to budget.  The
+net train_link_predictor fits records its feature layout.
 
 Training splits the sample stream into fixed-size batches, resets the
 recurrent state at each batch start, and applies one Adam update per
@@ -27,20 +31,37 @@ from .optim import AdamState, adam_step
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class PredictorSettings:
+    """Architecture and training knobs for the channel predictor."""
+
+    kind: str = "lstm"
+    layers: int = 2
+    neurons: int = 25
+    tau: int = 4
+    features: str = "complex"
+    scale: float = 0.4
+    train_len: int = 5000
     epochs: int = 10
     batch_size: int = 8
     lr: float = 3e-3
-    seed: int = 0
-    val_fraction: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in ("rnn", "lstm", "gru"):
+            raise ValueError("predictor kind must be rnn, lstm or gru")
+        if self.layers < 1 or self.neurons < 1:
+            raise ValueError("need >= 1 layer with >= 1 neuron")
+        if self.tau < 0:
+            raise ValueError("tapped-delay length must be >= 0")
+        if self.features not in ("magnitude", "complex"):
+            raise ValueError("features must be magnitude or complex")
+        if self.scale <= 0:
+            raise ValueError("feature scale must be positive")
+        if self.train_len < 16:
+            raise ValueError("training length must be >= 16 samples")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in [0, 1)")
+            raise ValueError("epochs and batch size must be >= 1")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError("learning rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -79,29 +100,33 @@ def _stateful_predict(net, X):
     return ys
 
 
-def train(net, X, Y, cfg=TrainConfig()):
+def train(net, X, Y, recipe=PredictorSettings(), seed=0, val_fraction=0.0):
     """Fit the network on (X, Y) sample pairs; returns a TrainReport.
 
+    The recipe gives epochs, batch size and learning rate, `seed` the
+    batch order, and the last `val_fraction` of the pairs is held out.
     Epoch MSE is the batch-size weighted mean of the per-batch losses,
     i.e. the mean squared error over the whole training span under the
     parameters current when each batch was visited.
     """
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError("val_fraction must be in [0, 1)")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must pair up")
-    n_val = int(round(cfg.val_fraction * X.shape[0]))
+    n_val = int(round(val_fraction * X.shape[0]))
     n_tr = X.shape[0] - n_val
     if n_tr < 1:
         raise ValueError("empty training span")
-    order_rng = stream(cfg.seed, 31)
+    order_rng = stream(seed, 31)
     opt = AdamState()
     epoch_mse = []
-    for _ in range(cfg.epochs):
+    for _ in range(recipe.epochs):
         sq_sum = 0.0
-        for sl in iter_windows(n_tr, cfg.batch_size, order_rng):
+        for sl in iter_windows(n_tr, recipe.batch_size, order_rng):
             loss, grads, _ = net.loss_window(X[sl], Y[sl])
-            adam_step(net, grads, opt, lr=cfg.lr)
+            adam_step(net, grads, opt, lr=recipe.lr)
             sq_sum += loss * (sl.stop - sl.start)
         epoch_mse.append(sq_sum / n_tr)
     if n_val == 0:
@@ -110,8 +135,6 @@ def train(net, X, Y, cfg=TrainConfig()):
     return TrainReport(tuple(epoch_mse), float(np.mean(err ** 2)))
 
 
-DEFAULT_SPECS = (LayerSpec("lstm", 25), LayerSpec("lstm", 25))
-
 # Longer-budget recipe for series of 40k samples and up.  Each batch
 # is one span of consecutive samples unrolled from a zero state, so
 # batch_size doubles as the truncation length: spans of 64 make the
@@ -119,50 +142,56 @@ DEFAULT_SPECS = (LayerSpec("lstm", 25), LayerSpec("lstm", 25))
 # which turns out to be what keeps late epochs from oscillating.  At
 # lengths near 5000 the shorter spans of the default recipe win by
 # sheer update count.
-HIGH_ACCURACY_TRAIN = TrainConfig(epochs=30, batch_size=64)
+HIGH_ACCURACY_TRAIN = PredictorSettings(train_len=40_000, epochs=30,
+                                        batch_size=64)
 
 
-def train_link_predictor(series, tau=4, horizon=3, specs=DEFAULT_SPECS,
-                         features="complex", scale=0.4, net_seed=0, cfg=None):
-    """Build and fit the default dual-layer LSTM link predictor.
+def train_link_predictor(series, horizon, recipe=PredictorSettings(), seed=0,
+                         val_fraction=0.0):
+    """Build the recipe's predictor and fit it on all of a (T, K) series.
 
-    The network regresses tapped-delay features of a (T, K) fading
-    series onto the CSI `horizon` steps ahead.  The defaults pin the
-    reference operating point: two 25-unit LSTM layers fed complex
-    re/im features compressed by 0.4, fit for 10 epochs in small
-    batches (large batches starve the optimizer of updates at series
-    lengths around 5000, and unscaled features clip in the saturating
-    output layer).  For longer series pass cfg=HIGH_ACCURACY_TRAIN,
-    which trades runtime for correlations near 0.99 at a 3-step
-    horizon.  Returns (net, report); score generalization with
-    predict_series() on a series the fit never saw, passing the same
-    tau, horizon, features and scale.
+    The network regresses tapped-delay features onto the CSI `horizon`
+    steps ahead; `seed` draws its initial weights and orders its
+    batches.  The default recipe pins the reference operating point:
+    two 25-unit LSTM layers fed complex re/im features compressed by
+    0.4, fit for 10 epochs in small batches (large batches starve the
+    optimizer of updates at series lengths around 5000, and unscaled
+    features clip in the saturating output layer).  For longer series
+    pass recipe=HIGH_ACCURACY_TRAIN, which trades runtime for
+    correlations near 0.99 at a 3-step horizon.  Returns (net, report),
+    net.layout filled in; score generalization with predict_series()
+    on a series the fit never saw.
     """
-    X, Y = build_dataset(series, tau, horizon, features, scale=scale)
-    net = RecurrentNet(X.shape[1], specs, Y.shape[1], seed=net_seed)
-    if cfg is None:
-        cfg = TrainConfig(seed=net_seed)
-    report = train(net, X, Y, cfg)
-    return net, report
+    X, Y = build_dataset(series, recipe.tau, horizon, recipe.features,
+                         scale=recipe.scale)
+    layout = {"tau": recipe.tau, "horizon": horizon,
+              "features": recipe.features, "scale": recipe.scale,
+              "links": np.shape(series)[1] if np.ndim(series) == 2 else 1}
+    net = RecurrentNet(X.shape[1],
+                       (LayerSpec(recipe.kind, recipe.neurons),) * recipe.layers,
+                       Y.shape[1], seed=seed, layout=layout)
+    return net, train(net, X, Y, recipe, seed, val_fraction)
 
 
-def predict_series(net, series, tau, horizon, features="magnitude", scale=1.0):
-    """Stateful prediction over a whole series.
+def predict_series(net, series):
+    """Stateful prediction over a whole series in net.layout.
 
     Returns (pred, rho) for each window end t in [tau, T - 1 - horizon]
-    with targets at t + horizon.  In magnitude mode pred holds (N, K)
-    predicted magnitudes and rho is their Pearson correlation against
-    the realized ones; in complex mode the re/im outputs are rebuilt
-    into (N, K) complex coefficients and rho is the complex correlation
-    against the realized coefficients.  `scale` must match the factor
-    the network was trained with; predictions are mapped back to
-    physical units (rho itself is scale invariant).  State carries
-    across the full sweep, reset once at the start.
+    with targets at t + horizon, so pred covers the last N samples.  In
+    magnitude mode pred holds (N, K) predicted magnitudes and rho is
+    their Pearson correlation against the realized ones; in complex
+    mode the re/im outputs are rebuilt into (N, K) complex coefficients
+    and rho is the complex correlation against the realized
+    coefficients.  Predictions are mapped back to physical units (rho
+    itself is scale invariant).  State carries across the full sweep,
+    reset once at the start.
     """
-    X, Y = build_dataset(series, tau, horizon, features, scale=scale)
-    raw = _stateful_predict(net, X) / scale
-    Y = Y / scale
-    if features == "complex":
+    lay = net.layout
+    X, Y = build_dataset(series, lay["tau"], lay["horizon"], lay["features"],
+                         scale=lay["scale"])
+    raw = _stateful_predict(net, X) / lay["scale"]
+    Y = Y / lay["scale"]
+    if lay["features"] == "complex":
         pred = complex_from_split(raw)
         return pred, prediction_correlation(pred, complex_from_split(Y))
     return raw, prediction_correlation(raw, Y)

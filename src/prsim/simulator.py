@@ -219,25 +219,25 @@ class SeriesNetwork:
 
     The buffered metric for the frame at sample s is the predictor's
     output computed from taps up to s - delay, or the record itself
-    delayed by `delay` samples when no predictor is given.  Frames
-    start at the first sample every metric covers.
+    delayed by `delay` samples when no predictor is given.  A predictor
+    reads the feature layout it records, whose horizon must be `delay`.
+    Frames start at the first sample every metric covers.
     """
 
-    def __init__(self, series_sr, series_rd, delay, predictor=None, tau=4,
-                 features="complex", scale=0.4):
+    def __init__(self, series_sr, series_rd, delay, predictor=None):
         series_sr = np.asarray(series_sr)
         series_rd = np.asarray(series_rd)
         if series_sr.shape != series_rd.shape or series_sr.ndim != 2:
             raise ValueError("need matching (T, K) hop records")
         if delay < 1:
             raise ValueError("delay must be at least one sample")
+        if predictor is not None and predictor.layout["horizon"] != delay:
+            raise ValueError("predictor horizon differs from the delay")
         self.series_sr = series_sr
         self.series_rd = series_rd
         self.metric_lag = int(delay)
-        self.metric_sr, start_sr = _metric_record(
-            series_sr, delay, predictor, tau, features, scale)
-        self.metric_rd, start_rd = _metric_record(
-            series_rd, delay, predictor, tau, features, scale)
+        self.metric_sr, start_sr = _metric_record(series_sr, delay, predictor)
+        self.metric_rd, start_rd = _metric_record(series_rd, delay, predictor)
         self.start = max(start_sr, start_rd)
         self.num_frames = series_sr.shape[0] - self.start
         if self.num_frames < 2:
@@ -252,7 +252,7 @@ class SeriesNetwork:
                 self.metric_sr[s], self.metric_rd[s])
 
 
-def _metric_record(series, delay, predictor, tau, features, scale):
+def _metric_record(series, delay, predictor):
     """Per-sample metric array aligned with the record, plus first
     sample index it covers."""
     T = series.shape[0]
@@ -262,9 +262,8 @@ def _metric_record(series, delay, predictor, tau, features, scale):
         return metric, delay
     from .predictor import predict_series
 
-    pred, _ = predict_series(predictor, series, tau, delay,
-                             features=features, scale=scale)
-    start = tau + delay
+    pred, _ = predict_series(predictor, series)
+    start = T - len(pred)
     metric[start:] = pred
     return metric, start
 

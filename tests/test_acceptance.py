@@ -238,20 +238,19 @@ def test_criterion_07_full_correlation_diversity_slope():
 
 def test_criterion_08_default_training_beats_outdated_csi():
     train_series = eight_link_series(seed=101, length=5000)
-    net, _ = train_link_predictor(train_series)
+    net, _ = train_link_predictor(train_series, horizon=3)
     eval_series = eight_link_series(seed=202, length=10_000)
-    _, rho = predict_series(net, eval_series, tau=4, horizon=3,
-                            features="complex", scale=0.4)
+    _, rho = predict_series(net, eval_series)
     assert rho >= 0.9, f"predicted-CSI correlation {rho:.4f} below 0.9"
     assert rho > 2.0 * RHO_OUTDATED
 
 
 def test_criterion_09_predicted_selection_near_perfect():
     train_series = eight_link_series(seed=101, length=40_000)
-    net, _ = train_link_predictor(train_series, cfg=HIGH_ACCURACY_TRAIN)
+    net, _ = train_link_predictor(train_series, horizon=3,
+                                  recipe=HIGH_ACCURACY_TRAIN)
     eval_series = eight_link_series(seed=202, length=10_000)
-    _, rho_hat = predict_series(net, eval_series, tau=4, horizon=3,
-                                features="complex", scale=0.4)
+    _, rho_hat = predict_series(net, eval_series)
     assert rho_hat >= 0.95, (
         f"long-budget training reached rho {rho_hat:.4f}, need 0.95")
 

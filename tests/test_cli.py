@@ -711,11 +711,11 @@ def test_storing_an_entry_deletes_other_code_versions(tmp_path, monkeypatch,
 
 def _store_and_load(path, rounds):
     # spawned worker: rewrite one cache entry and read it back
-    net = RecurrentNet(4, (LayerSpec("lstm", 3),), 2, seed=0)
     layout = {"tau": 1, "horizon": 1, "features": "magnitude",
               "scale": 1.0, "links": 2}
+    net = RecurrentNet(4, (LayerSpec("lstm", 3),), 2, seed=0, layout=layout)
     for _ in range(rounds):
-        cli._store(net, path, layout)
+        cli._store(net, path)
         cli._load_fitting(path, layout)  # raises on a partial archive
 
 
@@ -907,6 +907,14 @@ rho = 0.9
     (row,) = read_rows(out)
     assert row["seed"] == "5"
     assert row["trials"] == "12000"
+
+
+def test_trials_is_offered_only_where_it_counts(capsys):
+    # protocol-sim scores [protocol] frames; trials would move only the hash
+    with pytest.raises(SystemExit) as exit_:
+        run_main(["protocol-sim", "--trials", "5"])
+    assert exit_.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_unreadable_config_is_a_one_line_error(tmp_path, capsys):

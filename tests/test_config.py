@@ -102,6 +102,8 @@ def test_grid_range_is_inclusive():
     ("[schemes]\nlist =\n", "scheme list is empty"),
     ("[predictor]\nkind = transformer\n", "must be rnn, lstm or gru"),
     ("[predictor]\nfeatures = phase\n", "magnitude or complex"),
+    # the recipe raises ValueError; parsing names its section
+    ("[predictor]\nepochs = 0\n", r"\[predictor\] epochs and batch size"),
     ("[fading]\ndoppler_hz = 600\n", "doppler < sample_rate/2"),
     ("[protocol]\npolicy = retry\n", "reselect or terminate"),
     ("[experiment]\ntrials = 0\n", "trials must be"),

@@ -7,8 +7,8 @@ from prsim.channel import FadingProcessConfig, generate_series
 from prsim.predictor import (
     AdamState,
     LayerSpec,
+    PredictorSettings,
     RecurrentNet,
-    TrainConfig,
     adam_step,
     build_dataset,
     complex_from_split,
@@ -25,6 +25,10 @@ from prsim.predictor.data import iter_windows
 from prsim.predictor.layers import sigmoid
 from prsim.predictor.train import _PREDICT_BLOCK, _stateful_predict
 from prsim.rng import stream
+
+
+LAYOUT = {"tau": 4, "horizon": 3, "features": "complex", "scale": 0.4,
+          "links": 8}
 
 
 def multilink_series(seed, length, links):
@@ -55,7 +59,7 @@ def test_sigmoid_saturates_without_overflow():
 
 
 def test_init_ranges_and_determinism():
-    spec = (LayerSpec("dense_tanh", 6), LayerSpec("lstm", 5), LayerSpec("gru", 4))
+    spec = (LayerSpec("lstm", 5), LayerSpec("gru", 4))
     net = RecurrentNet(7, spec, 3, seed=12)
     twin = RecurrentNet(7, spec, 3, seed=12)
     other = RecurrentNet(7, spec, 3, seed=13)
@@ -63,8 +67,7 @@ def test_init_ranges_and_determinism():
     for p, s in zip(net.params, spec):
         assert np.max(np.abs(p["W"])) <= 1.0 / np.sqrt(in_dim)
         assert np.all(p["b"] == 0.0)
-        if "U" in p:
-            assert np.max(np.abs(p["U"])) <= 1.0 / np.sqrt(s.size)
+        assert np.max(np.abs(p["U"])) <= 1.0 / np.sqrt(s.size)
         in_dim = s.size
     assert np.all(net.out["b"] == 0.0)
     for (na, a), (nb, b) in zip(net.parameter_items(), twin.parameter_items()):
@@ -119,7 +122,7 @@ def test_gate_ranges_from_caches():
 
 
 def test_step_matches_forward_window():
-    spec = (LayerSpec("dense_tanh", 5), LayerSpec("lstm", 4), LayerSpec("rnn", 3))
+    spec = (LayerSpec("lstm", 4), LayerSpec("rnn", 3))
     net = RecurrentNet(4, spec, 2, seed=9)
     xs = stream(10).normal(size=(7, 4))
     ys_win, state_win, _ = net.forward_window(xs)
@@ -129,7 +132,7 @@ def test_step_matches_forward_window():
         # BLAS rounds a one-row projection differently (gemv), so the
         # carried state agrees to rounding, not bit for bit
         np.testing.assert_allclose(y[0], ys_win[t], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(state[2], state_win[2], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state[1], state_win[1], rtol=1e-12, atol=0)
 
 
 # ------------------------------------------------------------- gradients
@@ -166,7 +169,7 @@ def finite_difference_check(specs, in_dim, out_dim, seed, steps=4):
     ((LayerSpec("rnn", 4),), 1),
     ((LayerSpec("gru", 4),), 2),
     ((LayerSpec("lstm", 4),), 3),
-    ((LayerSpec("dense_tanh", 5), LayerSpec("lstm", 4), LayerSpec("gru", 3)), 4),
+    ((LayerSpec("lstm", 4), LayerSpec("gru", 3)), 4),
     ((LayerSpec("rnn", 3), LayerSpec("lstm", 5)), 5),
 ])
 def test_bptt_matches_finite_differences(specs, seed):
@@ -215,10 +218,7 @@ def reference_loss_window(net, xs, targets):
         step = []
         for li, (spec, p) in enumerate(zip(specs, params)):
             n, h = spec.size, h_state[li]
-            if spec.kind == "dense_tanh":
-                out = np.tanh(p["W"] @ x + p["b"])
-                step.append((x, out))
-            elif spec.kind == "rnn":
+            if spec.kind == "rnn":
                 out = np.tanh(p["W"] @ x + p["U"] @ h + p["b"])
                 step.append((x, h, out))
             elif spec.kind == "lstm":
@@ -255,10 +255,7 @@ def reference_loss_window(net, xs, targets):
         for li in range(len(specs) - 1, -1, -1):
             spec, p, cache, name = specs[li], params[li], caches[t][li], f"layer{li}"
             n = spec.size
-            if spec.kind == "dense_tanh":
-                x, out = cache
-                dz = dx * (1.0 - out * out)
-            elif spec.kind == "rnn":
+            if spec.kind == "rnn":
                 x, h, out = cache
                 dz = (dx + dh[li]) * (1.0 - out * out)
                 grads[name + "/U"] += np.outer(dz, h)
@@ -291,12 +288,13 @@ def reference_loss_window(net, xs, targets):
 
 
 ORACLE_STACKS = [
-    (LayerSpec("dense_tanh", 5),),
     (LayerSpec("rnn", 4),),
     (LayerSpec("lstm", 4),),
     (LayerSpec("gru", 4),),
-    (LayerSpec("dense_tanh", 5), LayerSpec("lstm", 4), LayerSpec("gru", 3)),
+    (LayerSpec("lstm", 4), LayerSpec("gru", 3)),
     (LayerSpec("rnn", 3), LayerSpec("lstm", 5)),
+    # the shape of the predictor the CLI builds by default
+    (LayerSpec("lstm", 5), LayerSpec("lstm", 4)),
 ]
 
 
@@ -459,29 +457,27 @@ def test_prediction_correlation_properties():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+        PredictorSettings(epochs=0)
+    net = RecurrentNet(2, (LayerSpec("rnn", 2),), 1)
     with pytest.raises(ValueError):
-        TrainConfig(val_fraction=1.0)
+        train(net, np.zeros((4, 2)), np.zeros((4, 1)), val_fraction=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
+        PredictorSettings(lr=0.0)
 
 
 def test_training_reduces_mse_and_beats_untrained():
     series = multilink_series(7, 1200, 2)
-    spec = (LayerSpec("lstm", 8), LayerSpec("lstm", 8))
-    cfg = TrainConfig(epochs=6, batch_size=8, lr=3e-3, seed=1, val_fraction=0.0)
-    net, report = train_link_predictor(series, specs=spec, net_seed=1, cfg=cfg)
+    recipe = PredictorSettings(neurons=8, epochs=6, batch_size=8, lr=3e-3)
+    net, report = train_link_predictor(series, horizon=3, recipe=recipe, seed=1)
     mse = report.epoch_mse
     assert len(mse) == 6
     assert all(b < a for a, b in zip(mse, mse[1:]))
     assert mse[-1] < 0.8 * mse[0]
 
     evals = multilink_series(8, 2000, 2)
-    _, rho = predict_series(net, evals, tau=4, horizon=3,
-                            features="complex", scale=0.4)
-    fresh = RecurrentNet(20, spec, 4, seed=5)
-    _, rho_fresh = predict_series(fresh, evals, tau=4, horizon=3,
-                                  features="complex", scale=0.4)
+    _, rho = predict_series(net, evals)
+    fresh = RecurrentNet(20, net.specs, 4, seed=5, layout=net.layout)
+    _, rho_fresh = predict_series(fresh, evals)
     assert rho > 0.25
     assert rho_fresh < 0.1
     assert rho > 5.0 * rho_fresh
@@ -491,8 +487,8 @@ def test_validation_split_is_time_ordered_tail():
     series = multilink_series(9, 600, 2)
     X, Y = build_dataset(series, 4, 3, features="complex", scale=0.4)
     net = RecurrentNet(X.shape[1], (LayerSpec("gru", 6),), Y.shape[1], seed=2)
-    cfg = TrainConfig(epochs=2, batch_size=16, lr=3e-3, seed=2, val_fraction=0.2)
-    report = train(net, X, Y, cfg)
+    recipe = PredictorSettings(epochs=2, batch_size=16, lr=3e-3)
+    report = train(net, X, Y, recipe, seed=2, val_fraction=0.2)
     n_val = int(round(0.2 * X.shape[0]))
     ys, _, _ = net.forward_window(X[X.shape[0] - n_val:])
     assert report.val_mse == pytest.approx(float(np.mean((ys - Y[-n_val:]) ** 2)))
@@ -502,15 +498,19 @@ def test_training_without_a_split_reports_no_validation_error():
     series = multilink_series(9, 300, 2)
     X, Y = build_dataset(series, 4, 3, features="complex", scale=0.4)
     net = RecurrentNet(X.shape[1], (LayerSpec("gru", 6),), Y.shape[1], seed=2)
-    report = train(net, X, Y, TrainConfig(epochs=1, batch_size=16, seed=2))
+    report = train(net, X, Y, PredictorSettings(epochs=1, batch_size=16), seed=2)
     assert report.val_mse is None and len(report.epoch_mse) == 1
 
 
 def test_predict_series_returns_physical_units():
     series = multilink_series(11, 400, 2)
-    net = RecurrentNet(20, (LayerSpec("lstm", 6),), 4, seed=3)
-    pred_a, rho_a = predict_series(net, series, 4, 3, features="complex", scale=0.4)
-    pred_b, rho_b = predict_series(net, series, 4, 3, features="complex", scale=0.8)
+    # two copies of one net whose layouts differ only in scale
+    net_a, net_b = (
+        RecurrentNet(20, (LayerSpec("lstm", 6),), 4, seed=3,
+                     layout=dict(LAYOUT, links=2, scale=scale))
+        for scale in (0.4, 0.8))
+    pred_a, rho_a = predict_series(net_a, series)
+    pred_b, rho_b = predict_series(net_b, series)
     assert pred_a.shape == (400 - 4 - 3, 2)
     # rho is scale free; the unscaled outputs differ through the tanh
     assert rho_a == pytest.approx(rho_b, abs=0.2)
@@ -518,8 +518,7 @@ def test_predict_series_returns_physical_units():
 
 
 def test_blocked_stateful_pass_is_bit_exact():
-    spec = (LayerSpec("dense_tanh", 5), LayerSpec("lstm", 5),
-            LayerSpec("gru", 4), LayerSpec("rnn", 3))
+    spec = (LayerSpec("lstm", 5), LayerSpec("gru", 4), LayerSpec("rnn", 3))
     net = RecurrentNet(6, spec, 3, seed=14)
     X = stream(15).normal(size=(2 * _PREDICT_BLOCK + 37, 6))
     whole, _, _ = net.forward_window(X)
@@ -528,9 +527,8 @@ def test_blocked_stateful_pass_is_bit_exact():
 
 def test_training_is_deterministic():
     series = multilink_series(12, 400, 2)
-    spec = (LayerSpec("lstm", 6), LayerSpec("lstm", 6))
-    cfg = TrainConfig(epochs=2, batch_size=8, lr=3e-3, seed=3, val_fraction=0.0)
-    (a, ra), (b, rb) = (train_link_predictor(series, specs=spec, net_seed=3, cfg=cfg)
+    recipe = PredictorSettings(neurons=6, epochs=2, batch_size=8, lr=3e-3)
+    (a, ra), (b, rb) = (train_link_predictor(series, 3, recipe, seed=3)
                         for _ in range(2))
     assert a.flat.tobytes() == b.flat.tobytes()
     assert ra == rb
@@ -585,20 +583,16 @@ def test_flops_simplified_square_case():
         flops_simplified("dense_tanh", 2, 25)
 
 
-LAYOUT = {"tau": 4, "horizon": 3, "features": "complex", "scale": 0.4,
-          "links": 8}
-
-
 def test_model_roundtrip_is_bit_exact(tmp_path):
-    spec = (LayerSpec("dense_tanh", 6), LayerSpec("lstm", 5), LayerSpec("gru", 4))
-    net = RecurrentNet(7, spec, 3, seed=21)
+    spec = (LayerSpec("lstm", 5), LayerSpec("gru", 4))
+    net = RecurrentNet(7, spec, 3, seed=21, layout=LAYOUT)
     xs = stream(22).normal(size=(9, 7))
     train(net, xs, np.tanh(stream(23).normal(size=(9, 3))),
-          TrainConfig(epochs=2, batch_size=4, lr=1e-2, seed=0, val_fraction=0.0))
+          PredictorSettings(epochs=2, batch_size=4, lr=1e-2), seed=0)
     path = tmp_path / "net.npz"
-    save_model(net, path, LAYOUT)
-    back, layout = load_model(path)
-    assert layout == LAYOUT
+    save_model(net, path)
+    back = load_model(path)
+    assert back.layout == LAYOUT
     assert back.specs == net.specs
     for (na, a), (nb, b) in zip(net.parameter_items(), back.parameter_items()):
         assert na == nb and np.array_equal(a, b)
@@ -610,9 +604,9 @@ def test_model_roundtrip_is_bit_exact(tmp_path):
 def test_model_load_rejects_bad_archives(tmp_path):
     import json
 
-    net = RecurrentNet(4, (LayerSpec("rnn", 3),), 2, seed=0)
+    net = RecurrentNet(4, (LayerSpec("rnn", 3),), 2, seed=0, layout=LAYOUT)
     path = tmp_path / "net.npz"
-    save_model(net, path, LAYOUT)
+    save_model(net, path)
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
 

@@ -467,6 +467,24 @@ def test_series_network_alignment():
         SeriesNetwork(sr, rd[:100], delay=3)
 
 
+def test_series_network_reads_the_predictor_layout():
+    from prsim.predictor import LayerSpec, RecurrentNet, predict_series
+
+    sr = multilink_series(33, 200, 2)
+    rd = multilink_series(34, 200, 2)
+    layout = {"tau": 2, "horizon": 3, "features": "magnitude",
+              "scale": 0.5, "links": 2}
+    pred = RecurrentNet(6, (LayerSpec("gru", 4),), 2, seed=1, layout=layout)
+    net = SeriesNetwork(sr, rd, 3, predictor=pred)
+    # the first prediction targets tau + horizon, from taps up to tau
+    assert net.start == 5 and net.num_frames == 195
+    _, _, m_sr, m_rd = net.frames(195)
+    assert np.array_equal(m_sr, predict_series(pred, sr)[0])
+    assert np.array_equal(m_rd, predict_series(pred, rd)[0])
+    with pytest.raises(ValueError, match="horizon"):
+        SeriesNetwork(sr, rd, 2, predictor=pred)
+
+
 def test_series_delayed_metric_matches_closed_form():
     # a record delayed by 3 samples at f_d = 100 Hz decorrelates to
     # J0(0.6 pi); frames overlap in time, so allow a loose absolute gap
