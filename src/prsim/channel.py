@@ -1,5 +1,9 @@
 """Correlated fading generation and the synthetic-rho pair sampler.
 
+FadingSettings, the [fading] section of an experiment file, holds the
+parameters of the link processes; FadingProcessConfig adds the seed
+that generate_series draws each link from.
+
 Time series come from a sum-of-cisoids generator (modified Jakes):
 equally spaced arrival angles with a random global rotation plus i.i.d.
 uniform path phases.  Averaged over the rotation the autocorrelation at
@@ -43,24 +47,30 @@ def jakes_correlation(f_d, tau_s):
 
 
 @dataclass(frozen=True)
-class FadingProcessConfig:
-    """Parameters of the unit-power link processes; k_factor = 0 is Rayleigh."""
+class FadingSettings:
+    """Doppler, sampling and Rician k factor (0 is Rayleigh) of the links."""
 
-    doppler_hz: float
-    sample_rate_hz: float
+    doppler_hz: float = 100.0
+    sample_rate_hz: float = 1000.0
     k_factor: float = 0.0
     num_sinusoids: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample rate must be positive")
         if not 0 <= self.doppler_hz < self.sample_rate_hz / 2.0:
-            raise ValueError("need 0 <= f_d < f_s/2")
+            raise ValueError("need 0 <= doppler < sample_rate/2")
         if self.k_factor < 0:
-            raise ValueError("Rician k factor must be >= 0")
+            raise ValueError("rician k factor must be >= 0")
         if self.num_sinusoids < 1:
             raise ValueError("need at least one sinusoid")
+
+
+@dataclass(frozen=True)
+class FadingProcessConfig(FadingSettings):
+    """FadingSettings plus the seed of the link draws."""
+
+    seed: int = 0
 
 
 def generate_series(cfg, length, link=0):

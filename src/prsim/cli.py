@@ -52,9 +52,10 @@ import numpy as np
 
 from .analytics import (SelectionParams, capacity_af, capacity_df,
                         capacity_exponential_exact, outage_af, outage_df)
-from .channel import FadingProcessConfig, generate_series, jakes_correlation
-from .config import (ConfigError, ExperimentConfig, FadingSettings,
-                     load_config, parse_config, settings_lines)
+from .channel import (FadingProcessConfig, FadingSettings, generate_series,
+                      jakes_correlation)
+from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
+                     settings_lines)
 from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
                         flops_simplified, load_model, predict_series,
                         save_model, train_link_predictor)
@@ -113,13 +114,6 @@ def _evaluate(cfg, net, fading):
     return out, actual, rho
 
 
-def _layout(cfg, horizon, links):
-    """The feature layout a model file records and a config must match."""
-    pred = cfg.predictor
-    return {"tau": pred.tau, "horizon": horizon, "features": pred.features,
-            "scale": pred.scale, "links": links}
-
-
 def _load_fitting(path, layout):
     """The model saved at path; ConfigError naming each layout setting
     that differs from the config's."""
@@ -176,9 +170,9 @@ def _store(net, path):
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            save_model(net, fh)
+        save_model(net, tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -237,7 +231,7 @@ class PredictorPool:
         key = (fading, horizon, links)
         if key not in self._nets:
             path = self.cfg.csi.model
-            layout = _layout(self.cfg, horizon, links)
+            layout = self.cfg.predictor.layout(horizon, links)
             if path and os.path.exists(path):
                 net = _load_fitting(path, layout)
             elif path:

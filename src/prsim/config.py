@@ -8,13 +8,15 @@ Experiments are described by small text files in a line-based format:
 Full-line comments start with '#' or ';'.  Sections group related
 knobs: network geometry, the fading process, where the selection
 metric comes from (the csi section), schemes to run, the SNR grid,
-the predictor recipe (PredictorSettings, defined beside the training
-code in predictor.train), and frame-level protocol settings.  Every
-key has a default taken from the baseline setup used throughout
-(f_s = 1000 Hz, f_d = 100 Hz, K = 8 relays, tapped-delay length 4, two
-recurrent layers of 25 units each), so an empty file is already a
-valid experiment.  A section whose values do not fit together is a
-ConfigError naming the section.
+the predictor recipe and frame-level protocol settings.  Each settings
+section is a frozen dataclass, and its parser table is read off the
+fields.  FadingSettings is defined beside the generator in channel,
+PredictorSettings beside the training code in predictor.train, and
+the other four here.  Every key has a default taken from the baseline
+setup used throughout (f_s = 1000 Hz, f_d = 100 Hz, K = 8 relays,
+tapped-delay length 4, two recurrent layers of 25 units each), so an
+empty file is already a valid experiment.  A section whose values do
+not fit together is a ConfigError naming the section.
 Unknown sections and unknown or repeated keys are hard errors, which
 guards against silent typos in sweeps.
 
@@ -26,9 +28,11 @@ hash and equal seed imply byte-identical rows.
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
+from .channel import FadingSettings
 from .predictor.train import PredictorSettings
+from .simulator import ImpairmentConfig
 
 
 class ConfigError(ValueError):
@@ -55,26 +59,6 @@ class NetworkSettings:
             raise ConfigError("need at least one relay")
         if self.rate <= 0:
             raise ConfigError("target rate must be positive")
-
-
-@dataclass(frozen=True)
-class FadingSettings:
-    """Doppler, sampling and Rician k factor (0 is Rayleigh) of the links."""
-
-    doppler_hz: float = 100.0
-    sample_rate_hz: float = 1000.0
-    k_factor: float = 0.0
-    num_sinusoids: int = 64
-
-    def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ConfigError("sample rate must be positive")
-        if not 0 <= self.doppler_hz < self.sample_rate_hz / 2.0:
-            raise ConfigError("need 0 <= doppler < sample_rate/2")
-        if self.k_factor < 0:
-            raise ConfigError("rician k factor must be >= 0")
-        if self.num_sinusoids < 1:
-            raise ConfigError("need at least one sinusoid")
 
 
 @dataclass(frozen=True)
@@ -137,6 +121,8 @@ class ProtocolSettings:
             raise ConfigError("timer cap must be positive")
         if self.uncertainty_window < 0:
             raise ConfigError("uncertainty window must be >= 0")
+        # the impairments' own range check, run at parse time
+        ImpairmentConfig(self.pilot_snr_db, self.max_phase_error_deg)
 
 
 _SCHEMES = ("df", "af", "ostc", "dt", "df-central")
@@ -241,50 +227,30 @@ def _scheme_list(raw):
     return tuple(t.strip().lower() for t in raw.split(",") if t.strip())
 
 
-# section -> key -> converter; table drives both parsing and the
-# canonical serialization, so the two can never drift apart
-_SCHEMA = {
-    "experiment": {
-        "name": _text, "seed": _int, "trials": _int, "output": _text,
-    },
-    "network": {
-        "relays": _int, "rate": _float,
-    },
-    "fading": {
-        "doppler_hz": _float, "sample_rate_hz": _float, "k_factor": _float,
-        "num_sinusoids": _int,
-    },
-    "dataset": {
-        "length": _int, "path": _text,
-    },
-    "csi": {
-        "mode": _word, "delay": _int, "rho": _float, "model": _text,
-    },
-    "schemes": {
-        "list": _scheme_list,
-    },
-    "grid": {
-        "snr_db": _grid,
-    },
-    "predictor": {
-        "kind": _word, "layers": _int, "neurons": _int, "tau": _int,
-        "features": _word, "scale": _float, "train_len": _int,
-        "epochs": _int, "batch_size": _int, "lr": _float,
-    },
-    "protocol": {
-        "frames": _int, "policy": _word, "timer_max": _float,
-        "uncertainty_window": _float,
-        "pilot_snr_db": _opt_float, "max_phase_error_deg": _opt_float,
-    },
-}
+# the settings sections, in ExperimentConfig's field order
+_SECTION_CLS = {f.name: f.type for f in fields(ExperimentConfig)
+                if is_dataclass(f.type)}
 
-_SECTION_CLS = {
-    "network": NetworkSettings,
-    "fading": FadingSettings,
-    "dataset": DatasetSettings,
-    "csi": CsiSettings,
-    "predictor": PredictorSettings,
-    "protocol": ProtocolSettings,
+
+def _converter(f):
+    """Converter of one settings field: optional, vocabulary or by type."""
+    if f.default is None:
+        return _opt_float
+    if f.name in ("mode", "kind", "features", "policy"):  # words, any case
+        return _word
+    return {int: _int, float: _float, str: _text}[f.type]
+
+
+# section -> key -> converter; table drives both parsing and the
+# canonical serialization, so the two can never drift apart.  The
+# settings sections read theirs off the dataclass fields.
+_SCHEMA = {
+    "experiment": {"name": _text, "seed": _int, "trials": _int,
+                   "output": _text},
+    "schemes": {"list": _scheme_list},
+    "grid": {"snr_db": _grid},
+    **{section: {f.name: _converter(f) for f in fields(cls)}
+       for section, cls in _SECTION_CLS.items()},
 }
 
 

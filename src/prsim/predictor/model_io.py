@@ -38,7 +38,8 @@ def save_model(net, path):
         "layout": {key: net.layout[key] for key in LAYOUT_KEYS},
     }
     arrays = {name.replace("/", "__"): arr for name, arr in net.parameter_items()}
-    np.savez(path, __meta__=np.array(json.dumps(header)), **arrays)
+    with open(path, "wb") as fh:  # np.savez would add .npz to a str path
+        np.savez(fh, __meta__=np.array(json.dumps(header)), **arrays)
 
 
 def load_model(path):

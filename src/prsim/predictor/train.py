@@ -2,7 +2,8 @@
 
 PredictorSettings, the [predictor] section of an experiment file, is
 the one recipe of a link predictor, from architecture to budget.  The
-net train_link_predictor fits records its feature layout.
+net train_link_predictor fits records its feature layout, which
+PredictorSettings.layout builds.
 
 Training splits the sample stream into fixed-size batches, resets the
 recurrent state at each batch start, and applies one Adam update per
@@ -62,6 +63,13 @@ class PredictorSettings:
             raise ValueError("epochs and batch size must be >= 1")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
+
+    def layout(self, horizon, links):
+        """The feature layout a net fit by this recipe reads, a dict over
+        model_io.LAYOUT_KEYS."""
+        return {"tau": self.tau, "horizon": horizon,
+                "features": self.features, "scale": self.scale,
+                "links": links}
 
 
 @dataclass(frozen=True)
@@ -164,12 +172,11 @@ def train_link_predictor(series, horizon, recipe=PredictorSettings(), seed=0,
     """
     X, Y = build_dataset(series, recipe.tau, horizon, recipe.features,
                          scale=recipe.scale)
-    layout = {"tau": recipe.tau, "horizon": horizon,
-              "features": recipe.features, "scale": recipe.scale,
-              "links": np.shape(series)[1] if np.ndim(series) == 2 else 1}
+    links = np.shape(series)[1] if np.ndim(series) == 2 else 1
     net = RecurrentNet(X.shape[1],
                        (LayerSpec(recipe.kind, recipe.neurons),) * recipe.layers,
-                       Y.shape[1], seed=seed, layout=layout)
+                       Y.shape[1], seed=seed,
+                       layout=recipe.layout(horizon, links))
     return net, train(net, X, Y, recipe, seed, val_fraction)
 
 

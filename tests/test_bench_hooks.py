@@ -77,3 +77,8 @@ def test_traced_step_reports_every_predictor_span(tmp_path, command, spans):
         assert trace.get(name, {}).get("calls", 0) >= 1, name
     rhos = trace["predictor.predict_series"]["values"]
     assert rhos and all(0.0 <= rho <= 1.0 for rho in rhos)
+    if command == "protocol-sim":
+        # the sr and rd records differ only in the seed, so a key that
+        # lost it would read their second synthesis as a repeat
+        keys = trace["channel.generate_series"]["keys"]
+        assert len(keys) >= 4 and len(set(keys)) == len(keys)

@@ -567,6 +567,34 @@ model = %s
     assert float(row["error_power"]) > 0
 
 
+def test_model_path_without_npz_suffix_is_kept(tmp_path, capsys):
+    # numpy's savez appends .npz to a bare path; train must write the
+    # file the config names, so that outage finds it
+    _, ds = _write_tiny_dataset(tmp_path)
+    model = tmp_path / "m.bin"
+    conf = tmp_path / "e.conf"
+    conf.write_text("""
+[experiment]
+trials = 10000
+
+[dataset]
+path = %s
+
+[csi]
+mode = predicted
+delay = 3
+model = %s
+
+[grid]
+snr_db = 10
+%s""" % (ds, model, TINY_PREDICTOR))
+    assert run_main(["train", "--config", str(conf)]) == 0
+    assert "model saved to %s" % model in capsys.readouterr().out
+    assert model.exists() and not (tmp_path / "m.bin.npz").exists()
+    assert run_main(["outage", "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_predict_eval_reports_the_correlation_selection_sees(tmp_path):
     # J0(2 pi 100 Hz 4 ms) = -0.05496: the row carries |J0|, as the
     # outdated runs select at, beside the magnitude rho_predicted

@@ -106,6 +106,7 @@ def test_grid_range_is_inclusive():
     ("[predictor]\nepochs = 0\n", r"\[predictor\] epochs and batch size"),
     ("[fading]\ndoppler_hz = 600\n", "doppler < sample_rate/2"),
     ("[protocol]\npolicy = retry\n", "reselect or terminate"),
+    ("[protocol]\nmax_phase_error_deg = -5\n", r"\[protocol\] phase error bound"),
     ("[experiment]\ntrials = 0\n", "trials must be"),
     # a nan rate compares false everywhere and reads outage 0 at every SNR
     ("[network]\nrate = nan\n", r"line 2: \[network\] rate: expected a finite"),
@@ -121,6 +122,36 @@ def test_grid_range_is_inclusive():
 def test_malformed_text_raises(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_vocabulary_settings_fold_case_and_text_keeps_it():
+    cfg = parse_config("""
+[experiment]
+name = Sweep-A
+output = Runs/Rows.CSV
+
+[schemes]
+list = DF, AF
+
+[dataset]
+path = Data/DS.csv
+
+[csi]
+mode = Predicted
+model = Models/M.npz
+
+[predictor]
+kind = GRU
+features = Complex
+
+[protocol]
+policy = Terminate
+""")
+    assert (cfg.csi.mode, cfg.predictor.kind, cfg.predictor.features,
+            cfg.protocol.policy) == ("predicted", "gru", "complex", "terminate")
+    assert cfg.schemes == ("df", "af")
+    assert (cfg.name, cfg.output, cfg.dataset.path, cfg.csi.model) == (
+        "Sweep-A", "Runs/Rows.CSV", "Data/DS.csv", "Models/M.npz")
 
 
 def test_errors_carry_line_numbers():
