@@ -31,7 +31,7 @@ equal hash and seed reproduces the file byte for byte.  Closed-form
 values are filled for df/af rows whose metric the analysis models
 (perfect, synthetic, outdated and predicted correlation) and for
 direct transmission; they are left blank for pair selection, for
-impaired rows and for record-driven rows.
+impaired rows, for record-driven rows and for protocol-sim rows.
 
 Predictors trained on the fly are kept in a content-addressed model
 cache, .prsim-models/ beside the output CSV, so runs that write into
@@ -60,9 +60,8 @@ from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
                         flops_simplified, load_model, predict_series,
                         save_model, train_link_predictor)
 from .selection import RateConfig
-from .simulator import (CSV_FIELDS, ImpairmentConfig, SeriesNetwork,
-                        SyntheticRhoNetwork, TimerModel, _hop_snr, estimate,
-                        experiment_rows, simulate_frames)
+from .simulator import (ImpairmentConfig, SeriesNetwork, SyntheticRhoNetwork,
+                        TimerModel, _hop_snr, estimate, simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
 # records draw from fixed offsets of the experiment seed so that every
@@ -75,7 +74,9 @@ _RD_TAG = 404
 _EVAL_LEN = 10_000
 _MIN_TRIALS = 10_000
 
-RESULT_FIELDS = CSV_FIELDS + ("analytic", "config_hash")
+RESULT_FIELDS = ("scheme", "K", "rho_mode", "snr_db", "outage", "std_err",
+                 "rate", "collision_rate", "trials", "seed", "analytic",
+                 "config_hash")
 PREDICT_FIELDS = ("doppler_hz", "horizon", "rho_outdated", "rho_predicted",
                   "error_power", "trials", "config_hash", "seed")
 FLOPS_FIELDS = ("kind", "layers", "neurons", "n_input", "n_output", "exact",
@@ -91,16 +92,6 @@ def _series(fading, seed, length, links):
     cfg = FadingProcessConfig(seed=seed, **vars(fading))
     return np.column_stack(
         [generate_series(cfg, length, link=i) for i in range(links)])
-
-
-def _record_network(cfg, fading, delay, links, frames, predictor):
-    """The network of a record-driven run: both hop records of fading,
-    with room for `frames` frames behind the metric's delay and taps."""
-    length = frames + cfg.predictor.tau + delay + 2
-    return SeriesNetwork(
-        _series(fading, _sub_seed(cfg.seed, _SR_TAG), length, links),
-        _series(fading, _sub_seed(cfg.seed, _RD_TAG), length, links),
-        delay, predictor=predictor)
 
 
 def _evaluate(cfg, net, fading):
@@ -195,7 +186,7 @@ def _store(net, path):
 class RunSpec:
     """One curve: an estimator plus the source of its selection metric."""
 
-    scheme: str                    # df | af | ostc | dt
+    scheme: str                    # df | af | ostc | dt | df-central
     relays: int
     rho_mode: str                  # CSV label
     rho: float = None              # None -> metric from the predictor
@@ -282,16 +273,21 @@ def _rho_mode(csi):
     return "%s(%d)" % (csi.mode, csi.delay)
 
 
+def _csi_rho(cfg):
+    """Metric correlation of the configured csi mode; None for predicted,
+    whose metric comes from the predictor."""
+    if cfg.csi.mode == "outdated":
+        return _rho_outdated(cfg.fading, cfg.csi.delay)
+    return {"perfect": 1.0, "synthetic": cfg.csi.rho}.get(cfg.csi.mode)
+
+
 def _generic_runs(cfg):
     """Expand the configured scheme list against the single csi mode."""
     csi, relays = cfg.csi, cfg.network.relays
     imp = ImpairmentConfig(cfg.protocol.pilot_snr_db,
                            cfg.protocol.max_phase_error_deg)
     imp = imp if imp.enabled else None
-    if csi.mode == "outdated":
-        rho = _rho_outdated(cfg.fading, csi.delay)
-    else:  # None: resolve from the predictor
-        rho = {"perfect": 1.0, "synthetic": csi.rho}.get(csi.mode)
+    rho = _csi_rho(cfg)
     runs = []
     for scheme in cfg.schemes:
         if scheme == "df-central":
@@ -315,9 +311,11 @@ def _analytic(command, spec, cfg, snr_db, rho):
     """Closed-form outage or capacity of one row; None where none applies.
 
     df and af rows at any resolved correlation and direct transmission
-    have one; pair selection, impaired and record-driven rows do not.
+    have one; pair selection, impaired, record-driven and protocol-sim
+    rows do not.
     """
-    if spec.fading is not None or spec.impairments is not None:
+    if (command == "protocol-sim" or spec.fading is not None
+            or spec.impairments is not None):
         return None
     rate = RateConfig(cfg.network.rate)
     if spec.scheme == "dt":
@@ -448,48 +446,77 @@ def _clamped_trials(cfg):
 def _curves(cfg, out, runs, command):
     """Monte-Carlo every run, attach analytic columns, write the CSV.
 
-    Synthetic runs that share (relays, rho, impairments) go through one
-    estimate call, so schemes of one draw family share their draws.  A
-    run with fading set scores `trials` frames past the bootstrap frame
-    through simulate_frames; rows keep run order.
+    Runs that share (relays, rho, impairments, fading, delay) form one
+    group.  A synthetic group of outage or capacity is one estimate
+    call, so schemes of one draw family share their draws.  Every other
+    group is one network that simulate_frames scores for each member
+    scheme and grid point: a SyntheticRhoNetwork for protocol-sim's
+    perfect or synthetic csi, otherwise a SeriesNetwork over the hop
+    records of the group's fading.  Records are held by (fading,
+    length, links), one fading at a time, so outdated and predicted
+    groups of one fading share them.  protocol-sim scores [protocol]
+    frames with its timer and policy; record rows of outage and
+    capacity score `trials` frames past the bootstrap frame with the
+    default timer.  Rows keep run order.
     """
     pool = PredictorPool(cfg, _model_cache(cfg, out))
-    trials = _clamped_trials(cfg)
     rate = RateConfig(cfg.network.rate)
-    rhos, ests, groups, resolved = [], {}, {}, {}
+    if command == "protocol-sim":
+        pro = cfg.protocol
+        budget = frames = pro.frames
+        timer = TimerModel(pro.timer_max, pro.uncertainty_window)
+        policy = pro.policy
+    else:
+        budget = _clamped_trials(cfg)
+        frames, timer, policy = budget + 1, None, "reselect"
+    rhos, groups, resolved = [], {}, {}
     for i, spec in enumerate(runs):
         rho = spec.rho
-        if spec.fading is not None:
-            predictor = (pool.net(spec.fading, spec.horizon, spec.relays)
-                         if rho is None else None)
-            net = _record_network(cfg, spec.fading, spec.horizon,
-                                  spec.relays, trials, predictor)
-            ests[i] = [simulate_frames(spec.scheme, net, snr_db, trials + 1,
-                                       rate=rate)
-                       for snr_db in cfg.snr_grid_db]
-        else:
-            if rho is None:
-                key = (cfg.fading, spec.horizon, spec.relays)
-                if key not in resolved:  # report each predictor once
-                    resolved[key] = pool.evaluate(*key)[2]
-                    print("resolved %s: rho=%.4f"
-                          % (spec.rho_mode, resolved[key]))
-                rho = resolved[key]
-            groups.setdefault((spec.relays, rho, spec.impairments),
-                              []).append(i)
+        if rho is None and spec.fading is None:
+            key = (cfg.fading, spec.horizon, spec.relays)
+            if key not in resolved:  # report each predictor once
+                resolved[key] = pool.evaluate(*key)[2]
+                print("resolved %s: rho=%.4f" % (spec.rho_mode, resolved[key]))
+            rho = resolved[key]
+        groups.setdefault((spec.relays, rho, spec.impairments, spec.fading,
+                           spec.horizon), []).append(i)
         rhos.append(rho)
-    for (relays, rho, imp), members in groups.items():
-        found = estimate([runs[i].scheme for i in members], cfg.snr_grid_db,
-                         trials, num_relays=relays, rho=rho, rate=rate,
-                         seed=cfg.seed, impairments=imp)
-        ests.update(zip(members, found))
+    ests, held = {}, {}
+    for (relays, rho, imp, fading, delay), members in groups.items():
+        if fading is None and command != "protocol-sim":
+            ests.update(zip(members, estimate(
+                [runs[i].scheme for i in members], cfg.snr_grid_db, budget,
+                num_relays=relays, rho=rho, rate=rate, seed=cfg.seed,
+                impairments=imp)))
+            continue
+        if fading is None:
+            net = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
+        else:
+            predictor = pool.net(fading, delay, relays) if rho is None else None
+            # one fading's records at a time, with room for the frames
+            # behind the metric's delay and taps
+            held = {k: v for k, v in held.items() if k[0] == fading}
+            key = (fading, budget + cfg.predictor.tau + delay + 2, relays)
+            if key not in held:
+                held[key] = [_series(fading, _sub_seed(cfg.seed, tag), key[1],
+                                     relays) for tag in (_SR_TAG, _RD_TAG)]
+            net = SeriesNetwork(*held[key], delay, predictor=predictor)
+        for i in members:
+            ests[i] = [simulate_frames(runs[i].scheme, net, snr_db, frames,
+                                       rate=rate, timer=timer, policy=policy)
+                       for snr_db in cfg.snr_grid_db]
+        del net  # freed before the next group builds its metric records
     rows = []
     for i, spec in enumerate(runs):
-        base = experiment_rows(spec.scheme, spec.relays, spec.rho_mode,
-                               cfg.snr_grid_db, ests[i], cfg.seed)
-        for row, snr_db in zip(base, cfg.snr_grid_db):
-            row["analytic"] = _analytic(command, spec, cfg, snr_db, rhos[i])
-            rows.append(row)
+        for snr_db, est in zip(cfg.snr_grid_db, ests[i]):
+            rows.append({
+                "scheme": spec.scheme, "K": spec.relays,
+                "rho_mode": spec.rho_mode, "snr_db": float(snr_db),
+                "outage": est.outage_prob, "std_err": est.std_error,
+                "rate": est.mean_rate, "collision_rate": est.collision_rate,
+                "trials": est.trials,
+                "analytic": _analytic(command, spec, cfg, snr_db, rhos[i]),
+            })
     return _write_results(cfg, out, rows)
 
 
@@ -532,38 +559,24 @@ def cmd_flops(cfg, out=None):
 def cmd_protocol_sim(cfg, out=None):
     """Frame-accurate runs with timers, buffers and optional collisions.
 
-    One network serves every scheme and grid point, so all of them see
-    the same frames.
+    Every scheme rides one network (the records of cfg.fading for
+    outdated and predicted csi), so all of them see the same frames.
     """
     pro = cfg.protocol
     if pro.pilot_snr_db is not None or pro.max_phase_error_deg is not None:
         raise ConfigError("protocol-sim models no acquisition impairments; "
                           "clear [protocol] pilot_snr_db and "
                           "max_phase_error_deg")
-    timer = TimerModel(pro.timer_max, pro.uncertainty_window)
     dropped = [s for s in cfg.schemes if s not in ("df", "af", "df-central")]
     if dropped:
         raise ConfigError("protocol-sim runs df, af and df-central only; "
                           "remove %s" % ", ".join(dropped))
-    csi, relays = cfg.csi, cfg.network.relays
-    if csi.mode in ("perfect", "synthetic"):
-        rho = 1.0 if csi.mode == "perfect" else csi.rho
-        network = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
-    else:
-        predictor = (PredictorPool(cfg, _model_cache(cfg, out)).net(
-                         cfg.fading, csi.delay, relays)
-                     if csi.mode == "predicted" else None)
-        network = _record_network(cfg, cfg.fading, csi.delay, relays,
-                                  pro.frames, predictor)
-    rate = RateConfig(cfg.network.rate)
-    rows = []
-    for scheme in cfg.schemes:
-        ests = [simulate_frames(scheme, network, snr_db, pro.frames,
-                                rate=rate, timer=timer, policy=pro.policy)
-                for snr_db in cfg.snr_grid_db]
-        rows += experiment_rows(scheme, relays, _rho_mode(csi),
-                                cfg.snr_grid_db, ests, cfg.seed)
-    return _write_results(cfg, out, rows)
+    csi = cfg.csi
+    fading = cfg.fading if csi.mode in ("outdated", "predicted") else None
+    runs = [RunSpec(scheme, cfg.network.relays, _rho_mode(csi),
+                    rho=_csi_rho(cfg), horizon=csi.delay, fading=fading)
+            for scheme in cfg.schemes]
+    return _curves(cfg, out, runs, "protocol-sim")
 
 
 # ---------------------------------------------------------------------------

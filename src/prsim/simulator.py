@@ -441,28 +441,3 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         for j in range(len(schemes)):
             out[j].append(_mc_estimate(outage[j], rates[j]))
     return out
-
-
-# ----------------------------------------------------------------- output
-
-CSV_FIELDS = ("scheme", "K", "rho_mode", "snr_db", "outage", "std_err",
-              "rate", "collision_rate", "trials", "seed")
-
-
-def experiment_rows(scheme, num_relays, rho_mode, snr_grid_db, estimates, seed):
-    """Self-describing result rows, one per grid point."""
-    rows = []
-    for snr_db, est in zip(np.atleast_1d(snr_grid_db), estimates):
-        rows.append({
-            "scheme": scheme,
-            "K": num_relays,
-            "rho_mode": rho_mode,
-            "snr_db": float(snr_db),
-            "outage": est.outage_prob,
-            "std_err": est.std_error,
-            "rate": est.mean_rate,
-            "collision_rate": est.collision_rate,
-            "trials": est.trials,
-            "seed": seed,
-        })
-    return rows

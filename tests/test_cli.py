@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prsim import cli, simulator
+from prsim import cli, predictor, simulator
 from prsim.analytics import SelectionParams, outage_df
 from prsim.config import (ConfigError, FadingSettings, PredictorSettings,
                           parse_config)
@@ -439,17 +439,25 @@ def test_protocol_sim_needs_a_frame_scheme(tmp_path, capsys):
     assert "protocol-sim" in capsys.readouterr().err
 
 
-def test_protocol_sim_synthesizes_each_record_once(tmp_path, monkeypatch):
-    # the hop records depend on neither the scheme nor the SNR, so a run
-    # builds its network once: one series per relay and hop
+def _count_record_series(monkeypatch, seed):
+    """Links of the hop records cli.generate_series synthesizes."""
     calls = []
     real = cli.generate_series
+    hops = {cli._sub_seed(seed, tag) for tag in (cli._SR_TAG, cli._RD_TAG)}
 
     def counting(cfg, length, link=0):
-        calls.append(link)
+        if cfg.seed in hops:  # not the training record
+            calls.append(link)
         return real(cfg, length, link)
 
     monkeypatch.setattr(cli, "generate_series", counting)
+    return calls
+
+
+def test_protocol_sim_synthesizes_each_record_once(tmp_path, monkeypatch):
+    # the hop records depend on neither the scheme nor the SNR, so a run
+    # builds its network once: one series per relay and hop
+    calls = _count_record_series(monkeypatch, seed=0)
     conf = tmp_path / "e.conf"
     conf.write_text("""
 [network]
@@ -509,6 +517,8 @@ frames = 500
 
 
 def test_protocol_and_curve_rows_share_rho_mode_labels(tmp_path):
+    # both subcommands write one row layout: header, label, grid point
+    # and the estimate's own outage and trial count
     for csi, label in (("mode = perfect", "perfect"),
                        ("mode = synthetic\nrho = 0.9", "synthetic(0.9)"),
                        ("mode = outdated\ndelay = 2", "outdated(2)")):
@@ -517,12 +527,23 @@ def test_protocol_and_curve_rows_share_rho_mode_labels(tmp_path):
                         "[experiment]\ntrials = 10000\n\n"
                         "[protocol]\nframes = 200\n" % csi)
         labels = set()
-        for command in ("outage", "protocol-sim"):
+        for command, trials in (("outage", "10000"), ("protocol-sim", "199")):
             out = tmp_path / (command + ".csv")
             assert run_main([command, "--config", str(conf),
                              "--out", str(out)]) == 0
-            labels |= {r["rho_mode"] for r in read_rows(out)}
+            with open(out, newline="") as fh:
+                assert tuple(next(csv.reader(fh))) == cli.RESULT_FIELDS
+            (row,) = read_rows(out)
+            assert (row["snr_db"], row["trials"]) == ("10.0", trials)
+            labels.add(row["rho_mode"])
         assert labels == {label}
+    cfg = parse_config(conf.read_text())
+    (est,), = cli.estimate(["df"], [10.0], 10000,
+                           num_relays=cfg.network.relays,
+                           rho=cli._csi_rho(cfg),
+                           rate=RateConfig(cfg.network.rate), seed=cfg.seed)
+    assert read_rows(tmp_path / "outage.csv")[0]["outage"] == repr(
+        est.outage_prob)
 
 
 @pytest.mark.parametrize("key", ["pilot_snr_db = 20",
@@ -890,11 +911,14 @@ def test_fig7a_plan_is_record_driven_rician():
     assert {r.fading.doppler_hz for r in runs} == {25.0, 50.0, 100.0}
 
 
-def test_record_rows_score_exactly_the_configured_trials(tmp_path):
+def test_record_rows_score_exactly_the_configured_trials(tmp_path,
+                                                          monkeypatch):
     # outdated and predicted record rows drop different record heads
-    # (delay against taps plus delay), yet both score `trials` frames
+    # (delay against taps plus delay), yet both score `trials` frames,
+    # and both read the one record pair of their fading
     cfg = parse_config("[experiment]\ntrials = 10000\n\n[grid]\nsnr_db = 10\n"
                        + TINY_PREDICTOR)
+    calls = _count_record_series(monkeypatch, cfg.seed)
     fading = replace(cfg.fading, doppler_hz=50.0)
     runs = [cli.RunSpec("df", 3, "outdated(3)", horizon=3, fading=fading,
                         rho=cli._rho_outdated(fading, 3)),
@@ -904,6 +928,35 @@ def test_record_rows_score_exactly_the_configured_trials(tmp_path):
     rows = read_rows(out)
     assert [r["trials"] for r in rows] == ["10000", "10000"]
     assert [r["analytic"] for r in rows] == ["", ""]
+    assert len(calls) == 2 * 3  # two hops of three links
+
+
+def test_record_schemes_of_one_group_share_one_network(tmp_path,
+                                                       monkeypatch):
+    # df and af predicted rows of one fading ride one SeriesNetwork,
+    # whose predictor runs once per hop record
+    predictions, networks = [], []
+    real_predict = predictor.predict_series
+    real_init = simulator.SeriesNetwork.__init__
+
+    def predict(*args, **kwargs):
+        predictions.append(1)
+        return real_predict(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        networks.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(predictor, "predict_series", predict)
+    monkeypatch.setattr(simulator.SeriesNetwork, "__init__", init)
+    cfg = parse_config("[experiment]\ntrials = 10000\n\n[grid]\nsnr_db = 10\n"
+                       + TINY_PREDICTOR)
+    fading = replace(cfg.fading, doppler_hz=50.0)
+    runs = [cli.RunSpec(scheme, 2, "predicted(3)", horizon=3, fading=fading)
+            for scheme in ("df", "af")]
+    cli.cmd_outage(cfg, out=str(tmp_path / "r.csv"), runs=runs)
+    assert [r["scheme"] for r in read_rows(tmp_path / "r.csv")] == ["df", "af"]
+    assert (len(networks), len(predictions)) == (1, 2)
 
 
 def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):

@@ -11,13 +11,11 @@ from prsim.channel import (FadingProcessConfig, correlated_pair,
 from prsim.rng import stream
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import (
-    CSV_FIELDS,
     ImpairmentConfig,
     SeriesNetwork,
     SyntheticRhoNetwork,
     TimerModel,
     estimate,
-    experiment_rows,
     impair_pair,
     simulate_frames,
 )
@@ -502,18 +500,3 @@ def test_series_mode_validation():
     rd = multilink_series(34, 200, 2)
     with pytest.raises(ValueError):
         simulate_frames("dt", SeriesNetwork(sr, rd, delay=3), 10.0, 100)
-
-
-# ---------------------------------------------------------------- output
-
-
-def test_experiment_rows():
-    ests = estimate(["df"], [10.0, 12.0], 20_000, rho=0.9, seed=2)[0]
-    rows = experiment_rows("df", 8, "synthetic:0.9", [10.0, 12.0], ests, seed=2)
-    assert len(rows) == 2
-    for row, est, snr in zip(rows, ests, [10.0, 12.0]):
-        assert tuple(row) == CSV_FIELDS
-        assert row["snr_db"] == snr
-        assert row["outage"] == est.outage_prob
-        assert row["trials"] == est.trials
-        assert row["rho_mode"] == "synthetic:0.9"
