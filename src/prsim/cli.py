@@ -32,6 +32,9 @@ values are filled for df/af rows whose metric the analysis models
 (perfect, synthetic, outdated and predicted correlation) and for
 direct transmission; they are left blank for pair selection, for
 impaired rows, for record-driven rows and for protocol-sim rows.
+Synthetic-pair rows run estimate's schemes (df, af, ostc, dt);
+protocol-sim and record-driven rows run the frame protocol's (df, af,
+df-central), unimpaired.  A plan its engine cannot run fails up front.
 
 Predictors trained on the fly are kept in a content-addressed model
 cache, .prsim-models/ beside the output CSV, so runs that write into
@@ -42,6 +45,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -60,8 +64,9 @@ from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
                         flops_simplified, load_model, predict_series,
                         save_model, train_link_predictor)
 from .selection import RateConfig
-from .simulator import (ImpairmentConfig, SeriesNetwork, SyntheticRhoNetwork,
-                        TimerModel, _hop_snr, estimate, simulate_frames)
+from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, ImpairmentConfig,
+                        SeriesNetwork, SyntheticRhoNetwork, TimerModel,
+                        _hop_snr, estimate, simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
 # records draw from fixed offsets of the experiment seed so that every
@@ -194,6 +199,11 @@ class RunSpec:
     impairments: ImpairmentConfig = None
     fading: FadingSettings = None  # set -> frames ride its records
 
+    def __post_init__(self):
+        if self.fading is not None:
+            _refuse("the frame protocol", FRAME_SCHEMES, [self.scheme],
+                    self.impairments)
+
 
 class PredictorPool:
     """Trains (or loads) and evaluates each predictor once.
@@ -264,15 +274,6 @@ def _rho_outdated(fading, delay):
                                  delay / fading.sample_rate_hz))
 
 
-def _rho_mode(csi):
-    """CSV label of the configured csi mode."""
-    if csi.mode == "perfect":
-        return "perfect"
-    if csi.mode == "synthetic":
-        return "synthetic(%s)" % repr(csi.rho)
-    return "%s(%d)" % (csi.mode, csi.delay)
-
-
 def _csi_rho(cfg):
     """Metric correlation of the configured csi mode; None for predicted,
     whose metric comes from the predictor."""
@@ -281,26 +282,39 @@ def _csi_rho(cfg):
     return {"perfect": 1.0, "synthetic": cfg.csi.rho}.get(cfg.csi.mode)
 
 
-def _generic_runs(cfg):
-    """Expand the configured scheme list against the single csi mode."""
+def _refuse(what, engine, schemes, impairments=None):
+    """ConfigError naming the impairments or the schemes engine lacks."""
+    if impairments is not None:
+        raise ConfigError(what + " models no acquisition impairments; clear "
+                          "[protocol] pilot_snr_db and max_phase_error_deg")
+    dropped = ", ".join(s for s in schemes if s not in engine)
+    if dropped:
+        raise ConfigError("%s runs %s only; remove %s"
+                          % (what, ", ".join(engine), dropped))
+
+
+def _config_runs(cfg, command):
+    """One RunSpec per configured scheme under the single csi mode;
+    protocol-sim rides the records of cfg.fading on outdated and
+    predicted csi."""
     csi, relays = cfg.csi, cfg.network.relays
     imp = ImpairmentConfig(cfg.protocol.pilot_snr_db,
                            cfg.protocol.max_phase_error_deg)
     imp = imp if imp.enabled else None
-    rho = _csi_rho(cfg)
-    runs = []
-    for scheme in cfg.schemes:
-        if scheme == "df-central":
-            raise ConfigError("df-central is a protocol-sim scheme")
-        if scheme == "dt":
-            runs.append(RunSpec("dt", relays, "direct", rho=1.0,
-                                impairments=imp))
-            continue
-        runs.append(RunSpec(
-            scheme, relays, _rho_mode(csi), rho=rho,
-            horizon=csi.delay if csi.mode == "predicted" else 0,
-            impairments=imp))
-    return runs
+    frames = command == "protocol-sim"
+    _refuse(command, FRAME_SCHEMES if frames else ESTIMATE_SCHEMES,
+            cfg.schemes, imp if frames else None)
+    recorded = csi.mode in ("outdated", "predicted")
+    fading = cfg.fading if frames and recorded else None
+    label = ("%s(%d)" % (csi.mode, csi.delay) if recorded
+             else "synthetic(%r)" % csi.rho if csi.mode == "synthetic"
+             else "perfect")
+    return [RunSpec("dt", relays, "direct", rho=1.0, impairments=imp)
+            if scheme == "dt" else
+            RunSpec(scheme, relays, label, rho=_csi_rho(cfg),
+                    horizon=csi.delay if recorded else 0, impairments=imp,
+                    fading=fading)
+            for scheme in cfg.schemes]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,7 @@ def _analytic(command, spec, cfg, snr_db, rho):
     if spec.scheme == "dt":
         total = 10.0 ** (snr_db / 10.0)
         if command == "outage":
-            return 1.0 - np.exp(-rate.direct_threshold / total)
+            return -math.expm1(-rate.direct_threshold / total)
         return capacity_exponential_exact(total)
     if spec.scheme not in ("df", "af"):
         return None
@@ -446,19 +460,21 @@ def _clamped_trials(cfg):
 def _curves(cfg, out, runs, command):
     """Monte-Carlo every run, attach analytic columns, write the CSV.
 
-    Runs that share (relays, rho, impairments, fading, delay) form one
-    group.  A synthetic group of outage or capacity is one estimate
-    call, so schemes of one draw family share their draws.  Every other
-    group is one network that simulate_frames scores for each member
-    scheme and grid point: a SyntheticRhoNetwork for protocol-sim's
-    perfect or synthetic csi, otherwise a SeriesNetwork over the hop
-    records of the group's fading.  Records are held by (fading,
-    length, links), one fading at a time, so outdated and predicted
-    groups of one fading share them.  protocol-sim scores [protocol]
-    frames with its timer and policy; record rows of outage and
-    capacity score `trials` frames past the bootstrap frame with the
-    default timer.  Rows keep run order.
+    runs None is the config's plan, _config_runs.  Runs that share
+    (relays, rho, impairments, fading, delay) form one group.  A
+    synthetic group of outage or capacity is one estimate call
+    (ESTIMATE_SCHEMES), so schemes of one draw family share their
+    draws.  Every other group is one network that simulate_frames
+    (FRAME_SCHEMES) scores for each member scheme and grid point: a
+    SyntheticRhoNetwork for protocol-sim's perfect or synthetic csi,
+    otherwise a SeriesNetwork over the hop records of the group's
+    fading.  Records are held by (fading, length, links), one fading at
+    a time, so outdated and predicted groups of one fading share them.
+    protocol-sim scores [protocol] frames with its timer and policy;
+    record rows of outage and capacity score `trials` frames past the
+    bootstrap frame with the default timer.  Rows keep run order.
     """
+    runs = runs or _config_runs(cfg, command)
     pool = PredictorPool(cfg, _model_cache(cfg, out))
     rate = RateConfig(cfg.network.rate)
     if command == "protocol-sim":
@@ -521,11 +537,11 @@ def _curves(cfg, out, runs, command):
 
 
 def cmd_outage(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs or _generic_runs(cfg), "outage")
+    return _curves(cfg, out, runs, "outage")
 
 
 def cmd_capacity(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs or _generic_runs(cfg), "capacity")
+    return _curves(cfg, out, runs, "capacity")
 
 
 def cmd_flops(cfg, out=None):
@@ -557,26 +573,8 @@ def cmd_flops(cfg, out=None):
 
 
 def cmd_protocol_sim(cfg, out=None):
-    """Frame-accurate runs with timers, buffers and optional collisions.
-
-    Every scheme rides one network (the records of cfg.fading for
-    outdated and predicted csi), so all of them see the same frames.
-    """
-    pro = cfg.protocol
-    if pro.pilot_snr_db is not None or pro.max_phase_error_deg is not None:
-        raise ConfigError("protocol-sim models no acquisition impairments; "
-                          "clear [protocol] pilot_snr_db and "
-                          "max_phase_error_deg")
-    dropped = [s for s in cfg.schemes if s not in ("df", "af", "df-central")]
-    if dropped:
-        raise ConfigError("protocol-sim runs df, af and df-central only; "
-                          "remove %s" % ", ".join(dropped))
-    csi = cfg.csi
-    fading = cfg.fading if csi.mode in ("outdated", "predicted") else None
-    runs = [RunSpec(scheme, cfg.network.relays, _rho_mode(csi),
-                    rho=_csi_rho(cfg), horizon=csi.delay, fading=fading)
-            for scheme in cfg.schemes]
-    return _curves(cfg, out, runs, "protocol-sim")
+    """Frame-accurate timer runs; all schemes ride one network's frames."""
+    return _curves(cfg, out, None, "protocol-sim")
 
 
 # ---------------------------------------------------------------------------

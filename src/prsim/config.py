@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import FadingSettings
 from .predictor.train import PredictorSettings
-from .simulator import ImpairmentConfig
+from .simulator import ESTIMATE_SCHEMES, FRAME_SCHEMES, ImpairmentConfig
 
 
 class ConfigError(ValueError):
@@ -125,7 +125,7 @@ class ProtocolSettings:
         ImpairmentConfig(self.pilot_snr_db, self.max_phase_error_deg)
 
 
-_SCHEMES = ("df", "af", "ostc", "dt", "df-central")
+_SCHEMES = tuple(dict.fromkeys(ESTIMATE_SCHEMES + FRAME_SCHEMES))  # union
 
 
 @dataclass(frozen=True)

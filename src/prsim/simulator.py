@@ -41,7 +41,9 @@ closed forms assume; series mode, a SeriesNetwork under
 simulate_frames, rides a generated fading record and takes the metric
 from a trained predictor (or from the record itself, delayed, for the
 no-predictor baseline).  estimate() ranks metric SNRs without timers,
-so it reports no collisions.
+so it reports no collisions.  estimate() runs ESTIMATE_SCHEMES and
+simulate_frames FRAME_SCHEMES: the frame protocol has no coded pair,
+no direct link and no acquisition impairments.
 
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
@@ -58,7 +60,7 @@ half-duplex relay phases each spend 0.5 P, so both hop SNRs average
 half the grid value (`_hop_snr`); direct transmission spends the full
 P and is judged against the single-phase rate threshold.
 
-Acquisition impairments are modeled on top of either mode: pilot noise
+Acquisition impairments are modeled on synthetic pairs: pilot noise
 adds CN(0, 10^(-pilotSNR/10)) to every unit-power estimate entering
 the metric path, and a residual phase error theta ~ U(-theta_max,
 theta_max) scales the detected amplitude by cos(theta) on the actual
@@ -76,7 +78,8 @@ from .channel import correlate_planes, correlated_pair, snr_from_gain
 from .rng import stream
 from .selection import RateConfig, decoding_subset, select
 
-_SCHEMES = ("df", "af", "ostc", "dt")
+ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
+FRAME_SCHEMES = ("df", "af", "df-central")
 
 
 def _hop_snr(snr_db):
@@ -221,7 +224,8 @@ class SeriesNetwork:
     output computed from taps up to s - delay, or the record itself
     delayed by `delay` samples when no predictor is given.  A predictor
     reads the feature layout it records, whose horizon must be `delay`.
-    Frames start at the first sample every metric covers.
+    Frames start at `start`, the first sample the metric covers; the
+    network holds views of the records from there on, plus predictions.
     """
 
     def __init__(self, series_sr, series_rd, delay, predictor=None):
@@ -233,39 +237,32 @@ class SeriesNetwork:
             raise ValueError("delay must be at least one sample")
         if predictor is not None and predictor.layout["horizon"] != delay:
             raise ValueError("predictor horizon differs from the delay")
-        self.series_sr = series_sr
-        self.series_rd = series_rd
         self.metric_lag = int(delay)
-        self.metric_sr, start_sr = _metric_record(series_sr, delay, predictor)
-        self.metric_rd, start_rd = _metric_record(series_rd, delay, predictor)
-        self.start = max(start_sr, start_rd)
-        self.num_frames = series_sr.shape[0] - self.start
+        self.metric_sr = _metric_record(series_sr, delay, predictor)
+        self.metric_rd = _metric_record(series_rd, delay, predictor)
+        self.num_frames = len(self.metric_sr)
         if self.num_frames < 2:
             raise ValueError("record too short for the requested delay")
+        self.start = series_sr.shape[0] - self.num_frames
+        self.series_sr = series_sr[self.start:]
+        self.series_rd = series_rd[self.start:]
 
     def frames(self, n):
         """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames."""
         if n > self.num_frames:
             raise ValueError(f"record supports at most {self.num_frames} frames")
-        s = slice(self.start, self.start + n)
-        return (self.series_sr[s], self.series_rd[s],
-                self.metric_sr[s], self.metric_rd[s])
+        return (self.series_sr[:n], self.series_rd[:n],
+                self.metric_sr[:n], self.metric_rd[:n])
 
 
 def _metric_record(series, delay, predictor):
-    """Per-sample metric array aligned with the record, plus first
-    sample index it covers."""
-    T = series.shape[0]
-    metric = np.zeros_like(series)
+    """Metric of the record's last samples: the record itself `delay`
+    samples back (a view), or the predictor's output."""
     if predictor is None:
-        metric[delay:] = series[:T - delay]
-        return metric, delay
+        return series[:max(series.shape[0] - delay, 0)]
     from .predictor import predict_series
 
-    pred, _ = predict_series(predictor, series)
-    start = T - len(pred)
-    metric[start:] = pred
-    return metric, start
+    return predict_series(predictor, series)[0]
 
 
 # ------------------------------------------------------ the one decision
@@ -307,12 +304,12 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
                     timer=None, policy="reselect"):
     """Run the frame protocol over a block; the bootstrap frame is dropped.
 
-    scheme: 'df' (distributed), 'df-central' or 'af', at the grid point
-    snr_db.  Returns one McEstimate over frames 1 .. num_frames - 1.
+    scheme: one of FRAME_SCHEMES, at the grid point snr_db.  Returns one
+    McEstimate over frames 1 .. num_frames - 1.
     """
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
-    if scheme not in ("df", "df-central", "af"):
+    if scheme not in FRAME_SCHEMES:
         raise ValueError(f"unknown frame scheme {scheme!r}")
     if policy not in ("reselect", "terminate"):
         raise ValueError("policy must be 'reselect' or 'terminate'")
@@ -379,12 +376,12 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
              seed=0, impairments=None):
     """Synthetic-rho Monte-Carlo of several schemes across an SNR grid.
 
-    schemes lists 'df', 'af', 'ostc' or 'dt' names; the result holds
-    one list per scheme, in that order, of one McEstimate per grid
-    point.  Selection ranks rho-correlated metric copies of the actual
-    coefficients; rho = 1 is perfect selection and rho = J0(2 pi f_d
-    tau) the no-predictor baseline.  Pilot noise perturbs the metric
-    path, phase error the actual (detection) path.
+    schemes lists ESTIMATE_SCHEMES names; the result holds one list per
+    scheme, in that order, of one McEstimate per grid point.  Selection
+    ranks rho-correlated metric copies of the actual coefficients;
+    rho = 1 is perfect selection and rho = J0(2 pi f_d tau) the
+    no-predictor baseline.  Pilot noise perturbs the metric path, phase
+    error the actual (detection) path.
 
     Each draw family (df with ostc, af, dt) reads its own stream per
     grid point, chunk by chunk, into planes allocated once per call;
@@ -399,9 +396,9 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     if isinstance(schemes, str) or not schemes:
         raise ValueError("schemes must be a non-empty list of names")
     for scheme in schemes:
-        if scheme not in _SCHEMES:
-            raise ValueError(
-                f"unknown scheme {scheme!r}, expected one of {_SCHEMES}")
+        if scheme not in ESTIMATE_SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                             f"{ESTIMATE_SCHEMES}")
     if trials < 10_000:
         raise ValueError("need at least 1e4 trials per point")
     rate = rate if rate is not None else RateConfig(1.0)

@@ -197,6 +197,18 @@ rho = 0.8
         assert r["config_hash"] and r["seed"] == "0"
 
 
+def test_direct_outage_is_exact_in_the_deep_tail():
+    # 1 - exp(-x) keeps no digit of x once x nears the float spacing
+    # of 1; at these SNRs x - x^2/2 is exact to double precision
+    cfg = parse_config("")
+    spec = cli.RunSpec("dt", 8, "direct", rho=1.0)
+    threshold = RateConfig(cfg.network.rate).direct_threshold
+    for snr_db in (150.0, 155.0, 160.0, 165.0, 170.0):
+        x = threshold / 10.0 ** (snr_db / 10.0)
+        got = cli._analytic("outage", spec, cfg, snr_db, 1.0)
+        assert got == pytest.approx(x - x * x / 2.0, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("delay", [3, 5])
 def test_outdated_mode_rows_carry_the_closed_form(tmp_path, delay):
     # at 100 Hz and 1 kHz, J0 is 0.29 at delay 3 and -0.30 at delay 5;
@@ -957,6 +969,48 @@ def test_record_schemes_of_one_group_share_one_network(tmp_path,
     cli.cmd_outage(cfg, out=str(tmp_path / "r.csv"), runs=runs)
     assert [r["scheme"] for r in read_rows(tmp_path / "r.csv")] == ["df", "af"]
     assert (len(networks), len(predictions)) == (1, 2)
+
+
+# each refusal: the command, config text added to PREDICTED, the
+# fields a record run overrides (None: the config's own plan) and the
+# message fragment
+REFUSALS = [
+    ("outage", "[schemes]\nlist = df, df-central\n", None, "df-central"),
+    ("capacity", "[schemes]\nlist = df-central\n", None, "df-central"),
+    ("protocol-sim", "[schemes]\nlist = df, ostc, dt\n", None, "ostc, dt"),
+    ("protocol-sim", "[protocol]\npilot_snr_db = 0\n", None, "pilot_snr_db"),
+    ("protocol-sim", "[protocol]\nmax_phase_error_deg = 80\n", None,
+     "max_phase_error_deg"),
+    # records model no impairments, so the run would score them unimpaired
+    ("outage", "", {"impairments": simulator.ImpairmentConfig(0.0, 80.0)},
+     "no acquisition impairments"),
+    ("outage", "", {"scheme": "ostc"}, "remove ostc"),
+]
+
+
+@pytest.mark.parametrize("command, extra, record, match", REFUSALS)
+def test_refusals_come_before_any_work(tmp_path, monkeypatch, fits, command,
+                                       extra, record, match):
+    series = []
+    real = cli.generate_series
+
+    def counting(*args, **kwargs):
+        series.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_series", counting)
+    cfg = parse_config(PREDICTED + extra)
+    out = tmp_path / "r.csv"
+    entry = getattr(cli, "cmd_" + command.replace("-", "_"))
+    with pytest.raises(ConfigError, match=match):
+        if record is None:
+            entry(cfg, out=str(out))
+        else:
+            spec = dict(scheme="df", relays=2, rho_mode="predicted(3)",
+                        horizon=3, fading=cfg.fading)
+            entry(cfg, out=str(out), runs=[cli.RunSpec(**{**spec, **record})])
+    assert not out.exists()
+    assert (series, fits) == ([], [])
 
 
 def test_preset_and_config_are_mutually_exclusive(tmp_path, capsys):

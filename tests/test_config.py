@@ -99,6 +99,8 @@ def test_grid_range_is_inclusive():
     ("[grid]\nsnr_db = 0:10:0\n", "step must be positive"),
     ("[grid]\nsnr_db = 0:10\n", "start:stop:step"),
     ("[schemes]\nlist = warp\n", "unknown scheme"),
+    # the union of the engines' scheme tuples, in declaration order
+    ("[schemes]\nlist = warp\n", "choose from df, af, ostc, dt, df-central"),
     ("[schemes]\nlist =\n", "scheme list is empty"),
     ("[predictor]\nkind = transformer\n", "must be rnn, lstm or gru"),
     ("[predictor]\nfeatures = phase\n", "magnitude or complex"),

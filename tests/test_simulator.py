@@ -455,6 +455,9 @@ def test_series_network_alignment():
     # the buffered metric is the record three samples back
     assert np.array_equal(m_rd, rd[:297]) and np.array_equal(m_sr, sr[:297])
     assert np.array_equal(csi_rd, rd[3:]) and np.array_equal(csi_sr, sr[3:])
+    # without a predictor the network holds views, never copies
+    assert all(np.shares_memory(part, whole) for part, whole in
+               ((csi_sr, sr), (csi_rd, rd), (m_sr, sr), (m_rd, rd)))
     with pytest.raises(ValueError):
         net.frames(298)
     with pytest.raises(ValueError):
@@ -463,6 +466,8 @@ def test_series_network_alignment():
         SeriesNetwork(sr, rd, delay=0)
     with pytest.raises(ValueError):
         SeriesNetwork(sr, rd[:100], delay=3)
+    with pytest.raises(ValueError, match="too short"):
+        SeriesNetwork(sr[:4], rd[:4], delay=5)
 
 
 def test_series_network_reads_the_predictor_layout():
