@@ -30,11 +30,13 @@ Every CSV row carries the config hash and the seed; rerunning with an
 equal hash and seed reproduces the file byte for byte.  Closed-form
 values are filled for df/af rows whose metric the analysis models
 (perfect, synthetic, outdated and predicted correlation) and for
-direct transmission; they are left blank for pair selection, for
-impaired rows, for record-driven rows and for protocol-sim rows.
-Synthetic-pair rows run estimate's schemes (df, af, ostc, dt);
+direct transmission, which has no metric to impair; they are left
+blank for pair selection, for impaired df/af rows, for record-driven
+rows and for protocol-sim rows.  Synthetic-pair rows run estimate's
+schemes (df, af, ostc, dt) under [protocol]'s impairments;
 protocol-sim and record-driven rows run the frame protocol's (df, af,
-df-central), unimpaired.  A plan its engine cannot run fails up front.
+df-central), unimpaired, under [protocol]'s timer race and policy.  A
+plan its engine cannot run fails up front.
 
 Predictors trained on the fly are kept in a content-addressed model
 cache, .prsim-models/ beside the output CSV, so runs that write into
@@ -64,8 +66,8 @@ from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
                         flops_simplified, load_model, predict_series,
                         save_model, train_link_predictor)
 from .selection import RateConfig
-from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, ImpairmentConfig,
-                        SeriesNetwork, SyntheticRhoNetwork, TimerModel,
+from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, MIN_TRIALS,
+                        ProtocolSettings, SeriesNetwork, SyntheticRhoNetwork,
                         _hop_snr, estimate, simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
@@ -77,7 +79,6 @@ _SR_TAG = 303
 _RD_TAG = 404
 
 _EVAL_LEN = 10_000
-_MIN_TRIALS = 10_000
 
 RESULT_FIELDS = ("scheme", "K", "rho_mode", "snr_db", "outage", "std_err",
                  "rate", "collision_rate", "trials", "seed", "analytic",
@@ -196,7 +197,7 @@ class RunSpec:
     rho_mode: str                  # CSV label
     rho: float = None              # None -> metric from the predictor
     horizon: int = 0               # prediction horizon or record delay
-    impairments: ImpairmentConfig = None
+    impairments: ProtocolSettings = None  # None or impaired
     fading: FadingSettings = None  # set -> frames ride its records
 
     def __post_init__(self):
@@ -296,11 +297,10 @@ def _refuse(what, engine, schemes, impairments=None):
 def _config_runs(cfg, command):
     """One RunSpec per configured scheme under the single csi mode;
     protocol-sim rides the records of cfg.fading on outdated and
-    predicted csi."""
+    predicted csi.  dt runs unimpaired: it has no selection metric, and
+    its draw models no phase error."""
     csi, relays = cfg.csi, cfg.network.relays
-    imp = ImpairmentConfig(cfg.protocol.pilot_snr_db,
-                           cfg.protocol.max_phase_error_deg)
-    imp = imp if imp.enabled else None
+    imp = cfg.protocol if cfg.protocol.impaired else None
     frames = command == "protocol-sim"
     _refuse(command, FRAME_SCHEMES if frames else ESTIMATE_SCHEMES,
             cfg.schemes, imp if frames else None)
@@ -309,7 +309,7 @@ def _config_runs(cfg, command):
     label = ("%s(%d)" % (csi.mode, csi.delay) if recorded
              else "synthetic(%r)" % csi.rho if csi.mode == "synthetic"
              else "perfect")
-    return [RunSpec("dt", relays, "direct", rho=1.0, impairments=imp)
+    return [RunSpec("dt", relays, "direct", rho=1.0)
             if scheme == "dt" else
             RunSpec(scheme, relays, label, rho=_csi_rho(cfg),
                     horizon=csi.delay if recorded else 0, impairments=imp,
@@ -451,9 +451,9 @@ def cmd_predict_eval(cfg, out=None, plan=None):
 
 
 def _clamped_trials(cfg):
-    if cfg.trials < _MIN_TRIALS:
-        print("note: trials raised to %d (estimator floor)" % _MIN_TRIALS)
-        return _MIN_TRIALS
+    if cfg.trials < MIN_TRIALS:
+        print("note: trials raised to %d (estimator floor)" % MIN_TRIALS)
+        return MIN_TRIALS
     return cfg.trials
 
 
@@ -470,21 +470,19 @@ def _curves(cfg, out, runs, command):
     otherwise a SeriesNetwork over the hop records of the group's
     fading.  Records are held by (fading, length, links), one fading at
     a time, so outdated and predicted groups of one fading share them.
-    protocol-sim scores [protocol] frames with its timer and policy;
-    record rows of outage and capacity score `trials` frames past the
-    bootstrap frame with the default timer.  Rows keep run order.
+    Every simulate_frames call reads [protocol]'s timer race and
+    policy.  protocol-sim scores [protocol] frames; record rows of
+    outage and capacity score `trials` frames past the bootstrap frame.
+    Rows keep run order.
     """
     runs = runs or _config_runs(cfg, command)
     pool = PredictorPool(cfg, _model_cache(cfg, out))
     rate = RateConfig(cfg.network.rate)
     if command == "protocol-sim":
-        pro = cfg.protocol
-        budget = frames = pro.frames
-        timer = TimerModel(pro.timer_max, pro.uncertainty_window)
-        policy = pro.policy
+        budget = frames = cfg.protocol.frames
     else:
         budget = _clamped_trials(cfg)
-        frames, timer, policy = budget + 1, None, "reselect"
+        frames = budget + 1
     rhos, groups, resolved = [], {}, {}
     for i, spec in enumerate(runs):
         rho = spec.rho
@@ -519,7 +517,7 @@ def _curves(cfg, out, runs, command):
             net = SeriesNetwork(*held[key], delay, predictor=predictor)
         for i in members:
             ests[i] = [simulate_frames(runs[i].scheme, net, snr_db, frames,
-                                       rate=rate, timer=timer, policy=policy)
+                                       rate=rate, protocol=cfg.protocol)
                        for snr_db in cfg.snr_grid_db]
         del net  # freed before the next group builds its metric records
     rows = []
@@ -659,11 +657,11 @@ def _preset_fig6b():
     for snr in (30.0, 25.0, 20.0):
         runs.append(RunSpec("df", K, "predicted(3)+pilot%gdB" % snr, rho=None,
                             horizon=3,
-                            impairments=ImpairmentConfig(pilot_snr_db=snr)))
+                            impairments=ProtocolSettings(pilot_snr_db=snr)))
     for deg in (5.0, 20.0):
         runs.append(RunSpec(
             "df", K, "predicted(3)+phase%gdeg" % deg, rho=None, horizon=3,
-            impairments=ImpairmentConfig(max_phase_error_deg=deg)))
+            impairments=ProtocolSettings(max_phase_error_deg=deg)))
     return cfg, "outage", runs
 
 

@@ -11,8 +11,9 @@ metric comes from (the csi section), schemes to run, the SNR grid,
 the predictor recipe and frame-level protocol settings.  Each settings
 section is a frozen dataclass, and its parser table is read off the
 fields.  FadingSettings is defined beside the generator in channel,
-PredictorSettings beside the training code in predictor.train, and
-the other four here.  Every key has a default taken from the baseline
+PredictorSettings beside the training code in predictor.train,
+ProtocolSettings beside the frame protocol in simulator, and the
+other three here.  Every key has a default taken from the baseline
 setup used throughout (f_s = 1000 Hz, f_d = 100 Hz, K = 8 relays,
 tapped-delay length 4, two recurrent layers of 25 units each), so an
 empty file is already a valid experiment.  A section whose values do
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import FadingSettings
 from .predictor.train import PredictorSettings
-from .simulator import ESTIMATE_SCHEMES, FRAME_SCHEMES, ImpairmentConfig
+from .simulator import ESTIMATE_SCHEMES, FRAME_SCHEMES, ProtocolSettings
 
 
 class ConfigError(ValueError):
@@ -98,31 +99,6 @@ class CsiSettings:
             raise ConfigError("csi delay must be >= 1 sample")
         if not 0 <= self.rho <= 1:
             raise ConfigError("rho must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ProtocolSettings:
-    """Frame-level simulation knobs: the timer cap T_m of the back-off
-    timer min(1/|metric|, T_m), the collision window, impairments."""
-
-    frames: int = 100_000
-    policy: str = "reselect"
-    timer_max: float = 1000.0
-    uncertainty_window: float = 0.0
-    pilot_snr_db: float = None
-    max_phase_error_deg: float = None
-
-    def __post_init__(self):
-        if self.frames < 2:
-            raise ConfigError("need at least 2 frames")
-        if self.policy not in ("reselect", "terminate"):
-            raise ConfigError("policy must be reselect or terminate")
-        if self.timer_max <= 0:
-            raise ConfigError("timer cap must be positive")
-        if self.uncertainty_window < 0:
-            raise ConfigError("uncertainty window must be >= 0")
-        # the impairments' own range check, run at parse time
-        ImpairmentConfig(self.pilot_snr_db, self.max_phase_error_deg)
 
 
 _SCHEMES = tuple(dict.fromkeys(ESTIMATE_SCHEMES + FRAME_SCHEMES))  # union

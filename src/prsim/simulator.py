@@ -23,6 +23,11 @@ simulate_frames refuses a network whose lag is below one.  Row 0 is
 the bootstrap frame, whose buffer no earlier frame of the run wrote;
 it is dropped from statistics.
 
+ProtocolSettings, the [protocol] section of an experiment file, holds
+the settings of the frame protocol's timer race and the acquisition
+impairments of synthetic pairs; simulate_frames reads the race's,
+estimate the impairments.
+
 Distributed variants resolve contention with back-off timers
 T = min(1 / |metric|, T_m): the relay with the strongest buffered
 metric fires first and the rest hear its flag and stand down, which
@@ -64,9 +69,8 @@ Acquisition impairments are modeled on synthetic pairs: pilot noise
 adds CN(0, 10^(-pilotSNR/10)) to every unit-power estimate entering
 the metric path, and a residual phase error theta ~ U(-theta_max,
 theta_max) scales the detected amplitude by cos(theta) on the actual
-path.  The cosine mapping is a convention of this package (the effect
-of imperfect carrier recovery on a coherent detector), isolated here
-so alternatives can be swapped in.
+path.  The cosine mapping is a convention of this package: the effect
+of imperfect carrier recovery on a coherent detector.
 """
 
 import math
@@ -80,6 +84,7 @@ from .selection import RateConfig, decoding_subset, select
 
 ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
 FRAME_SCHEMES = ("df", "af", "df-central")
+MIN_TRIALS = 10_000  # estimate's floor per grid point
 
 
 def _hop_snr(snr_db):
@@ -91,45 +96,45 @@ def _hop_snr(snr_db):
 
 
 @dataclass(frozen=True)
-class TimerModel:
-    """Back-off timer T = min(1 / |metric|, max_duration).
+class ProtocolSettings:
+    """The [protocol] section: frames per grid point, the centralized
+    variant's policy, the timer cap T_m of the back-off timer
+    min(1/|metric|, T_m), the uncertainty window (the separation two
+    timers need to be resolved; within it both relays fire and the
+    frame is lost) and the acquisition impairments of synthetic pairs,
+    each None when off."""
 
-    The uncertainty window is the minimum separation two timers need
-    to be resolved; within it both relays fire and the frame is lost.
-    """
-
-    max_duration: float = 1e3
+    frames: int = 100_000
+    policy: str = "reselect"
+    timer_max: float = 1000.0
     uncertainty_window: float = 0.0
-
-    def __post_init__(self):
-        if self.max_duration <= 0:
-            raise ValueError("timer cap must be positive")
-        if self.uncertainty_window < 0:
-            raise ValueError("uncertainty window must be nonnegative")
-
-    def duration(self, metric_magnitude):
-        m = np.asarray(metric_magnitude, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.minimum(1.0 / m, self.max_duration)
-
-
-@dataclass(frozen=True)
-class ImpairmentConfig:
-    """CSI acquisition impairments; None disables a component."""
-
     pilot_snr_db: float = None
     max_phase_error_deg: float = None
 
     def __post_init__(self):
+        if self.frames < 2:
+            raise ValueError("need at least 2 frames")
+        if self.policy not in ("reselect", "terminate"):
+            raise ValueError("policy must be reselect or terminate")
+        if self.timer_max <= 0:
+            raise ValueError("timer cap must be positive")
+        if self.uncertainty_window < 0:
+            raise ValueError("uncertainty window must be >= 0")
         if self.max_phase_error_deg is not None and self.max_phase_error_deg < 0:
             raise ValueError("phase error bound must be nonnegative")
 
+    def duration(self, metric_magnitude):
+        """Back-off timer min(1 / |metric|, timer_max)."""
+        m = np.asarray(metric_magnitude, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0 / m, self.timer_max)
+
     @property
-    def enabled(self):
+    def impaired(self):
         return self.pilot_snr_db is not None or self.max_phase_error_deg is not None
 
 
-def impair_pair(planes, cfg, rng, scratch):
+def impair_pair(planes, imp, rng, scratch):
     """Impair one correlated pair in place (estimation noise, then phase).
 
     planes are correlated_pair's (metric re, metric im, actual re,
@@ -137,18 +142,19 @@ def impair_pair(planes, cfg, rng, scratch):
     metric becomes h + e with e ~ CN(0, 10^(-pilotSNR/10)), drawn as a
     whole real plane and then a whole imaginary one; the residual phase
     error multiplies the actual (post-detection) amplitude by
-    cos(theta), theta ~ U(-theta_max, theta_max).  cfg None is a no-op.
+    cos(theta), theta ~ U(-theta_max, theta_max).  imp is None or an
+    impaired ProtocolSettings; None is a no-op.
     """
-    if cfg is None:
+    if imp is None:
         return
-    if cfg.pilot_snr_db is not None:
-        sd = math.sqrt(10.0 ** (-cfg.pilot_snr_db / 10.0) / 2.0)
+    if imp.pilot_snr_db is not None:
+        sd = math.sqrt(10.0 ** (-imp.pilot_snr_db / 10.0) / 2.0)
         for plane in planes[:2]:
             rng.standard_normal(out=scratch)
             scratch *= sd
             plane += scratch
-    if cfg.max_phase_error_deg is not None and cfg.max_phase_error_deg > 0:
-        bound = math.radians(cfg.max_phase_error_deg)
+    if imp.max_phase_error_deg is not None and imp.max_phase_error_deg > 0:
+        bound = math.radians(imp.max_phase_error_deg)
         rng.random(out=scratch)  # U(-bound, bound), as rng.uniform forms it
         scratch *= 2.0 * bound
         scratch += -bound
@@ -276,9 +282,9 @@ def _decide(scheme, rate, g_sr, g_rd, s_sr, s_rd, timer=None,
     better).  af ranks and judges the weaker hop; g_sr = s_sr = None
     hands in an end-to-end figure as the relay hop.  df, df-central and
     ostc rank the relay hop among the decoding subset, ostc forwarding
-    the best pair.  A timer turns the score into the back-off race with
-    its collision window; terminate leaves only the overall top-ranked
-    relay eligible.
+    the best pair.  timer, a ProtocolSettings, turns the score into the
+    back-off race with its uncertainty window; terminate leaves only the
+    overall top-ranked relay eligible.
     """
     g, score, eligible = g_rd, s_rd, None
     if scheme == "af":
@@ -301,31 +307,28 @@ def _decide(scheme, rate, g_sr, g_rd, s_sr, s_rd, timer=None,
 
 
 def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
-                    timer=None, policy="reselect"):
+                    protocol=ProtocolSettings()):
     """Run the frame protocol over a block; the bootstrap frame is dropped.
 
-    scheme: one of FRAME_SCHEMES, at the grid point snr_db.  Returns one
-    McEstimate over frames 1 .. num_frames - 1.
+    scheme: one of FRAME_SCHEMES, at the grid point snr_db.  df and af
+    race protocol's timers; df-central ranks at the destination under
+    protocol's policy.  Returns one McEstimate over frames
+    1 .. num_frames - 1.
     """
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
     if scheme not in FRAME_SCHEMES:
         raise ValueError(f"unknown frame scheme {scheme!r}")
-    if policy not in ("reselect", "terminate"):
-        raise ValueError("policy must be 'reselect' or 'terminate'")
     if network.metric_lag < 1:
         raise RuntimeError(
             "selection would read a prediction written at its own frame")
-    if scheme == "df-central":
-        timer = None  # the destination ranks; nobody races
-    elif timer is None:
-        timer = TimerModel()
+    central = scheme == "df-central"  # the destination ranks; nobody races
     hop = _hop_snr(snr_db)
     csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
     sel = _decide(scheme, rate if rate is not None else RateConfig(1.0),
                   snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop),
-                  np.abs(m_sr), np.abs(m_rd), timer,
-                  terminate=(scheme == "df-central" and policy == "terminate"))
+                  np.abs(m_sr), np.abs(m_rd), None if central else protocol,
+                  terminate=(central and protocol.policy == "terminate"))
     return _mc_estimate(sel.outage, sel.rate,
                         int(np.count_nonzero(sel.collision)))
 
@@ -380,8 +383,10 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     scheme, in that order, of one McEstimate per grid point.  Selection
     ranks rho-correlated metric copies of the actual coefficients;
     rho = 1 is perfect selection and rho = J0(2 pi f_d tau) the
-    no-predictor baseline.  Pilot noise perturbs the metric path, phase
-    error the actual (detection) path.
+    no-predictor baseline.  impairments is None or an impaired
+    ProtocolSettings: pilot noise perturbs the metric path, phase error
+    the actual (detection) path.  dt has no metric, and its draw models
+    no phase error.
 
     Each draw family (df with ostc, af, dt) reads its own stream per
     grid point, chunk by chunk, into planes allocated once per call;
@@ -399,16 +404,15 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         if scheme not in ESTIMATE_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of "
                              f"{ESTIMATE_SCHEMES}")
-    if trials < 10_000:
+    if trials < MIN_TRIALS:
         raise ValueError("need at least 1e4 trials per point")
     rate = rate if rate is not None else RateConfig(1.0)
-    imp = impairments if impairments is not None and impairments.enabled else None
     families = {}
     for j, scheme in enumerate(schemes):
         # df and ostc read one draw the same way
         families.setdefault({"ostc": "df"}.get(scheme, scheme), []).append(j)
     width = max(_FAMILY_PLANES[f] for f in families)
-    if width and imp is not None:
+    if width and impairments is not None:
         width += 1  # the scratch plane of impaired draws
     buf = np.empty((width, min(_CHUNK, trials), num_relays))
     outage = np.empty((len(schemes), trials), dtype=bool)
@@ -431,7 +435,7 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
                     np.log2(g, out=g)
                     rates[members, sl] = g
                     continue
-                args = _draw(family, rng, rho, hop, imp, buf[:, :n])
+                args = _draw(family, rng, rho, hop, impairments, buf[:, :n])
                 for j in members:
                     _, outage[j, sl], rates[j, sl], _ = _decide(
                         schemes[j], rate, *args)

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps prsim's layer functions where the CLI looks
 them up and binds their arguments by name, so a renamed function or
 parameter breaks `perfbench/run.py --trace 1` and nothing else.  These
 tests run the benchmark's step script traced on tiny predicted configs
-and check that every predictor and record span shows up.
+and check that every predictor and record span shows up, and that the
+frame protocol's span counts the frames it scores.
 """
 
 import json
@@ -82,3 +83,7 @@ def test_traced_step_reports_every_predictor_span(tmp_path, command, spans):
         # lost it would read their second synthesis as a repeat
         keys = trace["channel.generate_series"]["keys"]
         assert len(keys) >= 4 and len(set(keys)) == len(keys)
+        # the tracer counts the frames scored by the num_frames argument
+        frames = trace["simulator.simulate_frames"]
+        assert frames["calls"] >= 1
+        assert frames["work"] == 200 * frames["calls"]

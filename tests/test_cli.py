@@ -209,6 +209,42 @@ def test_direct_outage_is_exact_in_the_deep_tail():
         assert got == pytest.approx(x - x * x / 2.0, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("command", ["outage", "capacity"])
+def test_impaired_direct_rows_carry_the_closed_form(tmp_path, command):
+    # dt has no metric and its draw models no phase error, so an
+    # impaired config's dt rows are the clean run's, closed form included
+    conf = tmp_path / "e.conf"
+    text = """
+[experiment]
+trials = 10000
+
+[grid]
+snr_db = 0:20:10
+
+[schemes]
+list = df, dt
+
+[csi]
+mode = synthetic
+rho = 0.9
+"""
+    rows = {}
+    for name, extra in (("clean", ""), ("impaired", "[protocol]\n"
+                        "pilot_snr_db = 20\nmax_phase_error_deg = 10\n")):
+        conf.write_text(text + extra)
+        out = tmp_path / (name + ".csv")
+        assert run_main([command, "--config", str(conf),
+                         "--out", str(out)]) == 0
+        rows[name] = read_rows(out)
+    for clean, impaired in zip(rows["clean"], rows["impaired"]):
+        if clean["scheme"] == "dt":
+            assert impaired["analytic"] != ""
+            for key in ("outage", "rate", "analytic"):
+                assert impaired[key] == clean[key], key
+        else:
+            assert impaired["analytic"] == ""
+
+
 @pytest.mark.parametrize("delay", [3, 5])
 def test_outdated_mode_rows_carry_the_closed_form(tmp_path, delay):
     # at 100 Hz and 1 kHz, J0 is 0.29 at delay 3 and -0.30 at delay 5;
@@ -442,6 +478,41 @@ frames = 2000
     (row,) = read_rows(out)
     assert row["rho_mode"] == "outdated(3)"
     assert 0.0 <= float(row["outage"]) <= 1.0
+
+
+def test_each_protocol_key_reaches_the_rows(tmp_path):
+    # frames sets the trial count, a low timer cap ties most timers to
+    # the lowest id, and terminate forgoes the decoders the
+    # destination's pick leaves behind
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    text = """
+[csi]
+mode = synthetic
+rho = 0.9
+
+[schemes]
+list = df, df-central
+
+[grid]
+snr_db = 10
+
+[protocol]
+frames = 3000
+"""
+
+    def outage(extra=""):
+        conf.write_text(text + extra)
+        assert run_main(["protocol-sim", "--config", str(conf),
+                         "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["trials"] for r in rows] == ["2999", "2999"]
+        return {r["scheme"]: float(r["outage"]) for r in rows}
+
+    default = outage()
+    assert outage("timer_max = 0.5\n")["df"] > default["df"] + 0.1
+    assert (outage("policy = terminate\n")["df-central"]
+            > default["df-central"] + 0.1)
 
 
 def test_protocol_sim_needs_a_frame_scheme(tmp_path, capsys):
@@ -982,7 +1053,9 @@ REFUSALS = [
     ("protocol-sim", "[protocol]\nmax_phase_error_deg = 80\n", None,
      "max_phase_error_deg"),
     # records model no impairments, so the run would score them unimpaired
-    ("outage", "", {"impairments": simulator.ImpairmentConfig(0.0, 80.0)},
+    ("outage", "",
+     {"impairments": simulator.ProtocolSettings(pilot_snr_db=0.0,
+                                                max_phase_error_deg=80.0)},
      "no acquisition impairments"),
     ("outage", "", {"scheme": "ostc"}, "remove ostc"),
 ]

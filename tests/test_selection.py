@@ -7,7 +7,7 @@ from prsim.channel import correlated_pair
 from prsim.rng import stream
 from prsim import simulator
 from prsim.selection import RateConfig, decoding_subset, select
-from prsim.simulator import TimerModel, estimate, simulate_frames
+from prsim.simulator import ProtocolSettings, estimate, simulate_frames
 
 
 def complex_pair(rng, rho, size):
@@ -298,7 +298,7 @@ def test_ostc_diversity_order_two_under_outdated_metric():
 
 
 def test_capped_timers_tie_to_the_lowest_eligible_id():
-    timer = TimerModel(max_duration=50.0)
+    timer = ProtocolSettings(timer_max=50.0)
     score = -timer.duration(rows([1e-6, 1e-5, 0.0, 1e-4]))
     assert np.all(score == -50.0)  # every timer is capped
     sel = select(rows([9.0, 9.0, 9.0, 9.0]), score, RATE1,

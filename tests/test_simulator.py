@@ -11,10 +11,9 @@ from prsim.channel import (FadingProcessConfig, correlated_pair,
 from prsim.rng import stream
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import (
-    ImpairmentConfig,
+    ProtocolSettings,
     SeriesNetwork,
     SyntheticRhoNetwork,
-    TimerModel,
     estimate,
     impair_pair,
     simulate_frames,
@@ -40,10 +39,10 @@ def multilink_series(seed, length, links=8):
 
 def test_timer_model():
     with pytest.raises(ValueError):
-        TimerModel(max_duration=0.0)
+        ProtocolSettings(timer_max=0.0)
     with pytest.raises(ValueError):
-        TimerModel(uncertainty_window=-1.0)
-    t = TimerModel(max_duration=25.0)
+        ProtocolSettings(uncertainty_window=-1.0)
+    t = ProtocolSettings(timer_max=25.0)
     mags = np.array([0.0, 0.01, 0.1, 1.0, 10.0])
     d = t.duration(mags)
     assert d[0] == 25.0 and d[1] == 25.0  # capped
@@ -67,10 +66,10 @@ def complex_planes(planes):
 def test_impairments_disabled_is_identity():
     h = stream(1).normal(size=8) + 1j * stream(2).normal(size=8)
     planes = unit_pair(h)
-    impair_pair(planes, ImpairmentConfig(), stream(3), np.empty(8))
+    impair_pair(planes, ProtocolSettings(), stream(3), np.empty(8))
     assert np.array_equal(complex_planes(planes), [h, h])
-    assert not ImpairmentConfig().enabled
-    assert ImpairmentConfig(pilot_snr_db=30.0).enabled
+    assert not ProtocolSettings().impaired
+    assert ProtocolSettings(pilot_snr_db=30.0).impaired
 
 
 def test_pilot_noise_correlation():
@@ -79,7 +78,7 @@ def test_pilot_noise_correlation():
     n = 1_000_000
     h = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2.0)
     planes = unit_pair(h)
-    impair_pair(planes, ImpairmentConfig(pilot_snr_db=30.0), rng, np.empty(n))
+    impair_pair(planes, ProtocolSettings(pilot_snr_db=30.0), rng, np.empty(n))
     est, actual = complex_planes(planes)
     assert np.array_equal(actual, h)  # pilot noise touches the metric only
     num = np.abs(np.mean(est * np.conj(h)))
@@ -93,7 +92,7 @@ def test_pilot_noise_moments():
     rng = stream(3)
     n = 200_000
     planes = np.zeros((4, n))
-    impair_pair(planes, ImpairmentConfig(pilot_snr_db=-10.0 * math.log10(4.0)),
+    impair_pair(planes, ProtocolSettings(pilot_snr_db=-10.0 * math.log10(4.0)),
                 rng, np.empty(n))
     z = complex_planes(planes)[0]
     assert abs(z.mean()) < 0.02
@@ -107,7 +106,7 @@ def test_phase_error_snr_factor():
     rng = stream(22)
     n = 1_000_000
     planes = unit_pair(np.ones(n, dtype=complex))
-    impair_pair(planes, ImpairmentConfig(max_phase_error_deg=5.0), rng,
+    impair_pair(planes, ProtocolSettings(max_phase_error_deg=5.0), rng,
                 np.empty(n))
     metric, out = complex_planes(planes)
     assert np.array_equal(metric, np.ones(n))  # phase acts on the actual
@@ -197,16 +196,16 @@ def test_collision_rate_monotone_in_window():
     rates = []
     for delta in (0.0, 0.02, 0.2, 2.0):
         net = SyntheticRhoNetwork(8, rho=0.5, seed=8)
-        timer = TimerModel(uncertainty_window=delta)
+        protocol = ProtocolSettings(uncertainty_window=delta)
         rates.append(simulate_frames("df", net, 10.0, 3000,
-                                     timer=timer).collision_rate)
+                                     protocol=protocol).collision_rate)
     assert rates[0] == 0.0
     assert all(b >= a for a, b in zip(rates, rates[1:]))
     assert rates[-1] > 0.0
 
 
 def test_df_winner_is_buffered_argmax_over_ds():
-    timer = TimerModel()
+    timer = ProtocolSettings()
     g_sr, g_rd, _, m_rd = frame_block(
         SyntheticRhoNetwork(8, rho=0.7, seed=9), 400, 10.0)
     ds = decoding_subset(g_sr, RATE)
@@ -221,7 +220,7 @@ def test_df_winner_is_buffered_argmax_over_ds():
 
 
 def test_af_winner_is_min_metric_argmax():
-    timer = TimerModel()
+    timer = ProtocolSettings()
     g_sr, g_rd, m_sr, m_rd = frame_block(
         SyntheticRhoNetwork(8, rho=0.7, seed=10), 400, 10.0)
     mags = np.minimum(np.abs(m_sr), np.abs(m_rd))
@@ -262,7 +261,7 @@ def test_centralized_reselect_equals_distributed():
     net = SyntheticRhoNetwork(8, rho=0.8, seed=14)
     g_sr, g_rd, _, m_rd = frame_block(net, 2000, 10.0)
     ds = decoding_subset(g_sr, RATE)
-    race = select(g_rd, -TimerModel().duration(np.abs(m_rd)), RATE, ds, 0.0)
+    race = select(g_rd, -ProtocolSettings().duration(np.abs(m_rd)), RATE, ds, 0.0)
     ranked = select(g_rd, np.abs(m_rd), RATE, ds)
     assert np.array_equal(race.chosen, ranked.chosen)
     a = simulate_frames("df", net, 10.0, 2000)
@@ -272,10 +271,11 @@ def test_centralized_reselect_equals_distributed():
 
 def test_termination_never_beats_reselection():
     net = SyntheticRhoNetwork(8, rho=0.8, seed=15)
+    terminate = ProtocolSettings(policy="terminate")
     for snr_db in (6.0, 10.0, 14.0):
         p_r = simulate_frames("df-central", net, snr_db, 20_000).outage_prob
         p_t = simulate_frames("df-central", net, snr_db, 20_000,
-                              policy="terminate").outage_prob
+                              protocol=terminate).outage_prob
         # the top-ranked relay often failed to decode at these SNRs
         assert p_t > p_r
 
@@ -286,8 +286,8 @@ def test_frame_driver_validation():
         simulate_frames("df", net, 10.0, 1)
     with pytest.raises(ValueError):
         simulate_frames("mrc", net, 10.0, 100)
-    with pytest.raises(ValueError):
-        simulate_frames("df-central", net, 10.0, 100, policy="retry")
+    with pytest.raises(ValueError, match="reselect or terminate"):
+        ProtocolSettings(policy="retry")
 
 
 # ------------------------------------------------------- vectorized paths
@@ -397,7 +397,7 @@ def test_shared_call_reuses_one_set_of_planes():
     assert four <= 1.1 * one, (one, four)
 
 
-IMPAIRED = ImpairmentConfig(pilot_snr_db=20.0, max_phase_error_deg=10.0)
+IMPAIRED = ProtocolSettings(pilot_snr_db=20.0, max_phase_error_deg=10.0)
 
 
 @pytest.mark.parametrize("chunk", [7_000, 250_000])
