@@ -11,14 +11,21 @@ lag m is exactly J0(2 pi f_d m / f_s); a single realization approaches
 it as the number of sinusoids grows.  The generator is stateless and
 reproducible: the same (config, link) always yields the same series.
 
-The sum is accumulated as two real planes: per path, in path order,
-the phase x = omega t + phi goes into a reused plane, cos x is added to
-the real plane and sin x to the imaginary one, and the series is
-re + 1j im.  This equals the cisoid sum of exp(1j x) bit for bit: the
-argument 1j x has real part +-0 and exp(+-0) = 1, so the complex
-exponential returns exactly (cos x, sin x), and the additions happen in
-the same order.  It skips the complex temporaries and the complex
-exponential per sample and path.
+The sum runs as one complex matrix product by angle addition.  With
+t = b BLOCK + s, path k contributes exp(j(omega_k b BLOCK + phi_k)) *
+exp(j omega_k s), so the record is head @ tail for head[b, k] the first
+factor and tail[k, s] the second, raveled and cut to the length: (T /
+BLOCK + BLOCK) n complex exponentials instead of T n, and the path sum
+runs in BLAS.  The bits are those of the BLAS complex GEMM, whose
+summation order may differ between BLAS builds and CPU kernels; on
+OpenBLAS 0.3.31 they do not depend on the thread count.  BLOCK is
+fixed, so a longer record of the same (config, link) extends a shorter
+one: their common prefix agrees to 1e-15 or better, and bit for bit
+there once both span more than one block (a one-block product takes
+BLAS's vector path).  Against the exact cisoid sum the record is off by
+about 1e-16 |omega t|, as the per-sample float64 sum is: both round the
+phase omega t, which reaches 1.2e4 rad after 20 009 samples at f_d/f_s
+= 0.1, where both are within 2e-12.
 
 Outdated CSI follows the Gaussian degradation
   h_out = rho * h + eps * sqrt(1 - rho^2),
@@ -73,6 +80,9 @@ class FadingProcessConfig(FadingSettings):
     seed: int = 0
 
 
+BLOCK = 128  # samples per row of generate_series' matrix product
+
+
 def generate_series(cfg, length, link=0):
     """Sampled fading series h[0..length-1] for one link.
 
@@ -90,17 +100,13 @@ def generate_series(cfg, length, link=0):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     omega = 2.0 * np.pi * cfg.doppler_hz / cfg.sample_rate_hz * np.cos(angles)
 
-    t = np.arange(length, dtype=np.float64)
-    re, im = np.zeros(length), np.zeros(length)
-    x, c = np.empty(length), np.empty(length)
-    for k in range(n):  # accumulate per path to keep memory at O(length)
-        np.multiply(omega[k], t, out=x)
-        x += phases[k]
-        re += np.cos(x, out=c)
-        im += np.sin(x, out=c)
-    del t, x, c
-    diffuse = 1j * im  # + re: the bits of re + 1j * im, one plane less
-    diffuse += re
+    # t = b BLOCK + s: row b of head is the record at t = b BLOCK,
+    # column s of tail the rotation of each path over s samples
+    blocks = -(-length // BLOCK)
+    head = np.exp(1j * (np.outer(np.arange(blocks) * float(BLOCK), omega)
+                        + phases))
+    tail = np.exp(1j * np.outer(omega, np.arange(BLOCK, dtype=np.float64)))
+    diffuse = (head @ tail).ravel()[:length]
     diffuse *= np.sqrt(1.0 / n)
 
     k_rice = cfg.k_factor

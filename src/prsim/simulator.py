@@ -102,7 +102,7 @@ class ProtocolSettings:
     min(1/|metric|, T_m), the uncertainty window (the separation two
     timers need to be resolved; within it both relays fire and the
     frame is lost) and the acquisition impairments of synthetic pairs,
-    each None when off."""
+    each None when off (a zero phase error bound is off too)."""
 
     frames: int = 100_000
     policy: str = "reselect"
@@ -131,7 +131,9 @@ class ProtocolSettings:
 
     @property
     def impaired(self):
-        return self.pilot_snr_db is not None or self.max_phase_error_deg is not None
+        """Whether impair_pair draws anything: pilot noise, or a nonzero
+        phase error bound."""
+        return self.pilot_snr_db is not None or bool(self.max_phase_error_deg)
 
 
 def impair_pair(planes, imp, rng, scratch):
@@ -153,7 +155,7 @@ def impair_pair(planes, imp, rng, scratch):
             rng.standard_normal(out=scratch)
             scratch *= sd
             plane += scratch
-    if imp.max_phase_error_deg is not None and imp.max_phase_error_deg > 0:
+    if imp.max_phase_error_deg:
         bound = math.radians(imp.max_phase_error_deg)
         rng.random(out=scratch)  # U(-bound, bound), as rng.uniform forms it
         scratch *= 2.0 * bound

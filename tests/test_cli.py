@@ -245,6 +245,46 @@ rho = 0.9
             assert impaired["analytic"] == ""
 
 
+def test_zero_phase_bound_without_pilot_noise_is_unimpaired(tmp_path):
+    # impair_pair draws nothing for a zero bound, so the key changes no
+    # draw: the rows are the key-free run's, closed form included, and
+    # protocol-sim accepts the config
+    text = """
+[experiment]
+trials = 10000
+
+[network]
+relays = 8
+
+[grid]
+snr_db = 10
+
+[csi]
+mode = synthetic
+rho = 0.9
+
+[protocol]
+frames = 2000
+"""
+    conf = tmp_path / "e.conf"
+    for command, schemes in (("outage", "df, af, dt"),
+                             ("protocol-sim", "df, af, df-central")):
+        rows = {}
+        for name, extra in (("clean", ""), ("zero", "max_phase_error_deg = 0\n")):
+            conf.write_text(text + extra + "[schemes]\nlist = %s\n" % schemes)
+            out = tmp_path / ("%s-%s.csv" % (command, name))
+            assert run_main([command, "--config", str(conf),
+                             "--out", str(out)]) == 0
+            rows[name] = read_rows(out)
+        assert len(rows["zero"]) == 3
+        for clean, zero in zip(rows["clean"], rows["zero"]):
+            clean.pop("config_hash")
+            zero.pop("config_hash")
+            assert zero == clean
+            if command == "outage":
+                assert zero["analytic"] != ""
+
+
 @pytest.mark.parametrize("delay", [3, 5])
 def test_outdated_mode_rows_carry_the_closed_form(tmp_path, delay):
     # at 100 Hz and 1 kHz, J0 is 0.29 at delay 3 and -0.30 at delay 5;

@@ -5,24 +5,24 @@ and the data rows of `gen-data`.
 The synthetic-pair files under tests/data hold every CSV column except
 `analytic` and `config_hash`; the predicted files drop only
 `config_hash`, since their closed form sits at the correlation the
-trained predictor resolves.  The predicted files were recorded before
-the model cache existed, and both runs write into one directory, so
-the first trains the model and the second loads it from the cache.
-The outage and capacity files were recorded before the estimator's
-draw path was last reworked, the synthetic protocol-sim file before
-the synthetic network began holding its frame block.  The outdated
-protocol-sim file runs the frame protocol on Jakes records (K = 8,
-delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples reach
-phases omega t of about 1.2e4 rad; it was recorded before
-`generate_series` moved from complex exponentials to real cos/sin
-planes.  The gen-data files hold two links of 50 samples, Rayleigh
-and Rician k = 3, recorded before the fading keys were reduced to
-`k_factor`; their header lines carry the config hash and are not
-compared.  Any change to how `estimate`,
-`simulate_frames` or `generate_series` consumes its streams, or to the
-arithmetic that turns draws into SNRs, shows up here as a byte
-difference.  Regenerate a file only for a change that is meant to move
-the Monte-Carlo output, and say so where the change is recorded.
+trained predictor resolves.  Both predicted runs write into one
+directory, so the first trains the model and the second loads it from
+the cache.  The outage and capacity files were recorded before the
+estimator's draw path was last reworked, the synthetic protocol-sim
+file before the synthetic network began holding its frame block.  The
+outdated protocol-sim file runs the frame protocol on Jakes records
+(K = 8, delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples
+reach phases omega t of about 1.2e4 rad.  It, the predicted files and
+the gen-data files (two links of 50 samples, Rayleigh and Rician k = 3;
+their header lines carry the config hash and are not compared) were
+recorded when `generate_series` became one complex matrix product per
+link, on OpenBLAS 0.3.31 with its SkylakeX kernels; another BLAS build
+may round a record differently in the last bit.  Any change to how
+`estimate`, `simulate_frames` or `generate_series` consumes its
+streams, or to the arithmetic that turns draws into SNRs, shows up
+here as a byte difference.  Regenerate a file only for a change that
+is meant to move the Monte-Carlo output, and say so where the change
+is recorded.
 """
 
 import csv
