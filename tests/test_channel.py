@@ -141,6 +141,27 @@ def test_series_matches_extended_precision_cisoid_sum(k_factor, num_sinusoids,
         assert err <= GEMM_VS_LOOP * loop_err + ERROR_FLOOR
 
 
+# With one path the GEMM's inner sum is a single product, and without
+# rotation inside the record (zero Doppler, or the lone sample t = 0)
+# its tail factor is exactly 1, so the record must still equal the
+# per-path loop bit for bit: same phasor, scaling and Rician branch.
+@pytest.mark.parametrize(
+    "k_factor,num_sinusoids,doppler_hz,length",
+    [(k, 1, doppler, length) for k in (0.0, 3.0)
+     for doppler, length in ((0.0, 1), (0.0, 20_009), (100.0, 1))])
+def test_series_equals_cisoid_sum_bit_for_bit(k_factor, num_sinusoids,
+                                              doppler_hz, length):
+    cfg = FadingProcessConfig(doppler_hz=doppler_hz, sample_rate_hz=1000.0,
+                              k_factor=k_factor, num_sinusoids=num_sinusoids,
+                              seed=9)
+    for link in (0, 3):
+        h = generate_series(cfg, length, link)
+        want = cisoid_series(cfg, length, link)
+        assert h.dtype == want.dtype
+        assert np.array_equal(h, want)
+        assert h.tobytes() == want.tobytes()  # signed zeros too
+
+
 def test_longer_record_extends_shorter_one():
     cfg = FadingProcessConfig(doppler_hz=100.0, sample_rate_hz=1000.0, seed=9)
     for link in (0, 3):
