@@ -30,11 +30,14 @@ phase omega t, which reaches 1.2e4 rad after 20 009 samples at f_d/f_s
 Outdated CSI follows the Gaussian degradation
   h_out = rho * h + eps * sqrt(1 - rho^2),
 eps ~ CN(0, 1), which leaves the marginal complex Gaussian and sets the
-correlation between h and h_out to rho.  `correlated_pair` draws such
-a pair at unit power; it is the synthetic-rho sampler used to validate
-the closed forms at an exactly prescribed correlation.  It writes real
-and imaginary parts as separate float planes, so a caller can hand it
-reused buffers and form SNRs in place without a complex temporary.
+correlation between h and h_out to rho.  `correlate_planes` forms such
+pairs at unit power from standard-normal float planes (real and
+imaginary parts apart).  `correlated_pair` is the synthetic-rho sampler
+that validates the closed forms at an exactly prescribed correlation.
+It draws the conditional law instead of whole pairs: a metric SNR
+|h|^2 is Exp(1) whatever rho, and ranking reads metrics alone, so a
+caller draws every link's metric SNR, ranks, and then draws the actual
+SNRs of the links it picked, two normals each, given their metrics.
 """
 
 import math
@@ -116,24 +119,26 @@ def generate_series(cfg, length, link=0):
     return los + diffuse / np.sqrt(k_rice + 1.0)
 
 
-def correlated_pair(rng, rho, size, out=None):
-    """(metric, actual) gains at exact correlation rho, as float planes.
+def correlated_pair(rng, rho, size, metric):
+    """Actual SNRs of links, drawn given their metric SNRs at rho.
 
-    Returns one (4, *size) array holding the planes (metric.real,
-    metric.imag, actual.real, actual.imag); with `out` the planes are
-    written into it instead (four C-contiguous planes of shape size
-    stacked on the first axis).  Both marginals are CN(0, 1).  This is
-    the synthetic-rho mode used when validating the outage/capacity
-    closed forms: rho is prescribed directly instead of being implied
-    by a Doppler lag.  The stream is read as four whole standard-normal
-    planes: the metric's real and imaginary parts, then those of the
-    innovation that completes the actual.
+    The metric and actual gains of a link are a pair at correlation
+    rho, both CN(0, 1) (see the module docstring); metric holds metric
+    SNRs |h_m|^2, broadcast to shape size, and the result is the actual
+    SNRs |h|^2 of the same links, shape size.  Given the metric, the
+    actual gain is rho |h_m| + sqrt(1 - rho^2) CN(0, 1) in
+    distribution, by rotation invariance, so a link costs two standard
+    normals and no draw of the metric's phase.  The stream is read as
+    two whole planes of shape size: the real parts of the innovation,
+    then its imaginary parts.
     """
-    if out is None:
-        out = np.empty((4, *np.atleast_1d(size)))
-    for plane in out:
-        rng.standard_normal(out=plane)
-    return correlate_planes(out, rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation must lie in [0, 1]")
+    z = rng.standard_normal((2, *np.atleast_1d(size)))
+    z *= math.sqrt(0.5 * (1.0 - rho * rho))
+    z[0] += rho * np.sqrt(metric)
+    z *= z
+    return z[0] + z[1]
 
 
 def correlate_planes(planes, rho):

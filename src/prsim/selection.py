@@ -14,6 +14,12 @@ actual SNR.  The distributed timer race, the destination-side ranking,
 DF, AF and the space-time-coded pair all reduce to this rule by their
 choice of score, eligibility mask and actual SNR.
 
+The rule runs in two steps: `rank` reads only scores and eligibility
+and returns who forwards (pick, runner-up, lost frames, collisions);
+`judge` turns the picks' actual SNRs into outage and rate.  A caller
+holding every relay's actual SNR chains them (`select`); a sampler
+may draw the actual SNRs of the picks alone between the two.
+
 Rates are half-duplex: a two-phase relay link sustains R bits/s/Hz end
 to end only if each phase carries 2R, hence the relay threshold
 gamma_o = 2^(2R) - 1, while direct transmission uses the full frame and
@@ -61,43 +67,79 @@ class Selection(NamedTuple):
     collision: np.ndarray
 
 
-def select(g, score, rate, eligible=None, window=None, pair=False):
-    """Pick relays by score and judge them on their actual SNR.
+class Ranking(NamedTuple):
+    """Who forwards in each frame of a block, before any actual SNR is
+    read: `rank`'s half of the selection rule."""
 
-    g, score and eligible are (n, K).  With pair=True the two best
-    eligible relays forward a space-time-coded pair, whose combiner
-    output is the half-sum of their SNRs (a single eligible relay
-    forwards alone).  With a window, a frame whose two best eligible
-    scores differ by less than it is a collision.  A frame with no
-    eligible relay, or a collision, is an outage at rate 0.
+    first: np.ndarray      # top-ranked relay (meaningless in a lost frame)
+    second: np.ndarray     # runner-up, None unless a pair or a window
+    paired: np.ndarray     # whether the pair has two relays, None unless pair
+    lost: np.ndarray       # nobody eligible, or a collision
+    collision: np.ndarray
+
+
+def rank(score, eligible=None, window=None, pair=False):
+    """Rank a block of frames by score, reading no actual SNR.
+
+    score and eligible are (n, K), the scores finite.  The pick is the
+    highest eligible score (ties go to the lowest relay id).  With
+    pair=True the runner-up forwards with it, when there is one.  With
+    a window, a frame whose two best eligible scores differ by less
+    than it is a collision.  A frame with no eligible relay, or a
+    collision, is lost.
     """
-    rows = np.arange(g.shape[0])
+    rows = np.arange(score.shape[0])
     if eligible is not None:
         score = np.where(eligible, score, -np.inf)
     first = np.argmax(score, axis=1)
-    g_sel = g[rows, first]
-    collision = np.zeros(g.shape[0], dtype=bool)
+    second = paired = None
+    collision = np.zeros(score.shape[0], dtype=bool)
     if pair or window is not None:
         top = score[rows, first]
         if eligible is None:
             score = score.copy()
         score[rows, first] = -np.inf
         second = np.argmax(score, axis=1)
+        runner_up = score[rows, second]  # -inf when nobody else is eligible
         if window is not None:
             # an ineligible runner-up scores -inf and never collides;
             # a row with nobody eligible gives nan, no collision either
             with np.errstate(invalid="ignore"):
-                collision = top - score[rows, second] < window
+                collision = top - runner_up < window
         if pair:
-            both = (eligible.sum(axis=1) >= 2 if eligible is not None
-                    else g.shape[1] >= 2)
-            g_sel = np.where(both, 0.5 * (g_sel + g[rows, second]), g_sel)
-    chosen = first
-    if eligible is not None or window is not None:
-        lost = collision
-        if eligible is not None:
-            lost = lost | ~eligible.any(axis=1)
-        g_sel = np.where(lost, 0.0, g_sel)
-        chosen = np.where(lost, -1, first)
-    return Selection(chosen, g_sel < rate.gamma_o,
-                     0.5 * np.log2(1.0 + g_sel), collision)
+            paired = runner_up > -np.inf
+    lost = collision
+    if eligible is not None:
+        # with nobody eligible the argmax lands on a masked relay
+        lost = lost | ~eligible[rows, first]
+    return Ranking(first, second, paired, lost, collision)
+
+
+def judge(ranking, rate, g_first, g_second=None):
+    """Judge a ranked block on the actual SNRs of its picks.
+
+    g_first holds each frame's pick's actual SNR and g_second its
+    runner-up's (read only for a pair).  A pair's combiner output is
+    the half-sum of the two SNRs; a pair with one relay forwards it
+    alone.  A lost frame is an outage at rate 0.
+    """
+    g = g_first
+    if ranking.paired is not None:
+        g = np.where(ranking.paired, 0.5 * (g_first + g_second), g_first)
+    g = np.where(ranking.lost, 0.0, g)
+    return Selection(np.where(ranking.lost, -1, ranking.first),
+                     g < rate.gamma_o, 0.5 * np.log2(1.0 + g),
+                     ranking.collision)
+
+
+def select(g, score, rate, eligible=None, window=None, pair=False):
+    """Pick relays by score and judge them on their actual SNR.
+
+    g, score and eligible are (n, K): `rank`, then `judge` on the
+    entries of g it picked.  With pair=True the two best eligible
+    relays forward a space-time-coded pair.
+    """
+    ranking = rank(score, eligible, window, pair)
+    rows = np.arange(g.shape[0])
+    return judge(ranking, rate, g[rows, ranking.first],
+                 g[rows, ranking.second] if pair else None)

@@ -2,11 +2,11 @@
 
 A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
-Every estimator decides a block of frames through one per-block
-decision, `_decide`, which maps a scheme onto the kernel
-`selection.select`: af ranks and judges the weaker hop; df, df-central
-and the coded pair (ostc) rank the relay hop among the decoders.  The
-estimators differ only in where the selection metric comes from.
+Every estimator runs a block of frames through one per-block rule,
+`_rule`, which maps a scheme onto the selection kernel: af ranks and
+judges the weaker hop; df, df-central and the coded pair (ostc) rank
+the relay hop among the decoders.  The estimators differ only in where
+the selection metric and the picks' actual SNRs come from.
 
 Networks are pure CSI sources.  A network's `frames(n)` returns the
 actual and buffered complex coefficients of its first n frames as
@@ -50,15 +50,26 @@ so it reports no collisions.  estimate() runs ESTIMATE_SCHEMES and
 simulate_frames FRAME_SCHEMES: the frame protocol has no coded pair,
 no direct link and no acquisition impairments.
 
+simulate_frames holds every relay's actual SNR and judges the picks'
+entries.  estimate() draws only what selection reads, from the
+conditional law: per trial, df draws K source-hop and K metric
+exponentials, ranks them, and then draws the pick's actual SNR given
+its metric (`channel.correlated_pair`, two normals); ostc adds two
+normals for the runner-up, af e2e needs the K metric exponentials and
+the pick's two normals, and dt one exponential.  This is exact, not an
+approximation: each relay's metric SNR is Exp(1), and given it the
+actual gain is rho |metric| + sqrt(1 - rho^2) CN(0, 1) in
+distribution.
+
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
-family and share one draw: df and ostc both decide from a source-hop
-exponential and one relay-hop pair.  af (the closed forms' end-to-end
-model) and dt each draw on their own.  Every family reads its own
-fresh stream per grid point, so a scheme's estimate is the same bits
-whichever schemes share its call.  Draws land in float planes (real
-and imaginary parts apart) allocated once per call and refilled chunk
-by chunk; hop SNRs and impairments are formed in those planes in place.
+family and share one draw: df and ostc both decide from one ranking
+of the same source-hop and metric exponentials and the same pick.  af
+(the closed forms' end-to-end model) and dt each draw on their own.
+Every family reads its own fresh stream per grid point, and ostc's
+runner-up a stream of its own, so a scheme's estimate is the same bits
+whichever schemes share its call.  The exponentials land in (n, K)
+planes allocated once per call and refilled chunk by chunk.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
@@ -66,11 +77,15 @@ half the grid value (`_hop_snr`); direct transmission spends the full
 P and is judged against the single-phase rate threshold.
 
 Acquisition impairments are modeled on synthetic pairs: pilot noise
-adds CN(0, 10^(-pilotSNR/10)) to every unit-power estimate entering
-the metric path, and a residual phase error theta ~ U(-theta_max,
-theta_max) scales the detected amplitude by cos(theta) on the actual
-path.  The cosine mapping is a convention of this package: the effect
-of imperfect carrier recovery on a coherent detector.
+adds CN(0, s2), s2 = 10^(-pilotSNR/10), to every unit-power estimate
+entering the metric path, and a residual phase error theta ~
+U(-theta_max, theta_max) scales the detected amplitude by cos(theta)
+on the actual path.  Ranking ignores the metric's scale, so pilot noise
+only lowers the metric-actual correlation to rho / sqrt(1 + s2), and
+the phase error multiplies each pick's actual SNR by cos^2(theta); the
+conditional draw applies both exactly.  The cosine mapping is a
+convention of this package: the effect of imperfect carrier recovery
+on a coherent detector.
 """
 
 import math
@@ -80,7 +95,7 @@ import numpy as np
 
 from .channel import correlate_planes, correlated_pair, snr_from_gain
 from .rng import stream
-from .selection import RateConfig, decoding_subset, select
+from .selection import RateConfig, decoding_subset, judge, rank, select
 
 ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
 FRAME_SCHEMES = ("df", "af", "df-central")
@@ -131,37 +146,9 @@ class ProtocolSettings:
 
     @property
     def impaired(self):
-        """Whether impair_pair draws anything: pilot noise, or a nonzero
-        phase error bound."""
+        """Whether any impairment is on: pilot noise, or a nonzero phase
+        error bound."""
         return self.pilot_snr_db is not None or bool(self.max_phase_error_deg)
-
-
-def impair_pair(planes, imp, rng, scratch):
-    """Impair one correlated pair in place (estimation noise, then phase).
-
-    planes are correlated_pair's (metric re, metric im, actual re,
-    actual im) and scratch one spare plane of the same shape.  The
-    metric becomes h + e with e ~ CN(0, 10^(-pilotSNR/10)), drawn as a
-    whole real plane and then a whole imaginary one; the residual phase
-    error multiplies the actual (post-detection) amplitude by
-    cos(theta), theta ~ U(-theta_max, theta_max).  imp is None or an
-    impaired ProtocolSettings; None is a no-op.
-    """
-    if imp is None:
-        return
-    if imp.pilot_snr_db is not None:
-        sd = math.sqrt(10.0 ** (-imp.pilot_snr_db / 10.0) / 2.0)
-        for plane in planes[:2]:
-            rng.standard_normal(out=scratch)
-            scratch *= sd
-            plane += scratch
-    if imp.max_phase_error_deg:
-        bound = math.radians(imp.max_phase_error_deg)
-        rng.random(out=scratch)  # U(-bound, bound), as rng.uniform forms it
-        scratch *= 2.0 * bound
-        scratch += -bound
-        np.cos(scratch, out=scratch)
-        planes[2:] *= scratch
 
 
 @dataclass(frozen=True)
@@ -208,10 +195,11 @@ class SyntheticRhoNetwork:
         """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames.
 
         Each is (n, K), and every call replays the same frames.  Frame
-        by frame the (seed, 41) stream is consumed exactly as two
-        correlated_pair draws (source hop, then relay hop) would
-        consume it.  The stream fills frames in order, so the network
-        holds the longest block asked for and slices shorter ones.
+        by frame the (seed, 41) stream is read as the source hop's four
+        standard-normal K-planes (metric re and im, innovation re and
+        im; see `correlate_planes`), then the relay hop's.  The stream
+        fills frames in order, so the network holds the longest block
+        asked for and slices shorter ones.
         """
         if self._block is None or self._block[0].shape[0] < n:
             z = stream(self.seed, 41).standard_normal(
@@ -273,36 +261,39 @@ def _metric_record(series, delay, predictor):
     return predict_series(predictor, series)[0]
 
 
-# ------------------------------------------------------ the one decision
+# ---------------------------------------------------------- the one rule
 
 
-def _decide(scheme, rate, g_sr, g_rd, s_sr, s_rd, timer=None,
-            terminate=False):
-    """Run one (n, K) block of a scheme through the selection kernel.
+def _rule(scheme, rate, g_sr, s_sr, s_rd, timer=None, terminate=False):
+    """The selection kernel's arguments for one (n, K) block of a scheme.
 
-    g_* are the actual hop SNRs and s_* the per-hop scores (higher is
-    better).  af ranks and judges the weaker hop; g_sr = s_sr = None
-    hands in an end-to-end figure as the relay hop.  df, df-central and
-    ostc rank the relay hop among the decoding subset, ostc forwarding
-    the best pair.  timer, a ProtocolSettings, turns the score into the
-    back-off race with its uncertainty window; terminate leaves only the
-    overall top-ranked relay eligible.
+    g_sr are the source-hop SNRs and s_* the per-hop scores (higher is
+    better).  af ranks the weaker hop's score; s_sr = None hands in an
+    end-to-end score as the relay hop.  df, df-central and ostc rank the
+    relay hop among the decoding subset, ostc the best pair.  timer, a
+    ProtocolSettings, turns the score into the back-off race with its
+    uncertainty window; terminate leaves only the overall top-ranked
+    relay eligible.  Returns the score, eligible, window and pair
+    arguments of `selection.rank` and `selection.select`; the picks are
+    judged on the weaker hop's actual SNR for af, the relay hop's
+    otherwise.
     """
-    g, score, eligible = g_rd, s_rd, None
+    score, eligible = s_rd, None
     if scheme == "af":
-        if g_sr is not None:
-            g, score = np.minimum(g_sr, g_rd), np.minimum(s_sr, s_rd)
+        if s_sr is not None:
+            score = np.minimum(s_sr, s_rd)
     else:
         eligible = decoding_subset(g_sr, rate)
         if terminate:
             # only the destination's first pick may forward
-            eligible &= (np.arange(g.shape[1])
+            eligible &= (np.arange(score.shape[1])
                          == np.argmax(score, axis=1)[:, None])
     window = None
     if timer is not None:
         score = -timer.duration(score)
         window = timer.uncertainty_window
-    return select(g, score, rate, eligible, window, pair=(scheme == "ostc"))
+    return dict(score=score, eligible=eligible, window=window,
+                pair=(scheme == "ostc"))
 
 
 # -------------------------------------------------------- frame protocol
@@ -325,12 +316,15 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
         raise RuntimeError(
             "selection would read a prediction written at its own frame")
     central = scheme == "df-central"  # the destination ranks; nobody races
+    rate = rate if rate is not None else RateConfig(1.0)
     hop = _hop_snr(snr_db)
     csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
-    sel = _decide(scheme, rate if rate is not None else RateConfig(1.0),
-                  snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop),
-                  np.abs(m_sr), np.abs(m_rd), None if central else protocol,
-                  terminate=(central and protocol.policy == "terminate"))
+    g_sr, g_rd = snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop)
+    rule = _rule(scheme, rate, g_sr, np.abs(m_sr), np.abs(m_rd),
+                 None if central else protocol,
+                 terminate=(central and protocol.policy == "terminate"))
+    g = np.minimum(g_sr, g_rd) if scheme == "af" else g_rd
+    sel = select(g, rate=rate, **rule)
     return _mc_estimate(sel.outage, sel.rate,
                         int(np.count_nonzero(sel.collision)))
 
@@ -338,43 +332,60 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
 # ------------------------------------------------- vectorized estimators
 
 
-def _snr(re, im, power):
-    """Hop SNR |h|^2 * power of the planes (re, im), formed in re."""
-    re *= re
-    im *= im
-    re += im
-    re *= power
-    return re
-
-
-# planes each draw family fills per chunk, besides the scratch plane of
-# impaired draws; dt draws straight into its rates row
-_FAMILY_PLANES = {"df": 5, "af": 4, "dt": 0}
+# (n, K) planes each draw family fills per chunk: df a source-hop and a
+# metric plane, af a metric plane; dt draws straight into its rates row
+_FAMILY_PLANES = {"df": 2, "af": 1, "dt": 0}
 
 # trials drawn per chunk; the chunking sets the draw order of a stream
 _CHUNK = 250_000
 
 
-def _draw(family, rng, rho, hop, imp, planes):
-    """(g_sr, g_rd, s_sr, s_rd) of one relay family's chunk, in planes.
+def _actuals(rng, rho, metric, gain, phase_bound):
+    """Actual SNRs of the picks, given their metric SNRs (unit mean):
+    the conditional draw at rho, scaled to the mean SNR gain, then the
+    phase error's cos^2 factor when phase_bound (radians) is nonzero."""
+    g = correlated_pair(rng, rho, metric.shape, metric)
+    g *= gain
+    if phase_bound:
+        # U(-bound, bound), formed as rng.uniform forms it
+        theta = rng.random(metric.shape)
+        theta *= 2.0 * phase_bound
+        theta -= phase_bound
+        np.cos(theta, out=theta)
+        g *= theta * theta
+    return g
 
-    planes is (width, n, K), its last plane the scratch of impaired
-    draws; the result feeds `_decide`.
+
+def _relay_family(family, targets, rng, pair_rng, rho, hop, rate, phase,
+                  planes):
+    """Draw one relay family's chunk and judge each of its schemes.
+
+    targets lists (scheme, outage row, rate row), views of the chunk's
+    slice that the judged frames are written into.  planes are the
+    family's (n, K) planes (`_FAMILY_PLANES`), refilled in place, the
+    metric plane last.  pair_rng is None unless ostc is among the
+    schemes, and draws the runner-up's actual.
     """
-    shape = planes.shape[1:]
-    scratch = planes[-1] if imp is not None else None
+    metric = planes[-1]
+    g_sr, gain = None, hop / 2.0  # af: the mean of min(sr, rd) at equal hops
     if family == "df":
-        g_sr = planes[0]
+        g_sr, gain = planes[0], hop
         rng.standard_exponential(out=g_sr)
         g_sr *= hop
-        rd = correlated_pair(rng, rho, shape, out=planes[1:5])
-        impair_pair(rd, imp, rng, scratch)
-        return g_sr, _snr(*rd[2:], hop), None, _snr(*rd[:2], hop)
-    # af: one outdated estimate of the end-to-end figure itself
-    e2e = correlated_pair(rng, rho, shape, out=planes[:4])
-    impair_pair(e2e, imp, rng, scratch)
-    gamma_e = hop / 2.0  # mean of min(sr, rd) at equal hops
-    return None, _snr(*e2e[2:], gamma_e), None, _snr(*e2e[:2], gamma_e)
+    rng.standard_exponential(out=metric)  # metric SNRs, unit mean
+    # df and ostc share one ranking; the pair adds the runner-up
+    ranking = rank(**_rule("ostc" if pair_rng is not None else family, rate,
+                           g_sr, None, metric))
+    picks = np.arange(metric.shape[0])
+    g_first = _actuals(rng, rho, metric[picks, ranking.first], gain, phase)
+    g_second = None
+    if pair_rng is not None:
+        g_second = _actuals(pair_rng, rho, metric[picks, ranking.second],
+                            gain, phase)
+    for scheme, outage, rates in targets:
+        sel = (judge(ranking, rate, g_first, g_second) if scheme == "ostc"
+               else judge(ranking._replace(paired=None), rate, g_first))
+        outage[:], rates[:] = sel.outage, sel.rate
 
 
 def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
@@ -390,11 +401,17 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     the actual (detection) path.  dt has no metric, and its draw models
     no phase error.
 
+    Trials are drawn from the conditional law (see the module
+    docstring): the kernel ranks every relay's metric SNR, and only the
+    picks' actual SNRs are drawn, given their metrics
+    (`correlated_pair`), with the impairments applied exactly.
+
     Each draw family (df with ostc, af, dt) reads its own stream per
     grid point, chunk by chunk, into planes allocated once per call;
-    its schemes decide from that one draw.  A scheme's estimates are
-    therefore the same bits whichever schemes share the call, and
-    deterministic for a given seed.
+    its schemes decide from that one draw.  ostc's runner-up reads a
+    stream of its own, so a scheme's estimates are the same bits
+    whichever schemes share the call, and deterministic for a given
+    seed.
 
     af is the closed forms' end-to-end model: one outdated estimate of
     the min(sr, rd) figure; the per-hop ranking the distributed
@@ -408,25 +425,35 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
                              f"{ESTIMATE_SCHEMES}")
     if trials < MIN_TRIALS:
         raise ValueError("need at least 1e4 trials per point")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation must lie in [0, 1]")
+    if num_relays < 1:
+        raise ValueError("need at least one relay")
+    grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=float))
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("SNR grid points must be finite")
     rate = rate if rate is not None else RateConfig(1.0)
+    imp = impairments if impairments is not None else ProtocolSettings()
+    if imp.pilot_snr_db is not None:
+        rho /= math.sqrt(1.0 + 10.0 ** (-imp.pilot_snr_db / 10.0))
+    phase = math.radians(imp.max_phase_error_deg or 0.0)
     families = {}
     for j, scheme in enumerate(schemes):
         # df and ostc read one draw the same way
         families.setdefault({"ostc": "df"}.get(scheme, scheme), []).append(j)
     width = max(_FAMILY_PLANES[f] for f in families)
-    if width and impairments is not None:
-        width += 1  # the scratch plane of impaired draws
     buf = np.empty((width, min(_CHUNK, trials), num_relays))
     outage = np.empty((len(schemes), trials), dtype=bool)
     rates = np.empty((len(schemes), trials))
     out = [[] for _ in schemes]
-    for i, snr_db in enumerate(np.atleast_1d(snr_grid_db)):
+    for i, snr_db in enumerate(grid):
         hop = _hop_snr(snr_db)
         for family, members in families.items():
             rng = stream(seed, 43, i)
+            paired = any(schemes[j] == "ostc" for j in members)
+            pair_rng = stream(seed, 43, i, 1) if paired else None
             for start in range(0, trials, _CHUNK):
                 sl = slice(start, min(start + _CHUNK, trials))
-                n = sl.stop - start
                 if family == "dt":
                     g = rates[members[0], sl]
                     rng.standard_exponential(out=g)
@@ -437,10 +464,11 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
                     np.log2(g, out=g)
                     rates[members, sl] = g
                     continue
-                args = _draw(family, rng, rho, hop, impairments, buf[:, :n])
-                for j in members:
-                    _, outage[j, sl], rates[j, sl], _ = _decide(
-                        schemes[j], rate, *args)
+                _relay_family(
+                    family, [(schemes[j], outage[j, sl], rates[j, sl])
+                             for j in members], rng, pair_rng, rho, hop,
+                    rate, phase,
+                    buf[-_FAMILY_PLANES[family]:, :sl.stop - start])
         for j in range(len(schemes)):
             out[j].append(_mc_estimate(outage[j], rates[j]))
     return out

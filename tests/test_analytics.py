@@ -20,15 +20,10 @@ from prsim.analytics import (
     outage_df,
     prob_ds_size,
 )
-from prsim.channel import correlated_pair
 from prsim.numerics import gauss_chebyshev
 from prsim.rng import stream
 
-
-def complex_pair(rng, rho, size):
-    """correlated_pair's planes as (metric, actual) complex arrays."""
-    planes = correlated_pair(rng, rho, size)
-    return planes[0::2] + 1j * planes[1::2]
+from pair_oracle import complex_pair
 
 
 # --- conditional SNR density -------------------------------------------------

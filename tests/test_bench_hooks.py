@@ -4,8 +4,9 @@ perfbench/tracer.py wraps prsim's layer functions where the CLI looks
 them up and binds their arguments by name, so a renamed function or
 parameter breaks `perfbench/run.py --trace 1` and nothing else.  These
 tests run the benchmark's step script traced on tiny predicted configs
-and check that every predictor and record span shows up, and that the
-frame protocol's span counts the frames it scores.
+and check that every predictor and record span shows up, that the
+Monte-Carlo estimator and its conditional pair draw report their work,
+and that the frame protocol's span counts the frames it scores.
 """
 
 import json
@@ -78,6 +79,14 @@ def test_traced_step_reports_every_predictor_span(tmp_path, command, spans):
         assert trace.get(name, {}).get("calls", 0) >= 1, name
     rhos = trace["predictor.predict_series"]["values"]
     assert rhos and all(0.0 <= rho <= 1.0 for rho in rhos)
+    if command == "outage":
+        # estimate draws each df trial's pick through correlated_pair,
+        # whose size argument the tracer counts as draws
+        est = trace["simulator.estimate"]
+        pair = trace["channel.correlated_pair"]
+        assert est["calls"] >= 1 and est["work"] == 10_000
+        assert pair["calls"] >= 1 and pair["work"] == est["work"]
+        assert est["self_s"] > 0.0 and pair["self_s"] > 0.0
     if command == "protocol-sim":
         # the sr and rd records differ only in the seed, so a key that
         # lost it would read their second synthesis as a repeat

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -18,11 +17,7 @@ from prsim.channel import (
 )
 from prsim.rng import stream
 
-
-def complex_pair(rng, rho, size):
-    """correlated_pair's planes as (metric, actual) complex arrays."""
-    planes = correlated_pair(rng, rho, size)
-    return planes[0::2] + 1j * planes[1::2]
+from pair_oracle import complex_pair
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +232,29 @@ def test_rician_mean_power_preserved():
 
 
 def test_correlated_pair_statistics():
+    # given Exp(1) metric SNRs the conditional actual SNRs are Exp(1)
+    # too, and the two SNRs of a link correlate at rho^2
     rng = stream(5)
-    met, act = complex_pair(rng, 0.95, 500_000)
-    assert abs(np.mean(np.abs(met) ** 2) - 1.0) < 0.01
-    assert abs(np.mean(np.abs(act) ** 2) - 1.0) < 0.01
-    corr = np.vdot(met, act).real / math.sqrt(np.vdot(met, met).real * np.vdot(act, act).real)
-    assert abs(corr - 0.95) < 0.005
+    metric = rng.standard_exponential(500_000)
+    act = correlated_pair(rng, 0.95, metric.shape, metric)
+    assert act.shape == metric.shape
+    assert abs(np.mean(act) - 1.0) < 0.01
+    assert abs(np.var(act) - 1.0) < 0.02
+    assert abs(np.corrcoef(metric, act)[0, 1] - 0.95 ** 2) < 0.005
+    # the same law as whole four-normal pairs: a two-sample KS test on
+    # the actual SNR of the best of 8 metrics
+    met8 = rng.standard_exponential((100_000, 8))
+    best = correlated_pair(rng, 0.8, 100_000, met8.max(axis=1))
+    m, a = complex_pair(rng, 0.8, (100_000, 8))
+    rows = np.arange(100_000)
+    whole = np.abs(a[rows, np.argmax(np.abs(m), axis=1)]) ** 2
+    assert stats.ks_2samp(best, whole).pvalue > 1e-3
+    # the ends: rho = 1 hands the metric back, a scalar metric broadcasts
+    assert np.allclose(correlated_pair(rng, 1.0, 5, metric[:5]), metric[:5],
+                       rtol=1e-15, atol=0.0)
+    assert correlated_pair(rng, 0.5, (3, 2), 2.0).shape == (3, 2)
+    with pytest.raises(ValueError):
+        correlated_pair(rng, 1.5, 5, metric[:5])
 
 
 def test_snr_from_gain_arithmetic():

@@ -246,7 +246,7 @@ rho = 0.9
 
 
 def test_zero_phase_bound_without_pilot_noise_is_unimpaired(tmp_path):
-    # impair_pair draws nothing for a zero bound, so the key changes no
+    # estimate draws no phase error for a zero bound, so the key changes no
     # draw: the rows are the key-free run's, closed form included, and
     # protocol-sim accepts the config
     text = """

@@ -7,17 +7,21 @@ The synthetic-pair files under tests/data hold every CSV column except
 `config_hash`, since their closed form sits at the correlation the
 trained predictor resolves.  Both predicted runs write into one
 directory, so the first trains the model and the second loads it from
-the cache.  The outage and capacity files were recorded before the
-estimator's draw path was last reworked, the synthetic protocol-sim
-file before the synthetic network began holding its frame block.  The
-outdated protocol-sim file runs the frame protocol on Jakes records
+the cache.  The clean, impaired and predicted outage and capacity files
+were recorded when `estimate` began drawing from the conditional law
+(every relay's metric exponential, then the picks' actual SNRs alone);
+their dt rows kept the bytes of the earlier four-normal sampler, whose
+draw of dt did not change.  The synthetic protocol-sim file was
+recorded before the synthetic network began holding its frame block.
+The outdated protocol-sim file runs the frame protocol on Jakes records
 (K = 8, delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples
-reach phases omega t of about 1.2e4 rad.  It, the predicted files and
-the gen-data files (two links of 50 samples, Rayleigh and Rician k = 3;
-their header lines carry the config hash and are not compared) were
-recorded when `generate_series` became one complex matrix product per
-link, on OpenBLAS 0.3.31 with its SkylakeX kernels; another BLAS build
-may round a record differently in the last bit.  Any change to how
+reach phases omega t of about 1.2e4 rad.  It and the gen-data files
+(two links of 50 samples, Rayleigh and Rician k = 3; their header lines
+carry the config hash and are not compared) were recorded when
+`generate_series` became one complex matrix product per link, and so
+were the records the predicted files train on, on OpenBLAS 0.3.31 with
+its SkylakeX kernels; another BLAS build may round a record
+differently in the last bit.  Any change to how
 `estimate`, `simulate_frames` or `generate_series` consumes its
 streams, or to the arithmetic that turns draws into SNRs, shows up
 here as a byte difference.  Regenerate a file only for a change that

@@ -3,18 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from prsim.channel import correlated_pair
 from prsim.rng import stream
 from prsim import simulator
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import ProtocolSettings, estimate, simulate_frames
 
-
-def complex_pair(rng, rho, size):
-    """correlated_pair's planes as (metric, actual) complex arrays."""
-    planes = correlated_pair(rng, rho, size)
-    return planes[0::2] + 1j * planes[1::2]
-
+from pair_oracle import complex_pair
 
 RATE1 = RateConfig(target_rate=1.0)
 
@@ -270,24 +264,9 @@ def test_perfect_metric_weakly_dominates_outdated():
 
 def test_ostc_diversity_order_two_under_outdated_metric():
     # log-log slope of the MC outage curve in the 1e-3..1e-5 window
-    rho = 0.2906
-    rng = stream(16)
-    K, n_block, n_blocks = 8, 1_000_000, 4
     snrs_db = np.arange(24.0, 33.0, 2.0)
-    pts = []
-    for snr_db in snrs_db:
-        gbar = 10 ** (snr_db / 10)
-        failures = 0
-        for _ in range(n_blocks):
-            gsr = rng.exponential(0.5 * gbar, size=(n_block, K))
-            met, act = complex_pair(rng, rho, (n_block, K))
-            g_met = 0.5 * gbar * np.abs(met) ** 2
-            g_act = 0.5 * gbar * np.abs(act) ** 2
-            sel = select(g_act, g_met, RATE1, decoding_subset(gsr, RATE1),
-                         pair=True)
-            failures += int(sel.outage.sum())
-        pts.append(failures / (n_block * n_blocks))
-    pts = np.asarray(pts)
+    pts = np.array([est.outage_prob for est in estimate(
+        ["ostc"], snrs_db, 4_000_000, num_relays=8, rho=0.2906, seed=16)[0]])
     keep = (pts > 1e-5) & (pts < 1e-3)
     assert keep.sum() >= 3
     slope = np.polyfit(snrs_db[keep] / 10.0, np.log10(pts[keep]), 1)[0]

@@ -6,8 +6,8 @@ import pytest
 from prsim.analytics import SelectionParams, outage_af, outage_df
 from prsim.analytics import capacity_exponential_exact
 from prsim import simulator
-from prsim.channel import (FadingProcessConfig, correlated_pair,
-                           generate_series, jakes_correlation, snr_from_gain)
+from prsim.channel import (FadingProcessConfig, generate_series,
+                           jakes_correlation, snr_from_gain)
 from prsim.rng import stream
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import (
@@ -15,9 +15,10 @@ from prsim.simulator import (
     SeriesNetwork,
     SyntheticRhoNetwork,
     estimate,
-    impair_pair,
     simulate_frames,
 )
+
+from pair_oracle import four_normal_estimate, impair_pair, pair_planes
 
 RATE = RateConfig(1.0)
 GO = RATE.gamma_o
@@ -54,12 +55,12 @@ def test_timer_model():
 
 
 def unit_pair(h):
-    """correlated_pair-style planes whose metric and actual are both h."""
+    """pair_planes-style planes whose metric and actual are both h."""
     return np.stack([h.real, h.imag, h.real, h.imag])
 
 
 def complex_planes(planes):
-    """(metric, actual) complex arrays of correlated_pair planes."""
+    """(metric, actual) complex arrays of pair_planes planes."""
     return planes[0::2] + 1j * planes[1::2]
 
 
@@ -143,7 +144,7 @@ def test_synthetic_network_frames():
     rng = stream(5, 41)
     for t in range(3):
         for metric, actual in ((m_sr[t], csi_sr[t]), (m_rd[t], csi_rd[t])):
-            want_m, want_a = complex_planes(correlated_pair(rng, 0.8, 4))
+            want_m, want_a = complex_planes(pair_planes(rng, 0.8, 4))
             assert np.array_equal(metric, want_m)
             assert np.array_equal(actual, want_a)
     # metric-actual correlation approaches rho over many frames
@@ -390,11 +391,12 @@ def test_estimate_frees_each_point_before_the_next():
 
 
 def test_shared_call_reuses_one_set_of_planes():
-    # every draw family refills the same planes, so serving four
-    # schemes costs about what serving one does
-    one = estimate_peak(["df"], [10.0])
+    # every draw family refills the same planes (af ranks in df's metric
+    # plane, dt draws into its rates row), so adding af and dt to the df
+    # family's call costs about their result rows
+    family = estimate_peak(["df", "ostc"], [10.0])
     four = estimate_peak(["df", "af", "ostc", "dt"], [10.0])
-    assert four <= 1.1 * one, (one, four)
+    assert four <= 1.1 * family, (family, four)
 
 
 IMPAIRED = ProtocolSettings(pilot_snr_db=20.0, max_phase_error_deg=10.0)
@@ -420,15 +422,19 @@ def test_df_and_ostc_share_one_relay_hop_draw(monkeypatch):
     calls = []
     real = simulator.correlated_pair
 
-    def counted(rng, rho, size, out=None):
+    def counted(rng, rho, size, metric):
         calls.append(size)
-        return real(rng, rho, size, out=out)
+        return real(rng, rho, size, metric)
 
     monkeypatch.setattr(simulator, "correlated_pair", counted)
     monkeypatch.setattr(simulator, "_CHUNK", 7_000)
     estimate(["df", "ostc"], [0.0, 10.0, 20.0], 20_000, rho=0.9)
-    # 3 grid points x 3 chunks, one pair draw each
-    assert calls == [(7_000, 8), (7_000, 8), (6_000, 8)] * 3
+    # 3 grid points x 3 chunks: one conditional draw for the pick, which
+    # df and ostc share, and one for ostc's runner-up
+    assert calls == ([(7_000,), (7_000,)] * 2 + [(6_000,), (6_000,)]) * 3
+    calls.clear()
+    estimate(["df"], [0.0], 20_000, rho=0.9)
+    assert calls == [(7_000,), (7_000,), (6_000,)]
 
 
 def test_chunking_only_reorders_draws(monkeypatch):
@@ -440,6 +446,52 @@ def test_chunking_only_reorders_draws(monkeypatch):
     gap = abs(whole.outage_prob - split.outage_prob)
     assert gap <= 3.0 * math.hypot(whole.std_error, split.std_error)
     assert whole.trials == split.trials
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rho=5.0), dict(rho=-0.1), dict(rho=math.nan),
+    dict(num_relays=0), dict(snr=math.nan), dict(snr=math.inf),
+], ids=["rho-5", "rho-negative", "rho-nan", "no-relays", "snr-nan",
+        "snr-inf"])
+def test_estimate_refuses_bad_inputs_before_drawing(monkeypatch, bad):
+    def no_draws(*key):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(simulator, "stream", no_draws)
+    kw = dict(num_relays=bad.get("num_relays", 8), rho=bad.get("rho", 0.9))
+    for schemes in (["dt"], ["df", "af", "ostc", "dt"]):
+        with pytest.raises(ValueError):
+            estimate(schemes, [0.0, bad.get("snr", 10.0)], 10_000, **kw)
+
+
+# one grid point for each (relays, rho, impairments); seeds differ, so
+# the two samplers' estimates are independent
+EQUIVALENCE_POINTS = [(K, rho, imp) for K in (1, 2, 8)
+                      for rho in (0.0, 0.5, 0.9, 1.0)
+                      for imp in (None, IMPAIRED)]
+
+
+def test_conditional_sampler_matches_four_normal_oracle():
+    # criterion 4's rule: outage and mean rate of df, af and ostc within
+    # 3 combined standard errors at 95% of the points, at 1e6 trials
+    schemes, n, snr_db = ["df", "af", "ostc"], 1_000_000, 10.0
+    misses, total = [], 0
+    for i, (K, rho, imp) in enumerate(EQUIVALENCE_POINTS):
+        kw = dict(num_relays=K, rho=rho, impairments=imp)
+        new = estimate(schemes, [snr_db], n, seed=7000 + i, **kw)
+        old = four_normal_estimate(schemes, [snr_db], n, seed=8000 + i, **kw)
+        for scheme, [a], [(p, se, rate, sd)] in zip(schemes, new, old):
+            total += 2
+            # under the null both samplers share the rate's law, so the
+            # oracle's per-trial SD serves both
+            if abs(a.outage_prob - p) > 3.0 * math.hypot(a.std_error, se):
+                misses.append((K, rho, imp is not None, scheme, "outage",
+                               a.outage_prob, p))
+            if abs(a.mean_rate - rate) > 3.0 * sd * math.sqrt(2.0 / n):
+                misses.append((K, rho, imp is not None, scheme, "rate",
+                               a.mean_rate, rate))
+    assert total == 144
+    assert len(misses) <= 0.05 * total, misses
 
 
 # ----------------------------------------------------------- series mode
