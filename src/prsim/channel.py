@@ -36,8 +36,9 @@ imaginary parts apart).  `correlated_pair` is the synthetic-rho sampler
 that validates the closed forms at an exactly prescribed correlation.
 It draws the conditional law instead of whole pairs: a metric SNR
 |h|^2 is Exp(1) whatever rho, and ranking reads metrics alone, so a
-caller draws every link's metric SNR, ranks, and then draws the actual
-SNRs of the links it picked, two normals each, given their metrics.
+caller draws the metric SNRs of the links it picks (`estimate` draws
+them as order statistics of Exp(1)), and then their actual SNRs, two
+normals each, given their metrics.
 """
 
 import math

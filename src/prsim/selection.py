@@ -14,12 +14,6 @@ actual SNR.  The distributed timer race, the destination-side ranking,
 DF, AF and the space-time-coded pair all reduce to this rule by their
 choice of score, eligibility mask and actual SNR.
 
-The rule runs in two steps: `rank` reads only scores and eligibility
-and returns who forwards (pick, runner-up, lost frames, collisions);
-`judge` turns the picks' actual SNRs into outage and rate.  A caller
-holding every relay's actual SNR chains them (`select`); a sampler
-may draw the actual SNRs of the picks alone between the two.
-
 Rates are half-duplex: a two-phase relay link sustains R bits/s/Hz end
 to end only if each phase carries 2R, hence the relay threshold
 gamma_o = 2^(2R) - 1, while direct transmission uses the full frame and
@@ -67,32 +61,22 @@ class Selection(NamedTuple):
     collision: np.ndarray
 
 
-class Ranking(NamedTuple):
-    """Who forwards in each frame of a block, before any actual SNR is
-    read: `rank`'s half of the selection rule."""
+def select(g, score, rate, eligible=None, window=None, pair=False):
+    """Pick relays by score and judge them on their actual SNR.
 
-    first: np.ndarray      # top-ranked relay (meaningless in a lost frame)
-    second: np.ndarray     # runner-up, None unless a pair or a window
-    paired: np.ndarray     # whether the pair has two relays, None unless pair
-    lost: np.ndarray       # nobody eligible, or a collision
-    collision: np.ndarray
-
-
-def rank(score, eligible=None, window=None, pair=False):
-    """Rank a block of frames by score, reading no actual SNR.
-
-    score and eligible are (n, K), the scores finite.  The pick is the
-    highest eligible score (ties go to the lowest relay id).  With
-    pair=True the runner-up forwards with it, when there is one.  With
-    a window, a frame whose two best eligible scores differ by less
-    than it is a collision.  A frame with no eligible relay, or a
-    collision, is lost.
+    g, score and eligible are (n, K), the scores finite.  The pick is
+    the highest eligible score (ties go to the lowest relay id).  With
+    pair=True the runner-up forwards with it, when there is one, and
+    the combiner output is the half-sum of the two SNRs.  With a
+    window, a frame whose two best eligible scores differ by less than
+    it is a collision.  A frame with no eligible relay, or a collision,
+    is lost: an outage at rate 0.
     """
     rows = np.arange(score.shape[0])
     if eligible is not None:
         score = np.where(eligible, score, -np.inf)
     first = np.argmax(score, axis=1)
-    second = paired = None
+    g_sel = g[rows, first]
     collision = np.zeros(score.shape[0], dtype=bool)
     if pair or window is not None:
         top = score[rows, first]
@@ -107,39 +91,12 @@ def rank(score, eligible=None, window=None, pair=False):
             with np.errstate(invalid="ignore"):
                 collision = top - runner_up < window
         if pair:
-            paired = runner_up > -np.inf
+            g_sel = np.where(runner_up > -np.inf,
+                             0.5 * (g_sel + g[rows, second]), g_sel)
     lost = collision
     if eligible is not None:
         # with nobody eligible the argmax lands on a masked relay
         lost = lost | ~eligible[rows, first]
-    return Ranking(first, second, paired, lost, collision)
-
-
-def judge(ranking, rate, g_first, g_second=None):
-    """Judge a ranked block on the actual SNRs of its picks.
-
-    g_first holds each frame's pick's actual SNR and g_second its
-    runner-up's (read only for a pair).  A pair's combiner output is
-    the half-sum of the two SNRs; a pair with one relay forwards it
-    alone.  A lost frame is an outage at rate 0.
-    """
-    g = g_first
-    if ranking.paired is not None:
-        g = np.where(ranking.paired, 0.5 * (g_first + g_second), g_first)
-    g = np.where(ranking.lost, 0.0, g)
-    return Selection(np.where(ranking.lost, -1, ranking.first),
-                     g < rate.gamma_o, 0.5 * np.log2(1.0 + g),
-                     ranking.collision)
-
-
-def select(g, score, rate, eligible=None, window=None, pair=False):
-    """Pick relays by score and judge them on their actual SNR.
-
-    g, score and eligible are (n, K): `rank`, then `judge` on the
-    entries of g it picked.  With pair=True the two best eligible
-    relays forward a space-time-coded pair.
-    """
-    ranking = rank(score, eligible, window, pair)
-    rows = np.arange(g.shape[0])
-    return judge(ranking, rate, g[rows, ranking.first],
-                 g[rows, ranking.second] if pair else None)
+    g_sel = np.where(lost, 0.0, g_sel)
+    return Selection(np.where(lost, -1, first), g_sel < rate.gamma_o,
+                     0.5 * np.log2(1.0 + g_sel), collision)

@@ -2,11 +2,10 @@
 
 A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
-Every estimator runs a block of frames through one per-block rule,
-`_rule`, which maps a scheme onto the selection kernel: af ranks and
-judges the weaker hop; df, df-central and the coded pair (ostc) rank
-the relay hop among the decoders.  The estimators differ only in where
-the selection metric and the picks' actual SNRs come from.
+af ranks and judges the weaker hop; df, df-central and the coded pair
+(ostc) rank the relay hop among the decoders.  The frame protocol runs
+each block of frames through the selection kernel, `selection.select`;
+estimate() draws the same rule's picks directly.
 
 Networks are pure CSI sources.  A network's `frames(n)` returns the
 actual and buffered complex coefficients of its first n frames as
@@ -45,31 +44,33 @@ Two CSI-correlation modes drive the statistics.  Synthetic mode draws
 closed forms assume; series mode, a SeriesNetwork under
 simulate_frames, rides a generated fading record and takes the metric
 from a trained predictor (or from the record itself, delayed, for the
-no-predictor baseline).  estimate() ranks metric SNRs without timers,
+no-predictor baseline).  estimate() picks by metric SNR without timers,
 so it reports no collisions.  estimate() runs ESTIMATE_SCHEMES and
 simulate_frames FRAME_SCHEMES: the frame protocol has no coded pair,
 no direct link and no acquisition impairments.
 
 simulate_frames holds every relay's actual SNR and judges the picks'
-entries.  estimate() draws only what selection reads, from the
-conditional law: per trial, df draws K source-hop and K metric
-exponentials, ranks them, and then draws the pick's actual SNR given
-its metric (`channel.correlated_pair`, two normals); ostc adds two
-normals for the runner-up, af e2e needs the K metric exponentials and
-the pick's two normals, and dt one exponential.  This is exact, not an
-approximation: each relay's metric SNR is Exp(1), and given it the
-actual gain is rho |metric| + sqrt(1 - rho^2) CN(0, 1) in
+entries.  estimate() draws only what selection reads, and no value
+per relay: per trial, df draws the decoding subset's size M (one
+uniform), the best metric among the M decoders (one uniform; the
+Renyi representation of order statistics), and the pick's actual SNR
+given its metric (`channel.correlated_pair`, two normals); ostc adds
+one uniform for the runner-up's metric and two normals for its actual
+SNR, af e2e draws the best of all K metrics and the pick's two
+normals, and dt one exponential.  No draw grows with K.  This is
+exact, not an approximation: each relay's metric SNR is Exp(1), and
+given it the actual gain is rho |metric| + sqrt(1 - rho^2) CN(0, 1) in
 distribution.
 
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
-family and share one draw: df and ostc both decide from one ranking
-of the same source-hop and metric exponentials and the same pick.  af
-(the closed forms' end-to-end model) and dt each draw on their own.
-Every family reads its own fresh stream per grid point, and ostc's
-runner-up a stream of its own, so a scheme's estimate is the same bits
-whichever schemes share its call.  The exponentials land in (n, K)
-planes allocated once per call and refilled chunk by chunk.
+family and share one draw: df and ostc both decide from the same
+subset size and the same pick.  af (the closed forms' end-to-end
+model) and dt each draw on their own.  Every family reads its own
+fresh stream per grid point, and ostc's runner-up a stream of its own,
+so a scheme's estimate is the same bits whichever schemes share its
+call.  A family draws chunk by chunk into result rows of its own, so
+a call's memory grows with neither K nor the number of schemes.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
@@ -95,7 +96,7 @@ import numpy as np
 
 from .channel import correlate_planes, correlated_pair, snr_from_gain
 from .rng import stream
-from .selection import RateConfig, decoding_subset, judge, rank, select
+from .selection import RateConfig, decoding_subset, select
 
 ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
 FRAME_SCHEMES = ("df", "af", "df-central")
@@ -186,6 +187,8 @@ class SyntheticRhoNetwork:
     def __init__(self, num_relays, rho, seed=0):
         if num_relays < 1:
             raise ValueError("need at least one relay")
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError("correlation must lie in [0, 1]")
         self.num_relays = int(num_relays)
         self.rho = float(rho)
         self.seed = seed
@@ -261,41 +264,6 @@ def _metric_record(series, delay, predictor):
     return predict_series(predictor, series)[0]
 
 
-# ---------------------------------------------------------- the one rule
-
-
-def _rule(scheme, rate, g_sr, s_sr, s_rd, timer=None, terminate=False):
-    """The selection kernel's arguments for one (n, K) block of a scheme.
-
-    g_sr are the source-hop SNRs and s_* the per-hop scores (higher is
-    better).  af ranks the weaker hop's score; s_sr = None hands in an
-    end-to-end score as the relay hop.  df, df-central and ostc rank the
-    relay hop among the decoding subset, ostc the best pair.  timer, a
-    ProtocolSettings, turns the score into the back-off race with its
-    uncertainty window; terminate leaves only the overall top-ranked
-    relay eligible.  Returns the score, eligible, window and pair
-    arguments of `selection.rank` and `selection.select`; the picks are
-    judged on the weaker hop's actual SNR for af, the relay hop's
-    otherwise.
-    """
-    score, eligible = s_rd, None
-    if scheme == "af":
-        if s_sr is not None:
-            score = np.minimum(s_sr, s_rd)
-    else:
-        eligible = decoding_subset(g_sr, rate)
-        if terminate:
-            # only the destination's first pick may forward
-            eligible &= (np.arange(score.shape[1])
-                         == np.argmax(score, axis=1)[:, None])
-    window = None
-    if timer is not None:
-        score = -timer.duration(score)
-        window = timer.uncertainty_window
-    return dict(score=score, eligible=eligible, window=window,
-                pair=(scheme == "ostc"))
-
-
 # -------------------------------------------------------- frame protocol
 
 
@@ -320,11 +288,22 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
     hop = _hop_snr(snr_db)
     csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
     g_sr, g_rd = snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop)
-    rule = _rule(scheme, rate, g_sr, np.abs(m_sr), np.abs(m_rd),
-                 None if central else protocol,
-                 terminate=(central and protocol.policy == "terminate"))
-    g = np.minimum(g_sr, g_rd) if scheme == "af" else g_rd
-    sel = select(g, rate=rate, **rule)
+    score, eligible, window = np.abs(m_rd), None, None
+    if scheme == "af":
+        # rank and judge the weaker hop
+        score = np.minimum(np.abs(m_sr), score)
+        g_rd = np.minimum(g_sr, g_rd)
+    else:
+        # rank the relay hop among the decoders
+        eligible = decoding_subset(g_sr, rate)
+        if central and protocol.policy == "terminate":
+            # only the destination's first pick may forward
+            eligible &= (np.arange(score.shape[1])
+                         == np.argmax(score, axis=1)[:, None])
+    if not central:
+        score = -protocol.duration(score)
+        window = protocol.uncertainty_window
+    sel = select(g_rd, score, rate, eligible, window)
     return _mc_estimate(sel.outage, sel.rate,
                         int(np.count_nonzero(sel.collision)))
 
@@ -332,12 +311,44 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
 # ------------------------------------------------- vectorized estimators
 
 
-# (n, K) planes each draw family fills per chunk: df a source-hop and a
-# metric plane, af a metric plane; dt draws straight into its rates row
-_FAMILY_PLANES = {"df": 2, "af": 1, "dt": 0}
-
 # trials drawn per chunk; the chunking sets the draw order of a stream
 _CHUNK = 250_000
+
+
+def _subset_size(u, num_relays, p):
+    """Decoding-subset sizes M ~ Binomial(K, p), one per uniform u, by
+    inverting the (K + 1)-point CDF.  The pmf is formed in log space,
+    so no K overflows it."""
+    m = np.arange(1, num_relays + 1)
+    log_pmf = np.zeros(num_relays + 1)
+    log_pmf[1:] = np.cumsum(np.log((num_relays + 1 - m) / m))  # log C(K, m)
+    with np.errstate(divide="ignore"):  # p is 0 or 1 at extreme SNRs
+        log_pmf[1:] += m * np.log(p)
+        log_pmf[:-1] += m[::-1] * np.log1p(-p)
+    # P(M <= m) for m < K; M = K takes the remaining mass
+    return np.searchsorted(np.cumsum(np.exp(log_pmf[:-1])), u, side="right")
+
+
+def _top_survival(u, count):
+    """Survival 1 - F of the largest of `count` i.i.d. continuous draws,
+    one uniform u each: 1 - u^(1/count), formed as -expm1(log(u) / count)
+    so that a survival near 0, the upper tail, keeps its digits.  A
+    count of 0 gives 1."""
+    with np.errstate(divide="ignore"):
+        s = np.log(u) / count
+    np.expm1(s, out=s)
+    return np.negative(s, out=s)
+
+
+def _second_survival(best, u, count):
+    """Survival of the runner-up of `count` draws given the best's, one
+    uniform u each.  The other count - 1 lie i.i.d. below the best, so
+    the runner-up is the largest of them on that range; 1 when count
+    is below 2."""
+    s = _top_survival(u, np.maximum(count - 1, 0))
+    s *= 1.0 - best
+    s += best
+    return s
 
 
 def _actuals(rng, rho, metric, gain, phase_bound):
@@ -356,36 +367,73 @@ def _actuals(rng, rho, metric, gain, phase_bound):
     return g
 
 
-def _relay_family(family, targets, rng, pair_rng, rho, hop, rate, phase,
-                  planes):
+def _relay_family(family, targets, rng, pair_rng, rho, num_relays, hop,
+                  rate, phase):
     """Draw one relay family's chunk and judge each of its schemes.
 
     targets lists (scheme, outage row, rate row), views of the chunk's
-    slice that the judged frames are written into.  planes are the
-    family's (n, K) planes (`_FAMILY_PLANES`), refilled in place, the
-    metric plane last.  pair_rng is None unless ostc is among the
-    schemes, and draws the runner-up's actual.
+    slice that the judged frames are written into.  pair_rng is None
+    unless ostc is among the schemes, and draws its runner-up.
+
+    The picks' metric SNRs are order statistics of i.i.d. Exp(1)
+    metrics, drawn directly (the Renyi representation; H. A. David and
+    H. N. Nagaraja, Order Statistics, 3rd ed., 2003): for df the best
+    of the decoding subset, whose size M is Binomial(K, p) with
+    p = exp(-gamma_o / hop) the chance that a source hop clears
+    gamma_o, and for af the best of all K end-to-end metrics.  ostc's
+    runner-up is the best of the other M - 1.  Each pick's actual SNR
+    is then drawn given its metric (`_actuals`).  A frame with no
+    decoder is lost; a pair with one decoder forwards it alone.
     """
-    metric = planes[-1]
-    g_sr, gain = None, hop / 2.0  # af: the mean of min(sr, rd) at equal hops
+    n = targets[0][1].size
     if family == "df":
-        g_sr, gain = planes[0], hop
-        rng.standard_exponential(out=g_sr)
-        g_sr *= hop
-    rng.standard_exponential(out=metric)  # metric SNRs, unit mean
-    # df and ostc share one ranking; the pair adds the runner-up
-    ranking = rank(**_rule("ostc" if pair_rng is not None else family, rate,
-                           g_sr, None, metric))
-    picks = np.arange(metric.shape[0])
-    g_first = _actuals(rng, rho, metric[picks, ranking.first], gain, phase)
-    g_second = None
-    if pair_rng is not None:
-        g_second = _actuals(pair_rng, rho, metric[picks, ranking.second],
-                            gain, phase)
+        u = rng.random((2, n))
+        size = _subset_size(u[0], num_relays,
+                            math.exp(-rate.gamma_o / hop))
+        best = _top_survival(u[1], size)
+        gain = hop
+    else:
+        size = num_relays
+        best = _top_survival(rng.random(n), size)
+        gain = hop / 2.0  # the mean of min(sr, rd) at equal hops
+    g = _actuals(rng, rho, -np.log(best), gain, phase)
+    if family == "df":
+        g[size == 0] = 0.0
     for scheme, outage, rates in targets:
-        sel = (judge(ranking, rate, g_first, g_second) if scheme == "ostc"
-               else judge(ranking._replace(paired=None), rate, g_first))
-        outage[:], rates[:] = sel.outage, sel.rate
+        judged = g
+        if scheme == "ostc":
+            second = _second_survival(best, pair_rng.random(n), size)
+            g2 = _actuals(pair_rng, rho, -np.log(second), gain, phase)
+            judged = np.where(size >= 2, 0.5 * (g + g2), g)
+        outage[:] = judged < rate.gamma_o
+        rates[:] = 0.5 * np.log2(1.0 + judged)
+
+
+def _family_point(family, schemes, trials, rng, pair_rng, rho, num_relays,
+                  hop, rate, phase):
+    """One McEstimate per scheme of a draw family at one grid point.
+
+    The family draws chunk by chunk into result rows of its own, which
+    are freed before the next family draws.
+    """
+    outage = np.empty((len(schemes), trials), dtype=bool)
+    rates = np.empty((len(schemes), trials))
+    for start in range(0, trials, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, trials))
+        if family == "dt":
+            g = rates[0, sl]
+            rng.standard_exponential(out=g)
+            g *= 2.0 * hop  # the whole power P
+            # the boundary succeeds; a full-frame link, no halving
+            outage[:, sl] = g < rate.direct_threshold
+            g += 1.0
+            np.log2(g, out=g)
+            rates[:, sl] = g
+            continue
+        _relay_family(family, [(scheme, outage[j, sl], rates[j, sl])
+                               for j, scheme in enumerate(schemes)],
+                      rng, pair_rng, rho, num_relays, hop, rate, phase)
+    return [_mc_estimate(o, r) for o, r in zip(outage, rates)]
 
 
 def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
@@ -402,16 +450,15 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     no phase error.
 
     Trials are drawn from the conditional law (see the module
-    docstring): the kernel ranks every relay's metric SNR, and only the
-    picks' actual SNRs are drawn, given their metrics
-    (`correlated_pair`), with the impairments applied exactly.
+    docstring): the picks' metric SNRs are drawn as order statistics,
+    and their actual SNRs given those metrics (`correlated_pair`), with
+    the impairments applied exactly.  A trial costs the same at any K.
 
     Each draw family (df with ostc, af, dt) reads its own stream per
-    grid point, chunk by chunk, into planes allocated once per call;
-    its schemes decide from that one draw.  ostc's runner-up reads a
-    stream of its own, so a scheme's estimates are the same bits
-    whichever schemes share the call, and deterministic for a given
-    seed.
+    grid point, chunk by chunk; its schemes decide from that one draw.
+    ostc's runner-up reads a stream of its own, so a scheme's estimates
+    are the same bits whichever schemes share the call, and
+    deterministic for a given seed.
 
     af is the closed forms' end-to-end model: one outdated estimate of
     the min(sr, rd) figure; the per-hop ranking the distributed
@@ -441,34 +488,13 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
     for j, scheme in enumerate(schemes):
         # df and ostc read one draw the same way
         families.setdefault({"ostc": "df"}.get(scheme, scheme), []).append(j)
-    width = max(_FAMILY_PLANES[f] for f in families)
-    buf = np.empty((width, min(_CHUNK, trials), num_relays))
-    outage = np.empty((len(schemes), trials), dtype=bool)
-    rates = np.empty((len(schemes), trials))
     out = [[] for _ in schemes]
     for i, snr_db in enumerate(grid):
-        hop = _hop_snr(snr_db)
         for family, members in families.items():
-            rng = stream(seed, 43, i)
-            paired = any(schemes[j] == "ostc" for j in members)
-            pair_rng = stream(seed, 43, i, 1) if paired else None
-            for start in range(0, trials, _CHUNK):
-                sl = slice(start, min(start + _CHUNK, trials))
-                if family == "dt":
-                    g = rates[members[0], sl]
-                    rng.standard_exponential(out=g)
-                    g *= 2.0 * hop  # the whole power P
-                    # the boundary succeeds; a full-frame link, no halving
-                    outage[members, sl] = g < rate.direct_threshold
-                    g += 1.0
-                    np.log2(g, out=g)
-                    rates[members, sl] = g
-                    continue
-                _relay_family(
-                    family, [(schemes[j], outage[j, sl], rates[j, sl])
-                             for j in members], rng, pair_rng, rho, hop,
-                    rate, phase,
-                    buf[-_FAMILY_PLANES[family]:, :sl.stop - start])
-        for j in range(len(schemes)):
-            out[j].append(_mc_estimate(outage[j], rates[j]))
+            names = [schemes[j] for j in members]
+            pair_rng = stream(seed, 43, i, 1) if "ostc" in names else None
+            for j, est in zip(members, _family_point(
+                    family, names, trials, stream(seed, 43, i), pair_rng,
+                    rho, num_relays, _hop_snr(snr_db), rate, phase)):
+                out[j].append(est)
     return out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from prsim.analytics import SelectionParams, outage_af, outage_df
 from prsim.analytics import capacity_exponential_exact
@@ -152,6 +153,14 @@ def test_synthetic_network_frames():
     m, a = np.ravel(m), np.ravel(a)
     corr = np.abs(np.vdot(m, a)) / (np.linalg.norm(m) * np.linalg.norm(a))
     assert abs(corr - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("relays,rho", [(8, 5.0), (8, -0.2), (8, math.nan),
+                                        (0, 0.9)])
+def test_synthetic_network_refuses_bad_inputs(relays, rho):
+    # refused at construction, not at the first frames() call
+    with pytest.raises(ValueError):
+        SyntheticRhoNetwork(relays, rho)
 
 
 def test_synthetic_network_replays_its_frames():
@@ -369,13 +378,13 @@ def test_std_error_convergence():
     assert small.std_error / large.std_error == pytest.approx(2.0, rel=0.2)
 
 
-def estimate_peak(schemes, grid):
+def estimate_peak(schemes, grid, relays=8):
     """tracemalloc peak of one estimate call at 1e5 trials."""
     import tracemalloc
 
     tracemalloc.start()
     try:
-        estimate(schemes, grid, 100_000, rho=0.9, seed=1)
+        estimate(schemes, grid, 100_000, num_relays=relays, rho=0.9, seed=1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,13 +399,16 @@ def test_estimate_frees_each_point_before_the_next():
         assert two <= 1.1 * one, (scheme, one, two)
 
 
-def test_shared_call_reuses_one_set_of_planes():
-    # every draw family refills the same planes (af ranks in df's metric
-    # plane, dt draws into its rates row), so adding af and dt to the df
-    # family's call costs about their result rows
+def test_estimate_peak_grows_with_neither_schemes_nor_relays():
+    # each draw family judges into result rows of its own, freed before
+    # the next family draws, so adding af and dt to the df family's call
+    # costs next to nothing; and no draw holds a value per relay, so 64
+    # relays cost what 8 do
     family = estimate_peak(["df", "ostc"], [10.0])
     four = estimate_peak(["df", "af", "ostc", "dt"], [10.0])
     assert four <= 1.1 * family, (family, four)
+    wide = estimate_peak(["df", "af", "ostc", "dt"], [10.0], relays=64)
+    assert wide <= 1.1 * four, (four, wide)
 
 
 IMPAIRED = ProtocolSettings(pilot_snr_db=20.0, max_phase_error_deg=10.0)
@@ -462,6 +474,66 @@ def test_estimate_refuses_bad_inputs_before_drawing(monkeypatch, bad):
     for schemes in (["dt"], ["df", "af", "ostc", "dt"]):
         with pytest.raises(ValueError):
             estimate(schemes, [0.0, bad.get("snr", 10.0)], 10_000, **kw)
+
+
+# exact outage at 64 relays (gamma_o = 3, each hop half the grid SNR):
+# the closed forms' sums evaluated in mpmath at 120 and 200 digits, which
+# agree; the float closed forms read 0 or 1 at some of these points
+K64_EXACT = {  # (rho, snr_db): (df, af)
+    (0.9, 0.0): (0.99960729, 0.99961011),
+    (0.9, 10.0): (0.0025833512, 0.010113478),
+    (0.5, 10.0): (0.22541158, 0.39339015),
+    (0.5, 20.0): (0.018443987, 0.036718796),
+}
+
+
+def test_estimate_matches_exact_outage_at_64_relays():
+    for rho in (0.9, 0.5):
+        grid = sorted(snr for r, snr in K64_EXACT if r == rho)
+        df, af = estimate(["df", "af"], grid, 1_000_000, num_relays=64,
+                          rho=rho, seed=64)
+        for snr, *ests in zip(grid, df, af):
+            for est, exact in zip(ests, K64_EXACT[rho, snr]):
+                assert se_vs(exact, est) <= 3.0, (rho, snr, est, exact)
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 64])
+def test_order_statistic_draws_match_sorted_exponentials(M):
+    # the pick's and runner-up's metrics, drawn from one uniform each,
+    # against the top two of M explicitly sorted Exp(1) draws
+    n = 20_000
+    u, w = stream(70, M).random((2, n))
+    count = np.full(n, M)
+    best = simulator._top_survival(u, count)
+    second = simulator._second_survival(best, w, count)
+    ranked = np.sort(stream(71, M).standard_exponential((n, M)), axis=1)
+    top, runner_up = -np.log(best), -np.log(second)
+    assert stats.ks_2samp(top, ranked[:, -1]).pvalue > 1e-3
+    if M == 1:
+        assert np.all(runner_up == 0.0)  # nobody to pair with
+        return
+    assert stats.ks_2samp(runner_up, ranked[:, -2]).pvalue > 1e-3
+    # the joint law: the top spacing is Exp(1), whatever M
+    assert stats.ks_2samp(top - runner_up,
+                          ranked[:, -1] - ranked[:, -2]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("K", [8, 2000])
+def test_subset_size_draws_are_binomial(K):
+    n = 200_000
+    u = stream(72, K).random(n)
+    for p in (0.05, 0.5, 0.97):
+        with np.errstate(over="raise", invalid="raise"):
+            m = simulator._subset_size(u, K, p)
+        q = 1.0 - p
+        var = K * p * q
+        mu4 = var * (1.0 + 3.0 * (K - 2) * p * q)  # 4th central moment
+        assert abs(m.mean() - K * p) <= 3.0 * math.sqrt(var / n), (p, m.mean())
+        assert abs(m.var() - var) <= 3.0 * math.sqrt((mu4 - var * var) / n), \
+            (p, m.var())
+    # the SNR extremes: nobody decodes, or everybody does
+    assert np.all(simulator._subset_size(u[:100], K, 0.0) == 0)
+    assert np.all(simulator._subset_size(u[:100], K, 1.0) == K)
 
 
 # one grid point for each (relays, rho, impairments); seeds differ, so
