@@ -15,13 +15,18 @@ metric is picked among all K and the end-to-end SNR is modeled by its
 tight upper bound min(gamma_sr, gamma_rd), a single exponential variate
 with mean gamma_e = gamma_sr*gamma_rd/(gamma_sr+gamma_rd) per relay.
 
-Either way the actual SNR of the selected relay is a finite signed
-mixture of exponentials, sum_j w_j Exp(mu_j) with sum_j w_j = 1
-(``_df_law`` given the decoding-subset size, ``_af_law``).  Outage is
-the mixture's CDF at gamma_o, sum_j w_j (1 - exp(-gamma_o/mu_j)), and
-ergodic capacity is the mixture of single-link capacities
-sum_j w_j exp(1/mu_j) E1(1/mu_j) / ln 2 (Alouini and Goldsmith, IEEE
-TVT 1999) with the 1/2 half-duplex pre-log.  Both are exact finite
+Both are one law, ``_law``: the best metric among K relays, each of
+which takes part independently with probability p.  DF's relays decode
+with p = exp(-gamma_o/gamma_sr) and are judged on gamma_rd; AF's all
+take part (p = 1) and are judged on gamma_e.  Thinning each relay by p
+needs no sum over the decoding subset's size, since
+sum_M Binom(K, M, p) C(M-1, k-1) M/k = C(K, k) p^k.  The actual SNR of
+the pick is then a finite signed mixture of exponentials,
+sum_k w_k Exp(mu_k), plus an atom at zero of mass (1 - p)^K where no
+relay takes part.  Outage is the atom plus the mixture's CDF at
+gamma_o, and ergodic capacity is the mixture of single-link capacities
+sum_k w_k exp(1/mu_k) E1(1/mu_k) / ln 2 (Alouini and Goldsmith, IEEE
+TVT 1999) with the 1/2 half-duplex pre-log.  Both are exact K-term
 sums.  At rho = 1 the outage takes the binomial power of the order
 statistic instead, which is also the numerically stable branch there:
 the alternating sum loses all precision in deep tails as rho -> 1.
@@ -55,12 +60,12 @@ class SelectionParams:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("need at least one relay")
-        if self.gamma_sr <= 0 or self.gamma_rd <= 0:
-            raise ValueError("mean SNRs must be positive")
+        if not (0 < self.gamma_sr < math.inf and 0 < self.gamma_rd < math.inf):
+            raise ValueError("mean SNRs must be positive and finite")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("correlation must lie in [0, 1]")
-        if self.gamma_o <= 0:
-            raise ValueError("threshold SNR must be positive")
+        if not 0 < self.gamma_o < math.inf:
+            raise ValueError("threshold SNR must be positive and finite")
 
     @property
     def gamma_e(self):
@@ -69,71 +74,52 @@ class SelectionParams:
         return self.gamma_sr * self.gamma_rd / (self.gamma_sr + self.gamma_rd)
 
 
-def prob_ds_size(K, M, gamma_o, gamma_sr):
-    """P(decoding subset has exactly M of K relays): binomial law."""
-    if not 0 <= M <= K:
-        raise ValueError("need 0 <= M <= K")
-    p = math.exp(-gamma_o / gamma_sr)
-    # expm1, not 1 - p: the miss probability keeps its relative
-    # precision in the high-SNR tail, where the outage is miss-dominated
-    miss = -expm1(-gamma_o / gamma_sr)
-    return comb(K, M) * p ** M * miss ** (K - M)
+def _law(K, p, gamma, rho):
+    """Actual SNR of the best-metric one of K relays, each taking part
+    with probability p, [(w, mu)].  The weights sum to 1 - (1 - p)^K;
+    the rest is the atom at zero SNR where no relay takes part."""
+    r2 = rho * rho
+    try:
+        return [(comb(K, k) * (-1.0) ** (k + 1) * p ** k,
+                 (k * (1.0 - r2) + r2) * gamma / k)
+                for k in range(1, K + 1)]
+    except OverflowError:  # C(K, k) past the float range
+        raise ValueError(f"K = {K} relays: the closed forms' weights "
+                         "C(K, k) exceed the float range") from None
 
 
-def _df_law(M, gamma_rd, rho):
-    """Actual relay-hop SNR of the best-metric one of M decoders, [(w, mu)]."""
-    one_minus_r2 = 1.0 - rho * rho
-    return [(comb(M - 1, m) * (-1.0) ** m * (M / (m + 1.0)),
-             gamma_rd * (1.0 + m * one_minus_r2) / (m + 1.0))
-            for m in range(M)]
+def _outage(K, c, gamma, rho, gamma_o):
+    """Outage of ``_law`` at p = exp(-c) on mean SNR gamma.
 
-
-def _af_law(p):
-    """Actual end-to-end SNR of the best-metric AF relay, [(w, mu)]."""
-    r2 = p.rho * p.rho
-    return [(comb(p.K, k) * (-1.0) ** (k + 1),
-             (k * (1.0 - r2) + r2) * p.gamma_e / k)
-            for k in range(1, p.K + 1)]
-
-
-def _law_outage(law, gamma_o):
-    # the sum is a probability; clip float cancellation noise at the edges
-    return min(max(fsum(-w * expm1(-gamma_o / mu) for w, mu in law), 0.0), 1.0)
-
-
-def _law_capacity(law):
-    # half duplex: two phases per frame put a 1/2 pre-log on the rate
-    return 0.5 * fsum(w * capacity_exponential_exact(mu) for w, mu in law)
-
-
-def conditional_outage_df(M, gamma_rd, rho, gamma_o):
-    """Outage of the selected relay hop given M participants.
-
-    At rho = 1 the selected hop is the best-of-M order statistic and
-    the mixture collapses to the binomial power, which is also the
-    numerically stable branch there.
+    At rho = 1 the pick is the best-of-K order statistic of the thinned
+    metrics, P(no relay above gamma_o) = (1 - e^-c e^(-gamma_o/gamma))^K.
     """
-    if M < 1:
-        raise ValueError("need at least one participant")
     if rho == 1.0:
-        return (-expm1(-gamma_o / gamma_rd)) ** M
-    return _law_outage(_df_law(M, gamma_rd, rho), gamma_o)
+        return (-expm1(-c - gamma_o / gamma)) ** K
+    # expm1, not 1 - p: the atom keeps its relative precision in the
+    # high-SNR tail, where the DF outage is miss-dominated
+    atom = (-expm1(-c)) ** K
+    law = _law(K, math.exp(-c), gamma, rho)
+    # the sum is a probability; clip float cancellation noise at the edges
+    total = fsum([atom] + [-w * expm1(-gamma_o / mu) for w, mu in law])
+    return min(max(total, 0.0), 1.0)
+
+
+def _capacity(K, c, gamma, rho):
+    """Capacity of ``_law`` at p = exp(-c) on mean SNR gamma; the atom
+    carries no rate, and half duplex puts a 1/2 pre-log on the rest."""
+    return 0.5 * fsum(w * capacity_exponential_exact(mu)
+                      for w, mu in _law(K, math.exp(-c), gamma, rho))
 
 
 def outage_df(p):
     """End-to-end outage probability of DF best-relay selection."""
-    total = prob_ds_size(p.K, 0, p.gamma_o, p.gamma_sr)  # empty subset fails
-    for M in range(1, p.K + 1):
-        total += (prob_ds_size(p.K, M, p.gamma_o, p.gamma_sr)
-                  * conditional_outage_df(M, p.gamma_rd, p.rho, p.gamma_o))
-    return min(max(total, 0.0), 1.0)
+    return _outage(p.K, p.gamma_o / p.gamma_sr, p.gamma_rd, p.rho, p.gamma_o)
 
 
 def outage_af(p):
     """End-to-end outage probability of AF best-relay selection."""
-    if p.rho == 1.0:
-        return (-expm1(-p.gamma_o / p.gamma_e)) ** p.K
-    return _law_outage(_af_law(p), p.gamma_o)
+    return _outage(p.K, 0.0, p.gamma_e, p.rho, p.gamma_o)
 
 
 def capacity_df(p):
@@ -142,14 +128,12 @@ def capacity_df(p):
     Includes the 1/2 half-duplex pre-log; an empty decoding subset
     contributes zero rate.
     """
-    return fsum(prob_ds_size(p.K, M, p.gamma_o, p.gamma_sr)
-                * _law_capacity(_df_law(M, p.gamma_rd, p.rho))
-                for M in range(1, p.K + 1))
+    return _capacity(p.K, p.gamma_o / p.gamma_sr, p.gamma_rd, p.rho)
 
 
 def capacity_af(p):
     """Ergodic capacity of AF selection, bits/s/Hz, with the 1/2 pre-log."""
-    return _law_capacity(_af_law(p))
+    return _capacity(p.K, 0.0, p.gamma_e, p.rho)
 
 
 def capacity_exponential_exact(gamma_avg):
@@ -157,8 +141,8 @@ def capacity_exponential_exact(gamma_avg):
 
     exp(1/g) E1(1/g) / ln 2, written through the kernel phi = -E1.
     """
-    if gamma_avg <= 0:
-        raise ValueError("mean SNR must be positive")
+    if not 0 < gamma_avg < math.inf:
+        raise ValueError("mean SNR must be positive and finite")
     x = 1.0 / gamma_avg
     if x <= 700.0:
         return -math.exp(x) * phi(x) / LN2

@@ -473,7 +473,9 @@ def _curves(cfg, out, runs, command):
     Every simulate_frames call reads [protocol]'s timer race and
     policy.  protocol-sim scores [protocol] frames; record rows of
     outage and capacity score `trials` frames past the bootstrap frame.
-    Rows keep run order.
+    Every analytic cell is computed before the first draw, so a run
+    the closed forms refuse fails before any Monte-Carlo.  Rows keep
+    run order.
     """
     runs = runs or _config_runs(cfg, command)
     pool = PredictorPool(cfg, _model_cache(cfg, out))
@@ -483,7 +485,7 @@ def _curves(cfg, out, runs, command):
     else:
         budget = _clamped_trials(cfg)
         frames = budget + 1
-    rhos, groups, resolved = [], {}, {}
+    cells, groups, resolved = [], {}, {}
     for i, spec in enumerate(runs):
         rho = spec.rho
         if rho is None and spec.fading is None:
@@ -494,7 +496,8 @@ def _curves(cfg, out, runs, command):
             rho = resolved[key]
         groups.setdefault((spec.relays, rho, spec.impairments, spec.fading,
                            spec.horizon), []).append(i)
-        rhos.append(rho)
+        cells.append([_analytic(command, spec, cfg, snr_db, rho)
+                      for snr_db in cfg.snr_grid_db])
     ests, held = {}, {}
     for (relays, rho, imp, fading, delay), members in groups.items():
         if fading is None and command != "protocol-sim":
@@ -522,14 +525,14 @@ def _curves(cfg, out, runs, command):
         del net  # freed before the next group builds its metric records
     rows = []
     for i, spec in enumerate(runs):
-        for snr_db, est in zip(cfg.snr_grid_db, ests[i]):
+        for snr_db, est, cell in zip(cfg.snr_grid_db, ests[i], cells[i]):
             rows.append({
                 "scheme": spec.scheme, "K": spec.relays,
                 "rho_mode": spec.rho_mode, "snr_db": float(snr_db),
                 "outage": est.outage_prob, "std_err": est.std_error,
                 "rate": est.mean_rate, "collision_rate": est.collision_rate,
                 "trials": est.trials,
-                "analytic": _analytic(command, spec, cfg, snr_db, rhos[i]),
+                "analytic": cell,
             })
     return _write_results(cfg, out, rows)
 

@@ -51,26 +51,29 @@ no direct link and no acquisition impairments.
 
 simulate_frames holds every relay's actual SNR and judges the picks'
 entries.  estimate() draws only what selection reads, and no value
-per relay: per trial, df draws the decoding subset's size M (one
-uniform), the best metric among the M decoders (one uniform; the
-Renyi representation of order statistics), and the pick's actual SNR
-given its metric (`channel.correlated_pair`, two normals); ostc adds
-one uniform for the runner-up's metric and two normals for its actual
-SNR, af e2e draws the best of all K metrics and the pick's two
-normals, and dt one exponential.  No draw grows with K.  This is
-exact, not an approximation: each relay's metric SNR is Exp(1), and
-given it the actual gain is rho |metric| + sqrt(1 - rho^2) CN(0, 1) in
-distribution.
+per relay: per trial, df and af e2e draw the best of K metrics (one
+uniform; the Renyi representation of order statistics) and the pick's
+actual SNR given its metric (`channel.correlated_pair`, two normals);
+ostc adds one uniform for the runner-up's metric and two normals for
+its actual SNR, and dt draws one exponential.  No draw grows with K.
+df thins the relays by decoding: a relay decodes with probability
+p = exp(-c), c = gamma_o / hop, so its metric shifted down by c has
+the law of a decoder's metric above zero, and a negative value is a
+relay that did not decode.  df's pick is the best shifted metric, and
+a negative one is a frame with no decoder.  This is exact, not an
+approximation: each relay's metric SNR is Exp(1), independent of its
+source hop, and given it the actual gain is
+rho |metric| + sqrt(1 - rho^2) CN(0, 1) in distribution.
 
 estimate() serves every scheme of one (relays, rho, impairments) group
 in one call.  Schemes that read the stream the same way form a draw
-family and share one draw: df and ostc both decide from the same
-subset size and the same pick.  af (the closed forms' end-to-end
-model) and dt each draw on their own.  Every family reads its own
-fresh stream per grid point, and ostc's runner-up a stream of its own,
-so a scheme's estimate is the same bits whichever schemes share its
-call.  A family draws chunk by chunk into result rows of its own, so
-a call's memory grows with neither K nor the number of schemes.
+family and share one draw: df and ostc both decide from the same pick.
+af (the closed forms' end-to-end model) and dt each draw on their own.
+Every family reads its own fresh stream per grid point, and ostc's
+runner-up a stream of its own, so a scheme's estimate is the same bits
+whichever schemes share its call.  A family draws chunk by chunk into
+result rows of its own, so a call's memory grows with neither K nor
+the number of schemes.
 
 Power accounting: with total per-frame power P and unit noise, the
 half-duplex relay phases each spend 0.5 P, so both hop SNRs average
@@ -315,20 +318,6 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
 _CHUNK = 250_000
 
 
-def _subset_size(u, num_relays, p):
-    """Decoding-subset sizes M ~ Binomial(K, p), one per uniform u, by
-    inverting the (K + 1)-point CDF.  The pmf is formed in log space,
-    so no K overflows it."""
-    m = np.arange(1, num_relays + 1)
-    log_pmf = np.zeros(num_relays + 1)
-    log_pmf[1:] = np.cumsum(np.log((num_relays + 1 - m) / m))  # log C(K, m)
-    with np.errstate(divide="ignore"):  # p is 0 or 1 at extreme SNRs
-        log_pmf[1:] += m * np.log(p)
-        log_pmf[:-1] += m[::-1] * np.log1p(-p)
-    # P(M <= m) for m < K; M = K takes the remaining mass
-    return np.searchsorted(np.cumsum(np.exp(log_pmf[:-1])), u, side="right")
-
-
 def _top_survival(u, count):
     """Survival 1 - F of the largest of `count` i.i.d. continuous draws,
     one uniform u each: 1 - u^(1/count), formed as -expm1(log(u) / count)
@@ -344,8 +333,8 @@ def _second_survival(best, u, count):
     """Survival of the runner-up of `count` draws given the best's, one
     uniform u each.  The other count - 1 lie i.i.d. below the best, so
     the runner-up is the largest of them on that range; 1 when count
-    is below 2."""
-    s = _top_survival(u, np.maximum(count - 1, 0))
+    is 1."""
+    s = _top_survival(u, count - 1)
     s *= 1.0 - best
     s += best
     return s
@@ -375,36 +364,34 @@ def _relay_family(family, targets, rng, pair_rng, rho, num_relays, hop,
     slice that the judged frames are written into.  pair_rng is None
     unless ostc is among the schemes, and draws its runner-up.
 
-    The picks' metric SNRs are order statistics of i.i.d. Exp(1)
+    The picks' metric SNRs are order statistics of K i.i.d. Exp(1)
     metrics, drawn directly (the Renyi representation; H. A. David and
-    H. N. Nagaraja, Order Statistics, 3rd ed., 2003): for df the best
-    of the decoding subset, whose size M is Binomial(K, p) with
-    p = exp(-gamma_o / hop) the chance that a source hop clears
-    gamma_o, and for af the best of all K end-to-end metrics.  ostc's
-    runner-up is the best of the other M - 1.  Each pick's actual SNR
-    is then drawn given its metric (`_actuals`).  A frame with no
-    decoder is lost; a pair with one decoder forwards it alone.
+    H. N. Nagaraja, Order Statistics, 3rd ed., 2003): the best of K,
+    one uniform, and for ostc the runner-up given it.  df thins each
+    relay by its decoding probability p = exp(-c), c = gamma_o / hop:
+    a relay's metric shifted down by c has survival p e^-y above zero,
+    the law of a decoder's metric, and is negative when the relay did
+    not decode.  So df's pick is the best shifted metric, and a
+    negative one is a frame with no decoder, which is lost; a pair
+    whose runner-up is negative forwards the pick alone.  af e2e
+    shifts by nothing.  Each pick's actual SNR is then drawn given its
+    metric (`_actuals`).
     """
     n = targets[0][1].size
-    if family == "df":
-        u = rng.random((2, n))
-        size = _subset_size(u[0], num_relays,
-                            math.exp(-rate.gamma_o / hop))
-        best = _top_survival(u[1], size)
-        gain = hop
-    else:
-        size = num_relays
-        best = _top_survival(rng.random(n), size)
-        gain = hop / 2.0  # the mean of min(sr, rd) at equal hops
-    g = _actuals(rng, rho, -np.log(best), gain, phase)
-    if family == "df":
-        g[size == 0] = 0.0
+    shift, gain = ((rate.gamma_o / hop, hop) if family == "df"
+                   else (0.0, hop / 2.0))  # the mean of min(sr, rd)
+    best = _top_survival(rng.random(n), num_relays)
+    metric = -np.log(best) - shift
+    # clipped, so no lost frame's negative metric reaches a square root
+    g = _actuals(rng, rho, np.maximum(metric, 0.0), gain, phase)
+    g[metric < 0.0] = 0.0
     for scheme, outage, rates in targets:
         judged = g
         if scheme == "ostc":
-            second = _second_survival(best, pair_rng.random(n), size)
-            g2 = _actuals(pair_rng, rho, -np.log(second), gain, phase)
-            judged = np.where(size >= 2, 0.5 * (g + g2), g)
+            second = -np.log(_second_survival(best, pair_rng.random(n),
+                                              num_relays)) - shift
+            g2 = _actuals(pair_rng, rho, np.maximum(second, 0.0), gain, phase)
+            judged = np.where(second >= 0.0, 0.5 * (g + g2), g)
         outage[:] = judged < rate.gamma_o
         rates[:] = 0.5 * np.log2(1.0 + judged)
 

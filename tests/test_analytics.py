@@ -10,15 +10,14 @@ from scipy import integrate, special, stats
 
 from prsim.analytics import (
     SelectionParams,
-    _df_law,
+    _law,
+    _outage,
     capacity_af,
     capacity_df,
     capacity_exponential_check,
     capacity_exponential_exact,
-    conditional_outage_df,
     outage_af,
     outage_df,
-    prob_ds_size,
 )
 from prsim.numerics import gauss_chebyshev
 from prsim.rng import stream
@@ -96,24 +95,66 @@ def test_conditional_pdf_matches_conditional_sampling():
 # --- decoding subset ---------------------------------------------------------
 
 def test_prob_ds_size_completeness():
-    total = fsum(prob_ds_size(8, M, 3.0, 10.0) for M in range(9))
-    assert abs(total - 1.0) <= 1e-14
+    # the decoding subset's size law now lives in the one law's weights:
+    # they carry the chance that some relay decodes, and the rest,
+    # (1 - p)^K, is the atom at zero SNR where the subset is empty
+    for K in (1, 2, 8, 16):
+        for p in (0.0, 0.05, 0.5, 0.97, 1.0):
+            total = fsum(w for w, _ in _law(K, p, 7.0, 0.6))
+            assert abs(total - (1.0 - (1.0 - p) ** K)) <= 1e-12, (K, p)
 
 
 def test_prob_ds_size_high_snr_limit():
-    assert prob_ds_size(8, 8, 3.0, 1e9) > 0.99999
+    # high SNR: almost every relay decodes, so the atom vanishes
+    p = math.exp(-3.0 / 1e9)
+    assert fsum(w for w, _ in _law(8, p, 7.0, 0.6)) > 0.99999
 
 
 def test_prob_ds_size_matches_mc():
+    # the atom is the rate of an empty decoding subset
     rng = stream(7)
     n = 1_000_000
-    gsr = rng.exponential(10.0, size=(n, 8))
-    sizes = (gsr >= 3.0).sum(axis=1)
-    for M in range(9):
-        p = prob_ds_size(8, M, 3.0, 10.0)
-        phat = np.mean(sizes == M)
-        se = math.sqrt(max(p * (1 - p), 1e-12) / n)
-        assert abs(phat - p) <= 3 * se + 1e-9
+    empty = np.mean((rng.exponential(10.0, size=(n, 8)) < 3.0).all(axis=1))
+    atom = 1.0 - fsum(w for w, _ in _law(8, math.exp(-0.3), 7.0, 0.6))
+    assert abs(empty - atom) <= 3 * math.sqrt(atom * (1 - atom) / n)
+
+
+def nested_df_reference(K, p, gamma, rho, gamma_o):
+    """DF outage and capacity as the average over the decoding subset's
+    size M ~ Binomial(K, p) of the best-of-M decoders' law, which the
+    one K-term law replaced; mpmath at the working precision."""
+    one_minus_r2 = 1 - rho * rho
+    outage, capacity = (1 - p) ** K, mpmath.mpf(0)
+    for M in range(1, K + 1):
+        weight = mpmath.binomial(K, M) * p ** M * (1 - p) ** (K - M)
+        law = [(mpmath.binomial(M - 1, m) * (-1) ** m * M / (m + 1),
+                gamma * (1 + m * one_minus_r2) / (m + 1)) for m in range(M)]
+        outage += weight * mpmath.fsum(
+            w * -mpmath.expm1(-gamma_o / mu) for w, mu in law)
+        capacity += weight * mpmath.fsum(
+            w * mpmath.exp(1 / mu) * mpmath.e1(1 / mu) for w, mu in law)
+    return outage, capacity / (2 * mpmath.log(2))
+
+
+def test_one_law_equals_the_decoding_subset_average():
+    # sum_M Binom(K, M, p) C(M-1, k-1) M/k = C(K, k) p^k: thinning each
+    # relay by p gives the nested average's law, to 60 digits
+    with mpmath.workdps(60):
+        go = mpmath.mpf(3)
+        for K in (1, 2, 8, 16):
+            for rho in ("0", "0.5", "0.9", "0.99"):
+                rho = mpmath.mpf(rho)
+                for hop in (mpmath.mpf(5), mpmath.mpf(50)):
+                    p = mpmath.exp(-go / hop)
+                    law = _law(K, p, hop, rho)
+                    outage = (1 - p) ** K + mpmath.fsum(
+                        w * -mpmath.expm1(-go / mu) for w, mu in law)
+                    capacity = mpmath.fsum(
+                        w * mpmath.exp(1 / mu) * mpmath.e1(1 / mu)
+                        for w, mu in law) / (2 * mpmath.log(2))
+                    want = nested_df_reference(K, p, hop, rho, go)
+                    for got, ref in zip((outage, capacity), want):
+                        assert abs(got - ref) <= 1e-40 * abs(ref), (K, rho, hop)
 
 
 # --- DF outage ---------------------------------------------------------------
@@ -129,7 +170,7 @@ def test_outage_df_rho_zero_no_selection_gain():
     # uncorrelated metric: selected hop is a plain exponential draw
     K, gsr, grd, go = 8, 5.0, 5.0, 3.0
     for M in range(1, K + 1):
-        got = conditional_outage_df(M, grd, 0.0, go)
+        got = _outage(M, 0.0, grd, 0.0, go)
         want = -expm1(-go / grd)
         assert abs(got - want) <= 1e-12
     p = math.exp(-go / gsr)
@@ -150,7 +191,7 @@ def test_conditional_outage_rho_one_binomial_identity():
         )
         binomial = (-expm1(-go / grd)) ** M
         assert abs(alternating - binomial) <= 1e-10
-        assert abs(conditional_outage_df(M, grd, 1.0, go) - binomial) <= 1e-15
+        assert abs(_outage(M, 0.0, grd, 1.0, go) - binomial) <= 1e-15
 
 
 def test_outage_df_matches_mc():
@@ -210,8 +251,8 @@ def test_outage_af_matches_mc():
 def test_mgf_normalization_and_single():
     for M in (1, 3, 8):
         for rho in (0.0, 0.6, 0.95):
-            assert abs(fsum(w for w, _ in _df_law(M, 7.0, rho)) - 1.0) <= 1e-12
-    assert _df_law(1, 7.0, 0.8) == [(1.0, 7.0)]
+            assert abs(fsum(w for w, _ in _law(M, 1.0, 7.0, rho)) - 1.0) <= 1e-12
+    assert _law(1, 1.0, 7.0, 0.8) == [(1.0, 7.0)]
 
 
 def test_mgf_first_moment_vs_mc():
@@ -223,14 +264,14 @@ def test_mgf_first_moment_vs_mc():
     g_act = grd * np.abs(act) ** 2
     sel = np.argmax(g_met, axis=1)
     mc_mean = g_act[np.arange(n), sel].mean()
-    want = fsum(w * mu for w, mu in _df_law(M, grd, rho))
+    want = fsum(w * mu for w, mu in _law(M, 1.0, grd, rho))
     assert abs(mc_mean - want) <= 0.01 * want
 
 
 def test_mgf_selected_mean_limits():
     # rho=1, M=2: best of two exponentials has mean 1.5*gamma; rho=0: mean gamma
-    assert abs(fsum(w * mu for w, mu in _df_law(2, 3.0, 1.0)) - 4.5) <= 1e-12
-    assert abs(fsum(w * mu for w, mu in _df_law(5, 3.0, 0.0)) - 3.0) <= 1e-12
+    assert abs(fsum(w * mu for w, mu in _law(2, 1.0, 3.0, 1.0)) - 4.5) <= 1e-12
+    assert abs(fsum(w * mu for w, mu in _law(5, 1.0, 3.0, 0.0)) - 3.0) <= 1e-12
 
 
 # --- capacity ----------------------------------------------------------------
@@ -359,6 +400,26 @@ def test_capacity_df_matches_mc_mean_rate():
 
 
 # --- shape and safety invariants --------------------------------------------
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["gamma_sr", "gamma_rd", "gamma_o"])
+def test_non_finite_snrs_and_threshold_are_refused(field, value):
+    # nan passed every `<= 0` check and came back as a nan probability
+    base = dict(K=4, gamma_sr=5.0, gamma_rd=5.0, rho=0.5, gamma_o=3.0)
+    with pytest.raises(ValueError):
+        SelectionParams(**{**base, field: value})
+    with pytest.raises(ValueError):
+        capacity_exponential_exact(value)
+
+
+def test_relay_count_past_the_float_weights_is_refused():
+    # C(2000, 1000) has 600 digits: no float holds the weight
+    p = SelectionParams(K=2000, gamma_sr=5.0, gamma_rd=5.0, rho=0.9,
+                        gamma_o=3.0)
+    for law in (outage_df, outage_af, capacity_df, capacity_af):
+        with pytest.raises(ValueError, match="K = 2000"):
+            law(p)
+
 
 def test_outage_monotone_in_mean_snr_and_rho_and_k():
     snrs = np.linspace(1.0, 300.0, 40)

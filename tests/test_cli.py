@@ -197,6 +197,37 @@ rho = 0.8
         assert r["config_hash"] and r["seed"] == "0"
 
 
+@pytest.mark.parametrize("command", ["outage", "capacity"])
+def test_relay_count_past_the_closed_forms_fails_before_drawing(
+        tmp_path, capsys, monkeypatch, command):
+    # the config and estimate take 2000 relays, but no float holds the
+    # closed forms' weights there: refuse before the Monte-Carlo
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before the analytic column")
+
+    monkeypatch.setattr(cli, "estimate", no_draws)
+    monkeypatch.setattr(cli, "simulate_frames", no_draws)
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("""
+[network]
+relays = 2000
+
+[grid]
+snr_db = 10
+
+[schemes]
+list = df, af
+
+[csi]
+mode = synthetic
+rho = 0.9
+""")
+    assert run_main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert "K = 2000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_direct_outage_is_exact_in_the_deep_tail():
     # 1 - exp(-x) keeps no digit of x once x nears the float spacing
     # of 1; at these SNRs x - x^2/2 is exact to double precision

@@ -8,12 +8,15 @@ The synthetic-pair files under tests/data hold every CSV column except
 trained predictor resolves.  Both predicted runs write into one
 directory, so the first trains the model and the second loads it from
 the cache.  The clean, impaired and predicted outage and capacity files
-were recorded when `estimate` began drawing the picks' metrics as order
-statistics (the decoding subset's size and the best metric, one
-uniform each, then the picks' actual SNRs given their metrics); their
-dt rows kept the bytes of the earlier samplers, whose draw of dt did
-not change.  The synthetic protocol-sim file was
-recorded before the synthetic network began holding its frame block.
+were recorded when `estimate`'s df began drawing the best of K metrics
+from one uniform, as af does, shifted down by its decoding threshold
+(then the picks' actual SNRs given their metrics), and the closed
+forms became one K-term law; only their df and ostc rows moved then.
+Their af rows date from when `estimate` began drawing the picks'
+metrics as order statistics, and their dt rows from the earlier
+samplers, whose draw of dt did not change.  The synthetic protocol-sim
+file was recorded before the synthetic network began holding its frame
+block.
 The outdated protocol-sim file runs the frame protocol on Jakes records
 (K = 8, delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples
 reach phases omega t of about 1.2e4 rad.  It and the gen-data files

@@ -518,22 +518,65 @@ def test_order_statistic_draws_match_sorted_exponentials(M):
                           ranked[:, -1] - ranked[:, -2]).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("K", [8, 2000])
-def test_subset_size_draws_are_binomial(K):
+def explicit_top_two(rng, n, K, p):
+    """The best two relay-hop metrics among the decoders of n frames of
+    K relays, each decoding with probability p; -inf where fewer
+    decoded."""
+    metric = rng.standard_exponential((n, K))
+    metric[rng.random((n, K)) >= p] = -np.inf
+    if K == 1:
+        return metric[:, 0], np.full(n, -np.inf)
+    top = np.partition(metric, K - 2, axis=1)
+    return top[:, -1], top[:, -2]
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 64])
+def test_thinned_draw_matches_explicit_decoders(monkeypatch, K):
+    # df's pick and ostc's runner-up are the best two of K Exp(1)
+    # metrics shifted down by c = gamma_o / hop; estimate hands them to
+    # correlated_pair clipped at 0, which marks a relay that did not
+    # decode.  Frames are lost at (1 - p)^K and pair at P(M >= 2).
+    metrics, actuals = [], []
+    real = simulator.correlated_pair
+
+    def recorded(rng, rho, size, metric):
+        metrics.append(metric.copy())
+        actuals.append(real(rng, rho, size, metric))
+        return actuals[-1].copy()
+
+    monkeypatch.setattr(simulator, "correlated_pair", recorded)
     n = 200_000
-    u = stream(72, K).random(n)
-    for p in (0.05, 0.5, 0.97):
-        with np.errstate(over="raise", invalid="raise"):
-            m = simulator._subset_size(u, K, p)
-        q = 1.0 - p
-        var = K * p * q
-        mu4 = var * (1.0 + 3.0 * (K - 2) * p * q)  # 4th central moment
-        assert abs(m.mean() - K * p) <= 3.0 * math.sqrt(var / n), (p, m.mean())
-        assert abs(m.var() - var) <= 3.0 * math.sqrt((mu4 - var * var) / n), \
-            (p, m.var())
-    # the SNR extremes: nobody decodes, or everybody does
-    assert np.all(simulator._subset_size(u[:100], K, 0.0) == 0)
-    assert np.all(simulator._subset_size(u[:100], K, 1.0) == K)
+    ps = np.array([0.05, 0.5, 0.97])
+    # the grid point whose hop SNR gamma_o / -log(p) decodes at p
+    grid = 10.0 * np.log10(2.0 * GO / -np.log(ps))
+    df, ostc = estimate(["df", "ostc"], grid, n, num_relays=K, rho=0.5,
+                        seed=K)
+    rng = stream(73, K)
+    for i, snr_db in enumerate(grid):
+        pick, runner_up = metrics[2 * i:2 * i + 2]
+        hop = 0.5 * 10.0 ** (snr_db / 10.0)
+        p = math.exp(-GO / hop)
+        # a lost frame has no rate, and a pair forwards when its
+        # runner-up decoded
+        g, g2 = (a * hop for a in actuals[2 * i:2 * i + 2])
+        g[pick == 0.0] = 0.0
+        pair_snr = np.where(runner_up > 0.0, 0.5 * (g + g2), g)
+        for est, snr in ((df[i], g), (ostc[i], pair_snr)):
+            assert est.outage_prob == np.mean(snr < GO)
+            assert est.mean_rate == pytest.approx(
+                np.mean(0.5 * np.log2(1.0 + snr)), rel=1e-12)
+        lost = (1.0 - p) ** K
+        pair = 1.0 - lost - K * p * (1.0 - p) ** (K - 1)
+        for got, want in ((np.mean(pick == 0.0), lost),
+                          (np.mean(runner_up > 0.0), pair)):
+            assert abs(got - want) <= 3.0 * math.sqrt(want * (1 - want) / n), \
+                (p, got, want)
+        best, second = explicit_top_two(rng, n // 4, K, p)
+        assert stats.ks_2samp(pick[pick > 0.0],
+                              best[best > -np.inf]).pvalue > 1e-3, p
+        if K > 1:
+            assert stats.ks_2samp(runner_up[runner_up > 0.0],
+                                  second[second > -np.inf]).pvalue > 1e-3, p
 
 
 # one grid point for each (relays, rho, impairments); seeds differ, so
