@@ -147,9 +147,12 @@ def capacity_exponential_exact(gamma_avg):
     if x <= 700.0:
         return -math.exp(x) * phi(x) / LN2
     # exp(x) overflows past here; the asymptotic series
-    # sum_k (-1)^k k! / x^(k+1) is exact to double precision in 8 terms
-    return fsum((-1) ** k * math.factorial(k) / x ** (k + 1)
-                for k in range(8)) / LN2
+    # sum_k (-1)^k k! / x^(k+1) is exact to double precision in 8 terms,
+    # built as t_k = -k t_(k-1) / x, t_0 = 1/x = g, so no term overflows
+    terms = [gamma_avg]
+    for k in range(1, 8):
+        terms.append(-k * terms[-1] * gamma_avg)
+    return fsum(terms) / LN2
 
 
 def capacity_exponential_check(gamma_avg):

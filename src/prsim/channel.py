@@ -67,13 +67,13 @@ class FadingSettings:
     num_sinusoids: int = 64
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError("sample rate must be positive")
         if not 0 <= self.doppler_hz < self.sample_rate_hz / 2.0:
             raise ValueError("need 0 <= doppler < sample_rate/2")
-        if self.k_factor < 0:
+        if not 0 <= self.k_factor < math.inf:
             raise ValueError("rician k factor must be >= 0")
-        if self.num_sinusoids < 1:
+        if not 1 <= self.num_sinusoids < math.inf:
             raise ValueError("need at least one sinusoid")
 
 

@@ -21,6 +21,8 @@ Rician links, record-driven), fig7b (network scaling against direct
 transmission).  A preset is a complete experiment bound to one
 subcommand; --seed and --out still override its settings, and so does
 --trials on outage and capacity, the only subcommands that read it.
+A curve preset is a list of config variants (schemes, csi mode and
+delay, relays, [protocol] impairments), each planned as a config file.
 
 Curves are labelled by the (scheme, rho_mode) pair: classic selection
 on stale estimates is the df scheme with rho_mode outdated(d), and
@@ -62,9 +64,8 @@ from .channel import (FadingProcessConfig, FadingSettings, generate_series,
                       jakes_correlation)
 from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
                      settings_lines)
-from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step,
-                        flops_simplified, load_model, predict_series,
-                        save_model, train_link_predictor)
+from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step, load_model,
+                        predict_series, save_model, train_link_predictor)
 from .selection import RateConfig
 from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, MIN_TRIALS,
                         ProtocolSettings, SeriesNetwork, SyntheticRhoNetwork,
@@ -333,7 +334,7 @@ def _analytic(command, spec, cfg, snr_db, rho):
         return None
     rate = RateConfig(cfg.network.rate)
     if spec.scheme == "dt":
-        total = 10.0 ** (snr_db / 10.0)
+        total = 2 * _hop_snr(snr_db)
         if command == "outage":
             return -math.expm1(-rate.direct_threshold / total)
         return capacity_exponential_exact(total)
@@ -537,12 +538,12 @@ def _curves(cfg, out, runs, command):
     return _write_results(cfg, out, rows)
 
 
-def cmd_outage(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs, "outage")
+def cmd_outage(cfg, out=None, plan=None):
+    return _curves(cfg, out, plan, "outage")
 
 
-def cmd_capacity(cfg, out=None, runs=None):
-    return _curves(cfg, out, runs, "capacity")
+def cmd_capacity(cfg, out=None, plan=None):
+    return _curves(cfg, out, plan, "capacity")
 
 
 def cmd_flops(cfg, out=None):
@@ -555,7 +556,8 @@ def cmd_flops(cfg, out=None):
     f_p = cfg.fading.sample_rate_hz
     widths = (pred.neurons,) * pred.layers
     exact = flops_per_step(n_input, widths, n_output, kind=pred.kind)
-    simplified = flops_simplified(pred.kind, pred.layers, pred.neurons)
+    # every width equal: the square law 4(1 + cL)n^2
+    simplified = flops_per_step(pred.neurons, widths, pred.neurons, pred.kind)
     rate = exact * f_p
     print("kind=%s layers=%d neurons=%d n_in=%d n_out=%d"
           % (pred.kind, pred.layers, pred.neurons, n_input, n_output))
@@ -601,100 +603,86 @@ def _preset_config(name, trials=None, extra=""):
 
 def _preset_fig3b():
     cfg = _preset_config("fig3b")
-    plan = []
-    for doppler in (100.0, 50.0):
-        fading = replace(cfg.fading, doppler_hz=doppler)
-        for horizon in (1, 2, 3, 4):
-            plan.append((fading, horizon))
+    plan = [(replace(cfg.fading, doppler_hz=doppler), horizon)
+            for doppler in (100.0, 50.0) for horizon in (1, 2, 3, 4)]
     return cfg, "predict-eval", plan
+
+
+def _variant(cfg, mode, *schemes, delay=3, relays=None, **impairments):
+    """cfg running `schemes` on one csi mode, delay, relays and [protocol]."""
+    return replace(
+        cfg, schemes=schemes, csi=replace(cfg.csi, mode=mode, delay=delay),
+        network=replace(cfg.network, relays=relays or cfg.network.relays),
+        protocol=replace(cfg.protocol, **impairments))
+
+
+def _planned(command, variants):
+    """The runs _config_runs plans for each variant, in order."""
+    return [run for cfg in variants for run in _config_runs(cfg, command)]
 
 
 def _preset_fig4a():
     cfg = _preset_config("fig4a", trials=200000)
-    K = cfg.network.relays
-    runs = [RunSpec("df", K, "perfect", rho=1.0)]
+    variants = [_variant(cfg, "perfect", "df")]
     for delay in (2, 3):
-        rho_o = _rho_outdated(cfg.fading, delay)
-        runs.append(RunSpec("df", K, "outdated(%d)" % delay, rho=rho_o))
-        runs.append(RunSpec("ostc", K, "outdated(%d)" % delay, rho=rho_o))
-        runs.append(RunSpec("df", K, "predicted(%d)" % delay, rho=None,
-                            horizon=delay))
-    return cfg, "outage", runs
+        variants += [_variant(cfg, "outdated", "df", "ostc", delay=delay),
+                     _variant(cfg, "predicted", "df", delay=delay)]
+    return cfg, "outage", _planned("outage", variants)
 
 
 def _preset_fig4b():
     cfg = _preset_config("fig4b", trials=200000)
-    K = cfg.network.relays
-    runs = [RunSpec("af", K, "perfect", rho=1.0)]
-    for delay in (1, 2, 3):
-        runs.append(RunSpec("af", K, "outdated(%d)" % delay,
-                            rho=_rho_outdated(cfg.fading, delay)))
-        runs.append(RunSpec("af", K, "predicted(%d)" % delay, rho=None,
-                            horizon=delay))
-    return cfg, "outage", runs
+    variants = [_variant(cfg, "perfect", "af")] + [
+        _variant(cfg, mode, "af", delay=delay)
+        for delay in (1, 2, 3) for mode in ("outdated", "predicted")]
+    return cfg, "outage", _planned("outage", variants)
 
 
 def _preset_fig6a():
     cfg = _preset_config("fig6a", trials=200000)
-    K = cfg.network.relays
-    rho_o = _rho_outdated(cfg.fading, 3)
-    runs = [
-        RunSpec("df", K, "perfect", rho=1.0),
-        RunSpec("df", K, "outdated(3)", rho=rho_o),
-        RunSpec("ostc", K, "outdated(3)", rho=rho_o),
-        RunSpec("df", K, "predicted(3)", rho=None, horizon=3),
-        RunSpec("af", K, "perfect", rho=1.0),
-        RunSpec("af", K, "outdated(3)", rho=rho_o),
-        RunSpec("af", K, "predicted(3)", rho=None, horizon=3),
-    ]
-    return cfg, "capacity", runs
+    variants = []
+    for scheme, stale in (("df", ("df", "ostc")), ("af", ("af",))):
+        variants += [_variant(cfg, "perfect", scheme),
+                     _variant(cfg, "outdated", *stale),
+                     _variant(cfg, "predicted", scheme)]
+    return cfg, "capacity", _planned("capacity", variants)
 
 
 def _preset_fig6b():
     cfg = _preset_config("fig6b", trials=200000)
-    K = cfg.network.relays
-    runs = [
-        RunSpec("df", K, "predicted(3)", rho=None, horizon=3),
-        RunSpec("df", K, "outdated(3)", rho=_rho_outdated(cfg.fading, 3)),
-    ]
-    for snr in (30.0, 25.0, 20.0):
-        runs.append(RunSpec("df", K, "predicted(3)+pilot%gdB" % snr, rho=None,
-                            horizon=3,
-                            impairments=ProtocolSettings(pilot_snr_db=snr)))
-    for deg in (5.0, 20.0):
-        runs.append(RunSpec(
-            "df", K, "predicted(3)+phase%gdeg" % deg, rho=None, horizon=3,
-            impairments=ProtocolSettings(max_phase_error_deg=deg)))
+    runs = _planned("outage", [_variant(cfg, mode, "df")
+                               for mode in ("predicted", "outdated")])
+    for key, tag, values in (
+            ("pilot_snr_db", "+pilot%gdB", (30.0, 25.0, 20.0)),
+            ("max_phase_error_deg", "+phase%gdeg", (5.0, 20.0))):
+        for value in values:
+            run, = _config_runs(
+                _variant(cfg, "predicted", "df", **{key: value}), "outage")
+            runs.append(replace(run, rho_mode=run.rho_mode + tag % value))
     return cfg, "outage", runs
 
 
 def _preset_fig7a():
-    cfg = _preset_config("fig7a", trials=100000, extra="""
-[fading]
-k_factor = 3.0
-""")
-    K = cfg.network.relays
+    cfg = _preset_config("fig7a", trials=100000,
+                         extra="[fading]\nk_factor = 3.0\n")
     runs = []
     for doppler in (25.0, 50.0, 100.0):
         fading = replace(cfg.fading, doppler_hz=doppler)
-        tag = "/fd=%g" % doppler
-        runs.append(RunSpec("df", K, "outdated(3)" + tag,
-                            rho=_rho_outdated(fading, 3), horizon=3,
-                            fading=fading))
-        runs.append(RunSpec("df", K, "predicted(3)" + tag, horizon=3,
-                            fading=fading))
+        variants = [_variant(replace(cfg, fading=fading), mode, "df")
+                    for mode in ("outdated", "predicted")]
+        # the rows ride records of this Doppler
+        runs += [replace(run, rho_mode=run.rho_mode + "/fd=%g" % doppler,
+                         fading=fading)
+                 for run in _planned("outage", variants)]
     return cfg, "outage", runs
 
 
 def _preset_fig7b():
     cfg = _preset_config("fig7b", trials=100000)
-    runs = [RunSpec("dt", cfg.network.relays, "direct", rho=1.0)]
-    rho_o = _rho_outdated(cfg.fading, 3)
-    for relays in (1, 2, 6):
-        runs.append(RunSpec("df", relays, "outdated(3)", rho=rho_o))
-        runs.append(RunSpec("df", relays, "predicted(3)", rho=None,
-                            horizon=3))
-    return cfg, "outage", runs
+    variants = [_variant(cfg, "perfect", "dt")] + [
+        _variant(cfg, mode, "df", relays=relays)
+        for relays in (1, 2, 6) for mode in ("outdated", "predicted")]
+    return cfg, "outage", _planned("outage", variants)
 
 
 PRESETS = {
@@ -712,15 +700,24 @@ PRESETS = {
 # entry point
 
 
+COMMANDS = {
+    "gen-data": cmd_gen_data,
+    "train": cmd_train,
+    "predict-eval": cmd_predict_eval,
+    "outage": cmd_outage,
+    "capacity": cmd_capacity,
+    "flops": cmd_flops,
+    "protocol-sim": cmd_protocol_sim,
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="prsim",
         description="relay-selection experiments: datasets, predictor "
                     "training, outage/capacity curves, complexity tables")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = ("gen-data", "train", "predict-eval", "outage", "capacity",
-             "flops", "protocol-sim")
-    for name in names:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment file")
         p.add_argument("--preset", choices=sorted(PRESETS),
@@ -755,20 +752,8 @@ def main(argv=None):
         if plan_command is not None and plan_command != args.command:
             raise ConfigError("preset %r belongs to the %s subcommand"
                               % (args.preset, plan_command))
-        if args.command == "gen-data":
-            cmd_gen_data(cfg, out=args.out)
-        elif args.command == "train":
-            cmd_train(cfg, out=args.out)
-        elif args.command == "predict-eval":
-            cmd_predict_eval(cfg, out=args.out, plan=plan)
-        elif args.command == "outage":
-            cmd_outage(cfg, out=args.out, runs=plan)
-        elif args.command == "capacity":
-            cmd_capacity(cfg, out=args.out, runs=plan)
-        elif args.command == "flops":
-            cmd_flops(cfg, out=args.out)
-        else:
-            cmd_protocol_sim(cfg, out=args.out)
+        extra = {} if plan is None else {"plan": plan}
+        COMMANDS[args.command](cfg, out=args.out, **extra)
     except (ConfigError, ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import FadingSettings
 from .predictor.train import PredictorSettings
-from .simulator import ESTIMATE_SCHEMES, FRAME_SCHEMES, ProtocolSettings
+from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, ProtocolSettings,
+                        _hop_snr)
 
 
 class ConfigError(ValueError):
@@ -56,9 +57,9 @@ class NetworkSettings:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.relays < 1:
+        if not 1 <= self.relays < math.inf:
             raise ConfigError("need at least one relay")
-        if self.rate <= 0:
+        if not 0 < self.rate < math.inf:
             raise ConfigError("target rate must be positive")
 
 
@@ -70,7 +71,7 @@ class DatasetSettings:
     path: str = "dataset.csv"
 
     def __post_init__(self):
-        if self.length < 1:
+        if not 1 <= self.length < math.inf:
             raise ConfigError("dataset length must be >= 1")
 
 
@@ -95,7 +96,8 @@ class CsiSettings:
     def __post_init__(self):
         if self.mode not in ("perfect", "outdated", "predicted", "synthetic"):
             raise ConfigError("unknown csi mode %r" % self.mode)
-        if self.mode in ("outdated", "predicted") and self.delay < 1:
+        if (self.mode in ("outdated", "predicted")
+                and not 1 <= self.delay < math.inf):
             raise ConfigError("csi delay must be >= 1 sample")
         if not 0 <= self.rho <= 1:
             raise ConfigError("rho must be in [0, 1]")
@@ -122,9 +124,9 @@ class ExperimentConfig:
     protocol: ProtocolSettings = field(default_factory=ProtocolSettings)
 
     def __post_init__(self):
-        if self.seed < 0:
+        if not 0 <= self.seed < math.inf:
             raise ConfigError("seed must be >= 0")
-        if self.trials < 1:
+        if not 1 <= self.trials < math.inf:
             raise ConfigError("trials must be >= 1")
         if not self.schemes:
             raise ConfigError("scheme list is empty")
@@ -176,7 +178,8 @@ def _text(raw):
 
 
 def _grid(raw):
-    """SNR grid: either 'start:stop:step' (inclusive) or a comma list."""
+    """SNR grid: either 'start:stop:step' (inclusive) or a comma list,
+    of points whose hop SNR the engines can hold."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -187,16 +190,21 @@ def _grid(raw):
             raise ConfigError("grid step must be positive")
         if stop < start:
             raise ConfigError("grid stop must be >= start")
-        out = []
+        vals = []
         x = start
         while x <= stop + 1e-9:
-            out.append(round(x, 12))
+            vals.append(round(x, 12))
             x += step
-        return tuple(out)
-    vals = tuple(_float(p) for p in raw.split(",") if p.strip())
+    else:
+        vals = [_float(p) for p in raw.split(",") if p.strip()]
     if not vals:
         raise ConfigError("grid is empty")
-    return vals
+    for x in vals:
+        try:
+            _hop_snr(x)
+        except ValueError as err:
+            raise ConfigError(str(err))
+    return tuple(vals)
 
 
 def _scheme_list(raw):

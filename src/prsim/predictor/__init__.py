@@ -12,7 +12,7 @@ RecurrentNet carries its feature layout.  Self contained on numpy:
 """
 
 from .layers import LayerSpec
-from .network import RecurrentNet, flops_per_step, flops_simplified
+from .network import RecurrentNet, flops_per_step
 from .optim import AdamState, adam_step
 from .data import build_dataset, complex_from_split
 from .train import (HIGH_ACCURACY_TRAIN, PredictorSettings, TrainReport,
@@ -24,7 +24,6 @@ __all__ = [
     "LayerSpec",
     "RecurrentNet",
     "flops_per_step",
-    "flops_simplified",
     "AdamState",
     "adam_step",
     "build_dataset",

@@ -183,11 +183,3 @@ def flops_per_step(input_dim, hidden_widths, output_dim, kind="lstm"):
     for prev, cur in zip(widths[:-1], widths[1:]):
         total += cost * (prev * cur + cur * cur)
     return 2 * total
-
-
-def flops_simplified(kind, num_layers, width):
-    """Common-width estimate 4(1+cL)n^2 with c = 1, 3, 4 per cell kind."""
-    c = _CELL_COST.get(kind)
-    if c is None:
-        raise ValueError(f"no simplified count for kind {kind!r}")
-    return 4 * (1 + c * num_layers) * width ** 2

@@ -20,6 +20,7 @@ empirical counterpart of the correlation that degrades outdated CSI.
 A perfect predictor scores 1; an untrained network sits near 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +50,20 @@ class PredictorSettings:
     def __post_init__(self):
         if self.kind not in ("rnn", "lstm", "gru"):
             raise ValueError("predictor kind must be rnn, lstm or gru")
-        if self.layers < 1 or self.neurons < 1:
+        if not (1 <= self.layers < math.inf and 1 <= self.neurons < math.inf):
             raise ValueError("need >= 1 layer with >= 1 neuron")
-        if self.tau < 0:
+        if not 0 <= self.tau < math.inf:
             raise ValueError("tapped-delay length must be >= 0")
         if self.features not in ("magnitude", "complex"):
             raise ValueError("features must be magnitude or complex")
-        if self.scale <= 0:
+        if not 0 < self.scale < math.inf:
             raise ValueError("feature scale must be positive")
-        if self.train_len < 16:
+        if not 16 <= self.train_len < math.inf:
             raise ValueError("training length must be >= 16 samples")
-        if self.epochs < 1 or self.batch_size < 1:
+        if not (1 <= self.epochs < math.inf
+                and 1 <= self.batch_size < math.inf):
             raise ValueError("epochs and batch size must be >= 1")
-        if self.lr <= 0:
+        if not 0 < self.lr < math.inf:
             raise ValueError("learning rate must be positive")
 
     def layout(self, horizon, links):

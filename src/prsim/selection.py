@@ -21,6 +21,7 @@ compares against 2^R - 1.  A link exactly at the threshold counts as
 success (outage is "falls below").
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ class RateConfig:
     target_rate: float
 
     def __post_init__(self):
-        if self.target_rate <= 0:
+        if not 0 < self.target_rate < math.inf:
             raise ValueError("target rate must be positive")
 
     @property

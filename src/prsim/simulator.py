@@ -107,8 +107,19 @@ MIN_TRIALS = 10_000  # estimate's floor per grid point
 
 
 def _hop_snr(snr_db):
-    """Mean SNR of each relay hop at a grid point (half the power each)."""
-    return 0.5 * 10.0 ** (snr_db / 10.0)
+    """Mean SNR of each relay hop at a grid point (half the power each).
+
+    ValueError unless it and its reciprocal are finite positive floats:
+    past about +-3080 dB one of them overflows."""
+    snr_db = float(snr_db)
+    try:
+        hop = 0.5 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        hop = math.inf
+    if not (0 < hop < math.inf and 1 / hop < math.inf):
+        raise ValueError("SNR grid point %g dB is past the float range of "
+                         "the hop SNR" % snr_db)
+    return hop
 
 
 # ------------------------------------------------------------------ types
@@ -131,15 +142,19 @@ class ProtocolSettings:
     max_phase_error_deg: float = None
 
     def __post_init__(self):
-        if self.frames < 2:
+        if not 2 <= self.frames < math.inf:
             raise ValueError("need at least 2 frames")
         if self.policy not in ("reselect", "terminate"):
             raise ValueError("policy must be reselect or terminate")
-        if self.timer_max <= 0:
+        if not 0 < self.timer_max < math.inf:
             raise ValueError("timer cap must be positive")
-        if self.uncertainty_window < 0:
+        if not 0 <= self.uncertainty_window < math.inf:
             raise ValueError("uncertainty window must be >= 0")
-        if self.max_phase_error_deg is not None and self.max_phase_error_deg < 0:
+        if self.pilot_snr_db is not None and not math.isfinite(
+                self.pilot_snr_db):
+            raise ValueError("pilot SNR must be finite")
+        if not (self.max_phase_error_deg is None
+                or 0 <= self.max_phase_error_deg < math.inf):
             raise ValueError("phase error bound must be nonnegative")
 
     def duration(self, metric_magnitude):
@@ -463,9 +478,7 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         raise ValueError("correlation must lie in [0, 1]")
     if num_relays < 1:
         raise ValueError("need at least one relay")
-    grid = np.atleast_1d(np.asarray(snr_grid_db, dtype=float))
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("SNR grid points must be finite")
+    hops = [_hop_snr(snr_db) for snr_db in np.atleast_1d(snr_grid_db)]
     rate = rate if rate is not None else RateConfig(1.0)
     imp = impairments if impairments is not None else ProtocolSettings()
     if imp.pilot_snr_db is not None:
@@ -476,12 +489,12 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
         # df and ostc read one draw the same way
         families.setdefault({"ostc": "df"}.get(scheme, scheme), []).append(j)
     out = [[] for _ in schemes]
-    for i, snr_db in enumerate(grid):
+    for i, hop in enumerate(hops):
         for family, members in families.items():
             names = [schemes[j] for j in members]
             pair_rng = stream(seed, 43, i, 1) if "ostc" in names else None
             for j, est in zip(members, _family_point(
                     family, names, trials, stream(seed, 43, i), pair_rng,
-                    rho, num_relays, _hop_snr(snr_db), rate, phase)):
+                    rho, num_relays, hop, rate, phase)):
                 out[j].append(est)
     return out

@@ -36,7 +36,6 @@ from prsim.predictor import (
     LayerSpec,
     RecurrentNet,
     flops_per_step,
-    flops_simplified,
     predict_series,
     train_link_predictor,
 )
@@ -84,7 +83,7 @@ def test_criterion_02_predictor_cost_accounting():
     assert isinstance(per_step, int)
     assert per_step == 25_400
     assert per_step * 1000 == 25_400_000  # 25.4 MFLOPS at 1 kHz
-    assert flops_simplified("lstm", 2, 25) == 22_500
+    assert flops_per_step(25, (25, 25), 25, "lstm") == 22_500  # 4(1+4L)n^2
 
 
 def test_criterion_03_quadrature_capacity_accuracy():

@@ -305,6 +305,18 @@ def test_capacity_exponential_check_against_exact():
         assert abs(got - want) <= 1e-3
 
 
+def test_capacity_exponential_exact_in_the_deep_tail():
+    # below g = 1e-38 the asymptotic terms x^(k+1), x = 1/g, overflowed;
+    # there exp(x) E1(x) = g - g^2 + ... is g to double precision
+    for e in range(30, 301, 5):
+        g = 10.0 ** -e
+        got = capacity_exponential_exact(g)
+        assert got == pytest.approx(g / math.log(2), rel=1e-12, abs=0)
+    hop = 0.5 * 10.0 ** (-390.0 / 10.0)
+    p = SelectionParams(K=8, gamma_sr=hop, gamma_rd=hop, rho=0.9, gamma_o=3.0)
+    assert 0.0 <= capacity_df(p) <= 1e-200
+
+
 def test_capacity_exponential_exact_past_exp_overflow():
     # mixture terms reach mean SNRs below 1/709, where exp(1/g) overflows
     with mpmath.workdps(40):

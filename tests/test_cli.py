@@ -228,6 +228,52 @@ rho = 0.9
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, schemes", [("outage", "df, dt"),
+                                              ("protocol-sim", "df, af")])
+@pytest.mark.parametrize("snr_db", ["3500", "-4000"])
+def test_grid_points_past_the_float_range_fail_before_any_work(
+        tmp_path, capsys, monkeypatch, command, schemes, snr_db):
+    # 10^(snr/10) overflows at 3500 dB and underflows to 0 at -4000 dB;
+    # the run ended in an OverflowError or ZeroDivisionError traceback
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a point no engine can hold")
+
+    for name in ("estimate", "simulate_frames", "generate_series"):
+        monkeypatch.setattr(cli, name, no_work)
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("[grid]\nsnr_db = 0, %s\n\n[schemes]\nlist = %s\n\n"
+                    "[csi]\nmode = synthetic\nrho = 0.9\n" % (snr_db, schemes))
+    assert run_main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 2: [grid] snr_db: SNR grid point %s dB" % snr_db)
+    assert not out.exists()
+
+
+def test_closed_form_cells_refuse_points_past_the_float_range():
+    cfg = parse_config("")
+    for scheme in ("df", "af", "dt"):
+        spec = cli.RunSpec(scheme, 8, "perfect", rho=1.0)
+        for command in ("outage", "capacity"):
+            for snr_db in (3500.0, -4000.0):
+                with pytest.raises(ValueError, match="float range"):
+                    cli._analytic(command, spec, cfg, snr_db, 1.0)
+
+
+def test_capacity_runs_in_the_deep_tail(tmp_path):
+    # the single-link capacity overflowed its asymptotic series below
+    # a mean SNR of 1e-38, and capacity_df reaches it at -390 dB
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("[experiment]\ntrials = 10000\n\n[grid]\n"
+                    "snr_db = -400, -390\n\n[csi]\nmode = synthetic\n"
+                    "rho = 0.9\n")
+    assert run_main(["capacity", "--config", str(conf), "--out", str(out)]) == 0
+    for row in read_rows(out):
+        assert float(row["rate"]) == 0.0
+        assert 0.0 <= float(row["analytic"]) <= 1e-200
+
+
 def test_direct_outage_is_exact_in_the_deep_tail():
     # 1 - exp(-x) keeps no digit of x once x nears the float spacing
     # of 1; at these SNRs x - x^2/2 is exact to double precision
@@ -1034,7 +1080,7 @@ def test_fig4a_outdated_rows_carry_the_closed_form(tmp_path):
     cfg = replace(cfg, trials=10_000)
     out = tmp_path / "r.csv"
     cli.cmd_outage(cfg, out=str(out),
-                   runs=[r for r in runs if r.rho is not None])
+                   plan=[r for r in runs if r.rho is not None])
     gamma_o = RateConfig(cfg.network.rate).gamma_o
     checked = 0
     for row in read_rows(out):
@@ -1065,6 +1111,81 @@ def test_fig7a_plan_is_record_driven_rician():
     assert {r.fading.doppler_hz for r in runs} == {25.0, 50.0, 100.0}
 
 
+# |J0(2 pi f_d d / f_s)| at f_s = 1 kHz: (Doppler, delay)
+_J1, _J2, _J3 = 0.9037126420924664, 0.6425118365775732, 0.29056421408912414
+_J3_25, _J3_50 = 0.9452492598675889, 0.7899622341253822
+_PILOT = [((p, None), "+pilot%gdB" % p) for p in (30.0, 25.0, 20.0)]
+_PHASE = [((None, d), "+phase%gdeg" % d) for d in (5.0, 20.0)]
+
+# Each preset's config hash and, for the curve presets, every run:
+# scheme, relays, rho_mode, rho (None: from the predictor), impairments
+# (pilot SNR, phase bound), fading (Doppler, K factor) and the horizon
+# of predicted and record runs (None: no reader sees it).
+PRESET_PLANS = {
+    "fig3b": ("010c0553291f", None),
+    "fig4a": ("790647b5e564", [
+        ("df", 8, "perfect", 1.0, None, None, None),
+        ("df", 8, "outdated(2)", _J2, None, None, None),
+        ("ostc", 8, "outdated(2)", _J2, None, None, None),
+        ("df", 8, "predicted(2)", None, None, None, 2),
+        ("df", 8, "outdated(3)", _J3, None, None, None),
+        ("ostc", 8, "outdated(3)", _J3, None, None, None),
+        ("df", 8, "predicted(3)", None, None, None, 3)]),
+    "fig4b": ("b77d08053c81", [("af", 8, "perfect", 1.0, None, None, None)] + [
+        run for delay, rho in ((1, _J1), (2, _J2), (3, _J3))
+        for run in (("af", 8, "outdated(%d)" % delay, rho, None, None, None),
+                    ("af", 8, "predicted(%d)" % delay, None, None, None,
+                     delay))]),
+    "fig6a": ("af1503d8753e", [
+        ("df", 8, "perfect", 1.0, None, None, None),
+        ("df", 8, "outdated(3)", _J3, None, None, None),
+        ("ostc", 8, "outdated(3)", _J3, None, None, None),
+        ("df", 8, "predicted(3)", None, None, None, 3),
+        ("af", 8, "perfect", 1.0, None, None, None),
+        ("af", 8, "outdated(3)", _J3, None, None, None),
+        ("af", 8, "predicted(3)", None, None, None, 3)]),
+    "fig6b": ("6d4e0a1be08a", [
+        ("df", 8, "predicted(3)", None, None, None, 3),
+        ("df", 8, "outdated(3)", _J3, None, None, None)] + [
+        ("df", 8, "predicted(3)" + tag, None, imp, None, 3)
+        for imp, tag in _PILOT + _PHASE]),
+    "fig7a": ("f1caad11635e", [
+        run for doppler, rho in ((25.0, _J3_25), (50.0, _J3_50), (100.0, _J3))
+        for run in (
+            ("df", 8, "outdated(3)/fd=%g" % doppler, rho, None,
+             (doppler, 3.0), 3),
+            ("df", 8, "predicted(3)/fd=%g" % doppler, None, None,
+             (doppler, 3.0), 3))]),
+    "fig7b": ("8fdd36891976", [("dt", 8, "direct", 1.0, None, None, None)] + [
+        run for relays in (1, 2, 6)
+        for run in (("df", relays, "outdated(3)", _J3, None, None, None),
+                    ("df", relays, "predicted(3)", None, None, None, 3))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PLANS))
+def test_preset_plans_are_pinned(name):
+    cfg, _, runs = cli.PRESETS[name]()
+    config_hash, pinned = PRESET_PLANS[name]
+    assert cfg.config_hash() == config_hash
+    if pinned is None:  # fig3b plans (fading, horizon) pairs
+        return
+    assert len(runs) == len(pinned)
+    for run, (scheme, relays, mode, rho, imp, fading, horizon) in zip(
+            runs, pinned):
+        assert (run.scheme, run.relays, run.rho_mode) == (scheme, relays, mode)
+        if rho is None:
+            assert run.rho is None
+        else:
+            assert run.rho == pytest.approx(rho, rel=0, abs=1e-12)
+        assert run.impairments == (imp and simulator.ProtocolSettings(
+            pilot_snr_db=imp[0], max_phase_error_deg=imp[1]))
+        assert run.fading == (fading and FadingSettings(
+            doppler_hz=fading[0], k_factor=fading[1]))
+        if horizon is not None:
+            assert run.horizon == horizon
+
+
 def test_record_rows_score_exactly_the_configured_trials(tmp_path,
                                                           monkeypatch):
     # outdated and predicted record rows drop different record heads
@@ -1078,7 +1199,7 @@ def test_record_rows_score_exactly_the_configured_trials(tmp_path,
                         rho=cli._rho_outdated(fading, 3)),
             cli.RunSpec("df", 3, "predicted(3)", horizon=3, fading=fading)]
     out = tmp_path / "r.csv"
-    cli.cmd_outage(cfg, out=str(out), runs=runs)
+    cli.cmd_outage(cfg, out=str(out), plan=runs)
     rows = read_rows(out)
     assert [r["trials"] for r in rows] == ["10000", "10000"]
     assert [r["analytic"] for r in rows] == ["", ""]
@@ -1108,7 +1229,7 @@ def test_record_schemes_of_one_group_share_one_network(tmp_path,
     fading = replace(cfg.fading, doppler_hz=50.0)
     runs = [cli.RunSpec(scheme, 2, "predicted(3)", horizon=3, fading=fading)
             for scheme in ("df", "af")]
-    cli.cmd_outage(cfg, out=str(tmp_path / "r.csv"), runs=runs)
+    cli.cmd_outage(cfg, out=str(tmp_path / "r.csv"), plan=runs)
     assert [r["scheme"] for r in read_rows(tmp_path / "r.csv")] == ["df", "af"]
     assert (len(networks), len(predictions)) == (1, 2)
 
@@ -1152,7 +1273,7 @@ def test_refusals_come_before_any_work(tmp_path, monkeypatch, fits, command,
         else:
             spec = dict(scheme="df", relays=2, rho_mode="predicted(3)",
                         horizon=3, fading=cfg.fading)
-            entry(cfg, out=str(out), runs=[cli.RunSpec(**{**spec, **record})])
+            entry(cfg, out=str(out), plan=[cli.RunSpec(**{**spec, **record})])
     assert not out.exists()
     assert (series, fits) == ([], [])
 

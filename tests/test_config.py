@@ -1,9 +1,13 @@
 """Experiment file parsing, defaults, validation and hashing."""
 
+import math
+
 import pytest
 
-from prsim.config import (ConfigError, ExperimentConfig, parse_config,
-                          to_text)
+from prsim.config import (ConfigError, ExperimentConfig, FadingSettings,
+                          NetworkSettings, PredictorSettings,
+                          ProtocolSettings, parse_config, to_text)
+from prsim.selection import RateConfig
 
 
 def test_empty_text_is_the_baseline_setup():
@@ -120,10 +124,36 @@ def test_grid_range_is_inclusive():
     ("[protocol]\npilot_snr_db = inf\n", "expected a finite"),
     ("[grid]\nsnr_db = 0, nan\n", "expected a finite"),
     ("[grid]\nsnr_db = 0:inf:5\n", "expected a finite"),
+    # finite points whose hop SNR, or its reciprocal, leaves the floats
+    ("[grid]\nsnr_db = 0, 3500\n", r"line 2: \[grid\] snr_db: .*3500 dB"),
+    ("[grid]\n\nsnr_db = -4000:0:5\n", r"line 3: .*-4000 dB"),
 ])
 def test_malformed_text_raises(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ProtocolSettings(max_phase_error_deg=math.nan),
+    lambda: ProtocolSettings(timer_max=math.nan),
+    lambda: ProtocolSettings(timer_max=math.inf),
+    lambda: ProtocolSettings(uncertainty_window=math.nan),
+    lambda: ProtocolSettings(frames=math.nan),
+    lambda: ProtocolSettings(pilot_snr_db=math.nan),
+    lambda: FadingSettings(k_factor=math.nan),
+    lambda: FadingSettings(sample_rate_hz=math.inf),
+    lambda: RateConfig(math.nan),
+    lambda: NetworkSettings(rate=math.nan),
+    lambda: PredictorSettings(lr=math.nan),
+    lambda: PredictorSettings(scale=math.inf),
+], ids=["phase-nan", "timer-nan", "timer-inf", "window-nan", "frames-nan",
+        "pilot-nan", "k-nan", "fs-inf", "rate-nan", "network-rate-nan",
+        "lr-nan", "scale-inf"])
+def test_settings_types_refuse_non_finite_values(build):
+    # library callers build these directly, past the reader's finite
+    # check; a nan passed every `< 0` test and ran as garbage
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_vocabulary_settings_fold_case_and_text_keeps_it():

@@ -13,7 +13,6 @@ from prsim.predictor import (
     build_dataset,
     complex_from_split,
     flops_per_step,
-    flops_simplified,
     load_model,
     predict_series,
     prediction_correlation,
@@ -573,14 +572,16 @@ def test_flops_census_is_the_built_net_plus_the_input_layer(kind):
 
 
 def test_flops_simplified_square_case():
-    assert flops_simplified("lstm", 2, 25) == 22_500
-    # the full count collapses to the square-law estimate when every
-    # dimension equals the common width
-    for kind in ("rnn", "gru", "lstm"):
-        assert flops_per_step(25, (25, 25), 25, kind) == flops_simplified(kind, 2, 25)
-        assert flops_per_step(40, (25, 25), 8, kind) != flops_simplified(kind, 2, 25)
+    # when every dimension equals the common width n, the census is the
+    # square law 4(1 + cL)n^2, c = 1, 3, 4 per cell kind
+    assert flops_per_step(25, (25, 25), 25, "lstm") == 22_500
+    for kind, c in (("rnn", 1), ("gru", 3), ("lstm", 4)):
+        for layers, n in ((1, 7), (2, 25), (3, 40)):
+            square = 4 * (1 + c * layers) * n ** 2
+            assert flops_per_step(n, (n,) * layers, n, kind) == square
+        assert flops_per_step(40, (25, 25), 8, kind) != 4 * (1 + 2 * c) * 625
     with pytest.raises(ValueError):
-        flops_simplified("dense_tanh", 2, 25)
+        flops_per_step(25, (25, 25), 25, "dense_tanh")
 
 
 def test_model_roundtrip_is_bit_exact(tmp_path):

@@ -300,6 +300,15 @@ def test_frame_driver_validation():
         ProtocolSettings(policy="retry")
 
 
+@pytest.mark.parametrize("snr_db", [3500.0, -4000.0])
+def test_frame_driver_refuses_points_past_the_float_range(snr_db):
+    # 10^(snr/10) overflows at 3500 dB and underflows to 0 at -4000 dB
+    net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
+    for scheme in ("df", "af", "df-central"):
+        with pytest.raises(ValueError, match="float range"):
+            simulate_frames(scheme, net, snr_db, 100)
+
+
 # ------------------------------------------------------- vectorized paths
 
 
@@ -463,8 +472,9 @@ def test_chunking_only_reorders_draws(monkeypatch):
 @pytest.mark.parametrize("bad", [
     dict(rho=5.0), dict(rho=-0.1), dict(rho=math.nan),
     dict(num_relays=0), dict(snr=math.nan), dict(snr=math.inf),
+    dict(snr=3500.0), dict(snr=-4000.0),
 ], ids=["rho-5", "rho-negative", "rho-nan", "no-relays", "snr-nan",
-        "snr-inf"])
+        "snr-inf", "snr-3500", "snr-minus-4000"])
 def test_estimate_refuses_bad_inputs_before_drawing(monkeypatch, bad):
     def no_draws(*key):
         raise AssertionError("drew before validating")
