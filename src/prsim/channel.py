@@ -30,15 +30,14 @@ phase omega t, which reaches 1.2e4 rad after 20 009 samples at f_d/f_s
 Outdated CSI follows the Gaussian degradation
   h_out = rho * h + eps * sqrt(1 - rho^2),
 eps ~ CN(0, 1), which leaves the marginal complex Gaussian and sets the
-correlation between h and h_out to rho.  `correlate_planes` forms such
-pairs at unit power from standard-normal float planes (real and
-imaginary parts apart).  `correlated_pair` is the synthetic-rho sampler
-that validates the closed forms at an exactly prescribed correlation.
-It draws the conditional law instead of whole pairs: a metric SNR
-|h|^2 is Exp(1) whatever rho, and ranking reads metrics alone, so a
-caller draws the metric SNRs of the links it picks (`estimate` draws
-them as order statistics of Exp(1)), and then their actual SNRs, two
-normals each, given their metrics.
+correlation between h and h_out to rho.  `correlated_pair` is the
+synthetic-rho sampler that validates the closed forms at an exactly
+prescribed correlation.  It draws the conditional law instead of whole
+pairs: a metric SNR |h|^2 is Exp(1) whatever rho, and ranking reads
+metrics alone, so a caller draws the metric SNRs of the links it needs
+(`estimate` draws the picks' as order statistics of Exp(1), the
+synthetic frame network every relay's), and then their actual SNRs,
+two normals each, given their metrics.
 """
 
 import math
@@ -140,24 +139,3 @@ def correlated_pair(rng, rho, size, metric):
     z[0] += rho * np.sqrt(metric)
     z *= z
     return z[0] + z[1]
-
-
-def correlate_planes(planes, rho):
-    """Standard-normal (metric re, metric im, innovation re, innovation
-    im) planes, any (4, ...) view, made a pair at rho in place."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    planes *= math.sqrt(0.5)
-    metric, actual = planes[:2], planes[2:]
-    actual *= math.sqrt(1.0 - rho * rho)
-    for a, m in zip(actual, metric):
-        a += rho * m
-    return planes
-
-
-def snr_from_gain(h, power):
-    """Instantaneous SNR |h|^2 * power at unit noise power."""
-    if power <= 0:
-        raise ValueError("power must be positive")
-    h = np.asarray(h)
-    return (h.real ** 2 + h.imag ** 2) * power

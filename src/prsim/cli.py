@@ -474,9 +474,11 @@ def _curves(cfg, out, runs, command):
     Every simulate_frames call reads [protocol]'s timer race and
     policy.  protocol-sim scores [protocol] frames; record rows of
     outage and capacity score `trials` frames past the bootstrap frame.
-    Every analytic cell is computed before the first draw, so a run
-    the closed forms refuse fails before any Monte-Carlo.  Rows keep
-    run order.
+    A predicted synthetic-pair run refuses a magnitude-feature
+    predictor before any training: its rho is the envelope correlation,
+    not the complex one of the pair law.  Every analytic cell is
+    computed before the first draw, so a run the closed forms refuse
+    fails before any Monte-Carlo.  Rows keep run order.
     """
     runs = runs or _config_runs(cfg, command)
     pool = PredictorPool(cfg, _model_cache(cfg, out))
@@ -490,6 +492,11 @@ def _curves(cfg, out, runs, command):
     for i, spec in enumerate(runs):
         rho = spec.rho
         if rho is None and spec.fading is None:
+            if cfg.predictor.features == "magnitude":
+                raise ConfigError(
+                    "a magnitude predictor resolves an envelope correlation, "
+                    "not the complex one the pair law takes; set [predictor] "
+                    "features = complex")
             key = (cfg.fading, spec.horizon, spec.relays)
             if key not in resolved:  # report each predictor once
                 resolved[key] = pool.evaluate(*key)[2]

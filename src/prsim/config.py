@@ -59,8 +59,8 @@ class NetworkSettings:
     def __post_init__(self):
         if not 1 <= self.relays < math.inf:
             raise ConfigError("need at least one relay")
-        if not 0 < self.rate < math.inf:
-            raise ConfigError("target rate must be positive")
+        if not 0 < self.rate < 512:  # as RateConfig
+            raise ConfigError("target rate must be positive and below 512")
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,13 @@ def _text(raw):
     return raw
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def _grid(raw):
-    """SNR grid: either 'start:stop:step' (inclusive) or a comma list,
-    of points whose hop SNR the engines can hold."""
+    """SNR grid: either 'start:stop:step' (inclusive, at most
+    MAX_GRID_POINTS points, each start + i step) or a comma list, of
+    points whose hop SNR the engines can hold."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
@@ -190,11 +194,12 @@ def _grid(raw):
             raise ConfigError("grid step must be positive")
         if stop < start:
             raise ConfigError("grid stop must be >= start")
-        vals = []
-        x = start
-        while x <= stop + 1e-9:
-            vals.append(round(x, 12))
-            x += step
+        steps = (stop - start) / step + 1e-9  # floor(steps) + 1 points
+        if not steps < MAX_GRID_POINTS:
+            raise ConfigError("grid range has more than %d points"
+                              % MAX_GRID_POINTS)
+        vals = [round(start + i * step, 12)
+                for i in range(math.floor(steps) + 1)]
     else:
         vals = [_float(p) for p in raw.split(",") if p.strip()]
     if not vals:

@@ -21,7 +21,6 @@ compares against 2^R - 1.  A link exactly at the threshold counts as
 success (outage is "falls below").
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,8 +34,9 @@ class RateConfig:
     target_rate: float
 
     def __post_init__(self):
-        if not 0 < self.target_rate < math.inf:
-            raise ValueError("target rate must be positive")
+        # from 512 on, gamma_o's 2^(2R) leaves the float range
+        if not 0 < self.target_rate < 512:
+            raise ValueError("target rate must be positive and below 512")
 
     @property
     def gamma_o(self):

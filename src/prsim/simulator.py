@@ -8,11 +8,11 @@ each block of frames through the selection kernel, `selection.select`;
 estimate() draws the same rule's picks directly.
 
 Networks are pure CSI sources.  A network's `frames(n)` returns the
-actual and buffered complex coefficients of its first n frames as
-(n, K) arrays, the same frames on every call.  The SNR grid point and
-the target rate belong to the driver call, which scales coefficients
-into hop SNRs, so one network serves every scheme and grid point of a
-run with common random numbers.
+actual SNR gains |h|^2 (unit mean) and buffered metrics (ranked by
+magnitude) of its first n frames as (n, K) arrays, the same frames on
+every call.  The SNR grid point and the target rate belong to the
+driver call, which scales gains into hop SNRs, so one network serves
+every scheme and grid point of a run with common random numbers.
 
 The selection metric is never the frame's own CSI: each node predicts
 the next frame's coefficient, writes it to a buffer, and a later
@@ -40,8 +40,8 @@ decoded, it either re-selects among the remaining decoders (default)
 or terminates the frame.
 
 Two CSI-correlation modes drive the statistics.  Synthetic mode draws
-(metric, actual) pairs at an exact correlation rho, which is what the
-closed forms assume; series mode, a SeriesNetwork under
+metric SNRs and, given them, actual SNRs at an exact correlation rho,
+which is what the closed forms assume; series mode, a SeriesNetwork under
 simulate_frames, rides a generated fading record and takes the metric
 from a trained predictor (or from the record itself, delayed, for the
 no-predictor baseline).  estimate() picks by metric SNR without timers,
@@ -97,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import correlate_planes, correlated_pair, snr_from_gain
+from .channel import correlated_pair
 from .rng import stream
 from .selection import RateConfig, decoding_subset, select
 
@@ -109,16 +109,17 @@ MIN_TRIALS = 10_000  # estimate's floor per grid point
 def _hop_snr(snr_db):
     """Mean SNR of each relay hop at a grid point (half the power each).
 
-    ValueError unless it and its reciprocal are finite positive floats:
-    past about +-3080 dB one of them overflows."""
+    ValueError unless it lies in [1e-300, 1e300], about +-3000 dB:
+    inside that range every product the engines form stays finite."""
     snr_db = float(snr_db)
     try:
         hop = 0.5 * 10.0 ** (snr_db / 10.0)
     except OverflowError:
         hop = math.inf
-    if not (0 < hop < math.inf and 1 / hop < math.inf):
-        raise ValueError("SNR grid point %g dB is past the float range of "
-                         "the hop SNR" % snr_db)
+    if not 1e-300 <= hop <= 1e300:
+        raise ValueError("SNR grid point %g dB puts the hop SNR past "
+                         "[1e-300, 1e300], where the engines' products "
+                         "leave the float range" % snr_db)
     return hop
 
 
@@ -192,13 +193,9 @@ def _mc_estimate(outage, rates, collisions=0):
 
 
 class SyntheticRhoNetwork:
-    """CSI source of i.i.d. frames with exact-rho buffered metrics.
-
-    Every frame draws fresh unit-power coefficients; the prediction
-    buffered at frame t-1 for frame t is the correlated-pair partner
-    of frame t's actuals, so the metric-actual correlation equals rho
-    by construction.
-    """
+    """CSI source of i.i.d. frames with exact-rho buffered metrics: the
+    metric buffered at frame t-1 for frame t is the correlated-pair
+    partner of frame t's actual gain."""
 
     metric_lag = 1  # frames between buffering a metric and reading it
 
@@ -210,28 +207,25 @@ class SyntheticRhoNetwork:
         self.num_relays = int(num_relays)
         self.rho = float(rho)
         self.seed = seed
-        self._block = None
+        self._frames = None
 
     def frames(self, n):
-        """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames.
+        """(gain_sr, gain_rd, metric_sr, metric_rd) of the first n frames.
 
-        Each is (n, K), and every call replays the same frames.  Frame
-        by frame the (seed, 41) stream is read as the source hop's four
-        standard-normal K-planes (metric re and im, innovation re and
-        im; see `correlate_planes`), then the relay hop's.  The stream
-        fills frames in order, so the network holds the longest block
-        asked for and slices shorter ones.
+        Each is (n, K).  The (seed, 41) stream is read as both hops'
+        metric SNRs |h_m|^2, Exp(1), then the gains given them
+        (`correlated_pair`); the metrics handed out are |h_m|.  The
+        first call draws the frames and sets the most a later call
+        may ask for.
         """
-        if self._block is None or self._block[0].shape[0] < n:
-            z = stream(self.seed, 41).standard_normal(
-                (n, 2, 4, self.num_relays))
-            # (metric re, metric im, actual re, actual im), each (n, 2, K)
-            planes = correlate_planes(np.moveaxis(z, 2, 0), self.rho)
-            block = np.empty((2, 2, n, self.num_relays), dtype=complex)
-            block.real = np.moveaxis(planes[2::-2], 2, 1)  # actual, metric
-            block.imag = np.moveaxis(planes[3::-2], 2, 1)
-            self._block = tuple(block.reshape(4, n, -1))
-        return tuple(a[:n] for a in self._block)
+        if self._frames is None:
+            rng = stream(self.seed, 41)
+            metric = rng.standard_exponential((2, n, self.num_relays))
+            gain = correlated_pair(rng, self.rho, metric.shape, metric)
+            self._frames = (*gain, *np.sqrt(metric, out=metric))
+        if n > len(self._frames[0]):
+            raise ValueError("the first frames() call drew fewer frames")
+        return tuple(a[:n] for a in self._frames)
 
 
 class SeriesNetwork:
@@ -265,11 +259,12 @@ class SeriesNetwork:
         self.series_rd = series_rd[self.start:]
 
     def frames(self, n):
-        """(csi_sr, csi_rd, metric_sr, metric_rd) of the first n frames."""
+        """(gain_sr, gain_rd, metric_sr, metric_rd) of the first n frames."""
         if n > self.num_frames:
             raise ValueError(f"record supports at most {self.num_frames} frames")
-        return (self.series_sr[:n], self.series_rd[:n],
-                self.metric_sr[:n], self.metric_rd[:n])
+        gain_sr, gain_rd = (h.real ** 2 + h.imag ** 2 for h in
+                            (self.series_sr[:n], self.series_rd[:n]))
+        return gain_sr, gain_rd, self.metric_sr[:n], self.metric_rd[:n]
 
 
 def _metric_record(series, delay, predictor):
@@ -304,8 +299,8 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
     central = scheme == "df-central"  # the destination ranks; nobody races
     rate = rate if rate is not None else RateConfig(1.0)
     hop = _hop_snr(snr_db)
-    csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
-    g_sr, g_rd = snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop)
+    g_sr, g_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
+    g_sr, g_rd = g_sr * hop, g_rd * hop
     score, eligible, window = np.abs(m_rd), None, None
     if scheme == "af":
         # rank and judge the weaker hop

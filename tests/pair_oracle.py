@@ -5,18 +5,32 @@ Before `estimate` drew from the conditional law, it drew every relay's
 whole pair, and ranked and judged the full (n, K) planes.  That
 sampler lives on here, unchanged in its draws and arithmetic, so the
 conditional sampler can be checked against it, and tests that need
-whole correlated pairs can draw them.
+whole correlated pairs can draw them.  So can the frame protocol's
+four-normal network, which tests rebuild from `pair_planes`.
 """
 
 import math
 
 import numpy as np
 
-from prsim.channel import correlate_planes
 from prsim.rng import stream
 from prsim.selection import RateConfig, decoding_subset, select
 
 CHUNK = 250_000  # trials per chunk, as the sampler drew them
+
+
+def correlate_planes(planes, rho):
+    """Standard-normal (metric re, metric im, innovation re, innovation
+    im) planes, any (4, ...) view, made a pair at rho in place: both
+    CN(0, 1), the actual rho * metric + sqrt(1 - rho^2) * innovation."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation must lie in [0, 1]")
+    planes *= math.sqrt(0.5)
+    metric, actual = planes[:2], planes[2:]
+    actual *= math.sqrt(1.0 - rho * rho)
+    for a, m in zip(actual, metric):
+        a += rho * m
+    return planes
 
 
 def pair_planes(rng, rho, size, out=None):

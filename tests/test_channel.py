@@ -13,7 +13,6 @@ from prsim.channel import (
     correlated_pair,
     generate_series,
     jakes_correlation,
-    snr_from_gain,
 )
 from prsim.rng import stream
 
@@ -255,17 +254,3 @@ def test_correlated_pair_statistics():
     assert correlated_pair(rng, 0.5, (3, 2), 2.0).shape == (3, 2)
     with pytest.raises(ValueError):
         correlated_pair(rng, 1.5, 5, metric[:5])
-
-
-def test_snr_from_gain_arithmetic():
-    assert snr_from_gain(1.0 + 0j, 1.0) == 1.0
-    assert snr_from_gain(2.0 + 0j, 0.5) == 2.0
-    with pytest.raises(ValueError):
-        snr_from_gain(1.0, -1.0)
-
-
-def test_snr_from_gain_average():
-    rng = stream(6)
-    h = complex_pair(rng, 1.0, 1_000_000)[0]
-    snr = snr_from_gain(h, 10.0)
-    assert abs(np.mean(snr) - 10.0) <= 0.1

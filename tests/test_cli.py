@@ -230,11 +230,12 @@ rho = 0.9
 
 @pytest.mark.parametrize("command, schemes", [("outage", "df, dt"),
                                               ("protocol-sim", "df, af")])
-@pytest.mark.parametrize("snr_db", ["3500", "-4000"])
+@pytest.mark.parametrize("snr_db", ["3500", "-4000", "3079"])
 def test_grid_points_past_the_float_range_fail_before_any_work(
         tmp_path, capsys, monkeypatch, command, schemes, snr_db):
     # 10^(snr/10) overflows at 3500 dB and underflows to 0 at -4000 dB;
-    # the run ended in an OverflowError or ZeroDivisionError traceback
+    # the run ended in an OverflowError or ZeroDivisionError traceback.
+    # At 3079 dB outage wrote rate = inf on every row.
     def no_work(*args, **kwargs):
         raise AssertionError("worked on a point no engine can hold")
 
@@ -247,6 +248,16 @@ def test_grid_points_past_the_float_range_fail_before_any_work(
     assert run_main([command, "--config", str(conf), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: line 2: [grid] snr_db: SNR grid point %s dB" % snr_db)
+    assert not out.exists()
+
+
+def test_rate_past_the_threshold_float_range_fails_cleanly(tmp_path, capsys):
+    # 2^(2R) overflowed at rate = 600: an OverflowError traceback, exit 1
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("[network]\nrate = 600\n")
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 2
+    assert "below 512" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -933,6 +944,28 @@ def test_predict_eval_and_protocol_sim_share_the_cache(tmp_path, fits):
                          "--out", str(runs / (command + ".csv"))]) == 0
     assert fits == [3]
     assert len(list((runs / ".prsim-models").iterdir())) == 1
+
+
+def test_magnitude_predictors_stay_off_synthetic_pair_rows(tmp_path, capsys,
+                                                          fits):
+    # a magnitude predictor resolves the envelope correlation (0.79 at a
+    # complex 0.9 on Gaussian pairs), and the pair law takes the complex
+    # one: its synthetic-pair rows ran at the wrong rho, unannounced
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED + "features = magnitude\n[protocol]\n"
+                    "frames = 200\n")
+    for command in ("outage", "capacity"):
+        out = tmp_path / (command + ".csv")
+        assert run_main([command, "--config", str(conf),
+                         "--out", str(out)]) == 2
+        assert "features = complex" in capsys.readouterr().err
+        assert not out.exists()
+    assert fits == []  # refused before any training
+    # record-driven rows and predict-eval keep magnitude predictors
+    for command in ("protocol-sim", "predict-eval"):
+        assert run_main([command, "--config", str(conf),
+                         "--out", str(tmp_path / (command + ".csv"))]) == 0
+    assert fits == [3]
 
 
 def test_storing_an_entry_deletes_other_code_versions(tmp_path, monkeypatch,

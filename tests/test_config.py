@@ -76,6 +76,27 @@ def test_grid_range_is_inclusive():
     assert single.snr_grid_db == (12.0,)
 
 
+def test_grid_range_points_are_start_plus_i_step():
+    # a running sum drifted to 99.799999999999 ... 99.999999999999,
+    # digits that reached the snr_db column and the config hash
+    cfg = parse_config("[grid]\nsnr_db = 0:100:0.1\n")
+    assert cfg.snr_grid_db == tuple(i / 10 for i in range(1001))
+    # exactly the most points a range may hold
+    cfg = parse_config("[grid]\nsnr_db = 0:99.99:0.01\n")
+    assert cfg.snr_grid_db[-2:] == (99.98, 99.99)
+    assert len(cfg.snr_grid_db) == 10_000
+
+
+@pytest.mark.parametrize("rate", [512.0, 600.0])
+def test_rates_whose_threshold_overflows_are_refused(rate):
+    # gamma_o = 2^(2R) - 1 leaves the float range from R = 512 on
+    with pytest.raises(ValueError, match="below 512"):
+        RateConfig(rate)
+    with pytest.raises(ValueError, match="below 512"):
+        NetworkSettings(rate=rate)
+    assert math.isfinite(RateConfig(511.0).gamma_o)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[warp]\nx = 1\n", "unknown section"),
     ("[network]\nrelay = 8\n", "unknown key"),
@@ -124,9 +145,14 @@ def test_grid_range_is_inclusive():
     ("[protocol]\npilot_snr_db = inf\n", "expected a finite"),
     ("[grid]\nsnr_db = 0, nan\n", "expected a finite"),
     ("[grid]\nsnr_db = 0:inf:5\n", "expected a finite"),
-    # finite points whose hop SNR, or its reciprocal, leaves the floats
+    # finite points whose hop SNR lies past [1e-300, 1e300]
     ("[grid]\nsnr_db = 0, 3500\n", r"line 2: \[grid\] snr_db: .*3500 dB"),
     ("[grid]\n\nsnr_db = -4000:0:5\n", r"line 3: .*-4000 dB"),
+    # 1 000 001 points, each a full Monte-Carlo, were built without a word
+    ("[grid]\n\nsnr_db = 0:1000:0.001\n",
+     r"line 3: \[grid\] .*more than 10000 points"),
+    # gamma_o = 2^(2R) - 1 overflowed into an OverflowError traceback
+    ("[network]\nrate = 600\n", r"\[network\] .*below 512"),
 ])
 def test_malformed_text_raises(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -15,8 +15,8 @@ forms became one K-term law; only their df and ostc rows moved then.
 Their af rows date from when `estimate` began drawing the picks'
 metrics as order statistics, and their dt rows from the earlier
 samplers, whose draw of dt did not change.  The synthetic protocol-sim
-file was recorded before the synthetic network began holding its frame
-block.
+file was recorded when the synthetic frame network began drawing every
+relay's Exp(1) metric SNR and then its actual SNR gain given it.
 The outdated protocol-sim file runs the frame protocol on Jakes records
 (K = 8, delay 3, 20 000 frames, 0:30:10 dB), whose 20 009 samples
 reach phases omega t of about 1.2e4 rad.  It and the gen-data files

@@ -31,11 +31,11 @@ class OneFrameNetwork:
     metric_lag = 1
 
     def __init__(self, sr, rd):
-        self.h = (np.sqrt(sr), np.sqrt(rd))
+        self.gains = (sr, rd)
 
     def frames(self, n):
-        sr, rd = (np.full((n, 1), h, dtype=complex) for h in self.h)
-        return sr, rd, sr, rd
+        sr, rd = (np.full((n, 1), g) for g in self.gains)
+        return sr, rd, np.sqrt(sr), np.sqrt(rd)
 
 
 def first_k(k, K=8):

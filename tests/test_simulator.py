@@ -7,8 +7,8 @@ from scipy import stats
 from prsim.analytics import SelectionParams, outage_af, outage_df
 from prsim.analytics import capacity_exponential_exact
 from prsim import simulator
-from prsim.channel import (FadingProcessConfig, generate_series,
-                           jakes_correlation, snr_from_gain)
+from prsim.channel import (FadingProcessConfig, correlated_pair,
+                           generate_series, jakes_correlation)
 from prsim.rng import stream
 from prsim.selection import RateConfig, decoding_subset, select
 from prsim.simulator import (
@@ -125,9 +125,8 @@ def test_phase_error_snr_factor():
 def frame_block(net, n, snr_db):
     """Frames 1 .. n-1 of a network as actual hop SNRs and metrics."""
     hop = 0.5 * 10.0 ** (snr_db / 10.0)
-    csi_sr, csi_rd, m_sr, m_rd = (a[1:] for a in net.frames(n))
-    return (snr_from_gain(csi_sr, hop), snr_from_gain(csi_rd, hop),
-            m_sr, m_rd)
+    gain_sr, gain_rd, m_sr, m_rd = (a[1:] for a in net.frames(n))
+    return gain_sr * hop, gain_rd * hop, m_sr, m_rd
 
 
 def block_estimate(sel):
@@ -138,21 +137,18 @@ def block_estimate(sel):
 def test_synthetic_network_frames():
     net = SyntheticRhoNetwork(4, rho=0.8, seed=5)
     assert net.metric_lag == 1
-    csi_sr, csi_rd, m_sr, m_rd = net.frames(3)
-    assert all(a.shape == (3, 4) for a in (csi_sr, csi_rd, m_sr, m_rd))
-    # the block consumes the stream as frame-by-frame pair draws would:
-    # source hop, then relay hop
+    g_sr, g_rd, m_sr, m_rd = net.frames(3)
+    assert all(a.shape == (3, 4) for a in (g_sr, g_rd, m_sr, m_rd))
+    # the stream is read as both hops' Exp(1) metric SNRs, then the
+    # actual gains given them; the metrics come out as magnitudes
     rng = stream(5, 41)
-    for t in range(3):
-        for metric, actual in ((m_sr[t], csi_sr[t]), (m_rd[t], csi_rd[t])):
-            want_m, want_a = complex_planes(pair_planes(rng, 0.8, 4))
-            assert np.array_equal(metric, want_m)
-            assert np.array_equal(actual, want_a)
-    # metric-actual correlation approaches rho over many frames
-    _, a, _, m = SyntheticRhoNetwork(4, rho=0.8, seed=6).frames(4000)
-    m, a = np.ravel(m), np.ravel(a)
-    corr = np.abs(np.vdot(m, a)) / (np.linalg.norm(m) * np.linalg.norm(a))
-    assert abs(corr - 0.8) < 0.02
+    metric = rng.standard_exponential((2, 3, 4))
+    gain = correlated_pair(rng, 0.8, metric.shape, metric)
+    assert np.array_equal(np.stack([g_sr, g_rd]), gain)
+    assert np.array_equal(np.stack([m_sr, m_rd]), np.sqrt(metric))
+    # the SNR pair's correlation is rho^2 over many frames
+    _, g, _, m = SyntheticRhoNetwork(4, rho=0.8, seed=6).frames(4000)
+    assert abs(np.corrcoef(np.ravel(m) ** 2, np.ravel(g))[0, 1] - 0.64) < 0.02
 
 
 @pytest.mark.parametrize("relays,rho", [(8, 5.0), (8, -0.2), (8, math.nan),
@@ -170,11 +166,14 @@ def test_synthetic_network_replays_its_frames():
     first = net.frames(50)
     again = net.frames(50)
     shorter = net.frames(20)
-    longer = net.frames(80)  # a longer block extends the same stream
-    for a, b, c, d in zip(first, again, shorter, longer):
+    for a, b, c in zip(first, again, shorter):
         assert np.array_equal(a, b)
         assert np.array_equal(a[:20], c)
-        assert np.array_equal(a, d[:50])
+    # the first call draws the frames; a later one may ask for no more
+    with pytest.raises(ValueError, match="drew fewer frames"):
+        net.frames(51)
+    with pytest.raises(ValueError, match="drew fewer frames"):
+        simulate_frames("df", net, 10.0, 51)
 
 
 def test_one_network_serves_every_grid_point():
@@ -290,6 +289,53 @@ def test_termination_never_beats_reselection():
         assert p_t > p_r
 
 
+class FourNormalNetwork:
+    """The synthetic network before it drew the conditional law: every
+    relay's (metric, actual) pair from four standard normals, handed out
+    as the frame protocol reads it (SNR gains, metric magnitudes)."""
+
+    metric_lag = 1
+
+    def __init__(self, num_relays, rho, seed, n):
+        metric_re, metric_im, re, im = pair_planes(stream(seed, 41), rho,
+                                                   (2, n, num_relays))
+        self._frames = (*(re * re + im * im), *np.hypot(metric_re, metric_im))
+
+    def frames(self, n):
+        return tuple(a[:n] for a in self._frames)
+
+
+WINDOW = ProtocolSettings(uncertainty_window=0.05)
+FRAME_RUNS = {"df": ("df", WINDOW), "af": ("af", WINDOW),
+              "reselect": ("df-central", ProtocolSettings()),
+              "terminate": ("df-central", ProtocolSettings(policy="terminate"))}
+
+
+@pytest.mark.parametrize("K", [2, 8])
+def test_conditional_network_matches_four_normal_network(K):
+    # outage and collision rate of every frame run within 3 combined
+    # standard errors, on independent seeds, at 2e5 frames
+    n = 200_001
+    for i, rho in enumerate((0.5, 0.9, 0.99)):
+        new = SyntheticRhoNetwork(K, rho, seed=900 + 10 * K + i)
+        old = FourNormalNetwork(K, rho, 950 + 10 * K + i, n)
+        for name, (scheme, protocol) in FRAME_RUNS.items():
+            a, b = (simulate_frames(scheme, net, 10.0, n, protocol=protocol)
+                    for net in (new, old))
+            for p, q in ((a.outage_prob, b.outage_prob),
+                         (a.collision_rate, b.collision_rate)):
+                se = math.hypot(math.sqrt(p * (1 - p) / a.trials),
+                                math.sqrt(q * (1 - q) / b.trials))
+                assert abs(p - q) <= 3.0 * se, (K, rho, name, p, q)
+        # Exp(1) gains and squared metrics, whose correlation is rho^2
+        g_sr, g_rd, m_sr, m_rd = new.frames(n)
+        for g in (g_sr, g_rd, m_sr ** 2, m_rd ** 2):
+            assert stats.kstest(g.ravel()[::7], "expon").pvalue > 1e-3
+        for g, m in ((g_sr, m_sr), (g_rd, m_rd)):
+            r = np.corrcoef(m.ravel() ** 2, g.ravel())[0, 1]
+            assert abs(r - rho * rho) < 0.005, (K, rho, r)
+
+
 def test_frame_driver_validation():
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     with pytest.raises(ValueError):
@@ -300,9 +346,10 @@ def test_frame_driver_validation():
         ProtocolSettings(policy="retry")
 
 
-@pytest.mark.parametrize("snr_db", [3500.0, -4000.0])
+@pytest.mark.parametrize("snr_db", [3500.0, -4000.0, 3079.0])
 def test_frame_driver_refuses_points_past_the_float_range(snr_db):
-    # 10^(snr/10) overflows at 3500 dB and underflows to 0 at -4000 dB
+    # 10^(snr/10) overflows at 3500 dB and underflows to 0 at -4000 dB;
+    # at 3079 dB the hop is finite, but a gain times it overflows
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     for scheme in ("df", "af", "df-central"):
         with pytest.raises(ValueError, match="float range"):
@@ -472,9 +519,9 @@ def test_chunking_only_reorders_draws(monkeypatch):
 @pytest.mark.parametrize("bad", [
     dict(rho=5.0), dict(rho=-0.1), dict(rho=math.nan),
     dict(num_relays=0), dict(snr=math.nan), dict(snr=math.inf),
-    dict(snr=3500.0), dict(snr=-4000.0),
+    dict(snr=3500.0), dict(snr=-4000.0), dict(snr=3079.0),
 ], ids=["rho-5", "rho-negative", "rho-nan", "no-relays", "snr-nan",
-        "snr-inf", "snr-3500", "snr-minus-4000"])
+        "snr-inf", "snr-3500", "snr-minus-4000", "snr-3079"])
 def test_estimate_refuses_bad_inputs_before_drawing(monkeypatch, bad):
     def no_draws(*key):
         raise AssertionError("drew before validating")
@@ -486,25 +533,46 @@ def test_estimate_refuses_bad_inputs_before_drawing(monkeypatch, bad):
             estimate(schemes, [0.0, bad.get("snr", 10.0)], 10_000, **kw)
 
 
-# exact outage at 64 relays (gamma_o = 3, each hop half the grid SNR):
-# the closed forms' sums evaluated in mpmath at 120 and 200 digits, which
-# agree; the float closed forms read 0 or 1 at some of these points
-K64_EXACT = {  # (rho, snr_db): (df, af)
-    (0.9, 0.0): (0.99960729, 0.99961011),
-    (0.9, 10.0): (0.0025833512, 0.010113478),
-    (0.5, 10.0): (0.22541158, 0.39339015),
-    (0.5, 20.0): (0.018443987, 0.036718796),
+def test_engines_stay_finite_at_the_ends_of_the_hop_range():
+    # the hop SNR may reach 1e-300 and 1e300 (about -2997 and +3003 dB);
+    # every product the engines form stays finite, so no warning fires
+    for snr_db in (-2996.0, 3000.0):
+        for est in estimate(["df", "af", "ostc", "dt"], [snr_db], 10_000,
+                            num_relays=2, rho=0.9):
+            assert math.isfinite(est[0].mean_rate)
+        for scheme in ("df", "af", "df-central"):
+            est = simulate_frames(scheme, SyntheticRhoNetwork(2, 0.9), snr_db,
+                                  1000, protocol=WINDOW)
+            assert math.isfinite(est.mean_rate)
+    for snr_db in (-2998.0, 3004.0):
+        with pytest.raises(ValueError, match="float range"):
+            simulator._hop_snr(snr_db)
+
+
+# exact outage at 32 to 64 relays (gamma_o = 3, each hop half the grid
+# SNR): the closed forms' sums evaluated in mpmath at 60 to 300 digits,
+# which agree; the float closed forms are off or read 0 or 1 at some of
+# these points
+MANY_RELAYS_EXACT = {  # (K, rho, snr_db): (df, af)
+    (32, 0.9, 20.0): (1.0326954e-5, 3.3081927e-5),
+    (48, 0.5, 10.0): (0.24061236, 0.41235133),
+    (48, 0.9, 20.0): (2.4181757e-6, 8.5867143e-6),
+    (64, 0.9, 0.0): (0.99960729, 0.99961011),
+    (64, 0.9, 10.0): (0.0025833512, 0.010113478),
+    (64, 0.5, 10.0): (0.22541158, 0.39339015),
+    (64, 0.5, 20.0): (0.018443987, 0.036718796),
 }
 
 
 def test_estimate_matches_exact_outage_at_64_relays():
-    for rho in (0.9, 0.5):
-        grid = sorted(snr for r, snr in K64_EXACT if r == rho)
-        df, af = estimate(["df", "af"], grid, 1_000_000, num_relays=64,
-                          rho=rho, seed=64)
+    for K, rho in sorted({key[:2] for key in MANY_RELAYS_EXACT}):
+        grid = sorted(snr for k, r, snr in MANY_RELAYS_EXACT
+                      if (k, r) == (K, rho))
+        df, af = estimate(["df", "af"], grid, 1_000_000, num_relays=K,
+                          rho=rho, seed=K)
         for snr, *ests in zip(grid, df, af):
-            for est, exact in zip(ests, K64_EXACT[rho, snr]):
-                assert se_vs(exact, est) <= 3.0, (rho, snr, est, exact)
+            for est, exact in zip(ests, MANY_RELAYS_EXACT[K, rho, snr]):
+                assert se_vs(exact, est) <= 3.0, (K, rho, snr, est, exact)
 
 
 @pytest.mark.parametrize("M", [1, 2, 8, 64])
@@ -628,13 +696,16 @@ def test_series_network_alignment():
     net = SeriesNetwork(sr, rd, delay=3)
     assert net.start == 3 and net.num_frames == 297
     assert net.metric_lag == 3
-    csi_sr, csi_rd, m_sr, m_rd = net.frames(297)
+    g_sr, g_rd, m_sr, m_rd = net.frames(297)
     # the buffered metric is the record three samples back
     assert np.array_equal(m_rd, rd[:297]) and np.array_equal(m_sr, sr[:297])
-    assert np.array_equal(csi_rd, rd[3:]) and np.array_equal(csi_sr, sr[3:])
+    # the gains are the actual record's |h|^2, formed as re^2 + im^2
+    for g, h in ((g_sr, sr[3:]), (g_rd, rd[3:])):
+        assert np.array_equal(g, h.real ** 2 + h.imag ** 2)
+        assert np.allclose(g, np.abs(h) ** 2, rtol=1e-14, atol=0.0)
     # without a predictor the network holds views, never copies
     assert all(np.shares_memory(part, whole) for part, whole in
-               ((csi_sr, sr), (csi_rd, rd), (m_sr, sr), (m_rd, rd)))
+               ((m_sr, sr), (m_rd, rd)))
     with pytest.raises(ValueError):
         net.frames(298)
     with pytest.raises(ValueError):
