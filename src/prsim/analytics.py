@@ -70,8 +70,16 @@ class SelectionParams:
     @property
     def gamma_e(self):
         # mean of min(sr, rd) for independent exponentials; recomputed,
-        # never stored, so it can not go stale
-        return self.gamma_sr * self.gamma_rd / (self.gamma_sr + self.gamma_rd)
+        # never stored, so it can not go stale.  At equal hops the
+        # product leaves the float range below about -1618 dB and above
+        # about +1541 dB
+        sr, rd = self.gamma_sr, self.gamma_rd
+        gamma_e = sr * rd / (sr + rd)
+        if not 0 < gamma_e < math.inf:
+            raise ValueError(
+                "AF end-to-end mean SNR gamma_e = %r at gamma_sr = %r, "
+                "gamma_rd = %r is outside (0, inf)" % (gamma_e, sr, rd))
+        return gamma_e
 
 
 def _law(K, p, gamma, rho):

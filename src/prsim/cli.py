@@ -40,20 +40,25 @@ protocol-sim and record-driven rows run the frame protocol's (df, af,
 df-central), unimpaired, under [protocol]'s timer race and policy.  A
 plan its engine cannot run fails up front.
 
-Predictors trained on the fly are kept in a content-addressed model
-cache, .prsim-models/ beside the output CSV, so runs that write into
-one directory train each model once (see PredictorPool).
+A content-addressed cache, .prsim-cache/ beside the output CSV, keeps
+each predictor trained on the fly with its resolved rho (see
+PredictorPool) and each synthetic-pair Monte-Carlo curve, one entry per
+scheme (see _estimates).  Runs that write into one directory train each
+model and draw each curve once: outage and capacity read one draw, so
+the second of them on one config draws nothing.  A hit gives the bytes
+a miss would; deleting the directory forces a cold run.
 """
 
 import argparse
 import csv
 import functools
 import hashlib
+import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +73,9 @@ from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step, load_model,
                         predict_series, save_model, train_link_predictor)
 from .selection import RateConfig
 from .simulator import (ESTIMATE_SCHEMES, FRAME_SCHEMES, MIN_TRIALS,
-                        ProtocolSettings, SeriesNetwork, SyntheticRhoNetwork,
-                        _hop_snr, estimate, simulate_frames)
+                        McEstimate, ProtocolSettings, SeriesNetwork,
+                        SyntheticRhoNetwork, _hop_snr, estimate,
+                        simulate_frames)
 
 # Derived stream seeds: training, evaluation and the two frame-level
 # records draw from fixed offsets of the experiment seed so that every
@@ -126,15 +132,15 @@ def _load_fitting(path, layout):
 
 
 # ---------------------------------------------------------------------------
-# model cache
+# cache
 
-_MODEL_CACHE = ".prsim-models"
+_CACHE = ".prsim-cache"
 
 
-def _model_cache(cfg, out):
-    """The model cache directory beside the run's output CSV."""
+def _cache_dir(cfg, out):
+    """The cache directory beside the run's output CSV."""
     return os.path.join(os.path.dirname(os.path.abspath(out or cfg.output)),
-                        _MODEL_CACHE)
+                        _CACHE)
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,6 +152,11 @@ def _code_digest():
         digest.update(path.relative_to(root).as_posix().encode() + b"\0")
         digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def _entry(cache_dir, key, suffix):
+    """Path of the cache entry <code digest>-<key><suffix>."""
+    return os.path.join(cache_dir, "%s-%s%s" % (_code_digest(), key, suffix))
 
 
 def _model_key(cfg, fading, horizon, links):
@@ -160,29 +171,75 @@ def _model_key(cfg, fading, horizon, links):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _store(net, path):
-    """save_model through a temp file renamed into place, so a reader
-    never sees a partial archive.  Entries are named
-    <code digest>-<key>.npz; the entries another package source left in
-    the directory can never hit again, so they are deleted."""
+def _store(path, write):
+    """write(tmp) fills a temp file that is then renamed to path, so a
+    reader never sees a partial entry.  The .npz and .json entries
+    another package source left in the directory can never hit again,
+    so they are deleted; other writers' temp files stay."""
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
     os.close(fd)
     try:
-        save_model(net, tmp)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
     current = _code_digest() + "-"
     for name in os.listdir(directory):
-        if (name.endswith(".npz") and not name.startswith(current)
+        if (name.endswith((".npz", ".json")) and not name.startswith(current)
                 and name != os.path.basename(path)):
             try:
                 os.unlink(os.path.join(directory, name))
             except FileNotFoundError:  # another writer got there first
                 pass
+
+
+def _store_json(path, value):
+    _store(path, lambda tmp: Path(tmp).write_text(json.dumps(value),
+                                                  encoding="utf-8"))
+
+
+def _load_json(path):
+    """The value of a JSON entry; OSError when absent, ValueError when
+    damaged."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _estimates(cache_dir, schemes, grid, trials, **kwargs):
+    """estimate(schemes, grid, trials, **kwargs), one cache entry per
+    scheme.
+
+    An entry holds the scheme's McEstimate fields per grid point as
+    JSON, whose floats round-trip exactly, under the sha256 of the
+    scheme, every other estimate argument and the numpy version.  A
+    scheme's estimates are the same bits whichever schemes share the
+    call, so one call draws the schemes that miss and a hit gives the
+    bytes a miss would.  A damaged entry is a miss and is overwritten.
+    """
+    args = dict(snr_grid_db=[float(x) for x in grid], trials=trials,
+                **kwargs)
+    common = ["%s = %r" % item for item in sorted(args.items())]
+    common.append("numpy = %s" % np.__version__)
+    paths, found = {}, {}
+    for scheme in schemes:
+        key = "\n".join(["scheme = %s" % scheme] + common)
+        paths[scheme] = _entry(cache_dir,
+                               hashlib.sha256(key.encode()).hexdigest(),
+                               ".json")
+        try:
+            found[scheme] = [McEstimate(*point)
+                             for point in _load_json(paths[scheme])]
+        except (ValueError, OSError):  # absent or damaged: draw afresh
+            pass
+    missing = [scheme for scheme in paths if scheme not in found]
+    if missing:
+        for scheme, points in zip(missing,
+                                  estimate(missing, grid, trials, **kwargs)):
+            found[scheme] = points
+            _store_json(paths[scheme], [astuple(est) for est in points])
+    return [found[scheme] for scheme in schemes]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +278,8 @@ class PredictorPool:
     inputs.  A miss trains and stores the model; a hit loads it, which
     is bit exact, so the rows are the same bytes either way.  An entry
     that does not load, or whose layout differs, is a miss and is
-    overwritten.
+    overwritten.  The resolved rho of a cached model is kept beside it
+    under the same key (see rho).
     """
 
     def __init__(self, cfg, cache_dir):
@@ -229,6 +287,7 @@ class PredictorPool:
         self.cache_dir = cache_dir
         self._nets = {}
         self._evals = {}
+        self._hits = set()  # keys whose model loaded from the cache
 
     def net(self, fading, horizon, links):
         key = (fading, horizon, links)
@@ -246,11 +305,16 @@ class PredictorPool:
             self._nets[key] = net
         return self._nets[key]
 
+    def _path(self, key, suffix):
+        return _entry(self.cache_dir, _model_key(self.cfg, *key), suffix)
+
     def _cached_fit(self, fading, horizon, links, layout):
-        path = os.path.join(self.cache_dir, "%s-%s.npz" % (
-            _code_digest(), _model_key(self.cfg, fading, horizon, links)))
+        key = (fading, horizon, links)
+        path = self._path(key, ".npz")
         try:
-            return _load_fitting(path, layout)
+            net = _load_fitting(path, layout)
+            self._hits.add(key)
+            return net
         except (ValueError, OSError):  # absent or damaged: train afresh
             pass
         series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
@@ -258,7 +322,7 @@ class PredictorPool:
         net, _ = train_link_predictor(series, horizon=horizon,
                                       recipe=self.cfg.predictor,
                                       seed=self.cfg.seed)
-        _store(net, path)
+        _store(path, functools.partial(save_model, net))
         return net
 
     def evaluate(self, fading, horizon, links):
@@ -267,6 +331,25 @@ class PredictorPool:
         if key not in self._evals:
             self._evals[key] = _evaluate(self.cfg, self.net(*key), fading)
         return self._evals[key]
+
+    def rho(self, fading, horizon, links):
+        """The rho of evaluate.  A model trained on the fly keeps it in
+        a JSON entry beside the model's, read only once the model entry
+        has loaded: a model trained afresh is evaluated afresh.  A model
+        file named by csi.model is evaluated on every run."""
+        key = (fading, horizon, links)
+        if self.cfg.csi.model:
+            return self.evaluate(*key)[2]
+        self.net(*key)
+        path = self._path(key, ".json")
+        if key in self._hits:
+            try:
+                return _load_json(path)["rho"]
+            except (ValueError, OSError):  # absent or damaged: evaluate
+                pass
+        rho = self.evaluate(*key)[2]
+        _store_json(path, {"rho": rho})
+        return rho
 
 
 def _rho_outdated(fading, delay):
@@ -434,7 +517,7 @@ def cmd_train(cfg, out=None):
 
 def cmd_predict_eval(cfg, out=None, plan=None):
     """Prediction quality rows over (fading, horizon) pairs."""
-    pool = PredictorPool(cfg, _model_cache(cfg, out))
+    pool = PredictorPool(cfg, _cache_dir(cfg, out))
     pairs = plan or [(cfg.fading, cfg.csi.delay)]
     rows = []
     for fading, horizon in pairs:
@@ -464,16 +547,17 @@ def _curves(cfg, out, runs, command):
     runs None is the config's plan, _config_runs.  Runs that share
     (relays, rho, impairments, fading, delay) form one group.  A
     synthetic group of outage or capacity is one estimate call
-    (ESTIMATE_SCHEMES), so schemes of one draw family share their
-    draws.  Every other group is one network that simulate_frames
-    (FRAME_SCHEMES) scores for each member scheme and grid point: a
-    SyntheticRhoNetwork for protocol-sim's perfect or synthetic csi,
-    otherwise a SeriesNetwork over the hop records of the group's
-    fading.  Records are held by (fading, length, links), one fading at
-    a time, so outdated and predicted groups of one fading share them.
-    Every simulate_frames call reads [protocol]'s timer race and
-    policy.  protocol-sim scores [protocol] frames; record rows of
-    outage and capacity score `trials` frames past the bootstrap frame.
+    (ESTIMATE_SCHEMES) for the schemes the cache lacks, so schemes of
+    one draw family share their draws.  Every other group is one
+    network that simulate_frames (FRAME_SCHEMES) scores for each member
+    scheme and grid point: a SyntheticRhoNetwork for protocol-sim's
+    perfect or synthetic csi, otherwise a SeriesNetwork over the hop
+    records of the group's fading.  Records are held by (fading,
+    length, links), one fading at a time, so outdated and predicted
+    groups of one fading share them.  Every simulate_frames call reads
+    [protocol]'s timer race and policy.  protocol-sim scores [protocol]
+    frames; record rows of outage and capacity score `trials` frames
+    past the bootstrap frame.
     A predicted synthetic-pair run refuses a magnitude-feature
     predictor before any training: its rho is the envelope correlation,
     not the complex one of the pair law.  Every analytic cell is
@@ -481,7 +565,8 @@ def _curves(cfg, out, runs, command):
     fails before any Monte-Carlo.  Rows keep run order.
     """
     runs = runs or _config_runs(cfg, command)
-    pool = PredictorPool(cfg, _model_cache(cfg, out))
+    cache = _cache_dir(cfg, out)
+    pool = PredictorPool(cfg, cache)
     rate = RateConfig(cfg.network.rate)
     if command == "protocol-sim":
         budget = frames = cfg.protocol.frames
@@ -499,7 +584,7 @@ def _curves(cfg, out, runs, command):
                     "features = complex")
             key = (cfg.fading, spec.horizon, spec.relays)
             if key not in resolved:  # report each predictor once
-                resolved[key] = pool.evaluate(*key)[2]
+                resolved[key] = pool.rho(*key)
                 print("resolved %s: rho=%.4f" % (spec.rho_mode, resolved[key]))
             rho = resolved[key]
         groups.setdefault((spec.relays, rho, spec.impairments, spec.fading,
@@ -509,9 +594,9 @@ def _curves(cfg, out, runs, command):
     ests, held = {}, {}
     for (relays, rho, imp, fading, delay), members in groups.items():
         if fading is None and command != "protocol-sim":
-            ests.update(zip(members, estimate(
-                [runs[i].scheme for i in members], cfg.snr_grid_db, budget,
-                num_relays=relays, rho=rho, rate=rate, seed=cfg.seed,
+            ests.update(zip(members, _estimates(
+                cache, [runs[i].scheme for i in members], cfg.snr_grid_db,
+                budget, num_relays=relays, rho=rho, rate=rate, seed=cfg.seed,
                 impairments=imp)))
             continue
         if fading is None:

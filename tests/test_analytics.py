@@ -1,6 +1,7 @@
 """Closed forms against algebraic collapses, quadrature and MC oracles."""
 
 import math
+import re
 from math import comb, expm1, fsum
 
 import mpmath
@@ -422,6 +423,23 @@ def test_non_finite_snrs_and_threshold_are_refused(field, value):
         SelectionParams(**{**base, field: value})
     with pytest.raises(ValueError):
         capacity_exponential_exact(value)
+
+
+@pytest.mark.parametrize("hop", [1e-170, 1e170])
+def test_af_mean_snr_past_the_float_range_is_refused(hop):
+    # gamma_sr * gamma_rd underflowed to 0 (outage_af: ZeroDivisionError)
+    # or overflowed to inf (outage_af: 0 where Monte-Carlo reads 1)
+    p = SelectionParams(K=2, gamma_sr=hop, gamma_rd=hop, rho=0.9,
+                        gamma_o=3.0)
+    for law in (outage_af, capacity_af):
+        with pytest.raises(ValueError, match=re.escape("gamma_sr = %r" % hop)):
+            law(p)
+    assert outage_df(p) >= 0.0  # DF reads no gamma_e
+    # inside the range the formula keeps its arithmetic
+    for sr, rd in ((3.0, 5.0), (1e-150, 1e-150), (1e150, 2.5e150)):
+        q = SelectionParams(K=2, gamma_sr=sr, gamma_rd=rd, rho=0.9,
+                            gamma_o=3.0)
+        assert q.gamma_e == sr * rd / (sr + rd)
 
 
 def test_relay_count_past_the_float_weights_is_refused():

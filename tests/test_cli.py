@@ -1,6 +1,7 @@
 """Command-line runner: subcommands, presets, CSV contracts."""
 
 import csv
+import functools
 import multiprocessing
 import os
 import re
@@ -19,7 +20,7 @@ from prsim.analytics import SelectionParams, outage_df
 from prsim.config import (ConfigError, FadingSettings, PredictorSettings,
                           parse_config)
 from prsim.numerics import bessel_j0
-from prsim.predictor import LayerSpec, RecurrentNet, load_model
+from prsim.predictor import LayerSpec, RecurrentNet, load_model, save_model
 from prsim.selection import RateConfig
 
 
@@ -259,6 +260,28 @@ def test_rate_past_the_threshold_float_range_fails_cleanly(tmp_path, capsys):
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 2
     assert "below 512" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_db, extra", [
+    ("-1700", ""), ("1700", "[network]\nrate = 511\n")])
+def test_af_mean_snr_past_the_float_range_fails_before_any_draw(
+        tmp_path, capsys, monkeypatch, snr_db, extra):
+    # gamma_e = sr rd / (sr + rd) was 0 at -1700 dB (a ZeroDivisionError
+    # traceback, exit 1) and inf at 1700 dB (an analytic outage of 0
+    # beside a Monte-Carlo 1.0 at rate 511)
+    def no_work(*args, **kwargs):
+        raise AssertionError("drew before the closed forms refused")
+
+    monkeypatch.setattr(cli, "estimate", no_work)
+    conf = tmp_path / "e.conf"
+    out = tmp_path / "r.csv"
+    conf.write_text("[grid]\nsnr_db = %s\n[schemes]\nlist = af\n[csi]\n"
+                    "mode = synthetic\nrho = 0.9\n%s" % (snr_db, extra))
+    for command in ("outage", "capacity"):
+        assert run_main([command, "--config", str(conf),
+                         "--out", str(out)]) == 2
+        assert "gamma_e" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_closed_form_cells_refuse_points_past_the_float_range():
@@ -912,8 +935,7 @@ def test_warm_run_trains_nothing(tmp_path, fits):
     assert fits == [3]
     assert (tmp_path / "cold.csv").read_bytes() == \
         (tmp_path / "warm.csv").read_bytes()
-    (entry,) = (tmp_path / ".prsim-models").iterdir()
-    assert entry.name.endswith(".npz")
+    (entry,) = (tmp_path / ".prsim-cache").glob("*.npz")
 
 
 def test_damaged_cache_entry_is_retrained_and_replaced(tmp_path, fits):
@@ -922,14 +944,15 @@ def test_damaged_cache_entry_is_retrained_and_replaced(tmp_path, fits):
     out = tmp_path / "r.csv"
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
     first = out.read_bytes()
-    (entry,) = (tmp_path / ".prsim-models").iterdir()
+    cache = tmp_path / ".prsim-cache"
+    (entry,) = cache.glob("*.npz")
     whole = entry.read_bytes()
     entry.write_bytes(whole[:len(whole) // 2])
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
     assert fits == [3, 3]
     assert out.read_bytes() == first
-    assert [p.name for p in (tmp_path / ".prsim-models").iterdir()] == \
-        [entry.name]
+    assert [p.name for p in cache.glob("*.npz")] == [entry.name]
+    assert not list(cache.glob("*.tmp"))
     assert entry.read_bytes() == whole
     load_model(entry)
 
@@ -943,7 +966,7 @@ def test_predict_eval_and_protocol_sim_share_the_cache(tmp_path, fits):
         assert run_main([command, "--config", str(conf),
                          "--out", str(runs / (command + ".csv"))]) == 0
     assert fits == [3]
-    assert len(list((runs / ".prsim-models").iterdir())) == 1
+    assert len(list((runs / ".prsim-cache").glob("*.npz"))) == 1
 
 
 def test_magnitude_predictors_stay_off_synthetic_pair_rows(tmp_path, capsys,
@@ -971,7 +994,7 @@ def test_magnitude_predictors_stay_off_synthetic_pair_rows(tmp_path, capsys,
 def test_storing_an_entry_deletes_other_code_versions(tmp_path, monkeypatch,
                                                       fits):
     conf = tmp_path / "e.conf"
-    cache = tmp_path / ".prsim-models"
+    cache = tmp_path / ".prsim-cache"
 
     def entries_after_run(digest, delay=3):
         monkeypatch.setattr(cli, "_code_digest", lambda: digest)
@@ -991,20 +1014,26 @@ def test_storing_an_entry_deletes_other_code_versions(tmp_path, monkeypatch,
     assert fits == [3, 3, 2]
 
 
-def _store_and_load(path, rounds):
-    # spawned worker: rewrite one cache entry and read it back
+def _store_and_load(directory, rounds):
+    # spawned worker: rewrite a model and a JSON entry, read both back
     layout = {"tau": 1, "horizon": 1, "features": "magnitude",
               "scale": 1.0, "links": 2}
     net = RecurrentNet(4, (LayerSpec("lstm", 3),), 2, seed=0, layout=layout)
+    model = cli._entry(directory, "model", ".npz")
+    entry = cli._entry(directory, "curve", ".json")
+    points = [[10000, 0.5 + i / 7e3, 0.005, 1.25, 0.0] for i in range(2000)]
     for _ in range(rounds):
-        cli._store(net, path)
-        cli._load_fitting(path, layout)  # raises on a partial archive
+        cli._store(model, functools.partial(save_model, net))
+        cli._load_fitting(model, layout)  # raises on a partial archive
+        cli._store_json(entry, points)
+        if cli._load_json(entry) != points:  # raises on a partial entry
+            raise AssertionError("JSON entry changed in the round trip")
 
 
 def test_concurrent_writers_never_expose_a_partial_entry(tmp_path):
-    path = str(tmp_path / ".prsim-models" / "entry.npz")
+    directory = str(tmp_path / ".prsim-cache")
     ctx = multiprocessing.get_context("spawn")
-    workers = [ctx.Process(target=_store_and_load, args=(path, 40))
+    workers = [ctx.Process(target=_store_and_load, args=(directory, 40))
                for _ in range(3)]
     try:
         for w in workers:
@@ -1016,7 +1045,154 @@ def test_concurrent_writers_never_expose_a_partial_entry(tmp_path):
         for w in workers:
             if w.is_alive():
                 w.kill()
-    assert os.listdir(tmp_path / ".prsim-models") == ["entry.npz"]
+    assert sorted(os.listdir(directory)) == [
+        os.path.basename(cli._entry(directory, "curve", ".json")),
+        os.path.basename(cli._entry(directory, "model", ".npz"))]
+
+
+SYNTHETIC = """
+[experiment]
+trials = 10000
+
+[grid]
+snr_db = 0, 10
+
+[schemes]
+list = df, af, ostc, dt
+
+[csi]
+mode = synthetic
+rho = 0.9
+"""
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Scheme lists of the estimate calls the CLI makes, in order."""
+    seen = []
+    real = cli.estimate
+
+    def recording(schemes, *args, **kwargs):
+        seen.append(list(schemes))
+        return real(schemes, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    return seen
+
+
+@pytest.mark.parametrize("first, second", [("outage", "capacity"),
+                                           ("capacity", "outage")])
+@pytest.mark.parametrize("text", [SYNTHETIC,
+                                  PREDICTED + "[schemes]\nlist = df, af\n"],
+                         ids=["synthetic", "predicted"])
+def test_second_subcommand_on_one_config_draws_nothing(
+        tmp_path, monkeypatch, capsys, first, second, text):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a warm run drew or evaluated")
+
+    conf = tmp_path / "e.conf"
+    conf.write_text(text)
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    assert run_main([second, "--config", str(conf),
+                     "--out", str(cold / "r.csv")]) == 0
+    cold_log = capsys.readouterr().out
+    assert run_main([first, "--config", str(conf),
+                     "--out", str(warm / "first.csv")]) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        for name in ("estimate", "generate_series", "predict_series"):
+            patch.setattr(cli, name, no_work)
+        assert run_main([second, "--config", str(conf),
+                         "--out", str(warm / "r.csv")]) == 0
+    assert (warm / "r.csv").read_bytes() == (cold / "r.csv").read_bytes()
+    # the resolved rho line, when there is one, prints as on a miss
+    assert capsys.readouterr().out.replace(str(warm), str(cold)) == cold_log
+
+
+def test_truncated_curve_entry_is_redrawn_and_replaced(tmp_path, draws):
+    conf = tmp_path / "e.conf"
+    conf.write_text(SYNTHETIC)
+    out = tmp_path / "r.csv"
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    assert sorted(sum(draws, [])) == ["af", "df", "dt", "ostc"]
+    del draws[:]
+    first = out.read_bytes()
+    cache = tmp_path / ".prsim-cache"
+    entries = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert len(entries) == 4 and all(n.endswith(".json") for n in entries)
+    victim = cache / sorted(entries)[0]
+    victim.write_bytes(entries[victim.name][:len(entries[victim.name]) // 2])
+    assert run_main(["capacity", "--config", str(conf),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    assert len(sum(draws, [])) == 1  # the damaged scheme, drawn once
+    assert out.read_bytes() == first
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == entries
+
+
+def test_truncated_rho_entry_is_reevaluated_and_replaced(tmp_path,
+                                                         monkeypatch, fits):
+    evals = []
+    real = cli.predict_series
+
+    def counting(*args, **kwargs):
+        evals.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_series", counting)
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED)
+    out = tmp_path / "r.csv"
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    first = out.read_bytes()
+    cache = tmp_path / ".prsim-cache"
+    (model,) = cache.glob("*.npz")
+    rho = model.with_suffix(".json")
+    whole = rho.read_bytes()
+    rho.write_bytes(whole[:-1])
+    assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
+    assert fits == [3] and len(evals) == 2
+    assert out.read_bytes() == first and rho.read_bytes() == whole
+    assert not list(cache.glob("*.tmp"))
+
+
+def test_storing_purges_other_code_versions_but_no_temp_file(tmp_path):
+    cache = tmp_path / ".prsim-cache"
+    cache.mkdir()
+    old = "a" * 64 + "-"
+    stale = [old + "curve.json", old + "model.npz", old + "model.json"]
+    kept = ["tmpq3x_z1.tmp", old + "x.tmp",
+            os.path.basename(cli._entry(str(cache), "other", ".npz"))]
+    for name in stale + kept:
+        (cache / name).write_text("{}")
+    path = cli._entry(str(cache), "new", ".json")
+    cli._store_json(path, [0.25])
+    assert sorted(os.listdir(cache)) == sorted(
+        kept + [os.path.basename(path)])
+    assert cli._load_json(path) == [0.25]
+
+
+def test_preset_curves_are_drawn_once_per_directory(tmp_path, monkeypatch,
+                                                    draws):
+    # fig6a's seven curves all appear in fig4a or fig4b; fig6b shares
+    # its unimpaired predicted and outdated df curves with fig4a and
+    # draws its five impaired ones.  Each horizon resolves a fixed rho.
+    rhos = {1: 0.97, 2: 0.95, 3: 0.93}
+    monkeypatch.setattr(cli.PredictorPool, "net",
+                        lambda self, fading, horizon, links: horizon)
+    monkeypatch.setattr(cli, "_evaluate",
+                        lambda cfg, net, fading: (None, None, rhos[net]))
+    counts = {}
+    for name in ("fig4a", "fig4b", "fig6a", "fig6b"):
+        cfg, command, runs = cli.PRESETS[name]()
+        cfg = replace(cfg, trials=10000, snr_grid_db=(10.0,))
+        before = len(draws)
+        cli._curves(cfg, str(tmp_path / (name + ".csv")), runs, command)
+        counts[name] = sum(len(schemes) for schemes in draws[before:])
+    assert counts == {"fig4a": 7, "fig4b": 7, "fig6a": 0, "fig6b": 5}
+    assert draws[-5:] == [["df"]] * 5
 
 
 KEY_BASE = parse_config("[csi]\nmode = predicted\n")
@@ -1075,10 +1251,10 @@ def test_presets_share_the_horizon3_model_key():
 
 def test_model_cache_sits_beside_the_output(tmp_path):
     cfg = replace(KEY_BASE, output="runs/r.csv")
-    assert cli._model_cache(cfg, None) == str(
-        Path("runs").resolve() / ".prsim-models")
-    assert cli._model_cache(cfg, str(tmp_path / "o.csv")) == str(
-        tmp_path / ".prsim-models")
+    assert cli._cache_dir(cfg, None) == str(
+        Path("runs").resolve() / ".prsim-cache")
+    assert cli._cache_dir(cfg, str(tmp_path / "o.csv")) == str(
+        tmp_path / ".prsim-cache")
 
 
 # ---------------------------------------------------------------------------
@@ -1377,4 +1553,5 @@ def test_tests_leave_no_model_cache_in_the_checkout():
     shown = subprocess.run(["git", "status", "--porcelain", "--ignored"],
                            cwd=root, capture_output=True, text=True,
                            check=True).stdout
-    assert ".prsim-models" not in shown
+    assert ".prsim-cache" not in shown
+    assert ".prsim-models" not in shown  # the cache's former name
