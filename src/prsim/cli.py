@@ -41,16 +41,21 @@ df-central), unimpaired, under [protocol]'s timer race and policy.  A
 plan its engine cannot run fails up front.
 
 A content-addressed cache, .prsim-cache/ beside the output CSV, keeps
-each predictor trained on the fly with its resolved rho (see
-PredictorPool) and each synthetic-pair Monte-Carlo curve, one entry per
-scheme (see _estimates).  Runs that write into one directory train each
-model and draw each curve once: outage and capacity read one draw, so
-the second of them on one config draws nothing.  A hit gives the bytes
-a miss would; deleting the directory forces a cold run.
+each predictor trained on the fly, the resolved rho of every model,
+trained or loaded, under its weights (see PredictorPool) and each
+synthetic-pair Monte-Carlo curve, one entry per scheme (see
+_estimates).  Every entry is read or made by _cached under a name from
+_key: the package source, the inputs, the numpy version and the BLAS
+kernel.  Runs that write into one directory train each model and draw
+each curve once: outage and capacity read one draw, so the second of
+them on one config draws nothing.  A hit gives the bytes a miss would
+on the same kernel; deleting the directory forces a cold run.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import functools
 import hashlib
 import json
@@ -154,6 +159,31 @@ def _code_digest():
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_core():
+    """The kernel numpy's bundled OpenBLAS picked at load time
+    (OPENBLAS_CORETYPE forces one), read on first use; "unknown" under
+    a BLAS that does not name it."""
+    # the linalg extension's handle resolves the symbols of its BLAS
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        corename = getattr(lib, name, None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def _key(*lines):
+    """Cache key of a value computed from lines: their sha256 together
+    with the numpy version and the BLAS kernel.  The BLAS thread count
+    is not in it."""
+    text = "\n".join(lines + ("numpy = %s" % np.__version__,
+                              "blas = %s" % _blas_core()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _entry(cache_dir, key, suffix):
     """Path of the cache entry <code digest>-<key><suffix>."""
     return os.path.join(cache_dir, "%s-%s%s" % (_code_digest(), key, suffix))
@@ -161,14 +191,12 @@ def _entry(cache_dir, key, suffix):
 
 def _model_key(cfg, fading, horizon, links):
     """Cache key of the model trained for these inputs: the fading
-    it trains on, every predictor setting, horizon, links, the seed,
-    the numpy version and the package source."""
-    lines = (["[fading]"] + settings_lines(fading)
-             + ["[predictor]"] + settings_lines(cfg.predictor)
-             + ["horizon = %d" % horizon, "links = %d" % links,
-                "seed = %d" % cfg.seed, "numpy = %s" % np.__version__,
-                "code = %s" % _code_digest()])
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    it trains on, every predictor setting, horizon, links and the seed
+    (the package source names the entry; see _entry)."""
+    return _key("[fading]", *settings_lines(fading),
+                "[predictor]", *settings_lines(cfg.predictor),
+                "horizon = %d" % horizon, "links = %d" % links,
+                "seed = %d" % cfg.seed)
 
 
 def _store(path, write):
@@ -196,9 +224,25 @@ def _store(path, write):
                 pass
 
 
+def _cached(path, read, make, write):
+    """read(path), the value of a whole entry; when that raises OSError
+    (absent) or ValueError (damaged), make() stored through
+    write(value, tmp) (see _store) and returned."""
+    with contextlib.suppress(OSError, ValueError):  # absent or damaged
+        return read(path)
+    value = make()
+    _store(path, functools.partial(write, value))
+    return value
+
+
+def _write_json(value, path):
+    # a dataclass, such as an McEstimate, is written as its field list
+    Path(path).write_text(json.dumps(value, default=astuple),
+                          encoding="utf-8")
+
+
 def _store_json(path, value):
-    _store(path, lambda tmp: Path(tmp).write_text(json.dumps(value),
-                                                  encoding="utf-8"))
+    _store(path, functools.partial(_write_json, value))
 
 
 def _load_json(path):
@@ -212,34 +256,35 @@ def _estimates(cache_dir, schemes, grid, trials, **kwargs):
     scheme.
 
     An entry holds the scheme's McEstimate fields per grid point as
-    JSON, whose floats round-trip exactly, under the sha256 of the
-    scheme, every other estimate argument and the numpy version.  A
-    scheme's estimates are the same bits whichever schemes share the
-    call, so one call draws the schemes that miss and a hit gives the
-    bytes a miss would.  A damaged entry is a miss and is overwritten.
+    JSON, whose floats round-trip exactly, keyed by the scheme and
+    every other estimate argument.  A scheme's estimates are the same
+    bits whichever schemes share the call, so the first scheme that
+    misses draws, in one call, itself and every scheme without an
+    entry, and a hit gives the bytes a miss would.  A damaged entry is
+    a miss and is overwritten.
     """
     args = dict(snr_grid_db=[float(x) for x in grid], trials=trials,
                 **kwargs)
     common = ["%s = %r" % item for item in sorted(args.items())]
-    common.append("numpy = %s" % np.__version__)
-    paths, found = {}, {}
-    for scheme in schemes:
-        key = "\n".join(["scheme = %s" % scheme] + common)
-        paths[scheme] = _entry(cache_dir,
-                               hashlib.sha256(key.encode()).hexdigest(),
-                               ".json")
-        try:
-            found[scheme] = [McEstimate(*point)
-                             for point in _load_json(paths[scheme])]
-        except (ValueError, OSError):  # absent or damaged: draw afresh
-            pass
-    missing = [scheme for scheme in paths if scheme not in found]
-    if missing:
-        for scheme, points in zip(missing,
-                                  estimate(missing, grid, trials, **kwargs)):
-            found[scheme] = points
-            _store_json(paths[scheme], [astuple(est) for est in points])
-    return [found[scheme] for scheme in schemes]
+    paths = {scheme: _entry(cache_dir, _key("scheme = %s" % scheme, *common),
+                            ".json")
+             for scheme in schemes}
+    drawn = {}
+
+    def read(path):
+        return [McEstimate(*point) for point in _load_json(path)]
+
+    def draw(scheme):
+        if scheme not in drawn:
+            missing = [s for s in paths
+                       if s == scheme or not os.path.exists(paths[s])]
+            drawn.update(zip(missing,
+                             estimate(missing, grid, trials, **kwargs)))
+        return drawn[scheme]
+
+    return [_cached(paths[scheme], read, functools.partial(draw, scheme),
+                    _write_json)
+            for scheme in schemes]
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +310,25 @@ class RunSpec:
 
 
 class PredictorPool:
-    """Trains (or loads) and evaluates each predictor once.
+    """Trains (or loads) each predictor once and evaluates it.
 
     Training data and the fresh evaluation record derive from the
     experiment seed, so resolved correlations are reproducible.  When
     the csi section names an existing model file it is loaded instead,
-    provided its recorded feature layout matches the config, and only
-    evaluated.
+    provided its recorded feature layout matches the config.
 
     Otherwise the model comes from the on-disk cache in `cache_dir`,
-    under the package's code digest and the sha256 of _model_key's
-    inputs.  A miss trains and stores the model; a hit loads it, which
-    is bit exact, so the rows are the same bytes either way.  An entry
-    that does not load, or whose layout differs, is a miss and is
-    overwritten.  The resolved rho of a cached model is kept beside it
-    under the same key (see rho).
+    under _model_key.  A miss trains and stores the model; a hit loads
+    it, which is bit exact, so the rows are the same bytes either way.
+    An entry that does not load, or whose layout differs, is a miss and
+    is overwritten.  The resolved rho of either kind of model is cached
+    under the model key and the sha256 of its weights (see rho).
     """
 
     def __init__(self, cfg, cache_dir):
         self.cfg = cfg
         self.cache_dir = cache_dir
         self._nets = {}
-        self._evals = {}
-        self._hits = set()  # keys whose model loaded from the cache
 
     def net(self, fading, horizon, links):
         key = (fading, horizon, links)
@@ -301,55 +342,38 @@ class PredictorPool:
                     "model file %r not found (run the train subcommand "
                     "first, or clear csi.model to train on the fly)" % path)
             else:
-                net = self._cached_fit(fading, horizon, links, layout)
+                net = _cached(
+                    _entry(self.cache_dir, _model_key(self.cfg, *key), ".npz"),
+                    functools.partial(_load_fitting, layout=layout),
+                    functools.partial(self._train, *key), save_model)
             self._nets[key] = net
         return self._nets[key]
 
-    def _path(self, key, suffix):
-        return _entry(self.cache_dir, _model_key(self.cfg, *key), suffix)
-
-    def _cached_fit(self, fading, horizon, links, layout):
-        key = (fading, horizon, links)
-        path = self._path(key, ".npz")
-        try:
-            net = _load_fitting(path, layout)
-            self._hits.add(key)
-            return net
-        except (ValueError, OSError):  # absent or damaged: train afresh
-            pass
+    def _train(self, fading, horizon, links):
         series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
                          self.cfg.predictor.train_len, links)
-        net, _ = train_link_predictor(series, horizon=horizon,
-                                      recipe=self.cfg.predictor,
-                                      seed=self.cfg.seed)
-        _store(path, functools.partial(save_model, net))
-        return net
+        return train_link_predictor(series, horizon=horizon,
+                                    recipe=self.cfg.predictor,
+                                    seed=self.cfg.seed)[0]
 
     def evaluate(self, fading, horizon, links):
         """(prediction, actual, rho) on the evaluation record."""
-        key = (fading, horizon, links)
-        if key not in self._evals:
-            self._evals[key] = _evaluate(self.cfg, self.net(*key), fading)
-        return self._evals[key]
+        return _evaluate(self.cfg, self.net(fading, horizon, links), fading)
 
     def rho(self, fading, horizon, links):
-        """The rho of evaluate.  A model trained on the fly keeps it in
-        a JSON entry beside the model's, read only once the model entry
-        has loaded: a model trained afresh is evaluated afresh.  A model
-        file named by csi.model is evaluated on every run."""
+        """The rho of evaluate, kept in a JSON entry keyed by the model
+        key and the sha256 of the weights, the inputs it is computed
+        from.  Weights evaluated before read it, whether they come from
+        the cache, a retraining or a csi.model file; other weights are
+        evaluated and stored."""
         key = (fading, horizon, links)
-        if self.cfg.csi.model:
-            return self.evaluate(*key)[2]
-        self.net(*key)
-        path = self._path(key, ".json")
-        if key in self._hits:
-            try:
-                return _load_json(path)["rho"]
-            except (ValueError, OSError):  # absent or damaged: evaluate
-                pass
-        rho = self.evaluate(*key)[2]
-        _store_json(path, {"rho": rho})
-        return rho
+        weights = hashlib.sha256(self.net(*key).flat).hexdigest()
+        path = _entry(self.cache_dir, _key(_model_key(self.cfg, *key), weights),
+                      ".json")
+        # a dict, so that a truncated entry does not parse
+        return _cached(path, _load_json,
+                       lambda: {"rho": self.evaluate(*key)[2]},
+                       _write_json)["rho"]
 
 
 def _rho_outdated(fading, delay):

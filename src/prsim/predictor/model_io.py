@@ -49,7 +49,8 @@ def load_model(path):
     included; a missing file raises OSError.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # np.load leaves a path it opened open when the zip is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             return _read(data)
     except (EOFError, KeyError, zipfile.BadZipFile) as err:
         raise ValueError(f"damaged model archive {str(path)!r}: {err}") from err

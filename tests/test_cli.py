@@ -1148,14 +1148,113 @@ def test_truncated_rho_entry_is_reevaluated_and_replaced(tmp_path,
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
     first = out.read_bytes()
     cache = tmp_path / ".prsim-cache"
-    (model,) = cache.glob("*.npz")
-    rho = model.with_suffix(".json")
+    (rho,) = [p for p in cache.glob("*.json") if "rho" in p.read_text()]
     whole = rho.read_bytes()
     rho.write_bytes(whole[:-1])
     assert run_main(["outage", "--config", str(conf), "--out", str(out)]) == 0
     assert fits == [3] and len(evals) == 2
     assert out.read_bytes() == first and rho.read_bytes() == whole
     assert not list(cache.glob("*.tmp"))
+
+
+@pytest.fixture
+def evals(monkeypatch):
+    """One entry per predictor evaluation the CLI runs."""
+    seen = []
+    real = cli.predict_series
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "predict_series", counting)
+    return seen
+
+
+def _resolved(log):
+    (line,) = [s for s in log.splitlines() if s.startswith("resolved")]
+    return line
+
+
+def test_rho_entry_belongs_to_the_weights_it_was_evaluated_on(
+        tmp_path, capsys, fits, evals):
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED)
+    other, cold = tmp_path / "other", tmp_path / "cold"
+    other.mkdir()
+    cold.mkdir()
+    assert run_main(["outage", "--config", str(conf), "--seed", "1",
+                     "--out", str(other / "r.csv")]) == 0
+    (theirs,) = (other / ".prsim-cache").glob("*.npz")
+    capsys.readouterr()
+    assert run_main(["outage", "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    own = _resolved(capsys.readouterr().out)
+    # a net of the same layout, trained under another seed, takes the
+    # place of the cached model
+    (ours,) = (tmp_path / ".prsim-cache").glob("*.npz")
+    ours.write_bytes(theirs.read_bytes())
+    del evals[:]
+    assert run_main(["outage", "--config", str(conf),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    swapped = _resolved(capsys.readouterr().out)
+    assert len(evals) == 1 and fits == [3, 3]
+    # what a cold run of that net prints
+    conf.write_text(PREDICTED.replace("delay = 3",
+                                      "delay = 3\nmodel = %s" % theirs))
+    assert run_main(["outage", "--config", str(conf),
+                     "--out", str(cold / "r.csv")]) == 0
+    assert _resolved(capsys.readouterr().out) == swapped != own
+
+
+def test_model_file_rho_is_cached_until_the_file_changes(tmp_path, evals):
+    train, _ = _write_tiny_dataset(tmp_path)
+    model = tmp_path / "m.npz"
+    assert run_main(["train", "--config", str(train),
+                     "--out", str(model)]) == 0
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED.replace("delay = 3",
+                                      "delay = 3\nmodel = %s" % model))
+    out = tmp_path / "r.csv"
+
+    def outage():
+        del evals[:]
+        assert run_main(["outage", "--config", str(conf),
+                         "--out", str(out)]) == 0
+        return len(evals)
+
+    assert [outage(), outage()] == [1, 0]
+    assert run_main(["train", "--config", str(train), "--seed", "1",
+                     "--out", str(model)]) == 0
+    assert [outage(), outage()] == [1, 0]
+
+
+def test_cache_keys_name_the_blas_kernel(tmp_path, monkeypatch, fits):
+    conf = tmp_path / "e.conf"
+    conf.write_text(PREDICTED + "[schemes]\nlist = df\n")
+    cache = tmp_path / ".prsim-cache"
+    names = []
+    for core in ("SkylakeX", "Haswell"):
+        monkeypatch.setattr(cli, "_blas_core", lambda core=core: core)
+        assert run_main(["outage", "--config", str(conf),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        names.append({p.name for p in cache.iterdir()})
+    # the model, its rho and the df curve, each stored again
+    assert sorted(Path(n).suffix for n in names[0]) == [".json", ".json",
+                                                        ".npz"]
+    assert len(names[1]) == 6 and names[0] < names[1]
+    assert fits == [3, 3]
+
+
+def test_blas_kernel_probe_reads_a_forced_kernel():
+    if cli._blas_core() == "unknown":
+        pytest.skip("numpy's BLAS does not name its kernel")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    shown = subprocess.run(
+        [sys.executable, "-c", "from prsim import cli; print(cli._blas_core())"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert shown.stdout.strip() == "Haswell"
 
 
 def test_storing_purges_other_code_versions_but_no_temp_file(tmp_path):
@@ -1180,10 +1279,8 @@ def test_preset_curves_are_drawn_once_per_directory(tmp_path, monkeypatch,
     # its unimpaired predicted and outdated df curves with fig4a and
     # draws its five impaired ones.  Each horizon resolves a fixed rho.
     rhos = {1: 0.97, 2: 0.95, 3: 0.93}
-    monkeypatch.setattr(cli.PredictorPool, "net",
-                        lambda self, fading, horizon, links: horizon)
-    monkeypatch.setattr(cli, "_evaluate",
-                        lambda cfg, net, fading: (None, None, rhos[net]))
+    monkeypatch.setattr(cli.PredictorPool, "rho",
+                        lambda self, fading, horizon, links: rhos[horizon])
     counts = {}
     for name in ("fig4a", "fig4b", "fig6a", "fig6b"):
         cfg, command, runs = cli.PRESETS[name]()
