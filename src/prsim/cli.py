@@ -41,15 +41,16 @@ df-central), unimpaired, under [protocol]'s timer race and policy.  A
 plan its engine cannot run fails up front.
 
 A content-addressed cache, .prsim-cache/ beside the output CSV, keeps
-each predictor trained on the fly, the resolved rho of every model,
-trained or loaded, under its weights (see PredictorPool) and each
-synthetic-pair Monte-Carlo curve, one entry per scheme (see
-_estimates).  Every entry is read or made by _cached under a name from
-_key: the package source, the inputs, the numpy version and the BLAS
-kernel.  Runs that write into one directory train each model and draw
-each curve once: outage and capacity read one draw, so the second of
-them on one config draws nothing.  A hit gives the bytes a miss would
-on the same kernel; deleting the directory forces a cold run.
+each predictor trained on the fly (see _predictor), the resolved rho
+of every model, trained or loaded, under its weights (see
+_predictor_rho) and each synthetic-pair Monte-Carlo curve, one entry
+per scheme (see _estimates).  Every entry is read or made by _cached
+under a name from _key: the package source, the inputs, the numpy
+version and the BLAS kernel.  Runs that write into one directory
+train each model and draw each curve once: outage and capacity read
+one draw, so the second of them on one config draws nothing.  A hit
+gives the bytes a miss would on the same kernel; deleting the
+directory forces a cold run.
 """
 
 import argparse
@@ -72,8 +73,7 @@ from .analytics import (SelectionParams, capacity_af, capacity_df,
                         capacity_exponential_exact, outage_af, outage_df)
 from .channel import (FadingProcessConfig, FadingSettings, generate_series,
                       jakes_correlation)
-from .config import (ConfigError, ExperimentConfig, load_config, parse_config,
-                     settings_lines)
+from .config import ConfigError, ExperimentConfig, load_config, settings_lines
 from .predictor import (HIGH_ACCURACY_TRAIN, flops_per_step, load_model,
                         predict_series, save_model, train_link_predictor)
 from .selection import RateConfig
@@ -241,10 +241,6 @@ def _write_json(value, path):
                           encoding="utf-8")
 
 
-def _store_json(path, value):
-    _store(path, functools.partial(_write_json, value))
-
-
 def _load_json(path):
     """The value of a JSON entry; OSError when absent, ValueError when
     damaged."""
@@ -309,71 +305,50 @@ class RunSpec:
                     self.impairments)
 
 
-class PredictorPool:
-    """Trains (or loads) each predictor once and evaluates it.
+def _predictor(cfg, cache_dir, fading, horizon, links):
+    """The predictor of these inputs.
 
-    Training data and the fresh evaluation record derive from the
-    experiment seed, so resolved correlations are reproducible.  When
-    the csi section names an existing model file it is loaded instead,
-    provided its recorded feature layout matches the config.
-
-    Otherwise the model comes from the on-disk cache in `cache_dir`,
-    under _model_key.  A miss trains and stores the model; a hit loads
-    it, which is bit exact, so the rows are the same bytes either way.
-    An entry that does not load, or whose layout differs, is a miss and
-    is overwritten.  The resolved rho of either kind of model is cached
-    under the model key and the sha256 of its weights (see rho).
+    A csi.model file is loaded, provided its recorded feature layout
+    matches the config.  Otherwise the model is the entry of cache_dir
+    under _model_key.  A miss trains on a record drawn from the
+    experiment seed and stores the model; a hit loads it, which is bit
+    exact, so the rows are the same bytes either way.  An entry that
+    does not load, or whose layout differs, is a miss and is
+    overwritten.
     """
+    path = cfg.csi.model
+    layout = cfg.predictor.layout(horizon, links)
+    if path and os.path.exists(path):
+        return _load_fitting(path, layout)
+    if path:
+        raise ConfigError(
+            "model file %r not found (run the train subcommand first, or "
+            "clear csi.model to train on the fly)" % path)
 
-    def __init__(self, cfg, cache_dir):
-        self.cfg = cfg
-        self.cache_dir = cache_dir
-        self._nets = {}
-
-    def net(self, fading, horizon, links):
-        key = (fading, horizon, links)
-        if key not in self._nets:
-            path = self.cfg.csi.model
-            layout = self.cfg.predictor.layout(horizon, links)
-            if path and os.path.exists(path):
-                net = _load_fitting(path, layout)
-            elif path:
-                raise ConfigError(
-                    "model file %r not found (run the train subcommand "
-                    "first, or clear csi.model to train on the fly)" % path)
-            else:
-                net = _cached(
-                    _entry(self.cache_dir, _model_key(self.cfg, *key), ".npz"),
-                    functools.partial(_load_fitting, layout=layout),
-                    functools.partial(self._train, *key), save_model)
-            self._nets[key] = net
-        return self._nets[key]
-
-    def _train(self, fading, horizon, links):
-        series = _series(fading, _sub_seed(self.cfg.seed, _TRAIN_TAG),
-                         self.cfg.predictor.train_len, links)
+    def train():
+        series = _series(fading, _sub_seed(cfg.seed, _TRAIN_TAG),
+                         cfg.predictor.train_len, links)
         return train_link_predictor(series, horizon=horizon,
-                                    recipe=self.cfg.predictor,
-                                    seed=self.cfg.seed)[0]
+                                    recipe=cfg.predictor, seed=cfg.seed)[0]
 
-    def evaluate(self, fading, horizon, links):
-        """(prediction, actual, rho) on the evaluation record."""
-        return _evaluate(self.cfg, self.net(fading, horizon, links), fading)
+    return _cached(
+        _entry(cache_dir, _model_key(cfg, fading, horizon, links), ".npz"),
+        functools.partial(_load_fitting, layout=layout), train, save_model)
 
-    def rho(self, fading, horizon, links):
-        """The rho of evaluate, kept in a JSON entry keyed by the model
-        key and the sha256 of the weights, the inputs it is computed
-        from.  Weights evaluated before read it, whether they come from
-        the cache, a retraining or a csi.model file; other weights are
-        evaluated and stored."""
-        key = (fading, horizon, links)
-        weights = hashlib.sha256(self.net(*key).flat).hexdigest()
-        path = _entry(self.cache_dir, _key(_model_key(self.cfg, *key), weights),
-                      ".json")
-        # a dict, so that a truncated entry does not parse
-        return _cached(path, _load_json,
-                       lambda: {"rho": self.evaluate(*key)[2]},
-                       _write_json)["rho"]
+
+def _predictor_rho(cfg, cache_dir, fading, horizon, links):
+    """The rho _evaluate resolves for _predictor's model, kept in a JSON
+    entry keyed by the model key and the sha256 of the weights, the
+    inputs it is computed from.  Weights evaluated before read it,
+    whether they come from the cache, a retraining or a csi.model file;
+    other weights are evaluated and stored."""
+    net = _predictor(cfg, cache_dir, fading, horizon, links)
+    weights = hashlib.sha256(net.flat).hexdigest()
+    key = _key(_model_key(cfg, fading, horizon, links), weights)
+    # a dict, so that a truncated entry does not parse
+    return _cached(_entry(cache_dir, key, ".json"), _load_json,
+                   lambda: {"rho": _evaluate(cfg, net, fading)[2]},
+                   _write_json)["rho"]
 
 
 def _rho_outdated(fading, delay):
@@ -406,9 +381,12 @@ def _config_runs(cfg, command):
     """One RunSpec per configured scheme under the single csi mode;
     protocol-sim rides the records of cfg.fading on outdated and
     predicted csi.  dt runs unimpaired: it has no selection metric, and
-    its draw models no phase error."""
-    csi, relays = cfg.csi, cfg.network.relays
-    imp = cfg.protocol if cfg.protocol.impaired else None
+    its draw models no phase error.  A run's impairments carry
+    [protocol]'s acquisition settings only, the part estimate reads."""
+    csi, relays, protocol = cfg.csi, cfg.network.relays, cfg.protocol
+    imp = (ProtocolSettings(pilot_snr_db=protocol.pilot_snr_db,
+                            max_phase_error_deg=protocol.max_phase_error_deg)
+           if protocol.impaired else None)
     frames = command == "protocol-sim"
     _refuse(command, FRAME_SCHEMES if frames else ESTIMATE_SCHEMES,
             cfg.schemes, imp if frames else None)
@@ -541,11 +519,11 @@ def cmd_train(cfg, out=None):
 
 def cmd_predict_eval(cfg, out=None, plan=None):
     """Prediction quality rows over (fading, horizon) pairs."""
-    pool = PredictorPool(cfg, _cache_dir(cfg, out))
-    pairs = plan or [(cfg.fading, cfg.csi.delay)]
+    cache, links = _cache_dir(cfg, out), cfg.network.relays
     rows = []
-    for fading, horizon in pairs:
-        pred, actual, rho = pool.evaluate(fading, horizon, cfg.network.relays)
+    for fading, horizon in plan or [(cfg.fading, cfg.csi.delay)]:
+        pred, actual, rho = _evaluate(
+            cfg, _predictor(cfg, cache, fading, horizon, links), fading)
         rho_out = _rho_outdated(fading, horizon)
         rows.append({
             "doppler_hz": fading.doppler_hz, "horizon": horizon,
@@ -568,8 +546,11 @@ def _clamped_trials(cfg):
 def _curves(cfg, out, runs, command):
     """Monte-Carlo every run, attach analytic columns, write the CSV.
 
-    runs None is the config's plan, _config_runs.  Runs that share
-    (relays, rho, impairments, fading, delay) form one group.  A
+    runs None is the config's plan, _config_runs.  A predicted run's
+    rho is _predictor_rho's, and a predicted record run's metric is
+    _predictor's model; both read the cache beside `out`, so a run never
+    trains what an earlier run into that directory trained.  Runs that
+    share (relays, rho, impairments, fading, delay) form one group.  A
     synthetic group of outage or capacity is one estimate call
     (ESTIMATE_SCHEMES) for the schemes the cache lacks, so schemes of
     one draw family share their draws.  Every other group is one
@@ -590,7 +571,6 @@ def _curves(cfg, out, runs, command):
     """
     runs = runs or _config_runs(cfg, command)
     cache = _cache_dir(cfg, out)
-    pool = PredictorPool(cfg, cache)
     rate = RateConfig(cfg.network.rate)
     if command == "protocol-sim":
         budget = frames = cfg.protocol.frames
@@ -608,7 +588,7 @@ def _curves(cfg, out, runs, command):
                     "features = complex")
             key = (cfg.fading, spec.horizon, spec.relays)
             if key not in resolved:  # report each predictor once
-                resolved[key] = pool.rho(*key)
+                resolved[key] = _predictor_rho(cfg, cache, *key)
                 print("resolved %s: rho=%.4f" % (spec.rho_mode, resolved[key]))
             rho = resolved[key]
         groups.setdefault((spec.relays, rho, spec.impairments, spec.fading,
@@ -626,7 +606,8 @@ def _curves(cfg, out, runs, command):
         if fading is None:
             net = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
         else:
-            predictor = pool.net(fading, delay, relays) if rho is None else None
+            predictor = (_predictor(cfg, cache, fading, delay, relays)
+                         if rho is None else None)
             # one fading's records at a time, with room for the frames
             # behind the metric's delay and taps
             held = {k: v for k, v in held.items() if k[0] == fading}
@@ -700,21 +681,13 @@ def cmd_protocol_sim(cfg, out=None):
 # presets
 
 
-# presets fit the predictor with the long-budget recipe (about a minute
-# per horizon) so the predicted curves sit where the analysis puts
-# nearly-optimal selection
-_PRESET_PREDICTOR = "\n".join(["[predictor]"]
-                               + settings_lines(HIGH_ACCURACY_TRAIN))
-
-
-def _preset_config(name, trials=None, extra=""):
-    """The long-budget predictor plus the preset's [experiment] section
-    (its name, output file and trial count) and any extra sections."""
-    text = "%s\n[experiment]\nname = %s\noutput = %s.csv\n" % (
-        _PRESET_PREDICTOR, name, name)
-    if trials is not None:
-        text += "trials = %d\n" % trials
-    return parse_config(text + extra)
+def _preset_config(name, **fields):
+    """The preset's experiment: its name, its output file, the given
+    fields and the long-budget predictor recipe (about a minute per
+    horizon), so the predicted curves sit where the analysis puts
+    nearly-optimal selection."""
+    return ExperimentConfig(name=name, output=name + ".csv",
+                            predictor=HIGH_ACCURACY_TRAIN, **fields)
 
 
 def _preset_fig3b():
@@ -780,7 +753,7 @@ def _preset_fig6b():
 
 def _preset_fig7a():
     cfg = _preset_config("fig7a", trials=100000,
-                         extra="[fading]\nk_factor = 3.0\n")
+                         fading=FadingSettings(k_factor=3.0))
     runs = []
     for doppler in (25.0, 50.0, 100.0):
         fading = replace(cfg.fading, doppler_hz=doppler)

@@ -230,14 +230,20 @@ def _converter(f):
     return {int: _int, float: _float, str: _text}[f.type]
 
 
+# the top sections: section -> key -> (ExperimentConfig field, converter)
+_TOP = {
+    "experiment": {"name": ("name", _text), "seed": ("seed", _int),
+                   "trials": ("trials", _int), "output": ("output", _text)},
+    "schemes": {"list": ("schemes", _scheme_list)},
+    "grid": {"snr_db": ("snr_grid_db", _grid)},
+}
+
 # section -> key -> converter; table drives both parsing and the
 # canonical serialization, so the two can never drift apart.  The
 # settings sections read theirs off the dataclass fields.
 _SCHEMA = {
-    "experiment": {"name": _text, "seed": _int, "trials": _int,
-                   "output": _text},
-    "schemes": {"list": _scheme_list},
-    "grid": {"snr_db": _grid},
+    **{section: {key: conv for key, (_, conv) in keys.items()}
+       for section, keys in _TOP.items()},
     **{section: {f.name: _converter(f) for f in fields(cls)}
        for section, cls in _SECTION_CLS.items()},
 }
@@ -280,13 +286,9 @@ def parse_config(text):
                                   % (num, section, key, err))
         return out
 
-    top = build("experiment")
-    schemes = build("schemes")
-    if "list" in schemes:
-        top["schemes"] = schemes["list"]
-    grid = build("grid")
-    if "snr_db" in grid:
-        top["snr_grid_db"] = grid["snr_db"]
+    top = {}
+    for section, keys in _TOP.items():
+        top.update((keys[key][0], v) for key, v in build(section).items())
     for section, cls in _SECTION_CLS.items():
         vals = build(section)
         if vals:
@@ -312,25 +314,21 @@ def _format_value(value):
     return str(value)
 
 
+def _lines(items):
+    return ["%s = %s" % (key, _format_value(value)) for key, value in items]
+
+
 def settings_lines(settings):
     """Canonical `key = value` lines of one settings section."""
-    return ["%s = %s" % (f.name, _format_value(getattr(settings, f.name)))
-            for f in fields(settings)]
+    return _lines((f.name, getattr(settings, f.name))
+                  for f in fields(settings))
 
 
 def to_text(cfg):
     """Canonical full serialization; parse_config(to_text(c)) == c."""
-    lines = ["[experiment]"]
-    for key in _SCHEMA["experiment"]:
-        lines.append("%s = %s" % (key, _format_value(getattr(cfg, key))))
-    lines.append("")
-    lines.append("[schemes]")
-    lines.append("list = %s" % ", ".join(cfg.schemes))
-    lines.append("")
-    lines.append("[grid]")
-    lines.append("snr_db = %s" % _format_value(cfg.snr_grid_db))
-    for section in _SECTION_CLS:
-        lines.append("")
-        lines.append("[%s]" % section)
-        lines.extend(settings_lines(getattr(cfg, section)))
-    return "\n".join(lines) + "\n"
+    blocks = [["[%s]" % section] + _lines(
+        (key, getattr(cfg, name)) for key, (name, _) in keys.items())
+        for section, keys in _TOP.items()]
+    blocks += [["[%s]" % section] + settings_lines(getattr(cfg, section))
+               for section in _SECTION_CLS]
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"

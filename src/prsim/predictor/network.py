@@ -50,9 +50,6 @@ import numpy as np
 from ..rng import stream
 from . import layers as L
 
-_CELL_COST = {"rnn": 1, "gru": 3, "lstm": 4}
-
-
 class RecurrentNet:
     """Stack of recurrent layers with a tanh readout; `layout` is the
     feature layout it reads, a dict over model_io.LAYOUT_KEYS."""
@@ -176,9 +173,7 @@ def flops_per_step(input_dim, hidden_widths, output_dim, kind="lstm"):
     widths = [int(input_dim)] + [int(w) for w in hidden_widths]
     if len(widths) < 2:
         raise ValueError("need at least one hidden layer")
-    cost = _CELL_COST.get(kind)
-    if cost is None:
-        raise ValueError(f"no per-step count for kind {kind!r}")
+    cost = L.LayerSpec(kind, 1).gate_rows  # ValueError on an unknown kind
     total = widths[0] * widths[1] + widths[-1] * int(output_dim)
     for prev, cur in zip(widths[:-1], widths[1:]):
         total += cost * (prev * cur + cur * cur)

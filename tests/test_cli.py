@@ -1025,7 +1025,7 @@ def _store_and_load(directory, rounds):
     for _ in range(rounds):
         cli._store(model, functools.partial(save_model, net))
         cli._load_fitting(model, layout)  # raises on a partial archive
-        cli._store_json(entry, points)
+        cli._store(entry, functools.partial(cli._write_json, points))
         if cli._load_json(entry) != points:  # raises on a partial entry
             raise AssertionError("JSON entry changed in the round trip")
 
@@ -1130,6 +1130,22 @@ def test_truncated_curve_entry_is_redrawn_and_replaced(tmp_path, draws):
     assert len(sum(draws, [])) == 1  # the damaged scheme, drawn once
     assert out.read_bytes() == first
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == entries
+
+
+def test_impaired_curves_are_keyed_by_what_estimate_reads(tmp_path, draws):
+    # estimate reads [protocol]'s acquisition impairments only, so a run
+    # that differs in the frame count and the timer race draws nothing
+    impaired = (SYNTHETIC.replace("df, af, ostc, dt", "df, af")
+                + "\n[protocol]\npilot_snr_db = 20\n")
+    conf, out = tmp_path / "e.conf", tmp_path / "r.csv"
+    outages = []
+    for extra in ("", "frames = 5000\nuncertainty_window = 0.01\n"):
+        conf.write_text(impaired + extra)
+        assert run_main(["outage", "--config", str(conf),
+                         "--out", str(out)]) == 0
+        outages.append([row["outage"] for row in read_rows(out)])
+    assert draws == [["df", "af"]]
+    assert outages[0] == outages[1]
 
 
 def test_truncated_rho_entry_is_reevaluated_and_replaced(tmp_path,
@@ -1267,7 +1283,7 @@ def test_storing_purges_other_code_versions_but_no_temp_file(tmp_path):
     for name in stale + kept:
         (cache / name).write_text("{}")
     path = cli._entry(str(cache), "new", ".json")
-    cli._store_json(path, [0.25])
+    cli._store(path, functools.partial(cli._write_json, [0.25]))
     assert sorted(os.listdir(cache)) == sorted(
         kept + [os.path.basename(path)])
     assert cli._load_json(path) == [0.25]
@@ -1279,8 +1295,8 @@ def test_preset_curves_are_drawn_once_per_directory(tmp_path, monkeypatch,
     # its unimpaired predicted and outdated df curves with fig4a and
     # draws its five impaired ones.  Each horizon resolves a fixed rho.
     rhos = {1: 0.97, 2: 0.95, 3: 0.93}
-    monkeypatch.setattr(cli.PredictorPool, "rho",
-                        lambda self, fading, horizon, links: rhos[horizon])
+    monkeypatch.setattr(cli, "_predictor_rho",
+                        lambda cfg, cache, fading, horizon, links: rhos[horizon])
     counts = {}
     for name in ("fig4a", "fig4b", "fig6a", "fig6b"):
         cfg, command, runs = cli.PRESETS[name]()

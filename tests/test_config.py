@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from prsim import cli
 from prsim.config import (ConfigError, ExperimentConfig, FadingSettings,
                           NetworkSettings, PredictorSettings,
                           ProtocolSettings, parse_config, to_text)
@@ -27,8 +28,7 @@ def test_empty_text_is_the_baseline_setup():
     assert cfg == ExperimentConfig()
 
 
-def test_round_trip_through_canonical_text():
-    cfg = parse_config("""
+SWEEP = """
 [experiment]
 name = sweep-7
 seed = 11
@@ -50,10 +50,21 @@ snr_db = 4, 8, 12
 
 [protocol]
 pilot_snr_db = 25
-""")
+"""
+
+
+def test_round_trip_through_canonical_text():
+    cfg = parse_config(SWEEP)
     assert parse_config(to_text(cfg)) == cfg
     assert cfg.protocol.pilot_snr_db == 25.0
     assert cfg.protocol.max_phase_error_deg is None
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_presets_round_trip_through_canonical_text(name):
+    # presets build their config without the parser
+    cfg = cli.PRESETS[name]()[0]
+    assert parse_config(to_text(cfg)) == cfg
 
 
 def test_comments_and_blank_lines_are_ignored():
