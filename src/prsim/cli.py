@@ -554,9 +554,9 @@ def _curves(cfg, out, runs, command):
     synthetic group of outage or capacity is one estimate call
     (ESTIMATE_SCHEMES) for the schemes the cache lacks, so schemes of
     one draw family share their draws.  Every other group is one
-    network that simulate_frames (FRAME_SCHEMES) scores for each member
-    scheme and grid point: a SyntheticRhoNetwork for protocol-sim's
-    perfect or synthetic csi, otherwise a SeriesNetwork over the hop
+    network that simulate_frames (FRAME_SCHEMES) scores across the
+    grid, one call per member scheme: a SyntheticRhoNetwork for
+    protocol-sim's perfect or synthetic csi, otherwise a SeriesNetwork over the hop
     records of the group's fading.  Records are held by (fading,
     length, links), one fading at a time, so outdated and predicted
     groups of one fading share them.  Every simulate_frames call reads
@@ -617,9 +617,8 @@ def _curves(cfg, out, runs, command):
                                      relays) for tag in (_SR_TAG, _RD_TAG)]
             net = SeriesNetwork(*held[key], delay, predictor=predictor)
         for i in members:
-            ests[i] = [simulate_frames(runs[i].scheme, net, snr_db, frames,
-                                       rate=rate, protocol=cfg.protocol)
-                       for snr_db in cfg.snr_grid_db]
+            ests[i] = simulate_frames(runs[i].scheme, net, cfg.snr_grid_db,
+                                      frames, rate=rate, protocol=cfg.protocol)
         del net  # freed before the next group builds its metric records
     rows = []
     for i, spec in enumerate(runs):

@@ -6,13 +6,16 @@ end-to-end SNR (used only to decide outage and realized rate).  Keeping
 the two apart is what lets the same kernel express perfect, outdated
 and predicted CSI by changing only the score.
 
-`select` runs one rule over a block of n frames and K relays: restrict
-to the eligible relays, take the highest score (ties go to the lowest
-relay id), optionally lose the frame when the two best eligible scores
-sit inside a timer's uncertainty window, and judge the pick on its
-actual SNR.  The distributed timer race, the destination-side ranking,
-DF, AF and the space-time-coded pair all reduce to this rule by their
-choice of score, eligibility mask and actual SNR.
+`select` runs one rule over a block of n frames and K relays.  Its
+pick step, `pick`, restricts to the eligible relays, takes the highest
+score (ties go to the lowest relay id) and optionally loses the frame
+when the two best eligible scores sit inside a timer's uncertainty
+window; its judging step, `judge`, decides each frame on the pick's
+actual SNR.  A driver whose pick holds across several SNR scales
+(the frame protocol's af) picks once and judges at each scale.  The
+distributed timer race, the destination-side ranking, DF, AF and the
+space-time-coded pair all reduce to this rule by their choice of
+score, eligibility mask and actual SNR.
 
 Rates are half-duplex: a two-phase relay link sustains R bits/s/Hz end
 to end only if each phase carries 2R, hence the relay threshold
@@ -62,22 +65,30 @@ class Selection(NamedTuple):
     collision: np.ndarray
 
 
-def select(g, score, rate, eligible=None, window=None, pair=False):
-    """Pick relays by score and judge them on their actual SNR.
+class Pick(NamedTuple):
+    """Per-frame pick of a block, before any actual SNR is read."""
 
-    g, score and eligible are (n, K), the scores finite.  The pick is
-    the highest eligible score (ties go to the lowest relay id).  With
-    pair=True the runner-up forwards with it, when there is one, and
-    the combiner output is the half-sum of the two SNRs.  With a
-    window, a frame whose two best eligible scores differ by less than
-    it is a collision.  A frame with no eligible relay, or a collision,
-    is lost: an outage at rate 0.
+    first: np.ndarray      # best eligible relay id (any id when lost)
+    second: np.ndarray     # runner-up id, -1 without one; None unless pair
+    lost: np.ndarray       # nobody eligible, or a collision
+    collision: np.ndarray
+
+
+def pick(score, eligible=None, window=None, pair=False):
+    """Rank relays by score: the pick, its runner-up and the race's loss.
+
+    score and eligible are (n, K), the scores finite.  The pick is the
+    highest eligible score (ties go to the lowest relay id).  With
+    pair=True the runner-up is kept, -1 when nobody else is eligible.
+    With a window, a frame whose two best eligible scores differ by
+    less than it is a collision.  A frame with no eligible relay, or a
+    collision, is lost.
     """
     rows = np.arange(score.shape[0])
     if eligible is not None:
         score = np.where(eligible, score, -np.inf)
     first = np.argmax(score, axis=1)
-    g_sel = g[rows, first]
+    second = None
     collision = np.zeros(score.shape[0], dtype=bool)
     if pair or window is not None:
         top = score[rows, first]
@@ -91,13 +102,35 @@ def select(g, score, rate, eligible=None, window=None, pair=False):
             # a row with nobody eligible gives nan, no collision either
             with np.errstate(invalid="ignore"):
                 collision = top - runner_up < window
-        if pair:
-            g_sel = np.where(runner_up > -np.inf,
-                             0.5 * (g_sel + g[rows, second]), g_sel)
+        second = np.where(runner_up > -np.inf, second, -1) if pair else None
     lost = collision
     if eligible is not None:
         # with nobody eligible the argmax lands on a masked relay
         lost = lost | ~eligible[rows, first]
-    g_sel = np.where(lost, 0.0, g_sel)
-    return Selection(np.where(lost, -1, first), g_sel < rate.gamma_o,
-                     0.5 * np.log2(1.0 + g_sel), collision)
+    return Pick(first, second, lost, collision)
+
+
+def judge(g_sel, picked, rate):
+    """Selection of a pick whose forwarded signal has actual SNR g_sel,
+    one per frame: a lost frame is an outage at rate 0."""
+    g_sel = np.where(picked.lost, 0.0, g_sel)
+    return Selection(np.where(picked.lost, -1, picked.first),
+                     g_sel < rate.gamma_o, 0.5 * np.log2(1.0 + g_sel),
+                     picked.collision)
+
+
+def select(g, score, rate, eligible=None, window=None, pair=False):
+    """Pick relays by score and judge them on their actual SNR.
+
+    g, score and eligible are (n, K); `pick` ranks the scores under
+    eligible and window.  With pair=True the runner-up forwards with
+    the pick, when there is one, and the combiner output is the
+    half-sum of the two SNRs.  `judge` then decides each frame.
+    """
+    picked = pick(score, eligible, window, pair)
+    rows = np.arange(score.shape[0])
+    g_sel = g[rows, picked.first]
+    if pair:
+        g_sel = np.where(picked.second >= 0,
+                         0.5 * (g_sel + g[rows, picked.second]), g_sel)
+    return judge(g_sel, picked, rate)

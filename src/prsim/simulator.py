@@ -4,15 +4,20 @@ A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
 af ranks and judges the weaker hop; df, df-central and the coded pair
 (ostc) rank the relay hop among the decoders.  The frame protocol runs
-each block of frames through the selection kernel, `selection.select`;
+each block of frames through the selection kernel's two steps,
+`selection.pick` and `selection.judge`, in one pass over the SNR grid:
+it ranks the block once per grid point (af, whose pick no hop SNR
+moves, once per pass) and judges only the picks' actual SNRs.
 estimate() draws the same rule's picks directly.
 
 Networks are pure CSI sources.  A network's `frames(n)` returns the
 actual SNR gains |h|^2 (unit mean) and buffered metrics (ranked by
 magnitude) of its first n frames as (n, K) arrays, the same frames on
-every call.  The SNR grid point and the target rate belong to the
-driver call, which scales gains into hop SNRs, so one network serves
-every scheme and grid point of a run with common random numbers.
+every call.  What a network keeps and hands out is read-only, so no
+caller can write into the frames the next scheme reads.  The SNR grid
+and the target rate belong to the driver call, which scales gains into
+hop SNRs, so one network serves every scheme and grid point of a run
+with common random numbers.
 
 The selection metric is never the frame's own CSI: each node predicts
 the next frame's coefficient, writes it to a buffer, and a later
@@ -99,7 +104,7 @@ import numpy as np
 
 from .channel import correlated_pair
 from .rng import stream
-from .selection import RateConfig, decoding_subset, select
+from .selection import RateConfig, decoding_subset, judge, pick
 
 ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
 FRAME_SCHEMES = ("df", "af", "df-central")
@@ -223,6 +228,8 @@ class SyntheticRhoNetwork:
             metric = rng.standard_exponential((2, n, self.num_relays))
             gain = correlated_pair(rng, self.rho, metric.shape, metric)
             self._frames = (*gain, *np.sqrt(metric, out=metric))
+            for a in self._frames:
+                a.flags.writeable = False
         if n > len(self._frames[0]):
             raise ValueError("the first frames() call drew fewer frames")
         return tuple(a[:n] for a in self._frames)
@@ -236,7 +243,9 @@ class SeriesNetwork:
     delayed by `delay` samples when no predictor is given.  A predictor
     reads the feature layout it records, whose horizon must be `delay`.
     Frames start at `start`, the first sample the metric covers; the
-    network holds views of the records from there on, plus predictions.
+    network holds views of the records from there on, plus predictions;
+    the metrics it hands out are read-only, as they may be views of
+    records that other networks ride too.
     """
 
     def __init__(self, series_sr, series_rd, delay, predictor=None):
@@ -251,6 +260,7 @@ class SeriesNetwork:
         self.metric_lag = int(delay)
         self.metric_sr = _metric_record(series_sr, delay, predictor)
         self.metric_rd = _metric_record(series_rd, delay, predictor)
+        self.metric_sr.flags.writeable = self.metric_rd.flags.writeable = False
         self.num_frames = len(self.metric_sr)
         if self.num_frames < 2:
             raise ValueError("record too short for the requested delay")
@@ -280,14 +290,21 @@ def _metric_record(series, delay, predictor):
 # -------------------------------------------------------- frame protocol
 
 
-def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
+def simulate_frames(scheme, network, snr_grid_db, num_frames, rate=None,
                     protocol=ProtocolSettings()):
-    """Run the frame protocol over a block; the bootstrap frame is dropped.
+    """Run the frame protocol over a block at every grid point; the
+    bootstrap frame is dropped.
 
-    scheme: one of FRAME_SCHEMES, at the grid point snr_db.  df and af
-    race protocol's timers; df-central ranks at the destination under
-    protocol's policy.  Returns one McEstimate over frames
+    scheme: one of FRAME_SCHEMES.  df and af race protocol's timers;
+    df-central ranks at the destination under protocol's policy.
+    Returns one McEstimate per grid point, each over frames
     1 .. num_frames - 1.
+
+    The block's frames, metric magnitudes and timers are read and
+    formed once per call, and so is af's pick, which no hop SNR moves:
+    af has no eligibility mask.  At each grid point df and df-central
+    pick among that point's decoders, and every scheme judges only the
+    picked relay's actual SNR.
     """
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
@@ -298,27 +315,36 @@ def simulate_frames(scheme, network, snr_db, num_frames, rate=None,
             "selection would read a prediction written at its own frame")
     central = scheme == "df-central"  # the destination ranks; nobody races
     rate = rate if rate is not None else RateConfig(1.0)
-    hop = _hop_snr(snr_db)
-    g_sr, g_rd, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
-    g_sr, g_rd = g_sr * hop, g_rd * hop
-    score, eligible, window = np.abs(m_rd), None, None
+    hops = [_hop_snr(snr_db) for snr_db in np.atleast_1d(snr_grid_db)]
+    g_sr, g, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
+    score, window, first_only = np.abs(m_rd), None, None
     if scheme == "af":
-        # rank and judge the weaker hop
-        score = np.minimum(np.abs(m_sr), score)
-        g_rd = np.minimum(g_sr, g_rd)
-    else:
-        # rank the relay hop among the decoders
-        eligible = decoding_subset(g_sr, rate)
-        if central and protocol.policy == "terminate":
-            # only the destination's first pick may forward
-            eligible &= (np.arange(score.shape[1])
-                         == np.argmax(score, axis=1)[:, None])
+        # rank and judge the weaker hop; min(a h, b h) == min(a, b) h,
+        # as rounding a product by h > 0 keeps the order.  Not in place:
+        # the frames may be views of the network's own arrays.
+        score = np.minimum(np.abs(m_sr), score, out=score)
+        g = np.minimum(g_sr, g)
+    elif central and protocol.policy == "terminate":
+        # only the destination's first pick may forward
+        first_only = (np.arange(score.shape[1])
+                      == np.argmax(score, axis=1)[:, None])
     if not central:
-        score = -protocol.duration(score)
+        score = np.negative(protocol.duration(score), out=score)
         window = protocol.uncertainty_window
-    sel = select(g_rd, score, rate, eligible, window)
-    return _mc_estimate(sel.outage, sel.rate,
-                        int(np.count_nonzero(sel.collision)))
+    picked = pick(score, window=window) if scheme == "af" else None
+    rows = np.arange(score.shape[0])
+    out = []
+    for hop in hops:
+        if scheme != "af":
+            # rank the relay hop among the decoders
+            eligible = decoding_subset(g_sr * hop, rate)
+            if first_only is not None:
+                eligible &= first_only
+            picked = pick(score, eligible, window)
+        sel = judge(g[rows, picked.first] * hop, picked, rate)
+        out.append(_mc_estimate(sel.outage, sel.rate,
+                                int(np.count_nonzero(sel.collision))))
+    return out
 
 
 # ------------------------------------------------- vectorized estimators

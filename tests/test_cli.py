@@ -631,6 +631,35 @@ frames = 2000
     assert 0.0 <= float(row["outage"]) <= 1.0
 
 
+def test_protocol_sim_passes_each_scheme_over_the_grid_once(tmp_path,
+                                                          monkeypatch):
+    # on the benchmark's protocol workload (df, af and df-central over
+    # 4 grid points): one frame-protocol call and one read of the
+    # network's frames per scheme, and one decoding subset per df or
+    # df-central grid point, since af's pick holds across the grid
+    counts = {"simulate_frames": 0, "frames": 0, "decoding_subset": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "simulate_frames",
+                        counted("simulate_frames", cli.simulate_frames))
+    monkeypatch.setattr(simulator.SeriesNetwork, "frames",
+                        counted("frames", simulator.SeriesNetwork.frames))
+    monkeypatch.setattr(simulator, "decoding_subset",
+                        counted("decoding_subset", simulator.decoding_subset))
+    conf = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+            / "protocol.ini")
+    out = tmp_path / "r.csv"
+    assert run_main(["protocol-sim", "--config", str(conf), "--seed", "3",
+                     "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 12
+    assert counts == {"simulate_frames": 3, "frames": 3, "decoding_subset": 8}
+
+
 def test_each_protocol_key_reaches_the_rows(tmp_path):
     # frames sets the trial count, a low timer cap ties most timers to
     # the lowest id, and terminate forgoes the decoders the

@@ -173,7 +173,7 @@ def test_synthetic_network_replays_its_frames():
     with pytest.raises(ValueError, match="drew fewer frames"):
         net.frames(51)
     with pytest.raises(ValueError, match="drew fewer frames"):
-        simulate_frames("df", net, 10.0, 51)
+        simulate_frames("df", net, [10.0], 51)
 
 
 def test_one_network_serves_every_grid_point():
@@ -183,8 +183,63 @@ def test_one_network_serves_every_grid_point():
     for scheme in ("df", "af", "df-central"):
         for snr_db in (0.0, 10.0, 20.0):
             fresh = SyntheticRhoNetwork(8, rho=0.8, seed=3)
-            assert (simulate_frames(scheme, shared, snr_db, 500)
-                    == simulate_frames(scheme, fresh, snr_db, 500))
+            assert (simulate_frames(scheme, shared, [snr_db], 500)
+                    == simulate_frames(scheme, fresh, [snr_db], 500))
+
+
+def grid_networks():
+    """Factories of fresh networks of one kind each: synthetic pairs,
+    an outdated record and a record under a small trained predictor."""
+    from prsim.config import PredictorSettings
+    from prsim.predictor import train_link_predictor
+
+    sr, rd = multilink_series(41, 400, 4), multilink_series(42, 400, 4)
+    recipe = PredictorSettings(neurons=4, tau=2, epochs=1, batch_size=16)
+    net, _ = train_link_predictor(multilink_series(43, 300, 4), 3, recipe)
+    return {"synthetic": lambda: SyntheticRhoNetwork(4, rho=0.8, seed=3),
+            "outdated": lambda: SeriesNetwork(sr, rd, delay=3),
+            "predicted": lambda: SeriesNetwork(sr, rd, 3, predictor=net)}
+
+
+def test_grid_pass_equals_point_by_point_calls():
+    # one call over the grid gives each point the estimate a call at
+    # that point alone gives on a fresh network, and writes nothing
+    # into the frames the next scheme reads
+    grid, n = [0.0, 6.0, 12.0, 30.0], 300
+    for kind, fresh in grid_networks().items():
+        for policy in ("reselect", "terminate"):
+            for window in (0.0, 0.01):
+                protocol = ProtocolSettings(policy=policy,
+                                            uncertainty_window=window)
+                net = fresh()
+                before = [a.tobytes() for a in net.frames(n)]
+                for scheme in ("df", "af", "df-central"):
+                    ests = simulate_frames(scheme, net, grid, n,
+                                           protocol=protocol)
+                    assert ests == [
+                        simulate_frames(scheme, fresh(), [snr_db], n,
+                                        protocol=protocol)[0]
+                        for snr_db in grid], (kind, policy, window, scheme)
+                assert [a.tobytes() for a in net.frames(n)] == before
+
+
+def test_networks_hand_out_read_only_arrays():
+    # an in-place write into a network's frames raises instead of
+    # corrupting what the next scheme reads; a record that networks
+    # share stays writable for its owner
+    for kind, fresh in grid_networks().items():
+        net = fresh()
+        frames = net.frames(10)
+        kept = frames if kind == "synthetic" else frames[2:]
+        for a in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                np.minimum(a, 0.0, out=a)
+        assert net.frames(10)[3][0, 0] != 0.0
+    sr = multilink_series(41, 50, 2)
+    SeriesNetwork(sr, sr, delay=3).frames(10)
+    sr[0, 0] = 0.0
 
 
 def test_causality_assert_trips():
@@ -192,12 +247,12 @@ def test_causality_assert_trips():
         net = SyntheticRhoNetwork(4, rho=1.0, seed=1)
         net.metric_lag = 0  # forge a metric read at its own frame
         with pytest.raises(RuntimeError):
-            simulate_frames(scheme, net, 10.0, 100)
+            simulate_frames(scheme, net, [10.0], 100)
 
 
 def test_zero_window_never_collides():
     net = SyntheticRhoNetwork(8, rho=0.5, seed=7)
-    est = simulate_frames("df", net, 10.0, 3000)
+    (est,) = simulate_frames("df", net, [10.0], 3000)
     assert est.collision_rate == 0.0
 
 
@@ -206,8 +261,8 @@ def test_collision_rate_monotone_in_window():
     for delta in (0.0, 0.02, 0.2, 2.0):
         net = SyntheticRhoNetwork(8, rho=0.5, seed=8)
         protocol = ProtocolSettings(uncertainty_window=delta)
-        rates.append(simulate_frames("df", net, 10.0, 3000,
-                                     protocol=protocol).collision_rate)
+        (est,) = simulate_frames("df", net, [10.0], 3000, protocol=protocol)
+        rates.append(est.collision_rate)
     assert rates[0] == 0.0
     assert all(b >= a for a, b in zip(rates, rates[1:]))
     assert rates[-1] > 0.0
@@ -225,7 +280,7 @@ def test_df_winner_is_buffered_argmax_over_ds():
     assert np.array_equal(sel.chosen[has], want[has])
     assert np.all(sel.chosen[~has] == -1) and np.all(sel.outage[~has])
     assert simulate_frames("df", SyntheticRhoNetwork(8, rho=0.7, seed=9),
-                           10.0, 400) == block_estimate(sel)
+                           [10.0], 400) == [block_estimate(sel)]
 
 
 def test_af_winner_is_min_metric_argmax():
@@ -237,12 +292,12 @@ def test_af_winner_is_min_metric_argmax():
                  window=timer.uncertainty_window)
     assert np.array_equal(sel.chosen, np.argmax(mags, axis=1))
     assert simulate_frames("af", SyntheticRhoNetwork(8, rho=0.7, seed=10),
-                           10.0, 400) == block_estimate(sel)
+                           [10.0], 400) == [block_estimate(sel)]
 
 
 def test_df_frames_match_closed_form_at_perfect_foresight():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=11)
-    est = simulate_frames("df", net, 10.0, 100_000)
+    (est,) = simulate_frames("df", net, [10.0], 100_000)
     exact = outage_df(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
 
@@ -250,7 +305,7 @@ def test_df_frames_match_closed_form_at_perfect_foresight():
 def test_af_frames_k1_matches_single_link_bound():
     # with one relay selection is moot; outage is P(min(sr, rd) < go)
     net = SyntheticRhoNetwork(1, rho=0.6, seed=12)
-    est = simulate_frames("af", net, 10.0, 100_000)
+    (est,) = simulate_frames("af", net, [10.0], 100_000)
     gamma_e = 5.0 * 5.0 / (5.0 + 5.0)
     exact = 1.0 - math.exp(-GO / gamma_e)
     assert se_vs(exact, est) <= 3.0
@@ -258,7 +313,7 @@ def test_af_frames_k1_matches_single_link_bound():
 
 def test_af_frames_perfect_buffers_match_closed_form():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=13)
-    est = simulate_frames("af", net, 12.0, 100_000)
+    (est,) = simulate_frames("af", net, [12.0], 100_000)
     hop = 0.5 * 10 ** 1.2
     exact = outage_af(SelectionParams(8, hop, hop, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
@@ -273,20 +328,20 @@ def test_centralized_reselect_equals_distributed():
     race = select(g_rd, -ProtocolSettings().duration(np.abs(m_rd)), RATE, ds, 0.0)
     ranked = select(g_rd, np.abs(m_rd), RATE, ds)
     assert np.array_equal(race.chosen, ranked.chosen)
-    a = simulate_frames("df", net, 10.0, 2000)
-    b = simulate_frames("df-central", net, 10.0, 2000)
+    a = simulate_frames("df", net, [10.0], 2000)
+    b = simulate_frames("df-central", net, [10.0], 2000)
     assert a == b
 
 
 def test_termination_never_beats_reselection():
     net = SyntheticRhoNetwork(8, rho=0.8, seed=15)
     terminate = ProtocolSettings(policy="terminate")
-    for snr_db in (6.0, 10.0, 14.0):
-        p_r = simulate_frames("df-central", net, snr_db, 20_000).outage_prob
-        p_t = simulate_frames("df-central", net, snr_db, 20_000,
-                              protocol=terminate).outage_prob
+    reselect = simulate_frames("df-central", net, [6.0, 10.0, 14.0], 20_000)
+    ended = simulate_frames("df-central", net, [6.0, 10.0, 14.0], 20_000,
+                            protocol=terminate)
+    for r, t in zip(reselect, ended):
         # the top-ranked relay often failed to decode at these SNRs
-        assert p_t > p_r
+        assert t.outage_prob > r.outage_prob
 
 
 class FourNormalNetwork:
@@ -320,7 +375,8 @@ def test_conditional_network_matches_four_normal_network(K):
         new = SyntheticRhoNetwork(K, rho, seed=900 + 10 * K + i)
         old = FourNormalNetwork(K, rho, 950 + 10 * K + i, n)
         for name, (scheme, protocol) in FRAME_RUNS.items():
-            a, b = (simulate_frames(scheme, net, 10.0, n, protocol=protocol)
+            a, b = (simulate_frames(scheme, net, [10.0], n,
+                                    protocol=protocol)[0]
                     for net in (new, old))
             for p, q in ((a.outage_prob, b.outage_prob),
                          (a.collision_rate, b.collision_rate)):
@@ -339,9 +395,9 @@ def test_conditional_network_matches_four_normal_network(K):
 def test_frame_driver_validation():
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, 10.0, 1)
+        simulate_frames("df", net, [10.0], 1)
     with pytest.raises(ValueError):
-        simulate_frames("mrc", net, 10.0, 100)
+        simulate_frames("mrc", net, [10.0], 100)
     with pytest.raises(ValueError, match="reselect or terminate"):
         ProtocolSettings(policy="retry")
 
@@ -353,7 +409,7 @@ def test_frame_driver_refuses_points_past_the_float_range(snr_db):
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     for scheme in ("df", "af", "df-central"):
         with pytest.raises(ValueError, match="float range"):
-            simulate_frames(scheme, net, snr_db, 100)
+            simulate_frames(scheme, net, [0.0, snr_db], 100)
 
 
 # ------------------------------------------------------- vectorized paths
@@ -383,7 +439,7 @@ def test_af_pairing_modes_differ_at_partial_rho():
     # timer race is an argmax of min(|metric_sr|, |metric_rd|).
     def per_hop(rho, n, seed):
         return simulate_frames("af", SyntheticRhoNetwork(8, rho, seed=seed),
-                               10.0, n + 1)
+                               [10.0], n + 1)[0]
 
     e2e = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5)[0][0]
     hop = per_hop(0.2906, 200_000, seed=5)
@@ -541,8 +597,8 @@ def test_engines_stay_finite_at_the_ends_of_the_hop_range():
                             num_relays=2, rho=0.9):
             assert math.isfinite(est[0].mean_rate)
         for scheme in ("df", "af", "df-central"):
-            est = simulate_frames(scheme, SyntheticRhoNetwork(2, 0.9), snr_db,
-                                  1000, protocol=WINDOW)
+            (est,) = simulate_frames(scheme, SyntheticRhoNetwork(2, 0.9),
+                                     [snr_db], 1000, protocol=WINDOW)
             assert math.isfinite(est.mean_rate)
     for snr_db in (-2998.0, 3004.0):
         with pytest.raises(ValueError, match="float range"):
@@ -709,7 +765,7 @@ def test_series_network_alignment():
     with pytest.raises(ValueError):
         net.frames(298)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, 10.0, 298)
+        simulate_frames("df", net, [10.0], 298)
     with pytest.raises(ValueError):
         SeriesNetwork(sr, rd, delay=0)
     with pytest.raises(ValueError):
@@ -741,7 +797,8 @@ def test_series_delayed_metric_matches_closed_form():
     # J0(0.6 pi); frames overlap in time, so allow a loose absolute gap
     sr = multilink_series(31, 60_000)
     rd = multilink_series(32, 60_000)
-    est = simulate_frames("df", SeriesNetwork(sr, rd, delay=3), 10.0, 59_997)
+    (est,) = simulate_frames("df", SeriesNetwork(sr, rd, delay=3), [10.0],
+                             59_997)
     rho_o = jakes_correlation(100.0, 0.003)
     exact = outage_df(SelectionParams(8, 5.0, 5.0, rho_o, GO))
     assert est.trials == 59_996
@@ -752,4 +809,4 @@ def test_series_mode_validation():
     sr = multilink_series(33, 200, 2)
     rd = multilink_series(34, 200, 2)
     with pytest.raises(ValueError):
-        simulate_frames("dt", SeriesNetwork(sr, rd, delay=3), 10.0, 100)
+        simulate_frames("dt", SeriesNetwork(sr, rd, delay=3), [10.0], 100)
