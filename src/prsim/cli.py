@@ -529,7 +529,7 @@ def cmd_predict_eval(cfg, out=None, plan=None):
             "doppler_hz": fading.doppler_hz, "horizon": horizon,
             "rho_outdated": rho_out, "rho_predicted": rho,
             "error_power": float(np.mean(np.abs(pred - actual) ** 2)),
-            "trials": _EVAL_LEN,
+            "trials": len(pred),
         })
         print("fd=%6.1f Hz  D=%d  rho_outdated=%.4f  rho_predicted=%.4f"
               % (fading.doppler_hz, horizon, rho_out, rho))
@@ -554,8 +554,8 @@ def _curves(cfg, out, runs, command):
     synthetic group of outage or capacity is one estimate call
     (ESTIMATE_SCHEMES) for the schemes the cache lacks, so schemes of
     one draw family share their draws.  Every other group is one
-    network that simulate_frames (FRAME_SCHEMES) scores across the
-    grid, one call per member scheme: a SyntheticRhoNetwork for
+    network that one simulate_frames call (FRAME_SCHEMES) scores across
+    the grid for every member scheme: a SyntheticRhoNetwork for
     protocol-sim's perfect or synthetic csi, otherwise a SeriesNetwork over the hop
     records of the group's fading.  Records are held by (fading,
     length, links), one fading at a time, so outdated and predicted
@@ -597,11 +597,11 @@ def _curves(cfg, out, runs, command):
                       for snr_db in cfg.snr_grid_db])
     ests, held = {}, {}
     for (relays, rho, imp, fading, delay), members in groups.items():
+        schemes = [runs[i].scheme for i in members]
         if fading is None and command != "protocol-sim":
             ests.update(zip(members, _estimates(
-                cache, [runs[i].scheme for i in members], cfg.snr_grid_db,
-                budget, num_relays=relays, rho=rho, rate=rate, seed=cfg.seed,
-                impairments=imp)))
+                cache, schemes, cfg.snr_grid_db, budget, num_relays=relays,
+                rho=rho, rate=rate, seed=cfg.seed, impairments=imp)))
             continue
         if fading is None:
             net = SyntheticRhoNetwork(relays, rho, seed=cfg.seed)
@@ -616,9 +616,9 @@ def _curves(cfg, out, runs, command):
                 held[key] = [_series(fading, _sub_seed(cfg.seed, tag), key[1],
                                      relays) for tag in (_SR_TAG, _RD_TAG)]
             net = SeriesNetwork(*held[key], delay, predictor=predictor)
-        for i in members:
-            ests[i] = simulate_frames(runs[i].scheme, net, cfg.snr_grid_db,
-                                      frames, rate=rate, protocol=cfg.protocol)
+        ests.update(zip(members, simulate_frames(
+            schemes, net, cfg.snr_grid_db, frames, rate=rate,
+            protocol=cfg.protocol)))
         del net  # freed before the next group builds its metric records
     rows = []
     for i, spec in enumerate(runs):

@@ -29,6 +29,7 @@ hash and equal seed imply byte-identical rows.
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import FadingSettings
@@ -209,11 +210,22 @@ def _grid(raw):
             _hop_snr(x)
         except ValueError as err:
             raise ConfigError(str(err))
-    return tuple(vals)
+    return _distinct(tuple(vals), "grid point")
 
 
 def _scheme_list(raw):
-    return tuple(t.strip().lower() for t in raw.split(",") if t.strip())
+    return _distinct(
+        tuple(t.strip().lower() for t in raw.split(",") if t.strip()),
+        "scheme")
+
+
+def _distinct(values, what):
+    """values, or a ConfigError naming one that repeats: a repeated
+    scheme or grid point would write its rows twice."""
+    repeated = [value for value, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigError("repeated %s %r" % (what, repeated[0]))
+    return values
 
 
 # the settings sections, in ExperimentConfig's field order

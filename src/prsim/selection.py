@@ -10,12 +10,12 @@ and predicted CSI by changing only the score.
 pick step, `pick`, restricts to the eligible relays, takes the highest
 score (ties go to the lowest relay id) and optionally loses the frame
 when the two best eligible scores sit inside a timer's uncertainty
-window; its judging step, `judge`, decides each frame on the pick's
-actual SNR.  A driver whose pick holds across several SNR scales
-(the frame protocol's af) picks once and judges at each scale.  The
+window; it then decides each frame on the pick's actual SNR.  The
 distributed timer race, the destination-side ranking, DF, AF and the
 space-time-coded pair all reduce to this rule by their choice of
-score, eligibility mask and actual SNR.
+score, eligibility mask and actual SNR.  The Monte-Carlo engines call
+`pick` and judge by `simulator._mc_estimate`'s rule, the one `select`
+applies; `select` is the block reference they are tested against.
 
 Rates are half-duplex: a two-phase relay link sustains R bits/s/Hz end
 to end only if each phase carries 2R, hence the relay threshold
@@ -110,22 +110,13 @@ def pick(score, eligible=None, window=None, pair=False):
     return Pick(first, second, lost, collision)
 
 
-def judge(g_sel, picked, rate):
-    """Selection of a pick whose forwarded signal has actual SNR g_sel,
-    one per frame: a lost frame is an outage at rate 0."""
-    g_sel = np.where(picked.lost, 0.0, g_sel)
-    return Selection(np.where(picked.lost, -1, picked.first),
-                     g_sel < rate.gamma_o, 0.5 * np.log2(1.0 + g_sel),
-                     picked.collision)
-
-
 def select(g, score, rate, eligible=None, window=None, pair=False):
     """Pick relays by score and judge them on their actual SNR.
 
     g, score and eligible are (n, K); `pick` ranks the scores under
     eligible and window.  With pair=True the runner-up forwards with
     the pick, when there is one, and the combiner output is the
-    half-sum of the two SNRs.  `judge` then decides each frame.
+    half-sum of the two SNRs.  A lost frame is an outage at rate 0.
     """
     picked = pick(score, eligible, window, pair)
     rows = np.arange(score.shape[0])
@@ -133,4 +124,7 @@ def select(g, score, rate, eligible=None, window=None, pair=False):
     if pair:
         g_sel = np.where(picked.second >= 0,
                          0.5 * (g_sel + g[rows, picked.second]), g_sel)
-    return judge(g_sel, picked, rate)
+    g_sel = np.where(picked.lost, 0.0, g_sel)
+    return Selection(np.where(picked.lost, -1, picked.first),
+                     g_sel < rate.gamma_o, 0.5 * np.log2(1.0 + g_sel),
+                     picked.collision)

@@ -3,21 +3,26 @@
 A frame proceeds in two phases: the source broadcasts, decoding relays
 form the decoding subset, and one relay (or a coded pair) forwards.
 af ranks and judges the weaker hop; df, df-central and the coded pair
-(ostc) rank the relay hop among the decoders.  The frame protocol runs
-each block of frames through the selection kernel's two steps,
-`selection.pick` and `selection.judge`, in one pass over the SNR grid:
-it ranks the block once per grid point (af, whose pick no hop SNR
-moves, once per pass) and judges only the picks' actual SNRs.
-estimate() draws the same rule's picks directly.
+(ostc) rank the relay hop among the decoders.  The frame protocol
+ranks each block of frames with the selection kernel's pick step,
+`selection.pick`, once per grid point (af, whose pick no hop SNR
+moves, once per scheme), and reads only the picks' actual SNRs.
+estimate() draws the same rule's picks directly.  Both engines reduce
+every scheme and grid point by one rule, `_mc_estimate`: each trial
+comes in as its judged SNR (0 for a lost frame), is an outage below
+the threshold and carries the half-duplex rate 0.5 log2(1 + SNR),
+or for the full-frame direct link log2(1 + SNR) against its own
+threshold.
 
 Networks are pure CSI sources.  A network's `frames(n)` returns the
 actual SNR gains |h|^2 (unit mean) and buffered metrics (ranked by
 magnitude) of its first n frames as (n, K) arrays, the same frames on
-every call.  What a network keeps and hands out is read-only, so no
-caller can write into the frames the next scheme reads.  The SNR grid
-and the target rate belong to the driver call, which scales gains into
-hop SNRs, so one network serves every scheme and grid point of a run
-with common random numbers.
+every call.  Both engines take a group's scheme list: simulate_frames
+reads its network once per call and serves every scheme and grid
+point of the call from that one read with common random numbers.  The
+SNR grid and the target rate belong to the driver call, which scales
+gains into hop SNRs, and no scheme writes into the frames the next
+one reads.
 
 The selection metric is never the frame's own CSI: each node predicts
 the next frame's coefficient, writes it to a buffer, and a later
@@ -54,7 +59,7 @@ so it reports no collisions.  estimate() runs ESTIMATE_SCHEMES and
 simulate_frames FRAME_SCHEMES: the frame protocol has no coded pair,
 no direct link and no acquisition impairments.
 
-simulate_frames holds every relay's actual SNR and judges the picks'
+simulate_frames holds every relay's actual SNR and reads the picks'
 entries.  estimate() draws only what selection reads, and no value
 per relay: per trial, df and af e2e draw the best of K metrics (one
 uniform; the Renyi representation of order statistics) and the pick's
@@ -104,7 +109,7 @@ import numpy as np
 
 from .channel import correlated_pair
 from .rng import stream
-from .selection import RateConfig, decoding_subset, judge, pick
+from .selection import RateConfig, decoding_subset, pick
 
 ESTIMATE_SCHEMES = ("df", "af", "ostc", "dt")
 FRAME_SCHEMES = ("df", "af", "df-central")
@@ -187,11 +192,25 @@ class McEstimate:
     collision_rate: float
 
 
-def _mc_estimate(outage, rates, collisions=0):
-    n = outage.size
-    p = float(np.mean(outage))
+def _mc_estimate(snr, threshold, prelog=0.5, collisions=0):
+    """McEstimate of judged SNRs, one per trial (0 for a lost frame): an
+    outage falls below threshold, the boundary succeeds, and the
+    realized rate is prelog * log2(1 + snr)."""
+    n = snr.size
+    p = float(np.mean(snr < threshold))
     se = math.sqrt(p * (1.0 - p) / n)
-    return McEstimate(n, p, se, float(np.mean(rates)), collisions / n)
+    rate = float(np.mean(prelog * np.log2(1.0 + snr)))
+    return McEstimate(n, p, se, rate, collisions / n)
+
+
+def _check_schemes(schemes, known):
+    """ValueError unless schemes is a non-empty list of names in known."""
+    if isinstance(schemes, str) or not schemes:
+        raise ValueError("schemes must be a non-empty list of names")
+    for scheme in schemes:
+        if scheme not in known:
+            raise ValueError(f"unknown scheme {scheme!r}, expected one of "
+                             f"{known}")
 
 
 # -------------------------------------------------------------- networks
@@ -212,27 +231,19 @@ class SyntheticRhoNetwork:
         self.num_relays = int(num_relays)
         self.rho = float(rho)
         self.seed = seed
-        self._frames = None
 
     def frames(self, n):
         """(gain_sr, gain_rd, metric_sr, metric_rd) of the first n frames.
 
-        Each is (n, K).  The (seed, 41) stream is read as both hops'
-        metric SNRs |h_m|^2, Exp(1), then the gains given them
-        (`correlated_pair`); the metrics handed out are |h_m|.  The
-        first call draws the frames and sets the most a later call
-        may ask for.
+        Each is (n, K), drawn afresh on every call.  The (seed, 41)
+        stream is read as both hops' metric SNRs |h_m|^2, Exp(1), then
+        the gains given them (`correlated_pair`); the metrics handed out
+        are |h_m|.
         """
-        if self._frames is None:
-            rng = stream(self.seed, 41)
-            metric = rng.standard_exponential((2, n, self.num_relays))
-            gain = correlated_pair(rng, self.rho, metric.shape, metric)
-            self._frames = (*gain, *np.sqrt(metric, out=metric))
-            for a in self._frames:
-                a.flags.writeable = False
-        if n > len(self._frames[0]):
-            raise ValueError("the first frames() call drew fewer frames")
-        return tuple(a[:n] for a in self._frames)
+        rng = stream(self.seed, 41)
+        metric = rng.standard_exponential((2, n, self.num_relays))
+        gain = correlated_pair(rng, self.rho, metric.shape, metric)
+        return (*gain, *np.sqrt(metric, out=metric))
 
 
 class SeriesNetwork:
@@ -290,38 +301,48 @@ def _metric_record(series, delay, predictor):
 # -------------------------------------------------------- frame protocol
 
 
-def simulate_frames(scheme, network, snr_grid_db, num_frames, rate=None,
+def simulate_frames(schemes, network, snr_grid_db, num_frames, rate=None,
                     protocol=ProtocolSettings()):
-    """Run the frame protocol over a block at every grid point; the
-    bootstrap frame is dropped.
+    """Run the frame protocol over a block at every grid point, for each
+    scheme; the bootstrap frame is dropped.
 
-    scheme: one of FRAME_SCHEMES.  df and af race protocol's timers;
+    schemes lists FRAME_SCHEMES names; the result holds one list per
+    scheme, in that order, of one McEstimate per grid point, each over
+    frames 1 .. num_frames - 1.  df and af race protocol's timers;
     df-central ranks at the destination under protocol's policy.
-    Returns one McEstimate per grid point, each over frames
-    1 .. num_frames - 1.
 
-    The block's frames, metric magnitudes and timers are read and
-    formed once per call, and so is af's pick, which no hop SNR moves:
-    af has no eligibility mask.  At each grid point df and df-central
-    pick among that point's decoders, and every scheme judges only the
-    picked relay's actual SNR.
+    The network's frames are read once per call and serve every
+    scheme.  Each scheme forms its metric magnitudes and timers once,
+    and af its pick, which no hop SNR moves: af has no eligibility
+    mask.  At each grid point df and df-central pick among that point's
+    decoders, and every scheme reads only the picked relay's actual
+    SNR.
     """
+    _check_schemes(schemes, FRAME_SCHEMES)
     if num_frames < 2:
         raise ValueError("need at least two frames (the first is dropped)")
-    if scheme not in FRAME_SCHEMES:
-        raise ValueError(f"unknown frame scheme {scheme!r}")
     if network.metric_lag < 1:
         raise RuntimeError(
             "selection would read a prediction written at its own frame")
-    central = scheme == "df-central"  # the destination ranks; nobody races
     rate = rate if rate is not None else RateConfig(1.0)
     hops = [_hop_snr(snr_db) for snr_db in np.atleast_1d(snr_grid_db)]
-    g_sr, g, m_sr, m_rd = (a[1:] for a in network.frames(num_frames))
+    frames = [a[1:] for a in network.frames(num_frames)]
+    return [_frame_pass(scheme, *frames, hops, rate, protocol)
+            for scheme in schemes]
+
+
+def _frame_pass(scheme, g_sr, g, m_sr, m_rd, hops, rate, protocol):
+    """One McEstimate per hop SNR of one scheme over a block's frames.
+
+    The frames are shared with the call's other schemes and are never
+    written.  A zero uncertainty window is off: no two timers are less
+    than 0 apart, so no pick searches for a runner-up.
+    """
+    central = scheme == "df-central"  # the destination ranks; nobody races
     score, window, first_only = np.abs(m_rd), None, None
     if scheme == "af":
         # rank and judge the weaker hop; min(a h, b h) == min(a, b) h,
-        # as rounding a product by h > 0 keeps the order.  Not in place:
-        # the frames may be views of the network's own arrays.
+        # as rounding a product by h > 0 keeps the order
         score = np.minimum(np.abs(m_sr), score, out=score)
         g = np.minimum(g_sr, g)
     elif central and protocol.policy == "terminate":
@@ -330,7 +351,7 @@ def simulate_frames(scheme, network, snr_grid_db, num_frames, rate=None,
                       == np.argmax(score, axis=1)[:, None])
     if not central:
         score = np.negative(protocol.duration(score), out=score)
-        window = protocol.uncertainty_window
+        window = protocol.uncertainty_window or None
     picked = pick(score, window=window) if scheme == "af" else None
     rows = np.arange(score.shape[0])
     out = []
@@ -341,9 +362,9 @@ def simulate_frames(scheme, network, snr_grid_db, num_frames, rate=None,
             if first_only is not None:
                 eligible &= first_only
             picked = pick(score, eligible, window)
-        sel = judge(g[rows, picked.first] * hop, picked, rate)
-        out.append(_mc_estimate(sel.outage, sel.rate,
-                                int(np.count_nonzero(sel.collision))))
+        snr = np.where(picked.lost, 0.0, g[rows, picked.first] * hop)
+        out.append(_mc_estimate(snr, rate.gamma_o, collisions=int(
+            np.count_nonzero(picked.collision))))
     return out
 
 
@@ -396,9 +417,9 @@ def _relay_family(family, targets, rng, pair_rng, rho, num_relays, hop,
                   rate, phase):
     """Draw one relay family's chunk and judge each of its schemes.
 
-    targets lists (scheme, outage row, rate row), views of the chunk's
-    slice that the judged frames are written into.  pair_rng is None
-    unless ostc is among the schemes, and draws its runner-up.
+    targets lists (scheme, row), views of the chunk's slice that each
+    scheme's judged SNRs are written into.  pair_rng is None unless
+    ostc is among the schemes, and draws its runner-up.
 
     The picks' metric SNRs are order statistics of K i.i.d. Exp(1)
     metrics, drawn directly (the Renyi representation; H. A. David and
@@ -421,42 +442,37 @@ def _relay_family(family, targets, rng, pair_rng, rho, num_relays, hop,
     # clipped, so no lost frame's negative metric reaches a square root
     g = _actuals(rng, rho, np.maximum(metric, 0.0), gain, phase)
     g[metric < 0.0] = 0.0
-    for scheme, outage, rates in targets:
-        judged = g
+    for scheme, row in targets:
         if scheme == "ostc":
             second = -np.log(_second_survival(best, pair_rng.random(n),
                                               num_relays)) - shift
             g2 = _actuals(pair_rng, rho, np.maximum(second, 0.0), gain, phase)
-            judged = np.where(second >= 0.0, 0.5 * (g + g2), g)
-        outage[:] = judged < rate.gamma_o
-        rates[:] = 0.5 * np.log2(1.0 + judged)
+            row[:] = np.where(second >= 0.0, 0.5 * (g + g2), g)
+        else:
+            row[:] = g
 
 
 def _family_point(family, schemes, trials, rng, pair_rng, rho, num_relays,
                   hop, rate, phase):
     """One McEstimate per scheme of a draw family at one grid point.
 
-    The family draws chunk by chunk into result rows of its own, which
-    are freed before the next family draws.
+    The family draws chunk by chunk into one row of judged SNRs per
+    scheme, its own rows, which are freed before the next family draws.
     """
-    outage = np.empty((len(schemes), trials), dtype=bool)
-    rates = np.empty((len(schemes), trials))
+    snr = np.empty((len(schemes), trials))
     for start in range(0, trials, _CHUNK):
         sl = slice(start, min(start + _CHUNK, trials))
-        if family == "dt":
-            g = rates[0, sl]
-            rng.standard_exponential(out=g)
-            g *= 2.0 * hop  # the whole power P
-            # the boundary succeeds; a full-frame link, no halving
-            outage[:, sl] = g < rate.direct_threshold
-            g += 1.0
-            np.log2(g, out=g)
-            rates[:, sl] = g
+        if family == "dt":  # the whole power P
+            rng.standard_exponential(out=snr[0, sl])
+            snr[:, sl] = snr[0, sl] * (2 * hop)
             continue
-        _relay_family(family, [(scheme, outage[j, sl], rates[j, sl])
+        _relay_family(family, [(scheme, snr[j, sl])
                                for j, scheme in enumerate(schemes)],
                       rng, pair_rng, rho, num_relays, hop, rate, phase)
-    return [_mc_estimate(o, r) for o, r in zip(outage, rates)]
+    # dt is a full-frame link: its own threshold, and no halving
+    threshold, prelog = ((rate.direct_threshold, 1.0) if family == "dt"
+                         else (rate.gamma_o, 0.5))
+    return [_mc_estimate(row, threshold, prelog) for row in snr]
 
 
 def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
@@ -485,14 +501,9 @@ def estimate(schemes, snr_grid_db, trials, num_relays=8, rho=1.0, rate=None,
 
     af is the closed forms' end-to-end model: one outdated estimate of
     the min(sr, rd) figure; the per-hop ranking the distributed
-    algorithm runs is `simulate_frames("af")`.
+    algorithm runs is `simulate_frames(["af"], ...)`.
     """
-    if isinstance(schemes, str) or not schemes:
-        raise ValueError("schemes must be a non-empty list of names")
-    for scheme in schemes:
-        if scheme not in ESTIMATE_SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}, expected one of "
-                             f"{ESTIMATE_SCHEMES}")
+    _check_schemes(schemes, ESTIMATE_SCHEMES)
     if trials < MIN_TRIALS:
         raise ValueError("need at least 1e4 trials per point")
     if not 0.0 <= rho <= 1.0:

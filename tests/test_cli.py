@@ -635,8 +635,9 @@ def test_protocol_sim_passes_each_scheme_over_the_grid_once(tmp_path,
                                                           monkeypatch):
     # on the benchmark's protocol workload (df, af and df-central over
     # 4 grid points): one frame-protocol call and one read of the
-    # network's frames per scheme, and one decoding subset per df or
-    # df-central grid point, since af's pick holds across the grid
+    # network's frames for the group's three schemes, and one decoding
+    # subset per df or df-central grid point, since af's pick holds
+    # across the grid
     counts = {"simulate_frames": 0, "frames": 0, "decoding_subset": 0}
 
     def counted(name, fn):
@@ -657,7 +658,7 @@ def test_protocol_sim_passes_each_scheme_over_the_grid_once(tmp_path,
     assert run_main(["protocol-sim", "--config", str(conf), "--seed", "3",
                      "--out", str(out)]) == 0
     assert len(read_rows(out)) == 12
-    assert counts == {"simulate_frames": 3, "frames": 3, "decoding_subset": 8}
+    assert counts == {"simulate_frames": 1, "frames": 1, "decoding_subset": 8}
 
 
 def test_each_protocol_key_reaches_the_rows(tmp_path):
@@ -892,6 +893,10 @@ def test_predict_eval_reports_the_correlation_selection_sees(tmp_path):
     assert float(row["rho_outdated"]) == pytest.approx(0.05496, abs=5e-6)
     assert float(row["rho_outdated"]) == pytest.approx(
         abs(bessel_j0(2 * np.pi * 100.0 * 4e-3)), abs=1e-12)
+    # trials counts the predictions that error_power and rho_predicted
+    # average over: one per window end t in [tau, 10000 - 1 - horizon]
+    # of the 10 000-sample evaluation record, at tau = 4 and horizon 4
+    assert row["trials"] == "9992"
 
 
 @pytest.fixture(scope="module")

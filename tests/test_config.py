@@ -162,6 +162,12 @@ def test_rates_whose_threshold_overflows_are_refused(rate):
     # 1 000 001 points, each a full Monte-Carlo, were built without a word
     ("[grid]\n\nsnr_db = 0:1000:0.001\n",
      r"line 3: \[grid\] .*more than 10000 points"),
+    # a repeated scheme or grid point wrote its rows twice
+    ("[schemes]\nlist = df, df, af\n",
+     r"line 2: \[schemes\] list: repeated scheme 'df'"),
+    ("[grid]\n\nsnr_db = 10, 10\n", r"line 3: \[grid\] snr_db: repeated grid"),
+    # 11 points that all round to 0.0
+    ("[grid]\nsnr_db = 0:1e-13:1e-14\n", "repeated grid point 0.0"),
     # gamma_o = 2^(2R) - 1 overflowed into an OverflowError traceback
     ("[network]\nrate = 600\n", r"\[network\] .*below 512"),
 ])

@@ -22,8 +22,8 @@ def af_outages(rho, trials):
     both at estimate's and simulate_frames' default rate of 1."""
     (end_to_end,), = estimate(["af"], [10.0], trials, num_relays=8, rho=rho,
                               seed=0)
-    (per_hop,) = simulate_frames("af", SyntheticRhoNetwork(8, rho, seed=0),
-                                 [10.0], trials + 1)  # + the bootstrap frame
+    (per_hop,), = simulate_frames(["af"], SyntheticRhoNetwork(8, rho, seed=0),
+                                  [10.0], trials + 1)  # + the bootstrap frame
     assert end_to_end.trials == per_hop.trials == trials
     return end_to_end, per_hop
 

@@ -149,10 +149,10 @@ def test_af_effective_snr():
     # the amplified end-to-end SNR is the min(sr, rd) bound the closed
     # forms assume
     net = OneFrameNetwork(sr=1e8, rd=4.0)
-    (est,) = simulate_frames("af", net, [UNIT_HOP_DB], 2, rate=RATE1)
+    ((est,),) = simulate_frames(["af"], net, [UNIT_HOP_DB], 2, rate=RATE1)
     assert est.mean_rate == half_rate(4.0)
     net = OneFrameNetwork(sr=1.0, rd=1.0)
-    (est,) = simulate_frames("af", net, [UNIT_HOP_DB], 2, rate=RATE1)
+    ((est,),) = simulate_frames(["af"], net, [UNIT_HOP_DB], 2, rate=RATE1)
     assert est.mean_rate == half_rate(1.0)
 
 

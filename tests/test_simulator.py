@@ -10,7 +10,7 @@ from prsim import simulator
 from prsim.channel import (FadingProcessConfig, correlated_pair,
                            generate_series, jakes_correlation)
 from prsim.rng import stream
-from prsim.selection import RateConfig, decoding_subset, select
+from prsim.selection import RateConfig, decoding_subset, pick, select
 from prsim.simulator import (
     ProtocolSettings,
     SeriesNetwork,
@@ -130,8 +130,12 @@ def frame_block(net, n, snr_db):
 
 
 def block_estimate(sel):
-    return simulator._mc_estimate(sel.outage, sel.rate,
-                                  int(sel.collision.sum()))
+    """McEstimate of a `select` block, formed from its own fields."""
+    n = sel.outage.size
+    p = float(np.mean(sel.outage))
+    return simulator.McEstimate(n, p, math.sqrt(p * (1.0 - p) / n),
+                                float(np.mean(sel.rate)),
+                                int(sel.collision.sum()) / n)
 
 
 def test_synthetic_network_frames():
@@ -165,15 +169,8 @@ def test_synthetic_network_replays_its_frames():
     net = SyntheticRhoNetwork(4, rho=0.8, seed=5)
     first = net.frames(50)
     again = net.frames(50)
-    shorter = net.frames(20)
-    for a, b, c in zip(first, again, shorter):
+    for a, b in zip(first, again):
         assert np.array_equal(a, b)
-        assert np.array_equal(a[:20], c)
-    # the first call draws the frames; a later one may ask for no more
-    with pytest.raises(ValueError, match="drew fewer frames"):
-        net.frames(51)
-    with pytest.raises(ValueError, match="drew fewer frames"):
-        simulate_frames("df", net, [10.0], 51)
 
 
 def test_one_network_serves_every_grid_point():
@@ -183,8 +180,8 @@ def test_one_network_serves_every_grid_point():
     for scheme in ("df", "af", "df-central"):
         for snr_db in (0.0, 10.0, 20.0):
             fresh = SyntheticRhoNetwork(8, rho=0.8, seed=3)
-            assert (simulate_frames(scheme, shared, [snr_db], 500)
-                    == simulate_frames(scheme, fresh, [snr_db], 500))
+            assert (simulate_frames([scheme], shared, [snr_db], 500)
+                    == simulate_frames([scheme], fresh, [snr_db], 500))
 
 
 def grid_networks():
@@ -204,8 +201,10 @@ def grid_networks():
 def test_grid_pass_equals_point_by_point_calls():
     # one call over the grid gives each point the estimate a call at
     # that point alone gives on a fresh network, and writes nothing
-    # into the frames the next scheme reads
+    # into the frames the next scheme reads; one call over every
+    # scheme gives each scheme what a call of that scheme alone gives
     grid, n = [0.0, 6.0, 12.0, 30.0], 300
+    schemes = ["df", "af", "df-central"]
     for kind, fresh in grid_networks().items():
         for policy in ("reselect", "terminate"):
             for window in (0.0, 0.01):
@@ -213,25 +212,26 @@ def test_grid_pass_equals_point_by_point_calls():
                                             uncertainty_window=window)
                 net = fresh()
                 before = [a.tobytes() for a in net.frames(n)]
-                for scheme in ("df", "af", "df-central"):
-                    ests = simulate_frames(scheme, net, grid, n,
-                                           protocol=protocol)
-                    assert ests == [
-                        simulate_frames(scheme, fresh(), [snr_db], n,
-                                        protocol=protocol)[0]
+                shared = simulate_frames(schemes, net, grid, n,
+                                         protocol=protocol)
+                for scheme, got in zip(schemes, shared):
+                    (ests,) = simulate_frames([scheme], net, grid, n,
+                                              protocol=protocol)
+                    assert got == ests == [
+                        simulate_frames([scheme], fresh(), [snr_db], n,
+                                        protocol=protocol)[0][0]
                         for snr_db in grid], (kind, policy, window, scheme)
                 assert [a.tobytes() for a in net.frames(n)] == before
 
 
 def test_networks_hand_out_read_only_arrays():
-    # an in-place write into a network's frames raises instead of
-    # corrupting what the next scheme reads; a record that networks
-    # share stays writable for its owner
-    for kind, fresh in grid_networks().items():
-        net = fresh()
-        frames = net.frames(10)
-        kept = frames if kind == "synthetic" else frames[2:]
-        for a in kept:
+    # an in-place write into a record network's metrics raises instead
+    # of corrupting what the next network riding the record reads; a
+    # record that networks share stays writable for its owner
+    networks = grid_networks()
+    for kind in ("outdated", "predicted"):  # synthetic frames are fresh
+        net = networks[kind]()
+        for a in net.frames(10)[2:]:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
@@ -247,13 +247,26 @@ def test_causality_assert_trips():
         net = SyntheticRhoNetwork(4, rho=1.0, seed=1)
         net.metric_lag = 0  # forge a metric read at its own frame
         with pytest.raises(RuntimeError):
-            simulate_frames(scheme, net, [10.0], 100)
+            simulate_frames([scheme], net, [10.0], 100)
 
 
 def test_zero_window_never_collides():
     net = SyntheticRhoNetwork(8, rho=0.5, seed=7)
-    (est,) = simulate_frames("df", net, [10.0], 3000)
+    ((est,),) = simulate_frames(["df"], net, [10.0], 3000)
     assert est.collision_rate == 0.0
+    # so a zero window picks as no window does, field by field, capped
+    # timers' ties included, and the frame protocol may skip the
+    # runner-up search
+    g_sr, _, _, m_rd = frame_block(net, 3000, 10.0)
+    score = -ProtocolSettings(timer_max=1.0).duration(np.abs(m_rd))
+    top_ties = np.sum(score == score.max(axis=1, keepdims=True), axis=1)
+    # frames whose best timers all hit the cap and tie
+    assert np.count_nonzero(top_ties > 1) > 20
+    for eligible in (None, decoding_subset(g_sr, RATE)):
+        zero = pick(score, eligible, window=0.0)
+        off = pick(score, eligible)
+        for a, b in zip(zero, off):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_collision_rate_monotone_in_window():
@@ -261,7 +274,8 @@ def test_collision_rate_monotone_in_window():
     for delta in (0.0, 0.02, 0.2, 2.0):
         net = SyntheticRhoNetwork(8, rho=0.5, seed=8)
         protocol = ProtocolSettings(uncertainty_window=delta)
-        (est,) = simulate_frames("df", net, [10.0], 3000, protocol=protocol)
+        ((est,),) = simulate_frames(["df"], net, [10.0], 3000,
+                                    protocol=protocol)
         rates.append(est.collision_rate)
     assert rates[0] == 0.0
     assert all(b >= a for a, b in zip(rates, rates[1:]))
@@ -279,8 +293,8 @@ def test_df_winner_is_buffered_argmax_over_ds():
     want = np.argmax(np.where(ds, np.abs(m_rd), -1.0), axis=1)
     assert np.array_equal(sel.chosen[has], want[has])
     assert np.all(sel.chosen[~has] == -1) and np.all(sel.outage[~has])
-    assert simulate_frames("df", SyntheticRhoNetwork(8, rho=0.7, seed=9),
-                           [10.0], 400) == [block_estimate(sel)]
+    assert simulate_frames(["df"], SyntheticRhoNetwork(8, rho=0.7, seed=9),
+                           [10.0], 400) == [[block_estimate(sel)]]
 
 
 def test_af_winner_is_min_metric_argmax():
@@ -291,13 +305,13 @@ def test_af_winner_is_min_metric_argmax():
     sel = select(np.minimum(g_sr, g_rd), -timer.duration(mags), RATE,
                  window=timer.uncertainty_window)
     assert np.array_equal(sel.chosen, np.argmax(mags, axis=1))
-    assert simulate_frames("af", SyntheticRhoNetwork(8, rho=0.7, seed=10),
-                           [10.0], 400) == [block_estimate(sel)]
+    assert simulate_frames(["af"], SyntheticRhoNetwork(8, rho=0.7, seed=10),
+                           [10.0], 400) == [[block_estimate(sel)]]
 
 
 def test_df_frames_match_closed_form_at_perfect_foresight():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=11)
-    (est,) = simulate_frames("df", net, [10.0], 100_000)
+    ((est,),) = simulate_frames(["df"], net, [10.0], 100_000)
     exact = outage_df(SelectionParams(8, 5.0, 5.0, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
 
@@ -305,7 +319,7 @@ def test_df_frames_match_closed_form_at_perfect_foresight():
 def test_af_frames_k1_matches_single_link_bound():
     # with one relay selection is moot; outage is P(min(sr, rd) < go)
     net = SyntheticRhoNetwork(1, rho=0.6, seed=12)
-    (est,) = simulate_frames("af", net, [10.0], 100_000)
+    ((est,),) = simulate_frames(["af"], net, [10.0], 100_000)
     gamma_e = 5.0 * 5.0 / (5.0 + 5.0)
     exact = 1.0 - math.exp(-GO / gamma_e)
     assert se_vs(exact, est) <= 3.0
@@ -313,7 +327,7 @@ def test_af_frames_k1_matches_single_link_bound():
 
 def test_af_frames_perfect_buffers_match_closed_form():
     net = SyntheticRhoNetwork(8, rho=1.0, seed=13)
-    (est,) = simulate_frames("af", net, [12.0], 100_000)
+    ((est,),) = simulate_frames(["af"], net, [12.0], 100_000)
     hop = 0.5 * 10 ** 1.2
     exact = outage_af(SelectionParams(8, hop, hop, 1.0, GO))
     assert se_vs(exact, est) <= 3.0
@@ -328,17 +342,17 @@ def test_centralized_reselect_equals_distributed():
     race = select(g_rd, -ProtocolSettings().duration(np.abs(m_rd)), RATE, ds, 0.0)
     ranked = select(g_rd, np.abs(m_rd), RATE, ds)
     assert np.array_equal(race.chosen, ranked.chosen)
-    a = simulate_frames("df", net, [10.0], 2000)
-    b = simulate_frames("df-central", net, [10.0], 2000)
+    a, b = simulate_frames(["df", "df-central"], net, [10.0], 2000)
     assert a == b
 
 
 def test_termination_never_beats_reselection():
     net = SyntheticRhoNetwork(8, rho=0.8, seed=15)
     terminate = ProtocolSettings(policy="terminate")
-    reselect = simulate_frames("df-central", net, [6.0, 10.0, 14.0], 20_000)
-    ended = simulate_frames("df-central", net, [6.0, 10.0, 14.0], 20_000,
-                            protocol=terminate)
+    (reselect,) = simulate_frames(["df-central"], net, [6.0, 10.0, 14.0],
+                                  20_000)
+    (ended,) = simulate_frames(["df-central"], net, [6.0, 10.0, 14.0],
+                               20_000, protocol=terminate)
     for r, t in zip(reselect, ended):
         # the top-ranked relay often failed to decode at these SNRs
         assert t.outage_prob > r.outage_prob
@@ -375,8 +389,8 @@ def test_conditional_network_matches_four_normal_network(K):
         new = SyntheticRhoNetwork(K, rho, seed=900 + 10 * K + i)
         old = FourNormalNetwork(K, rho, 950 + 10 * K + i, n)
         for name, (scheme, protocol) in FRAME_RUNS.items():
-            a, b = (simulate_frames(scheme, net, [10.0], n,
-                                    protocol=protocol)[0]
+            a, b = (simulate_frames([scheme], net, [10.0], n,
+                                    protocol=protocol)[0][0]
                     for net in (new, old))
             for p, q in ((a.outage_prob, b.outage_prob),
                          (a.collision_rate, b.collision_rate)):
@@ -395,9 +409,10 @@ def test_conditional_network_matches_four_normal_network(K):
 def test_frame_driver_validation():
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, [10.0], 1)
-    with pytest.raises(ValueError):
-        simulate_frames("mrc", net, [10.0], 100)
+        simulate_frames(["df"], net, [10.0], 1)
+    for schemes in ("df", [], ["df", "mrc"]):  # a list of known names
+        with pytest.raises(ValueError):
+            simulate_frames(schemes, net, [10.0], 100)
     with pytest.raises(ValueError, match="reselect or terminate"):
         ProtocolSettings(policy="retry")
 
@@ -409,7 +424,7 @@ def test_frame_driver_refuses_points_past_the_float_range(snr_db):
     net = SyntheticRhoNetwork(2, rho=1.0, seed=0)
     for scheme in ("df", "af", "df-central"):
         with pytest.raises(ValueError, match="float range"):
-            simulate_frames(scheme, net, [0.0, snr_db], 100)
+            simulate_frames([scheme], net, [0.0, snr_db], 100)
 
 
 # ------------------------------------------------------- vectorized paths
@@ -438,8 +453,8 @@ def test_af_pairing_modes_differ_at_partial_rho():
     # protocol runs the per-hop ranking: with no collision window the
     # timer race is an argmax of min(|metric_sr|, |metric_rd|).
     def per_hop(rho, n, seed):
-        return simulate_frames("af", SyntheticRhoNetwork(8, rho, seed=seed),
-                               [10.0], n + 1)[0]
+        return simulate_frames(["af"], SyntheticRhoNetwork(8, rho, seed=seed),
+                               [10.0], n + 1)[0][0]
 
     e2e = estimate(["af"], [10.0], 200_000, rho=0.2906, seed=5)[0][0]
     hop = per_hop(0.2906, 200_000, seed=5)
@@ -597,8 +612,8 @@ def test_engines_stay_finite_at_the_ends_of_the_hop_range():
                             num_relays=2, rho=0.9):
             assert math.isfinite(est[0].mean_rate)
         for scheme in ("df", "af", "df-central"):
-            (est,) = simulate_frames(scheme, SyntheticRhoNetwork(2, 0.9),
-                                     [snr_db], 1000, protocol=WINDOW)
+            ((est,),) = simulate_frames([scheme], SyntheticRhoNetwork(2, 0.9),
+                                        [snr_db], 1000, protocol=WINDOW)
             assert math.isfinite(est.mean_rate)
     for snr_db in (-2998.0, 3004.0):
         with pytest.raises(ValueError, match="float range"):
@@ -765,7 +780,7 @@ def test_series_network_alignment():
     with pytest.raises(ValueError):
         net.frames(298)
     with pytest.raises(ValueError):
-        simulate_frames("df", net, [10.0], 298)
+        simulate_frames(["df"], net, [10.0], 298)
     with pytest.raises(ValueError):
         SeriesNetwork(sr, rd, delay=0)
     with pytest.raises(ValueError):
@@ -797,8 +812,8 @@ def test_series_delayed_metric_matches_closed_form():
     # J0(0.6 pi); frames overlap in time, so allow a loose absolute gap
     sr = multilink_series(31, 60_000)
     rd = multilink_series(32, 60_000)
-    (est,) = simulate_frames("df", SeriesNetwork(sr, rd, delay=3), [10.0],
-                             59_997)
+    ((est,),) = simulate_frames(["df"], SeriesNetwork(sr, rd, delay=3),
+                                [10.0], 59_997)
     rho_o = jakes_correlation(100.0, 0.003)
     exact = outage_df(SelectionParams(8, 5.0, 5.0, rho_o, GO))
     assert est.trials == 59_996
@@ -809,4 +824,4 @@ def test_series_mode_validation():
     sr = multilink_series(33, 200, 2)
     rd = multilink_series(34, 200, 2)
     with pytest.raises(ValueError):
-        simulate_frames("dt", SeriesNetwork(sr, rd, delay=3), [10.0], 100)
+        simulate_frames(["dt"], SeriesNetwork(sr, rd, delay=3), [10.0], 100)
